@@ -21,7 +21,7 @@
 // stochastic or not, is a pure function of (Config, seed, query order).
 // Host noise draws from one splitmix64 stream per node (the node id
 // salts the seed), network noise from a dedicated stream consumed in
-// delivery order; the serial simulator dispatches events in a total
+// delivery order; the simulator dispatches events in a total
 // order, so two runs of the same configuration with the same seed see
 // byte-identical schedules and therefore produce byte-identical
 // results.

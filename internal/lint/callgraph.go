@@ -8,7 +8,7 @@ import (
 )
 
 // This file builds the whole-module static call graph the interprocedural
-// checks (callpath, shardsafe, serialonly) share. The graph is
+// checks (callpath and its reachability queries) share. The graph is
 // deliberately simple and conservative:
 //
 //   - Nodes are declared functions/methods (in-module and, lazily, the
@@ -116,12 +116,6 @@ type CallGraph struct {
 
 // Nodes returns every node in deterministic order.
 func (g *CallGraph) Nodes() []*CGNode { return g.nodes }
-
-// NodeFor returns the node for a declared function object, or nil.
-func (g *CallGraph) NodeFor(obj *types.Func) *CGNode { return g.byObj[obj] }
-
-// LitNode returns the node for a function literal, or nil.
-func (g *CallGraph) LitNode(lit *ast.FuncLit) *CGNode { return g.byLit[lit] }
 
 // BuildCallGraph constructs the call graph over the loaded packages.
 func BuildCallGraph(pkgs []*Package) *CallGraph {

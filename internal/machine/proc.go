@@ -37,9 +37,8 @@ type Proc struct {
 	ID int
 	BD stats.Breakdown
 	// Ev accumulates counters owned by layers above the substrates
-	// (synchronization library). Per-processor — written only from p's own
-	// thread — so the tiled engine needs no locking; Run sums them into
-	// Result.Events.
+	// (synchronization library), written only from p's own thread; Run
+	// sums them into Result.Events.
 	Ev stats.Events
 
 	th     *sim.Thread
@@ -222,7 +221,7 @@ func (p *Proc) critMsgWait(start, end sim.Time) {
 		lat = transit
 	}
 	p.M.Crit.MsgWait(p.ID, lat, transit-lat)
-	p.M.Crit.Edge(p.ID, obs.CritEdge{
+	p.M.Crit.Edge(obs.CritEdge{
 		Kind: "msg", Src: src, Dst: p.ID,
 		Start: sent, End: end, Lat: lat, BW: transit - lat,
 	})
