@@ -1,7 +1,9 @@
 # Tier-1 verification plus the race-certified concurrency surface.
-# `make check` is the gate every PR must pass. `make profile` captures
-# host CPU/heap profiles of a tiny figure regeneration (see the bench
-# target for simulated-time performance tracking).
+# `make check` is the gate every PR must pass; it also runs the tests of
+# the separate cmd/bench module (workload digests, metric plumbing).
+# `make profile` captures host CPU/heap profiles of a tiny figure
+# regeneration (see the bench target for simulated-time performance
+# tracking).
 
 GO ?= go
 
@@ -9,6 +11,7 @@ GO ?= go
 
 check: build race test lint
 	$(GO) vet ./...
+	$(GO) -C cmd/bench test .
 
 build:
 	$(GO) build ./...

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/mesh"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -34,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sc, err := parseScale(*scaleName)
+	sc, err := core.ParseScale(*scaleName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,8 +92,8 @@ func main() {
 	tw.Flush()
 	if res.Trace != nil {
 		fmt.Printf("\nlast %d trace events (of %d recorded):\n",
-			len(res.Trace.Events()), res.Trace.Total())
-		res.Trace.Dump(os.Stdout, clk)
+			len(res.Trace.Items()), res.Trace.Total())
+		obs.DumpEvents(os.Stdout, clk, res.Trace)
 	}
 	if *validate {
 		fmt.Println("\nresult validated against sequential reference")
@@ -113,18 +114,4 @@ func parseMech(s string) (apps.Mechanism, error) {
 		return apps.Bulk, nil
 	}
 	return 0, fmt.Errorf("unknown mechanism %q", s)
-}
-
-func parseScale(s string) (core.Scale, error) {
-	switch s {
-	case "tiny":
-		return core.ScaleTiny, nil
-	case "sweep":
-		return core.ScaleSweep, nil
-	case "default":
-		return core.ScaleDefault, nil
-	case "full":
-		return core.ScaleFull, nil
-	}
-	return 0, fmt.Errorf("unknown scale %q", s)
 }

@@ -82,6 +82,16 @@ func main() {
 	if *noiseSeeds < 1 {
 		log.Fatal("-noiseseeds must be at least 1")
 	}
+	// scOr returns the -scale override, or the figure's own default
+	// scale when -scale is not given.
+	scOr := func(def core.Scale) core.Scale { return def }
+	if *scaleName != "" {
+		sc, err := core.ParseScale(*scaleName)
+		if err != nil {
+			log.Fatal(err)
+		}
+		scOr = func(core.Scale) core.Scale { return sc }
+	}
 	if (*prune || *predictErr != 0) && !*predictFlag {
 		log.Fatal("-prune and -predicterr only apply with -predict")
 	}
@@ -226,20 +236,6 @@ func main() {
 	if *appFlag != "" {
 		appsToRun = []core.AppName{core.AppName(*appFlag)}
 	}
-	scOr := func(def core.Scale) core.Scale {
-		switch *scaleName {
-		case "tiny":
-			return core.ScaleTiny
-		case "sweep":
-			return core.ScaleSweep
-		case "default":
-			return core.ScaleDefault
-		case "full":
-			return core.ScaleFull
-		}
-		return def
-	}
-
 	check := func(err error) {
 		if err != nil {
 			log.Fatal(err)

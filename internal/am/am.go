@@ -7,7 +7,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // HandlerID names a registered active-message handler.
@@ -148,7 +147,7 @@ type System struct {
 	outFree []sim.Time
 
 	// tr, when non-nil, receives message trace events.
-	tr *trace.Buffer
+	tr *obs.Ring[obs.Event]
 
 	// fault, when non-nil, injects endpoint drain stalls (the NI refuses
 	// deliveries during a stall window, exercising the mesh retry path).
@@ -203,7 +202,7 @@ type DrainStaller interface {
 func (s *System) SetFaultInjector(fi DrainStaller) { s.fault = fi }
 
 // SetTrace attaches an event trace buffer (nil disables tracing).
-func (s *System) SetTrace(tr *trace.Buffer) { s.tr = tr }
+func (s *System) SetTrace(tr *obs.Ring[obs.Event]) { s.tr = tr }
 
 // NewSystem creates the message layer for every node of net.
 func NewSystem(eng *sim.Engine, net *mesh.Network, clk sim.Clock, par Params) *System {
@@ -289,11 +288,11 @@ func (s *System) inject(src, dst int, h HandlerID, args []int64, vals []float64,
 		s.mOutBack[src].Observe(s.clk.ToCycles(back))
 	}
 	if s.tr != nil {
-		k := trace.KMsgSend
+		k := obs.KMsgSend
 		if bulk {
-			k = trace.KBulk
+			k = obs.KBulk
 		}
-		s.tr.Add(trace.Event{At: s.eng.Now(), Node: src, Kind: k,
+		s.tr.Add(obs.Event{At: s.eng.Now(), Node: src, Kind: k,
 			A: int64(dst), B: int64(s.par.ValBytes * len(vals))})
 	}
 	if bulk {
@@ -472,7 +471,7 @@ func (s *System) drain(th *sim.Thread, node int, bd *stats.Breakdown, perMsg int
 			s.mRecv[node].Inc()
 		}
 		if s.tr != nil {
-			s.tr.Add(trace.Event{At: s.eng.Now(), Node: node, Kind: trace.KMsgRecv, A: int64(m.src)})
+			s.tr.Add(obs.Event{At: s.eng.Now(), Node: node, Kind: obs.KMsgRecv, A: int64(m.src)})
 		}
 		cost := perMsg
 		if m.bulk {

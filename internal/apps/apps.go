@@ -20,8 +20,6 @@ const (
 	MPPoll
 	// Bulk is DMA bulk transfer.
 	Bulk
-
-	NumMechanisms
 )
 
 // Mechanisms lists all five in presentation order (the paper's figures).

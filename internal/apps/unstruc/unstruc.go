@@ -65,9 +65,6 @@ func New(p workload.UnstrucParams) *App {
 // Name implements apps.App.
 func (a *App) Name() string { return "unstruc" }
 
-// Mesh exposes the generated workload.
-func (a *App) Mesh() *workload.UnstrucMesh { return a.mesh }
-
 // Setup implements apps.App.
 func (a *App) Setup(m *machine.Machine, mech apps.Mechanism) {
 	a.m, a.mech = m, mech

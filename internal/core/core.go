@@ -11,7 +11,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -57,6 +56,17 @@ func (s Scale) String() string {
 		return "full"
 	}
 	return fmt.Sprintf("Scale(%d)", int(s))
+}
+
+// ParseScale is the inverse of Scale.String. It rejects any other name,
+// so a mistyped scale fails instead of running some default.
+func ParseScale(name string) (Scale, error) {
+	for s := ScaleTiny; s <= ScaleFull; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scale %q (want tiny, sweep, default or full)", name)
 }
 
 // BaseProcs is the paper's machine size: every workload's published
@@ -191,11 +201,11 @@ type RunResult struct {
 	App  AppName
 	Mech apps.Mechanism
 	// Trace holds the machine's event trace when Machine.TraceCap was set.
-	Trace *trace.Buffer
+	Trace *obs.Ring[obs.Event]
 	// Obs holds the run's metrics registry when Machine.Metrics was set.
 	Obs *obs.Registry
 	// Spans holds the thread-state timeline when Machine.SpanCap was set.
-	Spans *obs.SpanBuffer
+	Spans *obs.Ring[obs.Span]
 	// Crit holds the critical-path recorder (edge stream) when
 	// Machine.CritPath was set; the summary lives in Result.CritPath.
 	Crit *obs.CritRecorder

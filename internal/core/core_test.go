@@ -62,6 +62,19 @@ func TestScaleStrings(t *testing.T) {
 	}
 }
 
+func TestParseScaleRoundTrip(t *testing.T) {
+	for _, sc := range []Scale{ScaleTiny, ScaleDefault, ScaleSweep, ScaleFull} {
+		if got, err := ParseScale(sc.String()); got != sc || err != nil {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", sc.String(), got, err, sc)
+		}
+	}
+	for _, bad := range []string{"tyni", "", "Tiny", "Scale(0)"} {
+		if _, err := ParseScale(bad); err == nil {
+			t.Errorf("ParseScale(%q) accepted a name Scale.String never produces", bad)
+		}
+	}
+}
+
 func TestCrossoverSynthetic(t *testing.T) {
 	mk := func(x float64, a, b int64) SweepPoint {
 		return SweepPoint{X: x, Results: map[apps.Mechanism]RunResult{

@@ -21,7 +21,7 @@ import (
 // concurrently. Results are bit-identical to serial execution.
 //
 // A Runner is safe for concurrent use. Cached results are shared — treat
-// RunResult (including its PerProc slice and Trace buffer) as read-only.
+// RunResult (including its PerProc slice and observation rings) as read-only.
 type Runner struct {
 	workers int
 
@@ -189,67 +189,23 @@ func (r *Runner) Run(rc RunConfig) (RunResult, error) {
 }
 
 // RunBatch executes configurations on the worker pool and returns their
-// results in input order. On error it returns the first error encountered
-// in input order among completed jobs; remaining jobs are abandoned.
+// results in input order, or the first error in input order. Every job
+// runs to completion first, so the error reported does not depend on
+// scheduling.
 func (r *Runner) RunBatch(rcs []RunConfig) ([]RunResult, error) {
-	out := make([]RunResult, len(rcs))
-	workers := r.workers
-	if workers > len(rcs) {
-		workers = len(rcs)
-	}
-	if workers <= 1 {
-		for i, rc := range rcs {
-			res, err := r.Run(rc)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = res
+	out, errs := r.RunBatchAll(rcs)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
-	}
-	var (
-		next    atomic.Int64
-		failed  atomic.Bool
-		errMu   sync.Mutex
-		firstI  int
-		firstEr error
-		wg      sync.WaitGroup
-	)
-	next.Store(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(next.Add(1))
-				if i >= len(rcs) {
-					return
-				}
-				res, err := r.Run(rcs[i])
-				if err != nil {
-					errMu.Lock()
-					if firstEr == nil || i < firstI {
-						firstI, firstEr = i, err
-					}
-					errMu.Unlock()
-					failed.Store(true)
-					return
-				}
-				out[i] = res
-			}
-		}()
-	}
-	wg.Wait()
-	if firstEr != nil {
-		return nil, firstEr
 	}
 	return out, nil
 }
 
 // RunBatchAll executes every configuration on the worker pool, never
-// aborting: errs[i] is non-nil exactly where job i failed. Unlike
-// RunBatch, one crashing point leaves the rest of the batch completed —
-// this is the sweep runners' isolation guarantee.
+// aborting: errs[i] is non-nil exactly where job i failed, and one
+// crashing point leaves the rest of the batch completed — this is the
+// sweep runners' isolation guarantee.
 func (r *Runner) RunBatchAll(rcs []RunConfig) (out []RunResult, errs []error) {
 	out = make([]RunResult, len(rcs))
 	errs = make([]error, len(rcs))
@@ -285,22 +241,17 @@ func (r *Runner) RunBatchAll(rcs []RunConfig) (out []RunResult, errs []error) {
 
 // sweepJobs fans out the cross-product of per-point machine configs and
 // mechanisms, then folds the results back into ordered SweepPoints. This
-// is the common core of the Bisection/Clock/MsgLen sweeps; the
-// ContextSwitch sweep has its own fold (reference mechanisms are hoisted
-// out of the point loop).
+// is the common core of the Bisection/Clock/MsgLen/NodeScaling sweeps;
+// the ContextSwitch sweep has its own fold (reference mechanisms are
+// hoisted out of the point loop). scaleProblem is the problem-scaling
+// mode: the node-scaling sweep runs both, every fixed-geometry sweep
+// passes false.
 //
 // Failed runs are isolated, not fatal: a crashing point is simply absent
 // from its SweepPoint.Results (downstream analysis like Crossover skips
 // partial mechanism sets), and the RunError is recorded on the Runner for
 // reporting via Failures. The sweep errors only when nothing succeeded.
-func (r *Runner) sweepJobs(app AppName, sc Scale, mechs []apps.Mechanism, cfgs []machine.Config, xs []float64) ([]SweepPoint, error) {
-	return r.sweepJobsScaled(app, sc, mechs, cfgs, xs, false)
-}
-
-// sweepJobsScaled is sweepJobs with an explicit problem-scaling mode
-// (the node-scaling sweep runs both; every fixed-geometry sweep passes
-// false).
-func (r *Runner) sweepJobsScaled(app AppName, sc Scale, mechs []apps.Mechanism, cfgs []machine.Config, xs []float64, scaleProblem bool) ([]SweepPoint, error) {
+func (r *Runner) sweepJobs(app AppName, sc Scale, mechs []apps.Mechanism, cfgs []machine.Config, xs []float64, scaleProblem bool) ([]SweepPoint, error) {
 	jobs := make([]RunConfig, 0, len(cfgs)*len(mechs))
 	for _, cfg := range cfgs {
 		for _, mech := range mechs {
@@ -355,7 +306,7 @@ func (r *Runner) BisectionSweep(app AppName, sc Scale, mechs []apps.Mechanism, b
 		cfgs[i] = cfg
 		xs[i] = native - rate
 	}
-	return r.sweepJobs(app, sc, mechs, cfgs, xs)
+	return r.sweepJobs(app, sc, mechs, cfgs, xs, false)
 }
 
 // ClockSweep is the parallel, memoized form of the package-level
@@ -369,7 +320,7 @@ func (r *Runner) ClockSweep(app AppName, sc Scale, mechs []apps.Mechanism, base 
 		cfgs[i] = cfg
 		xs[i] = NetLatencyCycles(cfg)
 	}
-	return r.sweepJobs(app, sc, mechs, cfgs, xs)
+	return r.sweepJobs(app, sc, mechs, cfgs, xs, false)
 }
 
 // ContextSwitchSweep is the parallel, memoized form of the package-level
@@ -442,7 +393,7 @@ func (r *Runner) NodeScalingSweep(app AppName, sc Scale, mechs []apps.Mechanism,
 		cfgs[i] = cfg
 		xs[i] = float64(n)
 	}
-	return r.sweepJobsScaled(app, sc, mechs, cfgs, xs, scaleProblem)
+	return r.sweepJobs(app, sc, mechs, cfgs, xs, scaleProblem)
 }
 
 // MsgLenSweep is the parallel, memoized form of the package-level
@@ -456,5 +407,5 @@ func (r *Runner) MsgLenSweep(app AppName, sc Scale, mech apps.Mechanism, base ma
 		cfgs[i] = cfg
 		xs[i] = float64(size)
 	}
-	return r.sweepJobs(app, sc, []apps.Mechanism{mech}, cfgs, xs)
+	return r.sweepJobs(app, sc, []apps.Mechanism{mech}, cfgs, xs, false)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -143,18 +144,20 @@ func TestContextSwitchSweepHoistsReferences(t *testing.T) {
 }
 
 // TestRunnerErrorPropagation checks batch and sweep error paths under
-// parallel execution.
+// parallel execution: a batch reports the first failing job in input
+// order, whichever worker finishes first.
 func TestRunnerErrorPropagation(t *testing.T) {
 	r := NewRunner(0)
 	good := RunConfig{App: EM3D, Mech: apps.SM, Scale: ScaleTiny,
 		Machine: machine.DefaultConfig(), SkipValidate: true}
-	bad := good
-	bad.App = "nonesuch"
-	if _, err := r.RunBatch([]RunConfig{good, bad, good, bad}); err == nil {
-		t.Error("batch with failing job did not error")
+	badA, badB := good, good
+	badA.App, badB.App = "nonesuch-a", "nonesuch-b"
+	_, err := r.RunBatch([]RunConfig{good, badA, good, badB})
+	if err == nil || !strings.Contains(err.Error(), `"nonesuch-a"`) {
+		t.Errorf("batch error = %v, want badA's", err)
 	}
 	// The error is memoized like any result.
-	if _, err := r.Run(bad); err == nil {
+	if _, err := r.Run(badB); err == nil {
 		t.Error("cached failing run did not error")
 	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Telemetry is the runner's host-side observability sink: a JSONL run
@@ -38,8 +37,8 @@ type Telemetry struct {
 	// and <run>.metrics.txt registry snapshots for every executed run
 	// that recorded them (see machine.Config.Metrics/SpanCap/TraceCap).
 	TimelineDir string
-	// TraceOut receives a text dump of every executed run's trace.Buffer
-	// (see machine.Config.TraceCap), delimited by header lines.
+	// TraceOut receives a text dump of every executed run's protocol
+	// events (see machine.Config.TraceCap), delimited by header lines.
 	TraceOut io.Writer
 
 	mu       sync.Mutex
@@ -198,13 +197,13 @@ func (t *Telemetry) writeArtifacts(rc RunConfig, res RunResult) {
 	name := runName(rc)
 	if t.TimelineDir != "" && (res.Spans != nil || res.Trace != nil || res.Crit != nil) {
 		var spans []obs.Span
-		var events []trace.Event
+		var events []obs.Event
 		var edges []obs.CritEdge
 		if res.Spans != nil {
-			spans = res.Spans.Spans()
+			spans = res.Spans.Items()
 		}
 		if res.Trace != nil {
-			events = res.Trace.Events()
+			events = res.Trace.Items()
 		}
 		if res.Crit != nil {
 			edges = res.Crit.Edges()
@@ -221,8 +220,8 @@ func (t *Telemetry) writeArtifacts(rc RunConfig, res RunResult) {
 	if t.TraceOut != nil && res.Trace != nil {
 		t.mu.Lock()
 		fmt.Fprintf(t.TraceOut, "== trace %s (%d events, %d retained) ==\n",
-			name, res.Trace.Total(), len(res.Trace.Events()))
-		res.Trace.Dump(t.TraceOut, clk)
+			name, res.Trace.Total(), len(res.Trace.Items()))
+		obs.DumpEvents(t.TraceOut, clk, res.Trace)
 		t.mu.Unlock()
 	}
 }

@@ -92,9 +92,6 @@ func PrintCritPath(w io.Writer, rows []Fig4Row) {
 	tw.Flush()
 }
 
-// Fig5Data reuses Figure 4 runs' volume accounting.
-type Fig5Row = Fig4Row
-
 // PrintFig5 renders the communication-volume breakdowns.
 func PrintFig5(w io.Writer, rows []Fig4Row) {
 	fmt.Fprintln(w, "Figure 5: Communication volume by mechanism")

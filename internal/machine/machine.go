@@ -10,7 +10,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Config describes one machine instance. The zero value is not runnable;
@@ -184,14 +183,14 @@ type Machine struct {
 	ExtraEv stats.Events
 
 	// Trace holds the last Cfg.TraceCap events when tracing is enabled.
-	Trace *trace.Buffer
+	Trace *obs.Ring[obs.Event]
 
 	// Obs is the metrics registry when Cfg.Metrics is set; nil otherwise.
 	Obs *obs.Registry
 
 	// Spans holds the last Cfg.SpanCap thread-state spans when span
 	// recording is enabled; nil otherwise.
-	Spans *obs.SpanBuffer
+	Spans *obs.Ring[obs.Span]
 
 	// Crit is the critical-path recorder when Cfg.CritPath is set; nil
 	// otherwise.
@@ -245,7 +244,7 @@ func New(cfg Config) *Machine {
 		msys.SetIdealNetwork(clk.Cycles(cfg.IdealNetOneWayCycles))
 	}
 	if cfg.TraceCap > 0 {
-		m.Trace = trace.New(cfg.TraceCap)
+		m.Trace = obs.NewRing[obs.Event](cfg.TraceCap)
 		msys.SetTrace(m.Trace)
 		asys.SetTrace(m.Trace)
 	}
@@ -256,10 +255,10 @@ func New(cfg Config) *Machine {
 		asys.SetMetrics(m.Obs)
 	}
 	if cfg.SpanCap > 0 {
-		spans := obs.NewSpanBuffer(cfg.SpanCap)
+		spans := obs.NewRing[obs.Span](cfg.SpanCap)
 		m.Spans = spans
 		eng.SetSpanObserver(func(th *sim.Thread, start, end sim.Time, blocked bool, reason string, arg int64) {
-			spans.Record(obs.Span{
+			spans.Add(obs.Span{
 				Thread: th.Name(), Start: start, End: end,
 				Blocked: blocked, Reason: reason, Arg: arg,
 			})

@@ -6,8 +6,8 @@ import (
 	"repro/internal/am"
 	"repro/internal/mem"
 	"repro/internal/mesh"
+	"repro/internal/obs"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 func TestDefaultConfigShape(t *testing.T) {
@@ -211,13 +211,22 @@ func TestTraceCapturesProtocolAndMessages(t *testing.T) {
 	if m.Trace == nil || m.Trace.Total() == 0 {
 		t.Fatal("no trace recorded")
 	}
-	if len(m.Trace.Filter(trace.KMissStart, 0)) == 0 {
+	count := func(kind obs.EventKind, node int) int {
+		n := 0
+		for _, e := range m.Trace.Items() {
+			if e.Kind == kind && e.Node == node {
+				n++
+			}
+		}
+		return n
+	}
+	if count(obs.KMissStart, 0) == 0 {
 		t.Error("no miss-start events for node 0")
 	}
-	if len(m.Trace.Filter(trace.KMsgSend, 0)) != 1 {
+	if count(obs.KMsgSend, 0) != 1 {
 		t.Error("expected exactly one msg-send from node 0")
 	}
-	if len(m.Trace.Filter(trace.KMsgRecv, 1)) != 1 {
+	if count(obs.KMsgRecv, 1) != 1 {
 		t.Error("expected exactly one msg-recv at node 1")
 	}
 }

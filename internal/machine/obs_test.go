@@ -47,13 +47,13 @@ func TestObsOverflowTotalsCountEvictions(t *testing.T) {
 	if got := m.Trace.Total(); got != wantEvents {
 		t.Errorf("trace total = %d, want %d", got, wantEvents)
 	}
-	if got := len(m.Trace.Events()); got != cfg.TraceCap {
+	if got := len(m.Trace.Items()); got != cfg.TraceCap {
 		t.Errorf("trace retained %d events, want the full cap %d", got, cfg.TraceCap)
 	}
 	if got := m.Spans.Total(); got <= int64(cfg.SpanCap) {
 		t.Errorf("span total = %d; the test needs eviction (cap %d)", got, cfg.SpanCap)
 	}
-	if got := len(m.Spans.Spans()); got != cfg.SpanCap {
+	if got := len(m.Spans.Items()); got != cfg.SpanCap {
 		t.Errorf("span ring retained %d spans, want the full cap %d", got, cfg.SpanCap)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // System is the distributed shared-memory system: one cache + home
@@ -37,7 +36,7 @@ type System struct {
 	idealOneWay sim.Time
 
 	// tr, when non-nil, receives protocol trace events.
-	tr *trace.Buffer
+	tr *obs.Ring[obs.Event]
 
 	// Instruments, allocated by SetMetrics; nil when metrics are
 	// disabled. Purely passive.
@@ -77,7 +76,7 @@ func (s *System) SetMetrics(reg *obs.Registry) {
 }
 
 // SetTrace attaches an event trace buffer (nil disables tracing).
-func (s *System) SetTrace(tr *trace.Buffer) { s.tr = tr }
+func (s *System) SetTrace(tr *obs.Ring[obs.Event]) { s.tr = tr }
 
 // SetCritPath attaches a critical-path recorder (nil disables). Purely
 // passive: recording never perturbs protocol timing.
@@ -382,7 +381,7 @@ func (s *System) startTxn(node int, line Addr, write, prefetch bool) *txn {
 		if write {
 			w = 1
 		}
-		s.tr.Add(trace.Event{At: s.eng.Now(), Node: node, Kind: trace.KMissStart, A: int64(line), B: w})
+		s.tr.Add(obs.Event{At: s.eng.Now(), Node: node, Kind: obs.KMissStart, A: int64(line), B: w})
 	}
 	t := &txn{line: line, write: write, node: node, prefetch: prefetch, start: s.eng.Now()}
 	s.nodes[node].pending[line] = t
@@ -583,7 +582,7 @@ func (s *System) invalidateAt(node int, line Addr, ack func()) {
 		return
 	}
 	if s.tr != nil {
-		s.tr.Add(trace.Event{At: s.eng.Now(), Node: node, Kind: trace.KInval, A: int64(line)})
+		s.tr.Add(obs.Event{At: s.eng.Now(), Node: node, Kind: obs.KInval, A: int64(line)})
 	}
 	nm.cache.invalidate(line)
 	ack()
@@ -755,7 +754,7 @@ func (s *System) completeTxn(node int, line Addr, st lineState, t *txn) {
 		}
 	}
 	if s.tr != nil {
-		s.tr.Add(trace.Event{At: s.eng.Now(), Node: node, Kind: trace.KMissEnd, A: int64(line)})
+		s.tr.Add(obs.Event{At: s.eng.Now(), Node: node, Kind: obs.KMissEnd, A: int64(line)})
 	}
 	for _, f := range t.onComplete {
 		f()

@@ -1,48 +1,11 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
-
-// PathCat classifies cycles on the critical path. The five categories
-// split the paper's four Figure 4 buckets one level finer: the time a
-// processor spends stalled (mem-wait) or synchronizing (sync) is
-// decomposed into the part that is pure network latency (head-of-packet
-// flight time at zero load), the part that is network bandwidth /
-// occupancy (serialization and queueing), and the residue that really is
-// memory-system or synchronization delay.
-type PathCat int
-
-// Critical-path categories.
-const (
-	CatCompute      PathCat = iota // instruction execution + message overhead
-	CatMemStall                    // miss stall net of network time
-	CatNetLatency                  // uncongested packet flight time
-	CatNetBandwidth                // serialization, queueing, link occupancy
-	CatSync                        // barriers, locks, waiting for a sender
-
-	NumPathCats = 5
-)
-
-func (c PathCat) String() string {
-	switch c {
-	case CatCompute:
-		return "compute"
-	case CatMemStall:
-		return "mem_stall"
-	case CatNetLatency:
-		return "net_latency"
-	case CatNetBandwidth:
-		return "net_bandwidth"
-	case CatSync:
-		return "sync"
-	}
-	return fmt.Sprintf("PathCat(%d)", int(c))
-}
 
 // CritEdge is one causal edge between thread spans: a message send
 // observed at its receive, a miss observed at its fill, a directory
@@ -59,30 +22,6 @@ type CritEdge struct {
 	BW       sim.Time // serialization/occupancy part of [Start, End)
 }
 
-// critRing is a fixed-capacity edge ring (mirrors trace.Buffer).
-type critRing struct {
-	ring  []CritEdge
-	next  int
-	total int64
-}
-
-func (b *critRing) add(e CritEdge) {
-	b.total++
-	if len(b.ring) < cap(b.ring) {
-		b.ring = append(b.ring, e)
-		return
-	}
-	b.ring[b.next] = e
-	b.next = (b.next + 1) % cap(b.ring)
-}
-
-func (b *critRing) edges() []CritEdge {
-	out := make([]CritEdge, 0, len(b.ring))
-	out = append(out, b.ring[b.next:]...)
-	out = append(out, b.ring[:b.next]...)
-	return out
-}
-
 // CritRecorder accumulates the dependency information the critical-path
 // pass needs: per-node reclassification totals (how much of each node's
 // mem-wait and sync bucket time was really network latency or network
@@ -94,7 +33,7 @@ type CritRecorder struct {
 	// latSync/bwSync: same, reclassified out of BucketSync (awaited
 	// message transit time).
 	latSync, bwSync []sim.Time
-	ring            critRing
+	ring            *Ring[CritEdge]
 }
 
 // DefaultCritEdgeCap bounds the edge ring. Edges are a strict subset of
@@ -102,14 +41,14 @@ type CritRecorder struct {
 const DefaultCritEdgeCap = 4096
 
 // NewCritRecorder sizes a recorder for nodes processors with edgeCap
-// edges retained.
+// edges retained. A non-positive edgeCap panics, as NewRing does.
 func NewCritRecorder(nodes, edgeCap int) *CritRecorder {
 	return &CritRecorder{
 		latMem:  make([]sim.Time, nodes),
 		bwMem:   make([]sim.Time, nodes),
 		latSync: make([]sim.Time, nodes),
 		bwSync:  make([]sim.Time, nodes),
-		ring:    critRing{ring: make([]CritEdge, 0, edgeCap)},
+		ring:    NewRing[CritEdge](edgeCap),
 	}
 }
 
@@ -130,16 +69,16 @@ func (r *CritRecorder) MsgWait(node int, lat, bw sim.Time) {
 }
 
 // Edge records one causal edge.
-func (r *CritRecorder) Edge(e CritEdge) { r.ring.add(e) }
+func (r *CritRecorder) Edge(e CritEdge) { r.ring.Add(e) }
 
 // EdgesTotal reports how many edges were recorded over the run,
 // including ones the ring evicted.
-func (r *CritRecorder) EdgesTotal() int64 { return r.ring.total }
+func (r *CritRecorder) EdgesTotal() int64 { return r.ring.Total() }
 
 // Edges returns the retained edges stable-sorted by (End, Start), the
 // order the prediction layer reads them in.
 func (r *CritRecorder) Edges() []CritEdge {
-	all := r.ring.edges()
+	all := r.ring.Items()
 	sort.SliceStable(all, func(i, j int) bool {
 		if all[i].End != all[j].End {
 			return all[i].End < all[j].End
@@ -151,9 +90,15 @@ func (r *CritRecorder) Edges() []CritEdge {
 
 // CritStats is the post-run critical-path attribution for one run: the
 // last-finishing processor's timeline — whose length is the run's
-// makespan — split into the five path categories. The five category
-// fields sum to TotalCycles exactly; all fields are exported so the
-// summary survives JSON round-trips (runlog, disk cache).
+// makespan — split into five categories. They split the paper's four
+// Figure 4 buckets one level finer: the time a processor spends stalled
+// (mem-wait) or synchronizing (sync) is decomposed into the part that is
+// pure network latency (head-of-packet flight time at zero load), the
+// part that is network bandwidth / occupancy (serialization and
+// queueing), and the residue that really is memory-system or
+// synchronization delay. The five category fields sum to TotalCycles
+// exactly; all fields are exported so the summary survives JSON
+// round-trips (runlog, disk cache).
 type CritStats struct {
 	Node         int   // the critical (last-finishing) processor
 	TotalCycles  int64 // critical-path length = sum of the five categories
@@ -175,23 +120,6 @@ type CritEdgeSummary struct {
 	EndCycles   int64
 	LatCycles   int64
 	BWCycles    int64
-}
-
-// Cat returns the named category's cycle count.
-func (s *CritStats) Cat(c PathCat) int64 {
-	switch c {
-	case CatCompute:
-		return s.Compute
-	case CatMemStall:
-		return s.MemStall
-	case CatNetLatency:
-		return s.NetLatency
-	case CatNetBandwidth:
-		return s.NetBandwidth
-	case CatSync:
-		return s.Sync
-	}
-	return 0
 }
 
 // Summarize runs the critical-path pass: node is the last-finishing

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func TestHistogramPowerOfTwoBuckets(t *testing.T) {
@@ -95,14 +94,14 @@ func TestNodeLabelZeroPadsForSortOrder(t *testing.T) {
 }
 
 func TestSpanBufferWraps(t *testing.T) {
-	b := obs.NewSpanBuffer(3)
+	b := obs.NewRing[obs.Span](3)
 	for i := 0; i < 5; i++ {
-		b.Record(obs.Span{Thread: "t", Start: sim.Time(i), End: sim.Time(i + 1)})
+		b.Add(obs.Span{Thread: "t", Start: sim.Time(i), End: sim.Time(i + 1)})
 	}
 	if b.Total() != 5 {
 		t.Errorf("total = %d, want 5", b.Total())
 	}
-	spans := b.Spans()
+	spans := b.Items()
 	if len(spans) != 3 {
 		t.Fatalf("retained %d, want 3", len(spans))
 	}
@@ -117,24 +116,24 @@ func TestSpanBufferWraps(t *testing.T) {
 func TestSpanBufferZeroCapPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewSpanBuffer(0) did not panic")
+			t.Error("NewRing[Span](0) did not panic")
 		}
 	}()
-	obs.NewSpanBuffer(0)
+	obs.NewRing[obs.Span](0)
 }
 
 // timelineInput builds a fixed span/event set exercising every emission
 // path: run spans, blocked spans with and without args, and protocol
 // instants.
-func timelineInput() ([]obs.Span, []trace.Event) {
+func timelineInput() ([]obs.Span, []obs.Event) {
 	spans := []obs.Span{
 		{Thread: "proc0", Start: 0, End: 50000},
 		{Thread: "proc1", Start: 0, End: 100000, Blocked: true, Reason: "miss-fill", Arg: 42},
 		{Thread: "proc0", Start: 50000, End: 150000, Blocked: true, Reason: "await-message"},
 	}
-	events := []trace.Event{
-		{At: 50000, Node: 1, Kind: trace.KMsgSend, A: 0, B: 64},
-		{At: 150000, Node: 0, Kind: trace.KMsgRecv, A: 1},
+	events := []obs.Event{
+		{At: 50000, Node: 1, Kind: obs.KMsgSend, A: 0, B: 64},
+		{At: 150000, Node: 0, Kind: obs.KMsgRecv, A: 1},
 	}
 	return spans, events
 }

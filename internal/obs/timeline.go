@@ -6,7 +6,6 @@ import (
 	"strconv"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // WriteTimeline writes the run's thread-state spans and protocol trace
@@ -17,7 +16,7 @@ import (
 // a complete ("X") slice per pause interval — "run" slices are charged
 // execution time (self-armed sleeps), named slices are blocked waits
 // labelled by their wait reason. Process 1 ("protocol") has one track
-// per node carrying the trace.Buffer events (miss-start/miss-end/inval/
+// per node carrying the protocol events (miss-start/miss-end/inval/
 // msg-send/...) as instant events with their operands in args. Process 2
 // ("critpath") has one track per destination node carrying recorded
 // causal edges (msg/miss/txn/barrier) as complete slices spanning
@@ -27,7 +26,7 @@ import (
 // field, nominally microseconds — read 1 us as 1 cycle). Output is
 // byte-identical for identical inputs: integers only, no floats, no map
 // iteration.
-func WriteTimeline(w io.Writer, clk sim.Clock, spans []Span, events []trace.Event, edges []CritEdge) error {
+func WriteTimeline(w io.Writer, clk sim.Clock, spans []Span, events []Event, edges []CritEdge) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString("{\"displayTimeUnit\":\"ns\",\n\"traceEvents\":[\n")
 	first := true

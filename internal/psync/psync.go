@@ -8,13 +8,12 @@ import (
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // traceEvent records a synchronization event when tracing is enabled.
-func traceEvent(m *machine.Machine, p *machine.Proc, kind trace.Kind, a, b int64) {
+func traceEvent(m *machine.Machine, p *machine.Proc, kind obs.EventKind, a, b int64) {
 	if m.Trace != nil {
-		m.Trace.Add(trace.Event{At: p.Now(), Node: p.ID, Kind: kind, A: a, B: b})
+		m.Trace.Add(obs.Event{At: p.Now(), Node: p.ID, Kind: kind, A: a, B: b})
 	}
 }
 
@@ -105,7 +104,7 @@ func minInt(a, c int) int {
 func (b *SMBarrier) Wait(p *machine.Proc) {
 	p.Ev.BarrierArrivals++
 	arriveAt := p.Now()
-	traceEvent(b.m, p, trace.KBarrier, 0, 0)
+	traceEvent(b.m, p, obs.KBarrier, 0, 0)
 	// Sense value for this episode, read before arriving. This must be a
 	// real load, not a backdoor peek: under release consistency the
 	// previous episode's releaser may still have its own gen-flip store
@@ -301,7 +300,7 @@ func (l *SpinLock) Acquire(p *machine.Proc) {
 		})
 		if got {
 			p.Ev.LockAcquires++
-			traceEvent(l.m, p, trace.KLock, int64(l.addr), 1)
+			traceEvent(l.m, p, obs.KLock, int64(l.addr), 1)
 			return
 		}
 		p.Ev.LockSpins++
@@ -320,6 +319,6 @@ func (l *SpinLock) Release(p *machine.Proc) {
 	if p.Peek(l.addr) != 1 {
 		panic(fmt.Sprintf("psync: Release of unheld lock at %d", l.addr))
 	}
-	traceEvent(l.m, p, trace.KLock, int64(l.addr), 0)
+	traceEvent(l.m, p, obs.KLock, int64(l.addr), 0)
 	p.WriteSync(l.addr, 0)
 }

@@ -1,3 +1,7 @@
+// Package trace holds the contract tests of the protocol-event trace as
+// the machine records it: obs.Event values retained in an obs.Ring,
+// written out by obs.DumpEvents, and named by obs.EventKind. The code
+// itself lives in internal/obs; this directory has no non-test files.
 package trace
 
 import (
@@ -6,15 +10,16 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
 func TestBufferRetainsInOrder(t *testing.T) {
-	b := New(4)
+	b := obs.NewRing[obs.Event](4)
 	for i := 0; i < 3; i++ {
-		b.Add(Event{At: sim.Time(i), Node: i, Kind: KMsgSend})
+		b.Add(obs.Event{At: sim.Time(i), Node: i, Kind: obs.KMsgSend})
 	}
-	evs := b.Events()
+	evs := b.Items()
 	if len(evs) != 3 {
 		t.Fatalf("got %d events", len(evs))
 	}
@@ -26,14 +31,14 @@ func TestBufferRetainsInOrder(t *testing.T) {
 }
 
 func TestBufferRingWraps(t *testing.T) {
-	b := New(4)
+	b := obs.NewRing[obs.Event](4)
 	for i := 0; i < 10; i++ {
-		b.Add(Event{At: sim.Time(i), Node: i, Kind: KInval})
+		b.Add(obs.Event{At: sim.Time(i), Node: i, Kind: obs.KInval})
 	}
 	if b.Total() != 10 {
 		t.Errorf("total = %d, want 10", b.Total())
 	}
-	evs := b.Events()
+	evs := b.Items()
 	if len(evs) != 4 {
 		t.Fatalf("retained %d, want 4", len(evs))
 	}
@@ -45,26 +50,13 @@ func TestBufferRingWraps(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	b := New(16)
-	b.Add(Event{Node: 1, Kind: KMsgSend})
-	b.Add(Event{Node: 2, Kind: KInval})
-	b.Add(Event{Node: 1, Kind: KInval})
-	if got := len(b.Filter(KInval, -1)); got != 2 {
-		t.Errorf("Filter(KInval, any) = %d, want 2", got)
-	}
-	if got := len(b.Filter(KInval, 1)); got != 1 {
-		t.Errorf("Filter(KInval, 1) = %d, want 1", got)
-	}
-}
-
 func TestDump(t *testing.T) {
-	b := New(2)
+	b := obs.NewRing[obs.Event](2)
 	for i := 0; i < 3; i++ {
-		b.Add(Event{At: sim.Time(i) * 50000, Node: i, Kind: KBarrier})
+		b.Add(obs.Event{At: sim.Time(i) * 50000, Node: i, Kind: obs.KBarrier})
 	}
 	var buf bytes.Buffer
-	b.Dump(&buf, sim.NewClock(20))
+	obs.DumpEvents(&buf, sim.NewClock(20), b)
 	out := buf.String()
 	if !strings.Contains(out, "barrier") {
 		t.Errorf("dump missing kind:\n%s", out)
@@ -75,8 +67,8 @@ func TestDump(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	for k := KMissStart; k <= KLock; k++ {
-		if strings.Contains(k.String(), "Kind(") {
+	for k := obs.KMissStart; k <= obs.KLock; k++ {
+		if strings.Contains(k.String(), "EventKind(") {
 			t.Errorf("kind %d lacks a name", int(k))
 		}
 	}
@@ -86,18 +78,18 @@ func TestKindStringRoundTrip(t *testing.T) {
 	// Every in-range kind must have a distinct name (a duplicate would
 	// make dumps ambiguous), and out-of-range values must degrade to the
 	// numeric form rather than stealing a real kind's name.
-	seen := map[string]Kind{}
-	for k := KMissStart; k <= KLock; k++ {
+	seen := map[string]obs.EventKind{}
+	for k := obs.KMissStart; k <= obs.KLock; k++ {
 		s := k.String()
 		if prev, dup := seen[s]; dup {
 			t.Errorf("kinds %d and %d share the name %q", int(prev), int(k), s)
 		}
 		seen[s] = k
 	}
-	for _, k := range []Kind{KLock + 1, Kind(99), Kind(-1)} {
-		want := "Kind(" + itoa(int(k)) + ")"
+	for _, k := range []obs.EventKind{obs.KLock + 1, 99, -1} {
+		want := fmt.Sprintf("EventKind(%d)", int(k))
 		if got := k.String(); got != want {
-			t.Errorf("Kind(%d).String() = %q, want %q", int(k), got, want)
+			t.Errorf("EventKind(%d).String() = %q, want %q", int(k), got, want)
 		}
 		if _, taken := seen[k.String()]; taken {
 			t.Errorf("out-of-range kind %d collides with a named kind", int(k))
@@ -105,28 +97,16 @@ func TestKindStringRoundTrip(t *testing.T) {
 	}
 }
 
-// itoa avoids importing strconv into the test for one conversion.
-func itoa(n int) string { return fmt.Sprintf("%d", n) }
-
 func TestDumpPartialRingReportsNoDrops(t *testing.T) {
 	// A partially filled ring (len < cap) has dropped nothing; the drop
 	// accounting must measure against capacity, not the filling length.
-	b := New(8)
+	b := obs.NewRing[obs.Event](8)
 	for i := 0; i < 3; i++ {
-		b.Add(Event{At: sim.Time(i) * 50000, Node: i, Kind: KBarrier})
+		b.Add(obs.Event{At: sim.Time(i) * 50000, Node: i, Kind: obs.KBarrier})
 	}
 	var buf bytes.Buffer
-	b.Dump(&buf, sim.NewClock(20))
+	obs.DumpEvents(&buf, sim.NewClock(20), b)
 	if strings.Contains(buf.String(), "dropped") {
 		t.Errorf("partial ring reported drops:\n%s", buf.String())
 	}
-}
-
-func TestZeroCapPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("New(0) did not panic")
-		}
-	}()
-	New(0)
 }
