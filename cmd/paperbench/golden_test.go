@@ -54,6 +54,11 @@ var goldenRuns = []struct {
 }{
 	{"all_tiny", []string{"-all", "-scale", "tiny", "-csv", "OUT"}, figureArtifacts},
 	{"fig4_critpath_predict", []string{"-fig", "4", "-scale", "tiny", "-critpath", "-predict", "-csv", "OUT"}, figureArtifacts},
+	// The predicted Figures 8-10, the hybrid Figure 1/2 regions and the
+	// graph-vs-closed-form table.
+	{"all_tiny_predict", []string{"-all", "-scale", "tiny", "-predict", "-csv", "OUT"}, figureArtifacts},
+	// The simulate-on-demand validation set of a pruned sweep.
+	{"fig10_prune_em3d", []string{"-fig", "10", "-scale", "tiny", "-app", "em3d", "-predict", "-prune", "-csv", "OUT"}, figureArtifacts},
 	// Fills all three observation rings: protocol events, thread spans
 	// and causal edges.
 	{"fig4_timeline", []string{"-fig", "4", "-scale", "tiny", "-timeline", "OUT", "-dumptrace", "16", "-critpath"}, timelineArtifacts},
