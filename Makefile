@@ -1,15 +1,17 @@
 # Tier-1 verification plus the race-certified concurrency surface.
 # `make check` is the gate every PR must pass; it also runs the tests of
-# the separate cmd/bench module (workload digests, metric plumbing).
+# the separate cmd/bench module (workload digests, metric plumbing) and
+# every Go benchmark of the root, internal/core and internal/sim once
+# (benchsmoke), so a benchmark that fails at run time fails the gate.
 # `make profile` captures host CPU/heap profiles of a tiny figure
 # regeneration (see the bench target for simulated-time performance
 # tracking).
 
 GO ?= go
 
-.PHONY: check build test race bench fuzz lint profile
+.PHONY: check build test race bench benchsmoke fuzz lint profile
 
-check: build race test lint
+check: build race test lint benchsmoke
 	$(GO) vet ./...
 	$(GO) -C cmd/bench test .
 
@@ -55,6 +57,12 @@ profile:
 	$(GO) run ./cmd/paperbench -fig $(PROFILE_FIG) -scale tiny \
 		-cpuprofile /tmp/paperbench.cpu -memprofile /tmp/paperbench.mem > /dev/null
 	@echo "profiles written: /tmp/paperbench.cpu /tmp/paperbench.mem"
+
+# One iteration of every benchmark: the per-figure and ablation
+# benchmarks at the root, the sweep benchmarks of internal/core and the
+# engine benchmarks of internal/sim (about 30 s on 2 cores).
+benchsmoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core ./internal/sim
 
 # Performance tracking: event-engine allocation profile and serial vs
 # parallel sweep throughput.

@@ -29,8 +29,8 @@ var benchSweepMechs = []Mechanism{SM, SMPrefetch, MPPoll}
 // regions (the measured version of the conceptual Figure 1).
 func BenchmarkFig1Regions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts, err := core.NewRunner(0).BisectionSweep(core.EM3D, core.ScaleSweep,
-			[]Mechanism{SM, MPPoll}, machine.DefaultConfig(), []float64{0, 8, 14, 16}, 64)
+		pts, err := core.NewRunner(0).Sweep(core.EM3D, core.ScaleSweep,
+			[]Mechanism{SM, MPPoll}, core.BisectionAxis(machine.DefaultConfig(), []float64{0, 8, 14, 16}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -45,8 +45,8 @@ func BenchmarkFig1Regions(b *testing.B) {
 // (the measured version of the conceptual Figure 2).
 func BenchmarkFig2Regions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts, err := core.NewRunner(0).ContextSwitchSweep(core.EM3D, core.ScaleSweep,
-			[]Mechanism{SM, MPPoll}, machine.DefaultConfig(), []int64{15, 50, 100, 200})
+		pts, err := core.NewRunner(0).Sweep(core.EM3D, core.ScaleSweep,
+			[]Mechanism{SM, MPPoll}, core.IdealLatencyAxis(machine.DefaultConfig(), []int64{15, 50, 100, 200}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,8 +118,8 @@ func BenchmarkFig5Volume(b *testing.B) {
 func BenchmarkFig7MsgLen(b *testing.B) {
 	var spread float64
 	for i := 0; i < b.N; i++ {
-		pts, err := core.NewRunner(0).MsgLenSweep(core.EM3D, core.ScaleSweep, SM,
-			machine.DefaultConfig(), 10, []int{16, 64, 256})
+		pts, err := core.NewRunner(0).Sweep(core.EM3D, core.ScaleSweep, []Mechanism{SM},
+			core.MsgLenAxis(machine.DefaultConfig(), 10, []int{16, 64, 256}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -147,8 +147,8 @@ func BenchmarkFig8Bisection(b *testing.B) {
 		b.Run(string(app), func(b *testing.B) {
 			var extra float64
 			for i := 0; i < b.N; i++ {
-				pts, err := core.NewRunner(0).BisectionSweep(app, core.ScaleSweep, benchSweepMechs,
-					machine.DefaultConfig(), []float64{0, 12, 16}, 64)
+				pts, err := core.NewRunner(0).Sweep(app, core.ScaleSweep, benchSweepMechs,
+					core.BisectionAxis(machine.DefaultConfig(), []float64{0, 12, 16}))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -167,8 +167,8 @@ func BenchmarkFig8Bisection(b *testing.B) {
 func BenchmarkFig9ClockScaling(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		pts, err := core.NewRunner(0).ClockSweep(core.EM3D, core.ScaleSweep, benchSweepMechs,
-			machine.DefaultConfig(), []float64{20, 14})
+		pts, err := core.NewRunner(0).Sweep(core.EM3D, core.ScaleSweep, benchSweepMechs,
+			core.ClockAxis(machine.DefaultConfig(), []float64{20, 14}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -183,8 +183,8 @@ func BenchmarkFig9ClockScaling(b *testing.B) {
 func BenchmarkFig10ContextSwitch(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		pts, err := core.NewRunner(0).ContextSwitchSweep(core.EM3D, core.ScaleSweep, benchSweepMechs,
-			machine.DefaultConfig(), []int64{15, 100})
+		pts, err := core.NewRunner(0).Sweep(core.EM3D, core.ScaleSweep, benchSweepMechs,
+			core.IdealLatencyAxis(machine.DefaultConfig(), []int64{15, 100}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -288,8 +288,8 @@ func BenchmarkAblationInterruptInterval(b *testing.B) {
 func BenchmarkAblationCrossMsgSize(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		pts, err := core.NewRunner(0).MsgLenSweep(core.EM3D, core.ScaleTiny, SM,
-			machine.DefaultConfig(), 10, []int{16, 256})
+		pts, err := core.NewRunner(0).Sweep(core.EM3D, core.ScaleTiny, []Mechanism{SM},
+			core.MsgLenAxis(machine.DefaultConfig(), 10, []int{16, 256}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -388,7 +388,7 @@ func BenchmarkAblationAdaptiveRouting(b *testing.B) {
 		mk := func(adaptive bool) int64 {
 			cfg := machine.DefaultConfig()
 			cfg.AdaptiveXY = adaptive
-			cfg.CrossTraffic = mesh.CrossTraffic{MsgBytes: 64, BytesPerCycle: 14}
+			cfg.CrossTraffic = mesh.CrossTraffic{MsgBytes: core.CrossMsgBytes, BytesPerCycle: 14}
 			return core.MustRun(core.RunConfig{App: core.EM3D, Mech: SM,
 				Scale: core.ScaleSweep, Machine: cfg, SkipValidate: true}).Cycles
 		}

@@ -95,13 +95,12 @@ func main() {
 	if (*prune || *predictErr != 0) && !*predictFlag {
 		log.Fatal("-prune and -predicterr only apply with -predict")
 	}
-	popt := core.PredictOptions{Prune: *prune}
 	// predMax tracks the worst predicted-vs-simulated error across every
 	// predicted sweep of the invocation; -predicterr gates the exit code
 	// on it.
 	predMax := 0.0
 	notePred := func(ps *core.PredictedSweep) {
-		if m, _, _ := ps.MaxErrorPct(); m > predMax {
+		if m := ps.Errors().MaxPct; m > predMax {
 			predMax = m
 		}
 	}
@@ -280,7 +279,7 @@ func main() {
 		}
 		if *predictFlag {
 			fmt.Fprintln(out)
-			prows, pstats, err := figures.PredFig4(out, appsToRun, scOr(core.ScaleDefault), cfg, popt)
+			prows, pstats, err := figures.PredFig4(out, appsToRun, scOr(core.ScaleDefault), cfg, *prune)
 			check(err)
 			if pstats.MaxPct > predMax {
 				predMax = pstats.MaxPct
@@ -314,96 +313,39 @@ func main() {
 		}
 		sep()
 	}
-	var fig8 map[core.AppName][]core.SweepPoint
-	if want(8) || want(1) {
+	for _, sf := range figures.SweepFigures {
+		regions := sf.Regions != nil && want(sf.Regions.Num)
+		if !want(sf.Num) && !regions {
+			continue
+		}
 		ranSomething = true
-		fig8 = map[core.AppName][]core.SweepPoint{}
-		rates := []float64{0, 4, 8, 12, 14, 16}
+		ax := sf.Axis(cfg)
+		pts := map[core.AppName][]core.SweepPoint{}
 		for _, app := range appsToRun {
-			app := app
-			if *predictFlag {
-				ps, err := figures.PredFig8(out, app, scOr(core.ScaleSweep), cfg, rates, popt)
-				check(err)
+			p, ps, err := sf.Run(out, app, scOr(core.ScaleSweep), ax, *predictFlag, *prune)
+			check(err)
+			pts[app] = p
+			name := fmt.Sprintf("fig%d_%s.csv", sf.Num, app)
+			if ps != nil {
 				notePred(ps)
-				fig8[app] = ps.HybridPoints()
-				writeCSV(fmt.Sprintf("predicted_fig8_%s.csv", app), func(w *os.File) error {
-					return figures.WritePredictedCSV(w, "bisection_bytes_per_cycle", apps.Mechanisms, ps)
-				})
-			} else {
-				pts, err := figures.Fig8(out, app, scOr(core.ScaleSweep), cfg, rates)
-				check(err)
-				fig8[app] = pts
-				writeCSV(fmt.Sprintf("fig8_%s.csv", app), func(w *os.File) error {
-					return figures.WriteSweepCSV(w, "bisection_bytes_per_cycle", apps.Mechanisms, pts)
-				})
+				name = "predicted_" + name
 			}
+			writeCSV(name, func(w *os.File) error {
+				if ps != nil {
+					return figures.WritePredictedCSV(w, sf.CSVLabel, apps.Mechanisms, ps)
+				}
+				return figures.WriteSweepCSV(w, sf.CSVLabel, apps.Mechanisms, p)
+			})
 			fmt.Fprintln(out)
 		}
 		sep()
-	}
-	if want(1) {
-		for _, app := range appsToRun {
-			fmt.Fprintf(out, "[%s] ", app)
-			figures.Fig1(out, fig8[app], []apps.Mechanism{apps.SM, apps.MPPoll})
-		}
-		sep()
-	}
-	if want(9) {
-		ranSomething = true
-		mhzs := []float64{20, 18, 16, 14}
-		for _, app := range appsToRun {
-			app := app
-			if *predictFlag {
-				ps, err := figures.PredFig9(out, app, scOr(core.ScaleSweep), cfg, mhzs, popt)
-				check(err)
-				notePred(ps)
-				writeCSV(fmt.Sprintf("predicted_fig9_%s.csv", app), func(w *os.File) error {
-					return figures.WritePredictedCSV(w, "net_latency_cycles", apps.Mechanisms, ps)
-				})
-			} else {
-				pts, err := figures.Fig9(out, app, scOr(core.ScaleSweep), cfg, mhzs)
-				check(err)
-				writeCSV(fmt.Sprintf("fig9_%s.csv", app), func(w *os.File) error {
-					return figures.WriteSweepCSV(w, "net_latency_cycles", apps.Mechanisms, pts)
-				})
+		if regions {
+			for _, app := range appsToRun {
+				fmt.Fprintf(out, "[%s] ", app)
+				sf.Regions.Print(out, pts[app])
 			}
-			fmt.Fprintln(out)
+			sep()
 		}
-		sep()
-	}
-	var fig10 map[core.AppName][]core.SweepPoint
-	if want(10) || want(2) {
-		ranSomething = true
-		fig10 = map[core.AppName][]core.SweepPoint{}
-		lats := []int64{15, 25, 50, 100, 200}
-		for _, app := range appsToRun {
-			app := app
-			if *predictFlag {
-				ps, err := figures.PredFig10(out, app, scOr(core.ScaleSweep), cfg, lats, popt)
-				check(err)
-				notePred(ps)
-				fig10[app] = ps.HybridPoints()
-				writeCSV(fmt.Sprintf("predicted_fig10_%s.csv", app), func(w *os.File) error {
-					return figures.WritePredictedCSV(w, "one_way_latency_cycles", apps.Mechanisms, ps)
-				})
-			} else {
-				pts, err := figures.Fig10(out, app, scOr(core.ScaleSweep), cfg, lats)
-				check(err)
-				fig10[app] = pts
-				writeCSV(fmt.Sprintf("fig10_%s.csv", app), func(w *os.File) error {
-					return figures.WriteSweepCSV(w, "one_way_latency_cycles", apps.Mechanisms, pts)
-				})
-			}
-			fmt.Fprintln(out)
-		}
-		sep()
-	}
-	if want(2) {
-		for _, app := range appsToRun {
-			fmt.Fprintf(out, "[%s] ", app)
-			figures.Fig2(out, fig10[app], []apps.Mechanism{apps.SM, apps.SMPrefetch, apps.MPPoll})
-		}
-		sep()
 	}
 	if wantS1 {
 		ranSomething = true
@@ -435,15 +377,14 @@ func main() {
 	}
 	if *modelCmp || *all {
 		ranSomething = true
+		lats := []int64{15, 50, 100, 200}
 		for _, app := range appsToRun {
-			if _, err := figures.PrintModelComparison(out, app, scOr(core.ScaleSweep), cfg,
-				[]int64{15, 50, 100, 200}); err != nil {
+			if _, err := figures.PrintModelComparison(out, app, scOr(core.ScaleSweep), cfg, lats); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Fprintln(out)
 			if *predictFlag {
-				graphErr, _, err := figures.PrintGraphVsClosedForm(out, app, scOr(core.ScaleSweep), cfg,
-					[]int64{15, 50, 100, 200})
+				graphErr, _, err := figures.PrintGraphVsClosedForm(out, app, scOr(core.ScaleSweep), cfg, lats)
 				check(err)
 				if graphErr.MaxPct > predMax {
 					predMax = graphErr.MaxPct

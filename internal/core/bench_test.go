@@ -15,8 +15,7 @@ func benchClockSweep(b *testing.B, workers int) {
 	mechs := []apps.Mechanism{apps.SM, apps.SMPrefetch, apps.MPPoll}
 	for i := 0; i < b.N; i++ {
 		r := NewRunner(workers)
-		if _, err := r.ClockSweep(EM3D, ScaleTiny, mechs, machine.DefaultConfig(),
-			[]float64{20, 18, 16, 14}); err != nil {
+		if _, err := r.Sweep(EM3D, ScaleTiny, mechs, ClockAxis(machine.DefaultConfig(), DefaultClockMHzs)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -28,14 +27,15 @@ func BenchmarkClockSweepSerial(b *testing.B) { benchClockSweep(b, 1) }
 // BenchmarkClockSweepParallel fans the 12 runs out over GOMAXPROCS workers.
 func BenchmarkClockSweepParallel(b *testing.B) { benchClockSweep(b, 0) }
 
-// BenchmarkContextSwitchSweepMemoized measures the Figure 10 sweep with
-// hoisted reference runs: 4 message-passing runs total instead of 20.
+// BenchmarkContextSwitchSweepMemoized measures the Figure 10 sweep,
+// whose message-passing reference runs execute once each rather than
+// once per latency: 3 of them instead of 15.
 func BenchmarkContextSwitchSweepMemoized(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r := NewRunner(0)
-		if _, err := r.ContextSwitchSweep(EM3D, ScaleTiny, apps.Mechanisms,
-			machine.DefaultConfig(), []int64{15, 25, 50, 100, 200}); err != nil {
+		if _, err := r.Sweep(EM3D, ScaleTiny, apps.Mechanisms,
+			IdealLatencyAxis(machine.DefaultConfig(), DefaultIdealLatencies)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/apps"
@@ -124,6 +126,21 @@ func TestClassifyRegionsSynthetic(t *testing.T) {
 	if got := ClassifyRegions(pts[:1], apps.SM); got != nil {
 		t.Error("single point should classify to nil")
 	}
+	// Points that lack the mechanism (crashed runs) are bridged over,
+	// not read as 0 cycles: the sweep classifies as if they were absent.
+	missing := SweepPoint{X: 1.5, Results: map[apps.Mechanism]RunResult{}}
+	gap := []SweepPoint{pts[0], pts[1], missing, pts[2], pts[3], pts[4]}
+	if got := ClassifyRegions(gap, apps.SM); !reflect.DeepEqual(got, regions) {
+		t.Errorf("sweep with a missing middle point = %v, want %v", got, regions)
+	}
+	missing.X = -1
+	lead := append([]SweepPoint{missing}, pts...)
+	if got := ClassifyRegions(lead, apps.SM); !reflect.DeepEqual(got, regions) {
+		t.Errorf("sweep with a missing first point = %v, want %v", got, regions)
+	}
+	if got := ClassifyRegions([]SweepPoint{pts[0], missing}, apps.SM); got != nil {
+		t.Errorf("one measured point classified to %v, want nil", got)
+	}
 }
 
 func TestRegionStrings(t *testing.T) {
@@ -172,8 +189,8 @@ func TestBisectionSweepShape(t *testing.T) {
 	// Figure 8's essence at test scale: as bisection drops, SM degrades
 	// faster than MP.
 	mechs := []apps.Mechanism{apps.SM, apps.MPPoll}
-	pts, err := BisectionSweep(EM3D, ScaleTiny, mechs, machine.DefaultConfig(),
-		[]float64{0, 12, 16}, 64)
+	pts, err := DefaultRunner.Sweep(EM3D, ScaleTiny, mechs,
+		BisectionAxis(machine.DefaultConfig(), []float64{0, 12, 16}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +216,8 @@ func TestClockSweepRelativeLatency(t *testing.T) {
 	// range is 14-20 MHz; we widen it to 8 MHz for a clear signal at
 	// test scale.
 	mechs := []apps.Mechanism{apps.SM, apps.MPPoll}
-	pts, err := ClockSweep(EM3D, ScaleSweep, mechs, machine.DefaultConfig(),
-		[]float64{20, 8})
+	pts, err := DefaultRunner.Sweep(EM3D, ScaleSweep, mechs,
+		ClockAxis(machine.DefaultConfig(), []float64{20, 8}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,8 +237,8 @@ func TestContextSwitchSweepChandraPoint(t *testing.T) {
 	// passing beats shared memory by roughly 2x (reconciling Chandra et
 	// al.); MP curves are flat (they are not varied).
 	mechs := []apps.Mechanism{apps.SM, apps.SMPrefetch, apps.MPPoll}
-	pts, err := ContextSwitchSweep(EM3D, ScaleTiny, mechs, machine.DefaultConfig(),
-		[]int64{15, 100})
+	pts, err := DefaultRunner.Sweep(EM3D, ScaleTiny, mechs,
+		IdealLatencyAxis(machine.DefaultConfig(), []int64{15, 100}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,8 +271,8 @@ func TestContextSwitchSweepChandraPoint(t *testing.T) {
 func TestMsgLenSweepSmallSizesEmulateBetter(t *testing.T) {
 	// Figure 7: the emulation works across message sizes; runtimes vary
 	// with cross-traffic granularity but stay in a band.
-	pts, err := MsgLenSweep(EM3D, ScaleTiny, apps.SM, machine.DefaultConfig(),
-		8, []int{16, 64, 256})
+	pts, err := DefaultRunner.Sweep(EM3D, ScaleTiny, []apps.Mechanism{apps.SM},
+		MsgLenAxis(machine.DefaultConfig(), 8, []int{16, 64, 256}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,21 +300,27 @@ func TestDeterministicRunResults(t *testing.T) {
 }
 
 func TestSweepErrorPropagation(t *testing.T) {
-	if _, err := BisectionSweep("nonesuch", ScaleTiny, []apps.Mechanism{apps.SM},
-		machine.DefaultConfig(), []float64{0}, 64); err == nil {
-		t.Error("bisection sweep with unknown app did not error")
+	cfg := machine.DefaultConfig()
+	for _, c := range []struct {
+		name string
+		ax   Axis
+	}{
+		{"bisection", BisectionAxis(cfg, []float64{0})},
+		{"clock", ClockAxis(cfg, []float64{20})},
+		{"ideal-latency", IdealLatencyAxis(cfg, []int64{15})},
+		{"msg-len", MsgLenAxis(cfg, 4, []int{64})},
+	} {
+		if _, err := DefaultRunner.Sweep("nonesuch", ScaleTiny, []apps.Mechanism{apps.SM}, c.ax); err == nil {
+			t.Errorf("%s sweep with unknown app did not error", c.name)
+		}
 	}
-	if _, err := ClockSweep("nonesuch", ScaleTiny, []apps.Mechanism{apps.SM},
-		machine.DefaultConfig(), []float64{20}); err == nil {
-		t.Error("clock sweep with unknown app did not error")
+	if _, err := DefaultRunner.PredictedSweep("nonesuch", ScaleTiny, []apps.Mechanism{apps.SM},
+		ClockAxis(cfg, []float64{20}), false); err == nil {
+		t.Error("predicted sweep with unknown app did not error")
 	}
-	if _, err := ContextSwitchSweep("nonesuch", ScaleTiny, []apps.Mechanism{apps.SM},
-		machine.DefaultConfig(), []int64{15}); err == nil {
-		t.Error("context-switch sweep with unknown app did not error")
-	}
-	if _, err := MsgLenSweep("nonesuch", ScaleTiny, apps.SM,
-		machine.DefaultConfig(), 4, []int{64}); err == nil {
-		t.Error("msg-len sweep with unknown app did not error")
+	if _, err := DefaultRunner.PredictedSweep(EM3D, ScaleTiny, []apps.Mechanism{apps.SM},
+		MsgLenAxis(cfg, 4, []int{64}), false); !errors.Is(err, errNoPrediction) {
+		t.Errorf("predicted msg-len sweep: err = %v, want %v", err, errNoPrediction)
 	}
 }
 

@@ -23,7 +23,7 @@ func TestSweepRerunByteIdentical(t *testing.T) {
 	run := func() ([]core.SweepPoint, []byte) {
 		t.Helper()
 		r := core.NewRunner(0)
-		pts, err := r.ClockSweep(core.EM3D, core.ScaleTiny, mechs, machine.DefaultConfig(), []float64{20, 14})
+		pts, err := r.Sweep(core.EM3D, core.ScaleTiny, mechs, core.ClockAxis(machine.DefaultConfig(), []float64{20, 14}))
 		if err != nil {
 			t.Fatal(err)
 		}

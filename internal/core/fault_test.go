@@ -42,6 +42,16 @@ func TestRunRecoversCrashIntoRunError(t *testing.T) {
 	}
 }
 
+// cfgAxis is an axis whose point i runs cfgs[i] for every mechanism.
+func cfgAxis(cfgs ...machine.Config) Axis {
+	xs := make([]float64, len(cfgs))
+	for i := range xs {
+		xs[i] = float64(i)
+	}
+	l := lane{cfgs: cfgs}
+	return Axis{X: xs, sm: l, mp: l}
+}
+
 func TestCrashIsolationLeavesSweepCompleted(t *testing.T) {
 	r := NewRunner(0)
 	good := machine.DefaultConfig()
@@ -49,7 +59,7 @@ func TestCrashIsolationLeavesSweepCompleted(t *testing.T) {
 	// The middle config differs only in EventLimit, so it is a distinct
 	// cache key and crashes alone.
 	cfgs[2].ClockMHz = 14
-	pts, err := r.sweepJobs(EM3D, ScaleTiny, []apps.Mechanism{apps.SM}, cfgs, []float64{0, 1, 2}, false)
+	pts, err := r.Sweep(EM3D, ScaleTiny, []apps.Mechanism{apps.SM}, cfgAxis(cfgs...))
 	if err != nil {
 		t.Fatalf("sweep with one crashing point errored: %v", err)
 	}
@@ -73,8 +83,7 @@ func TestCrashIsolationLeavesSweepCompleted(t *testing.T) {
 
 func TestWhollyFailedSweepErrors(t *testing.T) {
 	r := NewRunner(0)
-	pts, err := r.sweepJobs(EM3D, ScaleTiny, []apps.Mechanism{apps.SM},
-		[]machine.Config{poisoned()}, []float64{0}, false)
+	pts, err := r.Sweep(EM3D, ScaleTiny, []apps.Mechanism{apps.SM}, cfgAxis(poisoned()))
 	if err == nil {
 		t.Fatalf("sweep with zero surviving points returned %v, want error", pts)
 	}

@@ -176,13 +176,3 @@ func (r *Runner) DelayPropagation(app AppName, sc Scale, mechs []apps.Mechanism,
 	}
 	return out, nil
 }
-
-// NoiseSeedSweep runs the Figure S2 distribution panel on DefaultRunner.
-func NoiseSeedSweep(app AppName, sc Scale, mechs []apps.Mechanism, base machine.Config, spec string, seeds []uint64) ([]NoiseDistribution, error) {
-	return DefaultRunner.NoiseSeedSweep(app, sc, mechs, base, spec, seeds)
-}
-
-// DelayPropagation runs the Figure S2 propagation panel on DefaultRunner.
-func DelayPropagation(app AppName, sc Scale, mechs []apps.Mechanism, base machine.Config, node int) ([]PropagationResult, error) {
-	return DefaultRunner.DelayPropagation(app, sc, mechs, base, node)
-}

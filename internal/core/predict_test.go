@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/machine"
+	"repro/internal/predict"
 )
 
 // TestPredictedSweepExactAtBase pins the prediction layer's anchor
@@ -17,8 +18,8 @@ import (
 // it arrived and instrumentation is passive.
 func TestPredictedSweepExactAtBase(t *testing.T) {
 	r := NewRunner(0)
-	ps, err := r.PredictedClockSweep(EM3D, ScaleTiny, []apps.Mechanism{apps.SM, apps.MPPoll},
-		machine.DefaultConfig(), []float64{20, 16}, PredictOptions{})
+	ps, err := r.PredictedSweep(EM3D, ScaleTiny, []apps.Mechanism{apps.SM, apps.MPPoll},
+		ClockAxis(machine.DefaultConfig(), []float64{20, 16}), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,6 +39,102 @@ func TestPredictedSweepExactAtBase(t *testing.T) {
 	}
 }
 
+// TestPredictedSweepSharesSweepRuns: an axis defines both forms of its
+// sweep, so after the simulated sweep every validation run of the
+// predicted sweep on the same runner is a memo hit with the same cycles,
+// and only the instrumented base runs execute. A validation config that
+// drifted from the simulated one would execute instead.
+func TestPredictedSweepSharesSweepRuns(t *testing.T) {
+	cfg := machine.DefaultConfig()
+	mechs := []apps.Mechanism{apps.SM, apps.MPPoll}
+	for _, c := range []struct {
+		name string
+		ax   Axis
+	}{
+		{"bisection", BisectionAxis(cfg, []float64{0, 6})},
+		{"clock", ClockAxis(cfg, []float64{20, 16})},
+		{"ideal-latency", IdealLatencyAxis(cfg, []int64{15, 50})},
+	} {
+		r := NewRunner(0)
+		pts, err := r.Sweep(EM3D, ScaleTiny, mechs, c.ax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits0, exec0 := r.Stats()
+		ps, err := r.PredictedSweep(EM3D, ScaleTiny, mechs, c.ax, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits, exec := r.Stats()
+		validations := 0
+		for i, pt := range ps.Points {
+			if pt.X != pts[i].X {
+				t.Errorf("%s point %d: predicted X %v, simulated X %v", c.name, i, pt.X, pts[i].X)
+			}
+			for _, mech := range mechs {
+				if l := c.ax.lane(mech); l.cfgs[i] != l.base {
+					validations++
+				}
+				sim, ok := pt.Sim[mech]
+				if !ok || sim.Cycles != pts[i].Results[mech].Cycles {
+					t.Errorf("%s point %d %v: validated %d cycles (present %v), simulated %d",
+						c.name, i, mech, sim.Cycles, ok, pts[i].Results[mech].Cycles)
+				}
+			}
+		}
+		if validations == 0 {
+			t.Fatalf("%s: the grid has no off-base point to validate", c.name)
+		}
+		if exec-exec0 != uint64(len(mechs)) || hits-hits0 != uint64(validations) {
+			t.Errorf("%s: predicted sweep executed %d runs and hit %d, want the %d instrumented runs and %d hits",
+				c.name, exec-exec0, hits-hits0, len(mechs), validations)
+		}
+	}
+}
+
+// TestPredictedSweepErrorsInMechanismOrder: the mean error is a float
+// sum, so Errors adds the points in mechanism order, never map order.
+// One mechanism is 10^16 % off and the rest 1 %, so the sum's bits
+// depend on the order; every call must return the mechanism-order bits.
+func TestPredictedSweepErrorsInMechanismOrder(t *testing.T) {
+	pt := PredictedPoint{X: 1, Pred: map[apps.Mechanism]predict.Prediction{}, Sim: map[apps.Mechanism]RunResult{}}
+	for i, mech := range apps.Mechanisms {
+		var sim RunResult
+		sim.Cycles = 1000
+		pred := int64(1010)
+		if i == 0 {
+			pred = 1000 + 1e17
+		}
+		pt.Pred[mech] = predict.Prediction{Cycles: pred}
+		pt.Sim[mech] = sim
+	}
+	ps := &PredictedSweep{Points: []PredictedPoint{pt, pt}}
+	fold := func(order []apps.Mechanism) predict.ErrorStats {
+		var s predict.ErrorStats
+		for range ps.Points {
+			for _, mech := range order {
+				s.Add(float64(pt.Pred[mech].Cycles), float64(pt.Sim[mech].Cycles))
+			}
+		}
+		return s
+	}
+	want := fold(apps.Mechanisms)
+	reversed := make([]apps.Mechanism, len(apps.Mechanisms))
+	for i, mech := range apps.Mechanisms {
+		reversed[len(reversed)-1-i] = mech
+	}
+	if rev := fold(reversed); math.Float64bits(rev.MeanPct()) == math.Float64bits(want.MeanPct()) {
+		t.Fatal("the synthetic errors sum to the same bits in either order; the test cannot see map order")
+	}
+	for i := 0; i < 200; i++ {
+		got := ps.Errors()
+		if got.N != want.N || got.MaxPct != want.MaxPct || math.Float64bits(got.MeanPct()) != math.Float64bits(want.MeanPct()) {
+			t.Fatalf("call %d: Errors() = %+v (mean %x), want %+v (mean %x)",
+				i, got, math.Float64bits(got.MeanPct()), want, math.Float64bits(want.MeanPct()))
+		}
+	}
+}
+
 // TestPredictedSweepErrorBound asserts the committed validation bound
 // on real grids: every predicted point of a tiny clock sweep and a
 // tiny moderate-load bisection sweep lands within 15% of its
@@ -45,26 +142,26 @@ func TestPredictedSweepExactAtBase(t *testing.T) {
 func TestPredictedSweepErrorBound(t *testing.T) {
 	r := NewRunner(0)
 	for _, app := range []AppName{EM3D, MOLDYN} {
-		ps, err := r.PredictedClockSweep(app, ScaleTiny, []apps.Mechanism{apps.SM, apps.MPPoll},
-			machine.DefaultConfig(), []float64{20, 16, 14}, PredictOptions{})
+		ps, err := r.PredictedSweep(app, ScaleTiny, []apps.Mechanism{apps.SM, apps.MPPoll},
+			ClockAxis(machine.DefaultConfig(), []float64{20, 16, 14}), false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		max, mean, n := ps.MaxErrorPct()
-		if n < 6 {
-			t.Fatalf("%s: only %d validated mechanism-points", app, n)
+		es := ps.Errors()
+		if es.N < 6 {
+			t.Fatalf("%s: only %d validated mechanism-points", app, es.N)
 		}
-		if max > 15 {
-			t.Errorf("%s: worst predicted-vs-simulated error %.1f%% (mean %.1f%%), committed bound is 15%%", app, max, mean)
+		if es.MaxPct > 15 {
+			t.Errorf("%s: worst predicted-vs-simulated error %.1f%% (mean %.1f%%), committed bound is 15%%", app, es.MaxPct, es.MeanPct())
 		}
 	}
-	bs, err := r.PredictedBisectionSweep(EM3D, ScaleTiny, []apps.Mechanism{apps.SM, apps.MPPoll},
-		machine.DefaultConfig(), []float64{0, 4, 6}, 64, PredictOptions{})
+	bs, err := r.PredictedSweep(EM3D, ScaleTiny, []apps.Mechanism{apps.SM, apps.MPPoll},
+		BisectionAxis(machine.DefaultConfig(), []float64{0, 4, 6}), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if max, mean, n := bs.MaxErrorPct(); n < 6 || max > 15 {
-		t.Errorf("bisection axis: worst error %.1f%% (mean %.1f%%) over %d points, committed bound is 15%%", max, mean, n)
+	if es := bs.Errors(); es.N < 6 || es.MaxPct > 15 {
+		t.Errorf("bisection axis: worst error %.1f%% (mean %.1f%%) over %d points, committed bound is 15%%", es.MaxPct, es.MeanPct(), es.N)
 	}
 }
 
@@ -74,8 +171,8 @@ func TestPredictedSweepErrorBound(t *testing.T) {
 // simulates exactly the points the queueing model is blind to.
 func TestPredictedBisectionConfidence(t *testing.T) {
 	r := NewRunner(0)
-	ps, err := r.PredictedBisectionSweep(EM3D, ScaleTiny, []apps.Mechanism{apps.SM},
-		machine.DefaultConfig(), []float64{0, 12}, 64, PredictOptions{})
+	ps, err := r.PredictedSweep(EM3D, ScaleTiny, []apps.Mechanism{apps.SM},
+		BisectionAxis(machine.DefaultConfig(), []float64{0, 12}), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +219,8 @@ func flattenPredictions(ps *PredictedSweep) string {
 func TestPredictedSweepDeterministic(t *testing.T) {
 	run := func() string {
 		r := NewRunner(0)
-		ps, err := r.PredictedClockSweep(EM3D, ScaleTiny, []apps.Mechanism{apps.SM, apps.MPPoll},
-			machine.DefaultConfig(), []float64{20, 16}, PredictOptions{})
+		ps, err := r.PredictedSweep(EM3D, ScaleTiny, []apps.Mechanism{apps.SM, apps.MPPoll},
+			ClockAxis(machine.DefaultConfig(), []float64{20, 16}), false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,12 +238,12 @@ func TestPredictedSweepDeterministic(t *testing.T) {
 // fewer points.
 func TestPredictedSweepPruned(t *testing.T) {
 	mechs := []apps.Mechanism{apps.SM, apps.MPPoll, apps.Bulk}
-	grid := []float64{20, 16, 14}
-	full, err := NewRunner(0).PredictedClockSweep(EM3D, ScaleTiny, mechs, machine.DefaultConfig(), grid, PredictOptions{})
+	ax := ClockAxis(machine.DefaultConfig(), []float64{20, 16, 14})
+	full, err := NewRunner(0).PredictedSweep(EM3D, ScaleTiny, mechs, ax, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := NewRunner(0).PredictedClockSweep(EM3D, ScaleTiny, mechs, machine.DefaultConfig(), grid, PredictOptions{Prune: true})
+	pruned, err := NewRunner(0).PredictedSweep(EM3D, ScaleTiny, mechs, ax, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,14 +270,14 @@ func TestPredictedSweepPruned(t *testing.T) {
 	}
 }
 
-// TestPredictedContextSwitchSweep: the Figure 10 planner's reference
+// TestPredictedContextSwitchSweep: the ideal-latency axis's reference
 // mechanisms are flat — one instrumented run stands at every point —
 // and the shared-memory base point is exact like every other sweep's.
 func TestPredictedContextSwitchSweep(t *testing.T) {
 	r := NewRunner(0)
 	mechs := []apps.Mechanism{apps.SM, apps.MPPoll}
-	ps, err := r.PredictedContextSwitchSweep(EM3D, ScaleTiny, mechs, machine.DefaultConfig(),
-		[]int64{15, 50}, PredictOptions{})
+	ps, err := r.PredictedSweep(EM3D, ScaleTiny, mechs,
+		IdealLatencyAxis(machine.DefaultConfig(), []int64{15, 50}), false)
 	if err != nil {
 		t.Fatal(err)
 	}

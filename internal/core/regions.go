@@ -44,23 +44,31 @@ const (
 // ClassifyRegions assigns a region to each interval of a sweep for one
 // mechanism. Points must be ordered so that increasing index means
 // increasing communication stress (for bisection sweeps pass the points
-// in decreasing-bandwidth order). The returned slice has len(points)-1
-// entries, one per interval.
+// in decreasing-bandwidth order). Points that did not measure mech (a
+// crashed run) are bridged over, as Crossover skips them: the returned
+// slice has one entry per interval between consecutive points that
+// measured mech, so a full sweep gets len(points)-1 entries.
 func ClassifyRegions(points []SweepPoint, mech apps.Mechanism) []Region {
-	if len(points) < 2 {
+	var xs, ys []float64
+	for _, pt := range points {
+		if r, ok := pt.Results[mech]; ok {
+			xs = append(xs, pt.X)
+			ys = append(ys, float64(r.Cycles))
+		}
+	}
+	if len(ys) < 2 {
 		return nil
 	}
-	base := float64(points[0].Results[mech].Cycles)
+	base := ys[0]
 	// Normalized positions 0..1 across the sweep.
-	x0, x1 := points[0].X, points[len(points)-1].X
-	span := x1 - x0
+	span := xs[len(xs)-1] - xs[0]
 	if span == 0 {
 		span = 1
 	}
-	slopes := make([]float64, len(points)-1)
-	for i := 1; i < len(points); i++ {
-		dy := (float64(points[i].Results[mech].Cycles) - float64(points[i-1].Results[mech].Cycles)) / base
-		dx := (points[i].X - points[i-1].X) / span
+	slopes := make([]float64, len(ys)-1)
+	for i := 1; i < len(ys); i++ {
+		dy := (ys[i] - ys[i-1]) / base
+		dx := (xs[i] - xs[i-1]) / span
 		if dx < 0 {
 			dx = -dx
 		}

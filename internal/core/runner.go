@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/apps"
-	"repro/internal/machine"
 	"repro/internal/mesh"
 )
 
@@ -55,9 +53,9 @@ func NewRunner(workers int) *Runner {
 	return &Runner{workers: workers, cache: make(map[RunConfig]*runnerEntry)}
 }
 
-// DefaultRunner executes the package-level sweep functions. Its cache
-// persists across sweeps, so e.g. regenerating Figure 8 after Figure 7
-// reuses any overlapping points.
+// DefaultRunner is the shared runner the figures and the repro facade
+// sweep on. Its cache persists across sweeps, so e.g. regenerating
+// Figure 8 after Figure 7 reuses any overlapping points.
 var DefaultRunner = NewRunner(0)
 
 // SetDefaultWorkers resets the default runner to n workers (n <= 0 means
@@ -239,42 +237,6 @@ func (r *Runner) RunBatchAll(rcs []RunConfig) (out []RunResult, errs []error) {
 	return out, errs
 }
 
-// sweepJobs fans out the cross-product of per-point machine configs and
-// mechanisms, then folds the results back into ordered SweepPoints. This
-// is the common core of the Bisection/Clock/MsgLen/NodeScaling sweeps;
-// the ContextSwitch sweep has its own fold (reference mechanisms are
-// hoisted out of the point loop). scaleProblem is the problem-scaling
-// mode: the node-scaling sweep runs both, every fixed-geometry sweep
-// passes false.
-//
-// Failed runs are isolated, not fatal: a crashing point is simply absent
-// from its SweepPoint.Results (downstream analysis like Crossover skips
-// partial mechanism sets), and the RunError is recorded on the Runner for
-// reporting via Failures. The sweep errors only when nothing succeeded.
-func (r *Runner) sweepJobs(app AppName, sc Scale, mechs []apps.Mechanism, cfgs []machine.Config, xs []float64, scaleProblem bool) ([]SweepPoint, error) {
-	jobs := make([]RunConfig, 0, len(cfgs)*len(mechs))
-	for _, cfg := range cfgs {
-		for _, mech := range mechs {
-			jobs = append(jobs, RunConfig{App: app, Mech: mech, Scale: sc, Machine: cfg, ScaleProblem: scaleProblem, SkipValidate: true})
-		}
-	}
-	results, errs := r.RunBatchAll(jobs)
-	if err := allFailed(errs); err != nil {
-		return nil, err
-	}
-	out := make([]SweepPoint, len(cfgs))
-	for pi := range cfgs {
-		pt := SweepPoint{X: xs[pi], Results: make(map[apps.Mechanism]RunResult, len(mechs))}
-		for mi, mech := range mechs {
-			if j := pi*len(mechs) + mi; errs[j] == nil {
-				pt.Results[mech] = results[j]
-			}
-		}
-		out[pi] = pt
-	}
-	return out, nil
-}
-
 // allFailed returns the first error if every job in a nonempty batch
 // failed (a wholly failed sweep should surface, not return empty points),
 // and nil otherwise.
@@ -289,123 +251,4 @@ func allFailed(errs []error) error {
 		}
 	}
 	return first
-}
-
-// BisectionSweep is the parallel, memoized form of the package-level
-// BisectionSweep (Figure 8 methodology).
-func (r *Runner) BisectionSweep(app AppName, sc Scale, mechs []apps.Mechanism, base machine.Config, crossRates []float64, msgBytes int) ([]SweepPoint, error) {
-	cfgs := make([]machine.Config, len(crossRates))
-	xs := make([]float64, len(crossRates))
-	native := mesh.Config{Width: base.Width, Height: base.Height, HopLatency: base.HopLatency, PsPerByte: base.PsPerByte}.
-		BisectionBytesPerCycle(clockOf(base))
-	for i, rate := range crossRates {
-		cfg := base
-		if rate > 0 {
-			cfg.CrossTraffic = mesh.CrossTraffic{MsgBytes: msgBytes, BytesPerCycle: rate}
-		}
-		cfgs[i] = cfg
-		xs[i] = native - rate
-	}
-	return r.sweepJobs(app, sc, mechs, cfgs, xs, false)
-}
-
-// ClockSweep is the parallel, memoized form of the package-level
-// ClockSweep (Figure 9 methodology).
-func (r *Runner) ClockSweep(app AppName, sc Scale, mechs []apps.Mechanism, base machine.Config, mhzs []float64) ([]SweepPoint, error) {
-	cfgs := make([]machine.Config, len(mhzs))
-	xs := make([]float64, len(mhzs))
-	for i, mhz := range mhzs {
-		cfg := base
-		cfg.ClockMHz = mhz
-		cfgs[i] = cfg
-		xs[i] = NetLatencyCycles(cfg)
-	}
-	return r.sweepJobs(app, sc, mechs, cfgs, xs, false)
-}
-
-// ContextSwitchSweep is the parallel, memoized form of the package-level
-// ContextSwitchSweep (Figure 10 methodology). The emulated latency only
-// applies to the shared-memory mechanisms; the message-passing curves are
-// flat reference lines, so those runs are hoisted out of the per-latency
-// loop and executed once each, independent of the memo cache.
-func (r *Runner) ContextSwitchSweep(app AppName, sc Scale, mechs []apps.Mechanism, base machine.Config, oneWayCycles []int64) ([]SweepPoint, error) {
-	var refMechs, swMechs []apps.Mechanism
-	for _, mech := range mechs {
-		if mech.UsesMessages() {
-			refMechs = append(refMechs, mech)
-		} else {
-			swMechs = append(swMechs, mech)
-		}
-	}
-	jobs := make([]RunConfig, 0, len(refMechs)+len(oneWayCycles)*len(swMechs))
-	for _, mech := range refMechs {
-		jobs = append(jobs, RunConfig{App: app, Mech: mech, Scale: sc, Machine: base, SkipValidate: true})
-	}
-	for _, lat := range oneWayCycles {
-		cfg := base
-		cfg.IdealNetOneWayCycles = lat
-		for _, mech := range swMechs {
-			jobs = append(jobs, RunConfig{App: app, Mech: mech, Scale: sc, Machine: cfg, SkipValidate: true})
-		}
-	}
-	results, errs := r.RunBatchAll(jobs)
-	if err := allFailed(errs); err != nil {
-		return nil, err
-	}
-	out := make([]SweepPoint, len(oneWayCycles))
-	for pi, lat := range oneWayCycles {
-		pt := SweepPoint{X: float64(lat), Results: make(map[apps.Mechanism]RunResult, len(mechs))}
-		for mi, mech := range refMechs {
-			if errs[mi] == nil {
-				pt.Results[mech] = results[mi]
-			}
-		}
-		for mi, mech := range swMechs {
-			if j := len(refMechs) + pi*len(swMechs) + mi; errs[j] == nil {
-				pt.Results[mech] = results[j]
-			}
-		}
-		out[pi] = pt
-	}
-	return out, nil
-}
-
-// NodeScalingSweep is the Figure S1 methodology: the same application
-// and mechanisms across machine geometries of nodeCounts nodes each
-// (canonical machine.Geometry shapes; base supplies every non-geometry
-// knob). X is the node count. With scaleProblem false the problem size
-// stays at the scale's fixed size (strong scaling); with true it grows
-// proportionally to the node count (weak scaling, constant work per
-// processor). Node counts whose workload cannot be partitioned (e.g. a
-// fixed-size graph with fewer nodes than processors) are isolated like
-// crashed points: absent from that point's Results, reported via
-// Failures only when the run itself crashed.
-func (r *Runner) NodeScalingSweep(app AppName, sc Scale, mechs []apps.Mechanism, base machine.Config, nodeCounts []int, scaleProblem bool) ([]SweepPoint, error) {
-	cfgs := make([]machine.Config, len(nodeCounts))
-	xs := make([]float64, len(nodeCounts))
-	for i, n := range nodeCounts {
-		w, h, err := machine.Geometry(n)
-		if err != nil {
-			return nil, err
-		}
-		cfg := base
-		cfg.Width, cfg.Height = w, h
-		cfgs[i] = cfg
-		xs[i] = float64(n)
-	}
-	return r.sweepJobs(app, sc, mechs, cfgs, xs, scaleProblem)
-}
-
-// MsgLenSweep is the parallel, memoized form of the package-level
-// MsgLenSweep (Figure 7 methodology).
-func (r *Runner) MsgLenSweep(app AppName, sc Scale, mech apps.Mechanism, base machine.Config, crossRate float64, sizes []int) ([]SweepPoint, error) {
-	cfgs := make([]machine.Config, len(sizes))
-	xs := make([]float64, len(sizes))
-	for i, size := range sizes {
-		cfg := base
-		cfg.CrossTraffic = mesh.CrossTraffic{MsgBytes: size, BytesPerCycle: crossRate}
-		cfgs[i] = cfg
-		xs[i] = float64(size)
-	}
-	return r.sweepJobs(app, sc, []apps.Mechanism{mech}, cfgs, xs, false)
 }

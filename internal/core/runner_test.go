@@ -18,19 +18,19 @@ func runAllSweeps(t *testing.T, r *Runner) map[string][]SweepPoint {
 	mechs := []apps.Mechanism{apps.SM, apps.SMPrefetch, apps.MPPoll}
 	out := map[string][]SweepPoint{}
 	var err error
-	out["bisection"], err = r.BisectionSweep(EM3D, ScaleTiny, mechs, cfg, []float64{0, 8, 14}, 64)
+	out["bisection"], err = r.Sweep(EM3D, ScaleTiny, mechs, BisectionAxis(cfg, []float64{0, 8, 14}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["clock"], err = r.ClockSweep(EM3D, ScaleTiny, mechs, cfg, []float64{20, 14})
+	out["clock"], err = r.Sweep(EM3D, ScaleTiny, mechs, ClockAxis(cfg, []float64{20, 14}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["ctxswitch"], err = r.ContextSwitchSweep(EM3D, ScaleTiny, mechs, cfg, []int64{15, 50, 100})
+	out["ctxswitch"], err = r.Sweep(EM3D, ScaleTiny, mechs, IdealLatencyAxis(cfg, []int64{15, 50, 100}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["msglen"], err = r.MsgLenSweep(EM3D, ScaleTiny, apps.SM, cfg, 8, []int{16, 64})
+	out["msglen"], err = r.Sweep(EM3D, ScaleTiny, []apps.Mechanism{apps.SM}, MsgLenAxis(cfg, 8, []int{16, 64}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,13 +114,14 @@ func TestFingerprintNormalizesInertKnobs(t *testing.T) {
 }
 
 // TestContextSwitchSweepHoistsReferences checks the reference
-// (message-passing) mechanisms run once regardless of latency point
-// count — hoisting, not just memoization.
+// (message-passing) mechanisms of the ideal-latency axis run once
+// regardless of latency point count: Sweep submits each distinct
+// configuration once, so this is deduplication, not memoization.
 func TestContextSwitchSweepHoistsReferences(t *testing.T) {
 	r := NewRunner(0)
 	lats := []int64{15, 25, 50, 100}
 	mechs := []apps.Mechanism{apps.SM, apps.MPInterrupt, apps.MPPoll, apps.Bulk}
-	pts, err := r.ContextSwitchSweep(EM3D, ScaleTiny, mechs, machine.DefaultConfig(), lats)
+	pts, err := r.Sweep(EM3D, ScaleTiny, mechs, IdealLatencyAxis(machine.DefaultConfig(), lats))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,15 @@ func TestNodeScalingSweepDeterministic(t *testing.T) {
 	mechs := []apps.Mechanism{apps.SM, apps.MPPoll}
 	nodes := []int{32, 64}
 	for _, scaled := range []bool{false, true} {
-		a, err := NewRunner(0).NodeScalingSweep(EM3D, ScaleTiny, mechs, cfg, nodes, scaled)
+		ax, err := NodeScalingAxis(cfg, nodes, scaled)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := NewRunner(0).NodeScalingSweep(EM3D, ScaleTiny, mechs, cfg, nodes, scaled)
+		a, err := NewRunner(0).Sweep(EM3D, ScaleTiny, mechs, ax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewRunner(0).Sweep(EM3D, ScaleTiny, mechs, ax)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,8 +73,11 @@ func TestScalingModesCoincideAtBase(t *testing.T) {
 // same crash-isolation contract the other sweeps follow.
 func TestNodeScalingSweepIsolatesUnpartitionable(t *testing.T) {
 	cfg := machine.DefaultConfig()
-	pts, err := NewRunner(1).NodeScalingSweep(EM3D, ScaleTiny, []apps.Mechanism{apps.SM},
-		cfg, []int{32, 512}, false)
+	ax, err := NodeScalingAxis(cfg, []int{32, 512}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := NewRunner(1).Sweep(EM3D, ScaleTiny, []apps.Mechanism{apps.SM}, ax)
 	if err != nil {
 		t.Fatal(err)
 	}

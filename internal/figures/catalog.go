@@ -14,9 +14,9 @@ type CatalogEntry struct {
 }
 
 // Catalog lists every figure and table in selector order. paperbench
-// -list prints it; keep entries in sync with the dispatch in
-// cmd/paperbench/main.go (TestCatalogMatchesDispatch enforces the
-// figure keys).
+// -list prints it. TestCatalogListsEveryFigure pins the selectors to a
+// list in the test itself; nothing checks them against the dispatch in
+// cmd/paperbench/main.go, so keep the two in sync by hand.
 func Catalog() []CatalogEntry {
 	return []CatalogEntry{
 		{"-fig 1", "bandwidth region classification (derived from the Figure 8 sweep)"},

@@ -12,7 +12,9 @@ import (
 )
 
 // WriteSweepCSV emits a sweep as CSV: one row per X with runtime columns
-// per mechanism — the machine-readable form of Figures 7-10.
+// per mechanism — the machine-readable form of Figures 7-10. A
+// mechanism a point did not measure (a crashed run) emits an empty cell
+// rather than a zero, as WriteScalingCSV does.
 func WriteSweepCSV(w io.Writer, xlabel string, mechs []apps.Mechanism, pts []core.SweepPoint) error {
 	cw := csv.NewWriter(w)
 	header := []string{xlabel}
@@ -25,7 +27,11 @@ func WriteSweepCSV(w io.Writer, xlabel string, mechs []apps.Mechanism, pts []cor
 	for _, pt := range pts {
 		row := []string{strconv.FormatFloat(pt.X, 'f', 2, 64)}
 		for _, m := range mechs {
-			row = append(row, strconv.FormatInt(pt.Results[m].Cycles, 10))
+			if r, ok := pt.Results[m]; ok {
+				row = append(row, strconv.FormatInt(r.Cycles, 10))
+			} else {
+				row = append(row, "")
+			}
 		}
 		if err := cw.Write(row); err != nil {
 			return err

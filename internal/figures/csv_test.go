@@ -41,6 +41,39 @@ func TestWriteSweepCSV(t *testing.T) {
 	}
 }
 
+// TestSweepPrintersMarkMissingMechanism: a mechanism a point did not
+// measure (a crashed run) prints "-" and writes an empty CSV cell, not
+// a 0-cycle runtime.
+func TestSweepPrintersMarkMissingMechanism(t *testing.T) {
+	mechs := []apps.Mechanism{apps.SM, apps.MPPoll}
+	pts := []core.SweepPoint{
+		{X: 18, Results: map[apps.Mechanism]core.RunResult{
+			apps.SM:     {Result: machine.Result{Cycles: 100}},
+			apps.MPPoll: {Result: machine.Result{Cycles: 50}},
+		}},
+		{X: 2, Results: map[apps.Mechanism]core.RunResult{
+			apps.MPPoll: {Result: machine.Result{Cycles: 60}},
+		}},
+	}
+	var buf bytes.Buffer
+	PrintSweep(&buf, "title", "x", mechs, pts)
+	lines := strings.Split(buf.String(), "\n")
+	if got := strings.Fields(lines[2]); strings.Join(got, " ") != "18.0 100 50" {
+		t.Errorf("full row = %q", lines[2])
+	}
+	if got := strings.Fields(lines[3]); strings.Join(got, " ") != "2.0 - 60" {
+		t.Errorf("row missing SM = %q, want a dash in the SM column", lines[3])
+	}
+	buf.Reset()
+	if err := WriteSweepCSV(&buf, "x", mechs, pts); err != nil {
+		t.Fatal(err)
+	}
+	want := "x,shared-memory_cycles,mp-poll_cycles\n18.00,100,50\n2.00,,60\n"
+	if buf.String() != want {
+		t.Errorf("CSV = %q, want %q", buf.String(), want)
+	}
+}
+
 func TestWriteFig4CSVRoundTrips(t *testing.T) {
 	rows, err := Fig4Data(core.ScaleTiny, machine.DefaultConfig())
 	if err != nil {

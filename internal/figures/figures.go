@@ -144,7 +144,8 @@ func PrintFig3(w io.Writer, cfg machine.Config) core.MissPenalties {
 }
 
 // PrintSweep renders a sweep as one series per mechanism (the paper's
-// line plots), with runtime in cycles.
+// line plots), with runtime in cycles. A mechanism a point did not
+// measure (a crashed run) prints "-".
 func PrintSweep(w io.Writer, title, xlabel string, mechs []apps.Mechanism, pts []core.SweepPoint) {
 	fmt.Fprintln(w, title)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -156,77 +157,119 @@ func PrintSweep(w io.Writer, title, xlabel string, mechs []apps.Mechanism, pts [
 	for _, pt := range pts {
 		fmt.Fprintf(tw, "%.1f", pt.X)
 		for _, m := range mechs {
-			fmt.Fprintf(tw, "\t%d", pt.Results[m].Cycles)
+			if r, ok := pt.Results[m]; ok {
+				fmt.Fprintf(tw, "\t%d", r.Cycles)
+			} else {
+				fmt.Fprint(tw, "\t-")
+			}
 		}
 		fmt.Fprintln(tw)
 	}
 	tw.Flush()
 }
 
-// Fig8 runs and prints the bisection sweep for one application.
-func Fig8(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, rates []float64) ([]core.SweepPoint, error) {
-	pts, err := core.BisectionSweep(app, sc, apps.Mechanisms, cfg, rates, 64)
-	if err != nil {
-		return nil, err
-	}
-	PrintSweep(w, fmt.Sprintf("Figure 8 (%s): execution cycles vs bisection bandwidth", app),
-		"bytes/cycle", apps.Mechanisms, pts)
-	if x, ok := core.Crossover(pts, apps.SM, apps.MPPoll); ok {
-		fmt.Fprintf(w, "SM / MP-poll crossover at ~%.1f bytes/cycle\n", x)
+// SweepFigure is one of the paper's sweep figures, defined once for its
+// simulated and its predicted form: the axis over the paper's grid, the
+// labels, and what is derived from the sweep.
+type SweepFigure struct {
+	Num      int
+	Subject  string // what the figure plots execution cycles against
+	XLabel   string // x column of the printed table
+	CSVLabel string // x column of the CSV
+	// Axis builds the figure's axis over the paper's grid.
+	Axis func(base machine.Config) core.Axis
+	// Crossover prints where the SM and MP-poll curves cross.
+	Crossover bool
+	// Regions is the conceptual figure classified from this sweep, if
+	// any.
+	Regions *RegionFigure
+}
+
+// RegionFigure is one of the paper's conceptual Figures 1 and 2,
+// measured: the performance region of every interval of a sweep for
+// each of Mechs.
+type RegionFigure struct {
+	Num   int
+	Title string
+	Mechs []apps.Mechanism
+}
+
+// SweepFigures are Figures 8, 9 and 10, in paperbench's order.
+// Bisection sweeps run in decreasing-bandwidth order, which is
+// increasing stress, so Figure 1 classifies Figure 8's points as given.
+var SweepFigures = []SweepFigure{
+	{
+		Num: 8, Subject: "bisection bandwidth", XLabel: "bytes/cycle", CSVLabel: "bisection_bytes_per_cycle",
+		Axis:      func(base machine.Config) core.Axis { return core.BisectionAxis(base, core.DefaultCrossRates) },
+		Crossover: true,
+		Regions: &RegionFigure{Num: 1, Title: "performance regions as bisection bandwidth decreases",
+			Mechs: []apps.Mechanism{apps.SM, apps.MPPoll}},
+	},
+	{
+		Num: 9, Subject: "network latency (clock scaling)", XLabel: "net latency (cycles)", CSVLabel: "net_latency_cycles",
+		Axis: func(base machine.Config) core.Axis { return core.ClockAxis(base, core.DefaultClockMHzs) },
+	},
+	{
+		Num: 10, Subject: "emulated uniform latency", XLabel: "one-way latency (cycles)", CSVLabel: "one_way_latency_cycles",
+		Axis: func(base machine.Config) core.Axis { return core.IdealLatencyAxis(base, core.DefaultIdealLatencies) },
+		Regions: &RegionFigure{Num: 2, Title: "performance regions as network latency increases",
+			Mechs: []apps.Mechanism{apps.SM, apps.SMPrefetch, apps.MPPoll}},
+	},
+}
+
+// Run computes and prints the figure for one application on ax, with
+// every mechanism. It simulates every point, or, with predicted, solves
+// them from one instrumented run per mechanism (with prune, simulating
+// only the points the model distrusts). It returns the figure's points,
+// measured or, predicted, the hybrid measured-where-validated curve,
+// plus the predicted sweep itself.
+func (f SweepFigure) Run(w io.Writer, app core.AppName, sc core.Scale, ax core.Axis, predicted, prune bool) ([]core.SweepPoint, *core.PredictedSweep, error) {
+	var (
+		pts []core.SweepPoint
+		ps  *core.PredictedSweep
+		err error
+	)
+	if predicted {
+		if ps, err = core.DefaultRunner.PredictedSweep(app, sc, apps.Mechanisms, ax, prune); err != nil {
+			return nil, nil, err
+		}
+		PrintPredictedSweep(w, fmt.Sprintf("Figure %d (%s, predicted): execution cycles vs %s", f.Num, app, f.Subject),
+			f.XLabel, apps.Mechanisms, ps)
+		pts = ps.HybridPoints()
 	} else {
-		fmt.Fprintln(w, "no SM / MP-poll crossover in range")
+		if pts, err = core.DefaultRunner.Sweep(app, sc, apps.Mechanisms, ax); err != nil {
+			return nil, nil, err
+		}
+		PrintSweep(w, fmt.Sprintf("Figure %d (%s): execution cycles vs %s", f.Num, app, f.Subject),
+			f.XLabel, apps.Mechanisms, pts)
 	}
-	return pts, nil
-}
-
-// Fig9 runs and prints the clock-scaling sweep for one application.
-func Fig9(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, mhzs []float64) ([]core.SweepPoint, error) {
-	pts, err := core.ClockSweep(app, sc, apps.Mechanisms, cfg, mhzs)
-	if err != nil {
-		return nil, err
+	if f.Crossover {
+		if x, ok := core.Crossover(pts, apps.SM, apps.MPPoll); ok {
+			fmt.Fprintf(w, "SM / MP-poll crossover at ~%.1f %s\n", x, f.XLabel)
+		} else {
+			fmt.Fprintln(w, "no SM / MP-poll crossover in range")
+		}
 	}
-	PrintSweep(w, fmt.Sprintf("Figure 9 (%s): execution cycles vs network latency (clock scaling)", app),
-		"net latency (cycles)", apps.Mechanisms, pts)
-	return pts, nil
-}
-
-// Fig10 runs and prints the context-switch latency emulation for one
-// application (message-passing curves are fixed references).
-func Fig10(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, lats []int64) ([]core.SweepPoint, error) {
-	pts, err := core.ContextSwitchSweep(app, sc, apps.Mechanisms, cfg, lats)
-	if err != nil {
-		return nil, err
-	}
-	PrintSweep(w, fmt.Sprintf("Figure 10 (%s): execution cycles vs emulated uniform latency", app),
-		"one-way latency (cycles)", apps.Mechanisms, pts)
-	return pts, nil
+	return pts, ps, nil
 }
 
 // Fig7 runs and prints the cross-traffic message-length sensitivity.
 func Fig7(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, rate float64, sizes []int) ([]core.SweepPoint, error) {
-	pts, err := core.MsgLenSweep(app, sc, apps.SM, cfg, rate, sizes)
+	mechs := []apps.Mechanism{apps.SM}
+	pts, err := core.DefaultRunner.Sweep(app, sc, mechs, core.MsgLenAxis(cfg, rate, sizes))
 	if err != nil {
 		return nil, err
 	}
 	PrintSweep(w, fmt.Sprintf("Figure 7 (%s): sensitivity to cross-traffic message length (%.0f bytes/cycle consumed)", app, rate),
-		"msg bytes", []apps.Mechanism{apps.SM}, pts)
+		"msg bytes", mechs, pts)
 	return pts, nil
 }
 
-// Fig1 classifies the regions of a bisection sweep (the measured version
-// of the paper's conceptual Figure 1). Bisection sweeps already run in
-// decreasing-bandwidth order, which is increasing stress — classify them
-// as given.
-func Fig1(w io.Writer, pts []core.SweepPoint, mechs []apps.Mechanism) {
-	fmt.Fprintln(w, "Figure 1 (measured): performance regions as bisection bandwidth decreases")
-	printRegions(w, pts, mechs)
-}
-
-// Fig2 classifies the regions of a latency sweep (the measured version of
-// the paper's conceptual Figure 2).
-func Fig2(w io.Writer, pts []core.SweepPoint, mechs []apps.Mechanism) {
-	fmt.Fprintln(w, "Figure 2 (measured): performance regions as network latency increases")
-	printRegions(w, pts, mechs)
+// Print classifies pts (ordered by increasing communication stress) and
+// prints the region of each interval per mechanism.
+func (f RegionFigure) Print(w io.Writer, pts []core.SweepPoint) {
+	fmt.Fprintf(w, "Figure %d (measured): %s\n", f.Num, f.Title)
+	printRegions(w, pts, f.Mechs)
 }
 
 func printRegions(w io.Writer, pts []core.SweepPoint, mechs []apps.Mechanism) {

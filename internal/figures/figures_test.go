@@ -77,15 +77,23 @@ func TestPrintFig3Bounds(t *testing.T) {
 
 func TestFig8EndToEnd(t *testing.T) {
 	var buf bytes.Buffer
-	pts, err := Fig8(&buf, core.EM3D, core.ScaleTiny, machine.DefaultConfig(), []float64{0, 14})
+	fig8 := SweepFigures[0]
+	pts, ps, err := fig8.Run(&buf, core.EM3D, core.ScaleTiny,
+		core.BisectionAxis(machine.DefaultConfig(), []float64{0, 14}), false, false)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ps != nil {
+		t.Error("simulated figure returned a predicted sweep")
 	}
 	if len(pts) != 2 {
 		t.Fatalf("got %d points", len(pts))
 	}
-	if !strings.Contains(buf.String(), "Figure 8") {
+	if !strings.Contains(buf.String(), "Figure 8 (em3d): execution cycles vs bisection bandwidth") {
 		t.Error("missing title")
+	}
+	if !strings.Contains(buf.String(), "crossover") {
+		t.Error("missing crossover verdict")
 	}
 	// Per-mechanism monotone degradation at the stressed point for SM.
 	if pts[1].Results[apps.SM].Cycles <= pts[0].Results[apps.SM].Cycles {
@@ -95,10 +103,11 @@ func TestFig8EndToEnd(t *testing.T) {
 
 func TestFig9Fig10EndToEnd(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := Fig9(&buf, core.EM3D, core.ScaleTiny, machine.DefaultConfig(), []float64{20, 14}); err != nil {
+	cfg := machine.DefaultConfig()
+	if _, _, err := SweepFigures[1].Run(&buf, core.EM3D, core.ScaleTiny, core.ClockAxis(cfg, []float64{20, 14}), false, false); err != nil {
 		t.Fatal(err)
 	}
-	pts, err := Fig10(&buf, core.EM3D, core.ScaleTiny, machine.DefaultConfig(), []int64{15, 100})
+	pts, _, err := SweepFigures[2].Run(&buf, core.EM3D, core.ScaleTiny, core.IdealLatencyAxis(cfg, []int64{15, 100}), false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +141,14 @@ func TestFig1Fig2Classification(t *testing.T) {
 	}
 	pts := []core.SweepPoint{mk(18, 100, 100), mk(10, 105, 101), mk(2, 220, 110)}
 	var buf bytes.Buffer
-	Fig1(&buf, pts, []apps.Mechanism{apps.SM, apps.MPPoll})
+	SweepFigures[0].Regions.Print(&buf, pts)
 	out := buf.String()
-	if !strings.Contains(out, "latency") {
+	if !strings.Contains(out, "Figure 1 (measured)") || !strings.Contains(out, "latency") {
 		t.Errorf("Fig1 produced no region labels:\n%s", out)
 	}
 	var buf2 bytes.Buffer
-	Fig2(&buf2, pts, []apps.Mechanism{apps.SM}) // order as-is for latency sweeps
-	if !strings.Contains(buf2.String(), "shared-memory") {
+	SweepFigures[2].Regions.Print(&buf2, pts) // order as-is for latency sweeps
+	if !strings.Contains(buf2.String(), "Figure 2 (measured)") || !strings.Contains(buf2.String(), "shared-memory") {
 		t.Error("Fig2 missing mechanism label")
 	}
 }

@@ -45,11 +45,11 @@ func DefaultNoiseSeeds(n int) []uint64 {
 //   - delay propagation: a single injected delay on delayNode, and the
 //     per-node completion shift grouped by hop distance from it.
 func FigS2(w io.Writer, app core.AppName, sc core.Scale, base machine.Config, spec string, seeds []uint64, delayNode int) ([]core.NoiseDistribution, []core.PropagationResult, error) {
-	dists, err := core.NoiseSeedSweep(app, sc, apps.Mechanisms, base, spec, seeds)
+	dists, err := core.DefaultRunner.NoiseSeedSweep(app, sc, apps.Mechanisms, base, spec, seeds)
 	if err != nil {
 		return nil, nil, err
 	}
-	props, err := core.DelayPropagation(app, sc, apps.Mechanisms, base, delayNode)
+	props, err := core.DefaultRunner.DelayPropagation(app, sc, apps.Mechanisms, base, delayNode)
 	if err != nil {
 		return nil, nil, err
 	}

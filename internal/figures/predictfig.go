@@ -12,16 +12,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/model"
+	"repro/internal/predict"
 )
-
-// growthOf reports the latency-tolerance growth target an options value
-// resolves to (core applies the same default internally).
-func growthOf(opt core.PredictOptions) float64 {
-	if opt.GrowthTarget == 0 {
-		return 0.10
-	}
-	return opt.GrowthTarget
-}
 
 // PrintPredictedSweep renders a predicted sweep: one row per
 // (X, mechanism) with the dependency-graph prediction, the validating
@@ -29,7 +21,7 @@ func growthOf(opt core.PredictOptions) float64 {
 // subset with it), and the model's self-reported confidence. A summary
 // line gives the measured error envelope and the pruning win, then the
 // per-mechanism latency-tolerance metric.
-func PrintPredictedSweep(w io.Writer, title, xlabel string, mechs []apps.Mechanism, ps *core.PredictedSweep, growth float64) {
+func PrintPredictedSweep(w io.Writer, title, xlabel string, mechs []apps.Mechanism, ps *core.PredictedSweep) {
 	fmt.Fprintln(w, title)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "%s\tmechanism\tpredicted\tsimulated\terr%%\tconf\n", xlabel)
@@ -42,17 +34,17 @@ func PrintPredictedSweep(w io.Writer, title, xlabel string, mechs []apps.Mechani
 			simCol, errCol := "-", "-"
 			if sim, ok := pt.Sim[m]; ok && sim.Cycles > 0 {
 				simCol = strconv.FormatInt(sim.Cycles, 10)
-				errCol = fmt.Sprintf("%.1f", 100*math.Abs(float64(pred.Cycles)-float64(sim.Cycles))/float64(sim.Cycles))
+				errCol = fmt.Sprintf("%.1f", predict.ErrorPct(float64(pred.Cycles), float64(sim.Cycles)))
 			}
 			fmt.Fprintf(tw, "%.1f\t%s\t%d\t%s\t%s\t%.2f\n",
 				pt.X, m.Short(), pred.Cycles, simCol, errCol, pred.Confidence)
 		}
 	}
 	tw.Flush()
-	max, mean, n := ps.MaxErrorPct()
+	es := ps.Errors()
 	fmt.Fprintf(w, "validated %d of %d mechanism-points: worst error %.1f%%, mean %.1f%%; %d simulations for the sweep (%d saved)\n",
-		n, ps.Grid, max, mean, ps.Simulated, ps.Grid-ps.Simulated)
-	fmt.Fprintf(w, "latency tolerance (one-way cycles at +%.0f%% runtime):", 100*growth)
+		es.N, ps.Grid, es.MaxPct, es.MeanPct(), ps.Simulated, ps.Grid-ps.Simulated)
+	fmt.Fprintf(w, "latency tolerance (one-way cycles at +%.0f%% runtime):", 100*core.ToleranceGrowth)
 	for _, m := range mechs {
 		tol, ok := ps.Tolerance[m]
 		if !ok {
@@ -67,17 +59,29 @@ func PrintPredictedSweep(w io.Writer, title, xlabel string, mechs []apps.Mechani
 	fmt.Fprintln(w)
 }
 
+// predictedColumns are the columns of a predicted CSV after the X
+// column.
+var predictedColumns = []string{"mechanism", "predicted_cycles", "simulated_cycles", "error_pct", "confidence", "rho"}
+
 // WritePredictedCSV emits a predicted sweep as CSV: one row per
 // (X, mechanism) with prediction, validating simulation (empty cells
 // where pruning skipped it), error, and the model's confidence and
 // estimated bisection utilization.
 func WritePredictedCSV(w io.Writer, xlabel string, mechs []apps.Mechanism, ps *core.PredictedSweep) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		xlabel, "mechanism", "predicted_cycles", "simulated_cycles", "error_pct", "confidence", "rho",
-	}); err != nil {
+	if err := cw.Write(append([]string{xlabel}, predictedColumns...)); err != nil {
 		return err
 	}
+	if err := writePredictedRows(cw, nil, mechs, ps); err != nil {
+		return err
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
+// writePredictedRows writes ps's rows in WritePredictedCSV's layout,
+// each after the columns in prefix.
+func writePredictedRows(cw *csv.Writer, prefix []string, mechs []apps.Mechanism, ps *core.PredictedSweep) error {
 	for _, pt := range ps.Points {
 		for _, m := range mechs {
 			pred, ok := pt.Pred[m]
@@ -87,22 +91,19 @@ func WritePredictedCSV(w io.Writer, xlabel string, mechs []apps.Mechanism, ps *c
 			simCol, errCol := "", ""
 			if sim, ok := pt.Sim[m]; ok && sim.Cycles > 0 {
 				simCol = strconv.FormatInt(sim.Cycles, 10)
-				errCol = strconv.FormatFloat(
-					100*math.Abs(float64(pred.Cycles)-float64(sim.Cycles))/float64(sim.Cycles), 'f', 3, 64)
+				errCol = strconv.FormatFloat(predict.ErrorPct(float64(pred.Cycles), float64(sim.Cycles)), 'f', 3, 64)
 			}
-			row := []string{
+			row := append(append([]string(nil), prefix...),
 				strconv.FormatFloat(pt.X, 'f', 2, 64), m.String(),
 				strconv.FormatInt(pred.Cycles, 10), simCol, errCol,
 				strconv.FormatFloat(pred.Confidence, 'f', 4, 64),
-				strconv.FormatFloat(pred.Rho, 'f', 4, 64),
-			}
+				strconv.FormatFloat(pred.Rho, 'f', 4, 64))
 			if err := cw.Write(row); err != nil {
 				return err
 			}
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return nil
 }
 
 // PredictedFig4 is one application's slice of the -fig 4 -predict
@@ -132,11 +133,12 @@ var (
 // a clock sweep and a bisection sweep predicted from one instrumented
 // base run per mechanism, printed with their per-point errors and
 // latency tolerances. It returns the per-app sweeps plus the aggregate
-// error statistics over every validated mechanism-point.
-func PredFig4(w io.Writer, appsToRun []core.AppName, sc core.Scale, cfg machine.Config, opt core.PredictOptions) ([]PredictedFig4, model.ErrorStats, error) {
+// error statistics over every validated mechanism-point. prune
+// validates only the points the model distrusts.
+func PredFig4(w io.Writer, appsToRun []core.AppName, sc core.Scale, cfg machine.Config, prune bool) ([]PredictedFig4, predict.ErrorStats, error) {
 	var (
 		rows  []PredictedFig4
-		stats model.ErrorStats
+		stats predict.ErrorStats
 	)
 	fmt.Fprintln(w, "Figure 4 (predicted): dependency-graph model vs simulation, per app and mechanism")
 	for _, app := range appsToRun {
@@ -144,79 +146,41 @@ func PredFig4(w io.Writer, appsToRun []core.AppName, sc core.Scale, cfg machine.
 		for i, f := range predFig4MhzFracs {
 			mhzs[i] = cfg.ClockMHz * f
 		}
-		clock, err := core.DefaultRunner.PredictedClockSweep(app, sc, apps.Mechanisms, cfg, mhzs, opt)
+		clock, err := core.DefaultRunner.PredictedSweep(app, sc, apps.Mechanisms, core.ClockAxis(cfg, mhzs), prune)
 		if err != nil {
 			return nil, stats, err
 		}
-		bisect, err := core.DefaultRunner.PredictedBisectionSweep(app, sc, apps.Mechanisms, cfg, predFig4Rates, 64, opt)
+		bisect, err := core.DefaultRunner.PredictedSweep(app, sc, apps.Mechanisms, core.BisectionAxis(cfg, predFig4Rates), prune)
 		if err != nil {
 			return nil, stats, err
 		}
 		fmt.Fprintln(w)
 		PrintPredictedSweep(w, fmt.Sprintf("[%s] clock axis (Figure 9 grid)", app),
-			"net latency (cycles)", apps.Mechanisms, clock, growthOf(opt))
+			"net latency (cycles)", apps.Mechanisms, clock)
 		PrintPredictedSweep(w, fmt.Sprintf("[%s] bisection axis (Figure 8 grid)", app),
-			"bytes/cycle", apps.Mechanisms, bisect, growthOf(opt))
+			"bytes/cycle", apps.Mechanisms, bisect)
 		rows = append(rows, PredictedFig4{App: app, Clock: clock, Bisection: bisect})
-		for _, ps := range []*core.PredictedSweep{clock, bisect} {
-			stats.Merge(sweepErrors(ps))
-		}
+		stats.Merge(clock.Errors())
+		stats.Merge(bisect.Errors())
 	}
 	fmt.Fprintf(w, "\nmatrix total: worst error %.1f%%, mean %.1f%% over %d validated mechanism-points\n",
 		stats.MaxPct, stats.MeanPct(), stats.N)
 	return rows, stats, nil
 }
 
-// sweepErrors folds a predicted sweep's validated points into ErrorStats.
-func sweepErrors(ps *core.PredictedSweep) model.ErrorStats {
-	var s model.ErrorStats
-	for _, pt := range ps.Points {
-		for mech, sim := range pt.Sim {
-			if pred, ok := pt.Pred[mech]; ok {
-				s.Add(float64(pred.Cycles), float64(sim.Cycles))
-			}
-		}
-	}
-	return s
-}
-
 // WritePredictedFig4CSV emits the validation matrix as CSV, both axes
 // per app in one file.
 func WritePredictedFig4CSV(w io.Writer, rows []PredictedFig4) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"app", "axis", "x", "mechanism", "predicted_cycles", "simulated_cycles", "error_pct", "confidence", "rho",
-	}); err != nil {
+	if err := cw.Write(append([]string{"app", "axis", "x"}, predictedColumns...)); err != nil {
 		return err
 	}
 	for _, r := range rows {
-		for _, axis := range []struct {
-			name string
-			ps   *core.PredictedSweep
-		}{{"clock", r.Clock}, {"bisection", r.Bisection}} {
-			for _, pt := range axis.ps.Points {
-				for _, m := range apps.Mechanisms {
-					pred, ok := pt.Pred[m]
-					if !ok {
-						continue
-					}
-					simCol, errCol := "", ""
-					if sim, ok := pt.Sim[m]; ok && sim.Cycles > 0 {
-						simCol = strconv.FormatInt(sim.Cycles, 10)
-						errCol = strconv.FormatFloat(
-							100*math.Abs(float64(pred.Cycles)-float64(sim.Cycles))/float64(sim.Cycles), 'f', 3, 64)
-					}
-					if err := cw.Write([]string{
-						string(r.App), axis.name,
-						strconv.FormatFloat(pt.X, 'f', 2, 64), m.String(),
-						strconv.FormatInt(pred.Cycles, 10), simCol, errCol,
-						strconv.FormatFloat(pred.Confidence, 'f', 4, 64),
-						strconv.FormatFloat(pred.Rho, 'f', 4, 64),
-					}); err != nil {
-						return err
-					}
-				}
-			}
+		if err := writePredictedRows(cw, []string{string(r.App), "clock"}, apps.Mechanisms, r.Clock); err != nil {
+			return err
+		}
+		if err := writePredictedRows(cw, []string{string(r.App), "bisection"}, apps.Mechanisms, r.Bisection); err != nil {
+			return err
 		}
 	}
 	cw.Flush()
@@ -251,58 +215,15 @@ func WriteLatencyToleranceCSV(w io.Writer, rows []PredictedFig4) error {
 	return cw.Error()
 }
 
-// PredFig8 is the predicted form of Figure 8 for one application: one
-// instrumented run per mechanism, re-solved across the bisection grid,
-// with the same crossover verdict the simulated figure prints (computed
-// over the hybrid measured-where-validated curve).
-func PredFig8(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, rates []float64, opt core.PredictOptions) (*core.PredictedSweep, error) {
-	ps, err := core.DefaultRunner.PredictedBisectionSweep(app, sc, apps.Mechanisms, cfg, rates, 64, opt)
-	if err != nil {
-		return nil, err
-	}
-	PrintPredictedSweep(w, fmt.Sprintf("Figure 8 (%s, predicted): execution cycles vs bisection bandwidth", app),
-		"bytes/cycle", apps.Mechanisms, ps, growthOf(opt))
-	if x, ok := core.Crossover(ps.HybridPoints(), apps.SM, apps.MPPoll); ok {
-		fmt.Fprintf(w, "SM / MP-poll crossover at ~%.1f bytes/cycle\n", x)
-	} else {
-		fmt.Fprintln(w, "no SM / MP-poll crossover in range")
-	}
-	return ps, nil
-}
-
-// PredFig9 is the predicted form of Figure 9 for one application.
-func PredFig9(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, mhzs []float64, opt core.PredictOptions) (*core.PredictedSweep, error) {
-	ps, err := core.DefaultRunner.PredictedClockSweep(app, sc, apps.Mechanisms, cfg, mhzs, opt)
-	if err != nil {
-		return nil, err
-	}
-	PrintPredictedSweep(w, fmt.Sprintf("Figure 9 (%s, predicted): execution cycles vs network latency (clock scaling)", app),
-		"net latency (cycles)", apps.Mechanisms, ps, growthOf(opt))
-	return ps, nil
-}
-
-// PredFig10 is the predicted form of Figure 10 for one application
-// (message-passing curves are flat references, so their instrumented
-// base runs stand at every point).
-func PredFig10(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, lats []int64, opt core.PredictOptions) (*core.PredictedSweep, error) {
-	ps, err := core.DefaultRunner.PredictedContextSwitchSweep(app, sc, apps.Mechanisms, cfg, lats, opt)
-	if err != nil {
-		return nil, err
-	}
-	PrintPredictedSweep(w, fmt.Sprintf("Figure 10 (%s, predicted): execution cycles vs emulated uniform latency", app),
-		"one-way latency (cycles)", apps.Mechanisms, ps, growthOf(opt))
-	return ps, nil
-}
-
 // PrintGraphVsClosedForm puts the two models side by side against
 // simulation on the Figure 10 latency axis for shared memory: the
 // fitted Section 2 closed form (which names the region) and the
 // dependency-graph replay (which should win on magnitude). Returns the
 // error statistics of each.
-func PrintGraphVsClosedForm(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, lats []int64) (graphErr, closedErr model.ErrorStats, err error) {
-	opt := core.PredictOptions{} // full validation: every point simulated
-	ps, err := core.DefaultRunner.PredictedContextSwitchSweep(app, sc,
-		[]apps.Mechanism{apps.SM}, cfg, lats, opt)
+func PrintGraphVsClosedForm(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, lats []int64) (graphErr, closedErr predict.ErrorStats, err error) {
+	// Full validation: every point simulated.
+	ps, err := core.DefaultRunner.PredictedSweep(app, sc,
+		[]apps.Mechanism{apps.SM}, core.IdealLatencyAxis(cfg, lats), false)
 	if err != nil {
 		return graphErr, closedErr, err
 	}
@@ -337,9 +258,9 @@ func PrintGraphVsClosedForm(w io.Writer, app core.AppName, sc core.Scale, cfg ma
 		closedErr.Add(closed.Cycles, float64(sim.Cycles))
 		fmt.Fprintf(tw, "%d\t%d\t%d\t%.1f\t%.0f\t%.1f\t%s\n",
 			lat, sim.Cycles, graph.Cycles,
-			100*math.Abs(float64(graph.Cycles)-float64(sim.Cycles))/float64(sim.Cycles),
+			predict.ErrorPct(float64(graph.Cycles), float64(sim.Cycles)),
 			closed.Cycles,
-			100*math.Abs(closed.Cycles-float64(sim.Cycles))/float64(sim.Cycles),
+			predict.ErrorPct(closed.Cycles, float64(sim.Cycles)),
 			closed.Region)
 	}
 	tw.Flush()

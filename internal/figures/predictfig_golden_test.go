@@ -154,7 +154,7 @@ func TestWritePredictedFig4CSVGolden(t *testing.T) {
 // lines appear, and an infinite tolerance does not print as +Inf.
 func TestPrintPredictedSweep(t *testing.T) {
 	var buf bytes.Buffer
-	PrintPredictedSweep(&buf, "title", "x", []apps.Mechanism{apps.SM, apps.MPPoll}, handBuiltSweep(), 0.10)
+	PrintPredictedSweep(&buf, "title", "x", []apps.Mechanism{apps.SM, apps.MPPoll}, handBuiltSweep())
 	out := buf.String()
 	for _, want := range []string{
 		"validated 3 of 4 mechanism-points",

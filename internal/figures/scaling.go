@@ -27,12 +27,17 @@ import (
 // whose workload cannot be partitioned that finely print "-" and are
 // skipped by the crossover scan.
 func FigS1(w io.Writer, app core.AppName, sc core.Scale, base machine.Config, nodeCounts []int) (fixed, scaled []core.SweepPoint, err error) {
-	fixed, err = core.NodeScalingSweep(app, sc, apps.Mechanisms, base, nodeCounts, false)
-	if err != nil {
+	sweep := func(scaleProblem bool) ([]core.SweepPoint, error) {
+		ax, err := core.NodeScalingAxis(base, nodeCounts, scaleProblem)
+		if err != nil {
+			return nil, err
+		}
+		return core.DefaultRunner.Sweep(app, sc, apps.Mechanisms, ax)
+	}
+	if fixed, err = sweep(false); err != nil {
 		return nil, nil, err
 	}
-	scaled, err = core.NodeScalingSweep(app, sc, apps.Mechanisms, base, nodeCounts, true)
-	if err != nil {
+	if scaled, err = sweep(true); err != nil {
 		return nil, nil, err
 	}
 	fmt.Fprintf(w, "Figure S1 (%s): mechanism scaling with machine size (beyond the paper's 32 nodes)\n", app)

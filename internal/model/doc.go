@@ -36,7 +36,8 @@
 //     run actually had is what it re-solves. Use it for predicted
 //     sweeps and sweep pruning (paperbench -predict).
 //
-// Both validate against the same simulations through ErrorStats, and
+// Both validate against the same simulations through
+// predict.ErrorStats, and
 // the figures layer prints them side by side (-model -predict): the
 // graph model should beat the closed form everywhere it has coverage,
 // and the closed form should still name the region correctly when it

@@ -25,8 +25,10 @@
 // DAG never saw — fed in via Point.ExtraRho) compound queueing the
 // solve cannot see. Solve therefore reports a confidence — edge
 // coverage discounted by estimated cut utilization — and the pruned
-// sweep mode (core.PredictedSweep with Prune) simulates exactly the
-// points the model distrusts plus those near mechanism crossovers.
+// sweep mode (core.Runner.PredictedSweep with prune) simulates exactly
+// the points the model distrusts plus those near mechanism crossovers.
+// ErrorStats is the predicted-vs-measured accumulation both this model
+// and the closed-form internal/model are validated with.
 //
 // This package is host-side post-run analysis, deliberately outside
 // simlint's sim scopes: it never runs in simulated time.

@@ -1,11 +1,20 @@
-package model
+package predict
 
 import "math"
 
+// ErrorPct is the absolute relative error of a prediction against its
+// measurement, in percent: the one definition behind every error cell,
+// worst-error figure and mean the figures print.
+func ErrorPct(predicted, measured float64) float64 {
+	return 100 * math.Abs(predicted-measured) / measured
+}
+
 // ErrorStats accumulates predicted-vs-measured relative errors — the
-// shared currency of model validation, used both for the closed-form
-// model here and for the dependency-graph model (internal/predict) the
-// figures layer compares it against.
+// shared currency of model validation, used both for this package's
+// dependency-graph model and for the closed-form model (internal/model)
+// the figures layer compares it against. The mean is a float sum, so
+// callers add pairs in a fixed order (mechanism order, not map order)
+// to keep it bit-reproducible.
 type ErrorStats struct {
 	// N counts the (predicted, measured) pairs accumulated.
 	N int
@@ -21,7 +30,7 @@ func (s *ErrorStats) Add(predicted, measured float64) {
 	if measured <= 0 {
 		return
 	}
-	e := 100 * math.Abs(predicted-measured) / measured
+	e := ErrorPct(predicted, measured)
 	if e > s.MaxPct {
 		s.MaxPct = e
 	}

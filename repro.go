@@ -131,15 +131,15 @@ func Parallelism() int { return core.DefaultRunner.Workers() }
 
 // DefaultCrossRates is the cross-traffic schedule of the Figure 8
 // bisection sweep (bytes per processor cycle consumed by I/O traffic).
-var DefaultCrossRates = []float64{0, 4, 8, 12, 14, 16}
+var DefaultCrossRates = core.DefaultCrossRates
 
 // DefaultClockMHzs is the Figure 9 clock schedule (the paper's hardware
 // range, 20 down to 14 MHz).
-var DefaultClockMHzs = []float64{20, 18, 16, 14}
+var DefaultClockMHzs = core.DefaultClockMHzs
 
 // DefaultIdealLatencies is the Figure 10 context-switch emulation
 // schedule, in one-way processor cycles.
-var DefaultIdealLatencies = []int64{15, 25, 50, 100, 200}
+var DefaultIdealLatencies = core.DefaultIdealLatencies
 
 // BisectionSweep reproduces the Figure 8 methodology for one app at
 // ScaleSweep: I/O cross-traffic reduces the effective bisection. Nil
@@ -151,7 +151,7 @@ func BisectionSweep(app App, mechs []Mechanism, rates []float64) ([]SweepPoint, 
 	if rates == nil {
 		rates = DefaultCrossRates
 	}
-	return core.BisectionSweep(app, core.ScaleSweep, mechs, DefaultMachine(), rates, 64)
+	return core.DefaultRunner.Sweep(app, core.ScaleSweep, mechs, core.BisectionAxis(DefaultMachine(), rates))
 }
 
 // ClockSweep reproduces the Figure 9 methodology: vary the processor
@@ -163,7 +163,7 @@ func ClockSweep(app App, mechs []Mechanism, mhzs []float64) ([]SweepPoint, error
 	if mhzs == nil {
 		mhzs = DefaultClockMHzs
 	}
-	return core.ClockSweep(app, core.ScaleSweep, mechs, DefaultMachine(), mhzs)
+	return core.DefaultRunner.Sweep(app, core.ScaleSweep, mechs, core.ClockAxis(DefaultMachine(), mhzs))
 }
 
 // LatencySweep reproduces the Figure 10 methodology: a uniform-latency,
@@ -176,7 +176,7 @@ func LatencySweep(app App, mechs []Mechanism, oneWayCycles []int64) ([]SweepPoin
 	if oneWayCycles == nil {
 		oneWayCycles = DefaultIdealLatencies
 	}
-	return core.ContextSwitchSweep(app, core.ScaleSweep, mechs, DefaultMachine(), oneWayCycles)
+	return core.DefaultRunner.Sweep(app, core.ScaleSweep, mechs, core.IdealLatencyAxis(DefaultMachine(), oneWayCycles))
 }
 
 // DefaultScalingNodes is the Figure S1 node-count schedule (32 to 512).
@@ -196,7 +196,11 @@ func ScalingSweep(app App, mechs []Mechanism, nodeCounts []int, scaleProblem boo
 	if nodeCounts == nil {
 		nodeCounts = DefaultScalingNodes
 	}
-	return core.NodeScalingSweep(app, core.ScaleSweep, mechs, DefaultMachine(), nodeCounts, scaleProblem)
+	ax, err := core.NodeScalingAxis(DefaultMachine(), nodeCounts, scaleProblem)
+	if err != nil {
+		return nil, err
+	}
+	return core.DefaultRunner.Sweep(app, core.ScaleSweep, mechs, ax)
 }
 
 // OpenResultCache opens (creating if needed) an on-disk run-result cache
