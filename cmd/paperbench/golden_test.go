@@ -59,6 +59,9 @@ var goldenRuns = []struct {
 	{"all_tiny_predict", []string{"-all", "-scale", "tiny", "-predict", "-csv", "OUT"}, figureArtifacts},
 	// The simulate-on-demand validation set of a pruned sweep.
 	{"fig10_prune_em3d", []string{"-fig", "10", "-scale", "tiny", "-app", "em3d", "-predict", "-prune", "-csv", "OUT"}, figureArtifacts},
+	// Noise and delay runs pass through every app's compute and
+	// message phases.
+	{"s2_tiny", []string{"-fig", "S2", "-scale", "tiny", "-noiseseeds", "4", "-csv", "OUT"}, figureArtifacts},
 	// Fills all three observation rings: protocol events, thread spans
 	// and causal edges.
 	{"fig4_timeline", []string{"-fig", "4", "-scale", "tiny", "-timeline", "OUT", "-dumptrace", "16", "-critpath"}, timelineArtifacts},
