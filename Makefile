@@ -1,5 +1,5 @@
 # Tier-1 verification plus the race-certified concurrency surface.
-# `make check` is the gate every PR must pass; it also runs the tests of
+# `make check` is the gate every PR must pass; it also checks gofmt, runs the tests of
 # the separate cmd/bench module (workload digests, metric plumbing) and
 # every Go benchmark of the root, internal/core and internal/sim once
 # (benchsmoke), so a benchmark that fails at run time fails the gate.
@@ -9,11 +9,17 @@
 
 GO ?= go
 
-.PHONY: check build test race bench benchsmoke fuzz lint profile
+.PHONY: check fmt build test race bench benchsmoke fuzz lint profile
 
-check: build race test lint benchsmoke
+check: fmt build race test lint benchsmoke
 	$(GO) vet ./...
 	$(GO) -C cmd/bench test .
+
+# Formatting gate: gofmt -l must list no .go file. The lint fixtures
+# under testdata/ are exempt: they carry hand-aligned //want comments.
+fmt:
+	@out=$$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' -exec gofmt -l {} +); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

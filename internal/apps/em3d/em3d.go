@@ -38,21 +38,10 @@ type App struct {
 	// locations for shared memory; local ghosts for message passing).
 	resolved [2][][]mem.Addr
 
-	// Message-passing state.
-	sendList [2][][]sendPair // [phase][src] -> destinations
-	expected [2][]int        // messages expected per consumer per phase
-	recv     [2][]int
-	ghostH   am.HandlerID
+	// ghosts[ph] ships each phase's consumed values (message passing).
+	ghosts [2]*apps.Ghosts
 
-	smBar  *psync.SMBarrier
-	msgBar *psync.MsgBarrier
-}
-
-// sendPair is one (src -> dst) ghost shipment for a phase.
-type sendPair struct {
-	dst   int
-	nodes []int32  // producer-side node ids, in slot order
-	base  mem.Addr // ghost block base at dst
+	bar psync.Barrier
 }
 
 // New generates the workload (deterministic in p.Seed).
@@ -109,11 +98,10 @@ func (a *App) Setup(m *machine.Machine, mech apps.Mechanism) {
 
 	if mech.UsesMessages() {
 		a.setupGhosts()
-		a.msgBar = psync.NewMsgBarrier(m)
 	} else {
 		a.resolveDirect()
-		a.smBar = psync.NewSMBarrier(m)
 	}
+	a.bar = apps.NewBarrier(m, mech)
 }
 
 // resolveDirect points every edge read at the real remote location.
@@ -153,53 +141,39 @@ func (a *App) coef(ph int) [][]float64 {
 // consumer's edges need, into a contiguous ghost block at the consumer.
 func (a *App) setupGhosts() {
 	procs := a.par.Procs
+	// One handler serves both phases: args = [ghost base addr, phase].
+	ghostH := a.m.AM.Register(func(c *am.Ctx, args []int64, vals []float64) {
+		base := mem.Addr(args[0])
+		for k, v := range vals {
+			a.m.Store.Poke(base+mem.Addr(k), v)
+		}
+		a.ghosts[args[1]].Arrived(c.Node)
+	})
 	for ph := 0; ph < 2; ph++ {
 		adj := a.adj(ph)
 		srcSide := 1 - ph
-		need := make([]map[int32]bool, procs) // per producer: nodes needed by current consumer
-		a.sendList[ph] = make([][]sendPair, procs)
-		a.expected[ph] = make([]int, procs)
-		a.recv[ph] = make([]int, procs)
-		ghostAddr := make([]map[int32]mem.Addr, procs) // per consumer
-		for c := 0; c < procs; c++ {
-			ghostAddr[c] = make(map[int32]mem.Addr)
-			for s := range need {
-				need[s] = nil
-			}
+		need := make([][]int32, procs) // remote values each consumer reads
+		for c := range need {
 			lo, hi := apps.BlockRange(a.par.Nodes, procs, c)
-			for i := lo; i < hi; i++ {
-				for _, j := range adj[i] {
-					owner := int(a.g.Owner[j])
-					if owner == c {
-						continue
+			for _, nbrs := range adj[lo:hi] {
+				for _, j := range nbrs {
+					if int(a.g.Owner[j]) != c {
+						need[c] = append(need[c], j)
 					}
-					if need[owner] == nil {
-						need[owner] = make(map[int32]bool)
-					}
-					need[owner][j] = true
-				}
-			}
-			for s := 0; s < procs; s++ {
-				if len(need[s]) == 0 {
-					continue
-				}
-				nodes := make([]int32, 0, len(need[s]))
-				for j := range need[s] {
-					nodes = append(nodes, j)
-				}
-				sortInt32(nodes)
-				base := a.m.Alloc(c, len(nodes))
-				for k, j := range nodes {
-					ghostAddr[c][j] = base + mem.Addr(k)
-				}
-				a.sendList[ph][s] = append(a.sendList[ph][s], sendPair{dst: c, nodes: nodes, base: base})
-				if a.mech == apps.Bulk {
-					a.expected[ph][c]++
-				} else {
-					a.expected[ph][c] += (len(nodes) + ghostBlock - 1) / ghostBlock
 				}
 			}
 		}
+		ghostAddr := make([]map[int32]mem.Addr, procs) // per consumer
+		a.ghosts[ph] = apps.NewGhosts(need, a.g.Owner, ghostBlock, a.mech, ghostH, func(s apps.Shipment) mem.Addr {
+			base := a.m.Alloc(s.To, len(s.Items))
+			if ghostAddr[s.To] == nil {
+				ghostAddr[s.To] = make(map[int32]mem.Addr)
+			}
+			for k, j := range s.Items {
+				ghostAddr[s.To][j] = base + mem.Addr(k)
+			}
+			return base
+		})
 		// Resolve edge reads to local values or ghosts.
 		a.resolved[ph] = make([][]mem.Addr, len(adj))
 		for i, nbrs := range adj {
@@ -215,23 +189,6 @@ func (a *App) setupGhosts() {
 			a.resolved[ph][i] = row
 		}
 	}
-	// One handler serves both phases: args = [ghost base addr, phase].
-	a.ghostH = a.m.AM.Register(func(c *am.Ctx, args []int64, vals []float64) {
-		base := mem.Addr(args[0])
-		ph := int(args[1])
-		for k, v := range vals {
-			a.m.Store.Poke(base+mem.Addr(k), v)
-		}
-		a.recv[ph][c.Node]++
-	})
-}
-
-func sortInt32(s []int32) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Body implements apps.App.
@@ -245,57 +202,22 @@ func (a *App) Body(p *machine.Proc) {
 				a.commStep(p, ph)
 			}
 			a.computePhase(p, ph)
-			a.barrier(p)
+			a.bar.Wait(p)
 		}
 	}
 }
 
-func (a *App) barrier(p *machine.Proc) {
-	if a.msgBar != nil {
-		a.msgBar.Wait(p)
-	} else {
-		a.smBar.Wait(p)
-	}
-}
-
-// commStep pushes this processor's produced values to its consumers and
-// waits for its own ghosts to arrive.
+// commStep pushes this processor's produced values to its consumers,
+// ghostBlock values per fine-grained message, and waits for its own
+// ghosts to arrive.
 func (a *App) commStep(p *machine.Proc, ph int) {
 	srcSide := 1 - ph
-	sends := 0
-	for _, sp := range a.sendList[ph][p.ID] {
-		if a.mech == apps.Bulk {
-			// Gather all values into a contiguous buffer, one DMA shot.
-			buf := make([]float64, len(sp.nodes))
-			for k, j := range sp.nodes {
-				buf[k] = p.Peek(a.valAddr[srcSide][j])
-			}
-			p.ChargeGather(len(buf))
-			p.SendBulk(sp.dst, a.ghostH, []int64{int64(sp.base), int64(ph)}, buf)
-			continue
+	a.ghosts[ph].Exchange(p, func(args []int64, vals []float64, s *apps.Shipment, off int, nodes []int32) ([]int64, []float64) {
+		for _, j := range nodes {
+			vals = append(vals, p.Peek(a.valAddr[srcSide][j]))
 		}
-		// Fine-grained: five double-words at a time; the send itself
-		// gathers via indirect references into the network queue.
-		for off := 0; off < len(sp.nodes); off += ghostBlock {
-			end := off + ghostBlock
-			if end > len(sp.nodes) {
-				end = len(sp.nodes)
-			}
-			vals := make([]float64, end-off)
-			for k := off; k < end; k++ {
-				vals[k-off] = p.Peek(a.valAddr[srcSide][sp.nodes[k]])
-			}
-			p.Send(sp.dst, a.ghostH, []int64{int64(sp.base) + int64(off), int64(ph)}, vals)
-			sends++
-			if a.mech == apps.MPPoll && sends%4 == 0 {
-				p.Poll()
-			}
-		}
-	}
-	for a.recv[ph][p.ID] < a.expected[ph][p.ID] {
-		p.WaitAndHandle()
-	}
-	a.recv[ph][p.ID] = 0
+		return append(args, int64(s.Base)+int64(off), int64(ph)), vals
+	})
 }
 
 // computePhase updates this processor's nodes of the phase's side.

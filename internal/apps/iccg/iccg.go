@@ -40,8 +40,7 @@ type App struct {
 	edgeH       am.HandlerID
 	bulkH       am.HandlerID
 
-	smBar  *psync.SMBarrier
-	msgBar *psync.MsgBarrier
+	bar psync.Barrier
 }
 
 // New generates the system.
@@ -51,9 +50,6 @@ func New(p workload.ICCGParams) *App {
 
 // Name implements apps.App.
 func (a *App) Name() string { return "iccg" }
-
-// System exposes the generated workload.
-func (a *App) System() *workload.ICCGSystem { return a.sys }
 
 // Setup implements apps.App.
 func (a *App) Setup(m *machine.Machine, mech apps.Mechanism) {
@@ -87,10 +83,8 @@ func (a *App) Setup(m *machine.Machine, mech apps.Mechanism) {
 		}
 		a.edgeH = m.AM.Register(a.handleEdge)
 		a.bulkH = m.AM.Register(a.handleBulk)
-		a.msgBar = psync.NewMsgBarrier(m)
-	} else {
-		a.smBar = psync.NewSMBarrier(m)
 	}
+	a.bar = apps.NewBarrier(m, mech)
 }
 
 // succWeight returns L[succ][row]: the weight of DAG edge row -> succ.
@@ -172,7 +166,7 @@ func (a *App) bodyMP(p *machine.Proc) {
 	if a.mech == apps.Bulk {
 		a.flushBulks(p, bulks, 0)
 	}
-	a.msgBar.Wait(p)
+	a.bar.Wait(p)
 }
 
 // processRowMP finalizes row (divide) and propagates its value along
@@ -270,7 +264,7 @@ func (a *App) bodySM(p *machine.Proc) {
 			backoff = 20
 		}
 	}
-	a.smBar.Wait(p)
+	a.bar.Wait(p)
 }
 
 // processRowSM finalizes a completed row and propagates its value along

@@ -7,6 +7,8 @@
 // lock whose acquisition rides the write-ownership request ("the locks
 // performed much better here, because of lower contention") — through
 // handler-serialized messages in the fine-grained versions, and through
-// per-destination aggregates for bulk transfer. Computation dominates, as
-// in the paper.
+// per-destination aggregates for bulk transfer; position ghosts (two
+// molecules per fine-grained message) and force flushes go through the
+// shared apps.Ghosts and apps.Flush transport, replanned at every
+// interaction-list rebuild. Computation dominates, as in the paper.
 package moldyn

@@ -52,24 +52,18 @@ type App struct {
 	// 0 between barriers; identical and deterministic for all).
 	pairs   [][2]int32
 	myPairs [][]int32
-	sendPos [][]sendPair // per src
-	expPos  []int
-	recvPos []int
-	expAcc  []int
-	recvAcc []int
 	touched [][]int32
+	// Message passing: position ghosts and force-delta flushes, both
+	// planned from touched (a processor reads the position of exactly
+	// the molecules it accumulates forces into).
+	pos *apps.Ghosts
+	acc *apps.Flush
 
 	posH  am.HandlerID
 	accH  am.HandlerID
 	bulkH am.HandlerID
 
-	smBar  *psync.SMBarrier
-	msgBar *psync.MsgBarrier
-}
-
-type sendPair struct {
-	dst  int
-	mols []int32
+	bar psync.Barrier
 }
 
 // New generates the box.
@@ -79,9 +73,6 @@ func New(p workload.MoldynParams) *App {
 
 // Name implements apps.App.
 func (a *App) Name() string { return "moldyn" }
-
-// Box exposes the generated workload.
-func (a *App) Box() *workload.MoldynBox { return a.box }
 
 // Setup implements apps.App.
 func (a *App) Setup(m *machine.Machine, mech apps.Mechanism) {
@@ -118,12 +109,7 @@ func (a *App) Setup(m *machine.Machine, mech apps.Mechanism) {
 				}
 			}
 		}
-		a.expPos = make([]int, procs)
-		a.recvPos = make([]int, procs)
-		a.expAcc = make([]int, procs)
-		a.recvAcc = make([]int, procs)
 		a.registerHandlers()
-		a.msgBar = psync.NewMsgBarrier(m)
 	} else {
 		for pr := 0; pr < procs; pr++ {
 			a.posRead[pr] = a.posAddr
@@ -132,8 +118,8 @@ func (a *App) Setup(m *machine.Machine, mech apps.Mechanism) {
 		for i := 0; i < n; i++ {
 			a.deltaBase[i] = m.Alloc(a.box.Part[i], 4*procs)
 		}
-		a.smBar = psync.NewSMBarrier(m)
 	}
+	a.bar = apps.NewBarrier(m, mech)
 	a.rebuild() // initial interaction list
 }
 
@@ -145,18 +131,18 @@ func (a *App) registerHandlers() {
 				a.m.Store.Poke(base+mem.Addr(j), vals[3*k+j])
 			}
 		}
-		a.recvPos[c.Node]++
+		a.pos.Arrived(c.Node)
 	})
 	a.accH = a.m.AM.Register(func(c *am.Ctx, args []int64, vals []float64) {
 		a.applyDelta(int32(args[0]), vals)
-		a.recvAcc[c.Node]++
+		a.acc.Arrived(c.Node)
 	})
 	a.bulkH = a.m.AM.Register(func(c *am.Ctx, args []int64, vals []float64) {
 		c.Overhead(am.GatherScatterCycles(len(vals)))
 		for k, mol := range args {
 			a.applyDelta(int32(mol), vals[3*k:3*k+3])
 		}
-		a.recvAcc[c.Node]++
+		a.acc.Arrived(c.Node)
 	})
 }
 
@@ -183,10 +169,8 @@ func (a *App) rebuild() {
 	a.pairs = workload.BuildPairs(pos, a.par.Box, a.par.Cutoff)
 	a.myPairs = make([][]int32, procs)
 	touchSet := make([]map[int32]bool, procs)
-	needPos := make([]map[int32]bool, procs)
 	for pr := range touchSet {
 		touchSet[pr] = make(map[int32]bool)
-		needPos[pr] = make(map[int32]bool)
 	}
 	counts := make([]int, procs)
 	for e, pr := range a.pairs {
@@ -201,11 +185,6 @@ func (a *App) rebuild() {
 		a.myPairs[owner] = append(a.myPairs[owner], int32(e))
 		touchSet[owner][pr[0]] = true
 		touchSet[owner][pr[1]] = true
-		for _, mol := range pr {
-			if a.box.Part[mol] != owner {
-				needPos[owner][mol] = true
-			}
-		}
 	}
 	a.touched = make([][]int32, procs)
 	for pr, set := range touchSet {
@@ -227,53 +206,8 @@ func (a *App) rebuild() {
 		}
 		return
 	}
-	a.sendPos = make([][]sendPair, procs)
-	for pr := range a.expPos {
-		a.expPos[pr] = 0
-		a.expAcc[pr] = 0
-	}
-	for c := 0; c < procs; c++ {
-		// Group in sorted-molecule order so every per-source ghost list
-		// comes out ascending regardless of map iteration order.
-		needed := make([]int32, 0, len(needPos[c]))
-		for mol := range needPos[c] {
-			needed = append(needed, mol)
-		}
-		sortI32(needed)
-		bySrc := make(map[int][]int32)
-		for _, mol := range needed {
-			bySrc[a.box.Part[mol]] = append(bySrc[a.box.Part[mol]], mol)
-		}
-		srcs := make([]int, 0, len(bySrc))
-		for s := range bySrc {
-			srcs = append(srcs, s)
-		}
-		sort.Ints(srcs)
-		for _, s := range srcs {
-			mols := bySrc[s]
-			a.sendPos[s] = append(a.sendPos[s], sendPair{dst: c, mols: mols})
-			if a.mech == apps.Bulk {
-				a.expPos[c]++
-			} else {
-				a.expPos[c] += (len(mols) + posGhostPerMsg - 1) / posGhostPerMsg
-			}
-		}
-	}
-	for pr := 0; pr < procs; pr++ {
-		byDst := make(map[int]int)
-		for _, mol := range a.touched[pr] {
-			if d := a.box.Part[mol]; d != pr {
-				byDst[d]++
-			}
-		}
-		for d, cnt := range byDst {
-			if a.mech == apps.Bulk {
-				a.expAcc[d]++
-			} else {
-				a.expAcc[d] += cnt
-			}
-		}
-	}
+	a.pos = apps.NewGhosts(a.touched, a.box.Part, posGhostPerMsg, a.mech, a.posH, nil)
+	a.acc = apps.NewFlush(a.touched, a.box.Part, a.mech, a.accH, a.bulkH)
 }
 
 func sortI32(s []int32) {
@@ -294,7 +228,7 @@ func (a *App) Body(p *machine.Proc) {
 			if p.ID == 0 {
 				a.rebuild()
 			}
-			a.barrier(p)
+			a.bar.Wait(p)
 			p.Compute(rebuildCyclesPerPair * int64(len(a.myPairs[p.ID])))
 		}
 		if a.mech.UsesMessages() {
@@ -302,60 +236,25 @@ func (a *App) Body(p *machine.Proc) {
 		}
 		a.forcePhase(p, priv)
 		a.flushPhase(p, priv)
-		a.barrier(p)
+		a.bar.Wait(p)
 		a.updatePhase(p, priv)
-		a.barrier(p)
+		a.bar.Wait(p)
 	}
 }
 
-func (a *App) barrier(p *machine.Proc) {
-	if a.msgBar != nil {
-		a.msgBar.Wait(p)
-	} else {
-		a.smBar.Wait(p)
-	}
-}
-
+// shipPositions pushes owned positions to the processors that read
+// them, posGhostPerMsg molecules per fine-grained message, and waits for
+// this processor's own ghosts.
 func (a *App) shipPositions(p *machine.Proc) {
-	sends := 0
-	for _, sp := range a.sendPos[p.ID] {
-		if a.mech == apps.Bulk {
-			args := make([]int64, len(sp.mols))
-			vals := make([]float64, 0, 3*len(sp.mols))
-			for k, mol := range sp.mols {
-				args[k] = int64(mol)
-				for j := 0; j < 3; j++ {
-					vals = append(vals, p.Peek(a.posAddr[mol]+mem.Addr(j)))
-				}
-			}
-			p.ChargeGather(len(vals))
-			p.SendBulk(sp.dst, a.posH, args, vals)
-			continue
-		}
-		for off := 0; off < len(sp.mols); off += posGhostPerMsg {
-			end := off + posGhostPerMsg
-			if end > len(sp.mols) {
-				end = len(sp.mols)
-			}
-			args := make([]int64, 0, end-off)
-			vals := make([]float64, 0, 3*(end-off))
-			for _, mol := range sp.mols[off:end] {
-				args = append(args, int64(mol))
-				for j := 0; j < 3; j++ {
-					vals = append(vals, p.Peek(a.posAddr[mol]+mem.Addr(j)))
-				}
-			}
-			p.Send(sp.dst, a.posH, args, vals)
-			sends++
-			if a.mech == apps.MPPoll && sends%4 == 0 {
-				p.Poll()
+	a.pos.Exchange(p, func(args []int64, vals []float64, _ *apps.Shipment, _ int, mols []int32) ([]int64, []float64) {
+		for _, mol := range mols {
+			args = append(args, int64(mol))
+			for j := 0; j < 3; j++ {
+				vals = append(vals, p.Peek(a.posAddr[mol]+mem.Addr(j)))
 			}
 		}
-	}
-	for a.recvPos[p.ID] < a.expPos[p.ID] {
-		p.WaitAndHandle()
-	}
-	a.recvPos[p.ID] = 0
+		return args, vals
+	})
 }
 
 func (a *App) readPos(p *machine.Proc, mol int32) workload.Point3 {
@@ -392,9 +291,7 @@ func (a *App) forcePhase(p *machine.Proc, priv map[int32]*[3]float64) {
 		aj[0] -= f.X
 		aj[1] -= f.Y
 		aj[2] -= f.Z
-		if a.mech == apps.MPPoll && idx%8 == 7 {
-			p.Poll()
-		}
+		a.mech.ComputePoll(p, idx)
 	}
 }
 
@@ -411,52 +308,13 @@ func (a *App) flushPhase(p *machine.Proc, priv map[int32]*[3]float64) {
 	pf := a.mech.UsesPrefetch()
 	mols := a.touched[p.ID]
 	if a.mech.UsesMessages() {
-		type bulkBuf struct {
-			args []int64
-			vals []float64
-		}
-		bulks := make(map[int]*bulkBuf)
-		sends := 0
-		for _, mol := range mols {
+		// The owner's own contributions are consumed from priv at update.
+		a.acc.Flush(p, nil, func(args []int64, vals []float64, mol int32) ([]int64, []float64) {
 			acc := priv[mol]
-			if acc == nil {
-				continue
-			}
-			owner := a.box.Part[mol]
-			if owner == p.ID {
-				continue // consumed from priv at update
-			}
-			if a.mech == apps.Bulk {
-				b := bulks[owner]
-				if b == nil {
-					b = &bulkBuf{}
-					bulks[owner] = b
-				}
-				b.args = append(b.args, int64(mol))
-				b.vals = append(b.vals, acc[0], acc[1], acc[2])
-			} else {
-				p.Send(owner, a.accH, []int64{int64(mol)}, acc[:])
-				sends++
-				if a.mech == apps.MPPoll && sends%4 == 0 {
-					p.Poll()
-				}
-			}
+			args, vals = append(args, int64(mol)), append(vals, acc[:]...)
 			*acc = [3]float64{}
-		}
-		dsts := make([]int, 0, len(bulks))
-		for d := range bulks {
-			dsts = append(dsts, d)
-		}
-		sort.Ints(dsts)
-		for _, d := range dsts {
-			b := bulks[d]
-			p.ChargeGather(len(b.vals))
-			p.SendBulk(d, a.bulkH, b.args, b.vals)
-		}
-		for a.recvAcc[p.ID] < a.expAcc[p.ID] {
-			p.WaitAndHandle()
-		}
-		a.recvAcc[p.ID] = 0
+			return args, vals
+		})
 		return
 	}
 	for idx, mol := range mols {

@@ -4,4 +4,7 @@
 // The shared-memory flushes are protected by per-node spin locks (the
 // locking overhead the paper calls out); the message-passing flushes need
 // no locks because non-interruptible handlers provide mutual exclusion.
+// The message-passing versions ship node-state ghosts (two nodes per
+// fine-grained message) and flush through the shared apps.Ghosts and
+// apps.Flush transport.
 package unstruc

@@ -37,24 +37,11 @@ type App struct {
 	touched   [][]int32    // nodes each proc accumulates into
 	stateRead [][]mem.Addr // resolved state base per node per proc (MP ghosts)
 
-	// MP machinery.
-	sendState []([]sendPair) // per src: state ghosts to push
-	expState  []int
-	recvState []int
-	expAccum  []int
-	recvAccum []int
-	stateH    am.HandlerID
-	accumH    am.HandlerID
-	bulkAccH  am.HandlerID
+	// MP machinery: node-state ghosts and accumulator flushes.
+	state *apps.Ghosts
+	flush *apps.Flush
 
-	smBar  *psync.SMBarrier
-	msgBar *psync.MsgBarrier
-}
-
-type sendPair struct {
-	dst   int
-	nodes []int32
-	base  mem.Addr
+	bar psync.Barrier
 }
 
 // New generates the mesh.
@@ -130,113 +117,46 @@ func (a *App) Setup(m *machine.Machine, mech apps.Mechanism) {
 
 	if mech.UsesMessages() {
 		a.setupMP()
-		a.msgBar = psync.NewMsgBarrier(m)
 	} else {
 		a.stateRead = make([][]mem.Addr, procs)
 		for pr := 0; pr < procs; pr++ {
 			a.stateRead[pr] = a.stateAddr // direct remote reads
 		}
-		a.smBar = psync.NewSMBarrier(m)
 	}
+	a.bar = apps.NewBarrier(m, mech)
 }
 
-// setupMP builds ghost shipping for node state and counts expected
-// accumulate messages.
+// setupMP plans ghost shipping for node state and the accumulator
+// flushes. A processor reads the state of exactly the nodes it
+// accumulates into, so both are planned from the touched lists.
 func (a *App) setupMP() {
 	procs := a.par.Procs
-	a.sendState = make([][]sendPair, procs)
-	a.expState = make([]int, procs)
-	a.recvState = make([]int, procs)
-	a.expAccum = make([]int, procs)
-	a.recvAccum = make([]int, procs)
 	a.stateRead = make([][]mem.Addr, procs)
-
-	// Which remote node states does each proc need? (endpoints of its
-	// edges not owned by it.)
-	need := make([]map[int32]bool, procs)
-	for pr := range need {
-		need[pr] = make(map[int32]bool)
-		for _, e := range a.myEdges[pr] {
-			ed := a.mesh.Edges[e]
-			for _, v := range []int32{ed[0], ed[1]} {
-				if a.mesh.Part[v] != pr {
-					need[pr][v] = true
-				}
-			}
-		}
-		for _, f := range a.myFaces[pr] {
-			for _, v := range a.mesh.Faces[f] {
-				if a.mesh.Part[v] != pr {
-					need[pr][v] = true
-				}
-			}
-		}
-	}
-	for c := 0; c < procs; c++ {
+	for c := range a.stateRead {
 		a.stateRead[c] = append([]mem.Addr(nil), a.stateAddr...)
-		// Group in sorted-node order so every per-source ghost list comes
-		// out ascending regardless of map iteration order.
-		needed := make([]int32, 0, len(need[c]))
-		for v := range need[c] {
-			needed = append(needed, v)
-		}
-		sort.Slice(needed, func(x, y int) bool { return needed[x] < needed[y] })
-		bySrc := make(map[int][]int32)
-		for _, v := range needed {
-			bySrc[a.mesh.Part[v]] = append(bySrc[a.mesh.Part[v]], v)
-		}
-		srcs := make([]int, 0, len(bySrc))
-		for s := range bySrc {
-			srcs = append(srcs, s)
-		}
-		sort.Ints(srcs)
-		for _, s := range srcs {
-			nodes := bySrc[s]
-			base := a.m.Alloc(c, 3*len(nodes)+1)
-			for k, v := range nodes {
-				a.stateRead[c][v] = base + mem.Addr(3*k)
-			}
-			a.sendState[s] = append(a.sendState[s], sendPair{dst: c, nodes: nodes, base: base})
-			if a.mech == apps.Bulk {
-				a.expState[c]++
-			} else {
-				a.expState[c] += (len(nodes) + stateGhostPerMsg - 1) / stateGhostPerMsg
-			}
-		}
 	}
-	// Expected accumulate messages at each owner: one per (proc, node)
-	// pair for fine-grained, one per (proc with any) for bulk.
-	for pr := 0; pr < procs; pr++ {
-		byDst := make(map[int]int)
-		for _, v := range a.touched[pr] {
-			if d := a.mesh.Part[v]; d != pr {
-				byDst[d]++
-			}
-		}
-		for d, cnt := range byDst {
-			if a.mech == apps.Bulk {
-				a.expAccum[d]++
-			} else {
-				a.expAccum[d] += cnt
-			}
-		}
-	}
-
-	a.stateH = a.m.AM.Register(func(c *am.Ctx, args []int64, vals []float64) {
+	stateH := a.m.AM.Register(func(c *am.Ctx, args []int64, vals []float64) {
 		base := mem.Addr(args[0])
 		for k, v := range vals {
 			a.m.Store.Poke(base+mem.Addr(k), v)
 		}
-		a.recvState[c.Node]++
+		a.state.Arrived(c.Node)
 	})
-	a.accumH = a.m.AM.Register(func(c *am.Ctx, args []int64, vals []float64) {
+	a.state = apps.NewGhosts(a.touched, a.mesh.Part, stateGhostPerMsg, a.mech, stateH, func(s apps.Shipment) mem.Addr {
+		base := a.m.Alloc(s.To, 3*len(s.Items)+1)
+		for k, v := range s.Items {
+			a.stateRead[s.To][v] = base + mem.Addr(3*k)
+		}
+		return base
+	})
+	accumH := a.m.AM.Register(func(c *am.Ctx, args []int64, vals []float64) {
 		base := mem.Addr(args[0])
 		for k := 0; k < 3; k++ {
 			a.m.Store.Poke(base+mem.Addr(1+k), a.m.Store.Peek(base+mem.Addr(1+k))+vals[k])
 		}
-		a.recvAccum[c.Node]++
+		a.flush.Arrived(c.Node)
 	})
-	a.bulkAccH = a.m.AM.Register(func(c *am.Ctx, args []int64, vals []float64) {
+	bulkAccH := a.m.AM.Register(func(c *am.Ctx, args []int64, vals []float64) {
 		// args[k] is the accum base of the k-th node; vals in triples.
 		c.Overhead(am.GatherScatterCycles(len(vals)))
 		for k, arg := range args {
@@ -245,8 +165,9 @@ func (a *App) setupMP() {
 				a.m.Store.Poke(base+mem.Addr(1+j), a.m.Store.Peek(base+mem.Addr(1+j))+vals[3*k+j])
 			}
 		}
-		a.recvAccum[c.Node]++
+		a.flush.Arrived(c.Node)
 	})
+	a.flush = apps.NewFlush(a.touched, a.mesh.Part, a.mech, accumH, bulkAccH)
 }
 
 // Body implements apps.App.
@@ -261,57 +182,23 @@ func (a *App) Body(p *machine.Proc) {
 		}
 		a.edgePhase(p, priv)
 		a.flushPhase(p, priv)
-		a.barrier(p)
+		a.bar.Wait(p)
 		a.updatePhase(p)
-		a.barrier(p)
+		a.bar.Wait(p)
 	}
 }
 
-func (a *App) barrier(p *machine.Proc) {
-	if a.msgBar != nil {
-		a.msgBar.Wait(p)
-	} else {
-		a.smBar.Wait(p)
-	}
-}
-
-// shipState pushes node states to consumers and waits for own ghosts.
+// shipState pushes node states to consumers, stateGhostPerMsg nodes per
+// fine-grained message, and waits for own ghosts.
 func (a *App) shipState(p *machine.Proc) {
-	sends := 0
-	for _, sp := range a.sendState[p.ID] {
-		if a.mech == apps.Bulk {
-			buf := make([]float64, 0, 3*len(sp.nodes))
-			for _, v := range sp.nodes {
-				for k := 0; k < 3; k++ {
-					buf = append(buf, p.Peek(a.stateAddr[v]+mem.Addr(k)))
-				}
-			}
-			p.ChargeGather(len(buf))
-			p.SendBulk(sp.dst, a.stateH, []int64{int64(sp.base)}, buf)
-			continue
-		}
-		for off := 0; off < len(sp.nodes); off += stateGhostPerMsg {
-			end := off + stateGhostPerMsg
-			if end > len(sp.nodes) {
-				end = len(sp.nodes)
-			}
-			vals := make([]float64, 0, 3*(end-off))
-			for _, v := range sp.nodes[off:end] {
-				for k := 0; k < 3; k++ {
-					vals = append(vals, p.Peek(a.stateAddr[v]+mem.Addr(k)))
-				}
-			}
-			p.Send(sp.dst, a.stateH, []int64{int64(sp.base) + int64(3*off)}, vals)
-			sends++
-			if a.mech == apps.MPPoll && sends%4 == 0 {
-				p.Poll()
+	a.state.Exchange(p, func(args []int64, vals []float64, s *apps.Shipment, off int, nodes []int32) ([]int64, []float64) {
+		for _, v := range nodes {
+			for k := 0; k < 3; k++ {
+				vals = append(vals, p.Peek(a.stateAddr[v]+mem.Addr(k)))
 			}
 		}
-	}
-	for a.recvState[p.ID] < a.expState[p.ID] {
-		p.WaitAndHandle()
-	}
-	a.recvState[p.ID] = 0
+		return append(args, int64(s.Base)+int64(3*off)), vals
+	})
 }
 
 // readState loads a node's 3-component state through the cache (real
@@ -330,7 +217,6 @@ func (a *App) readState(p *machine.Proc, node int32) [3]float64 {
 func (a *App) edgePhase(p *machine.Proc, priv map[int32]*[3]float64) {
 	pf := a.mech.UsesPrefetch()
 	edges := a.myEdges[p.ID]
-	polls := 0
 	for idx, e := range edges {
 		ed := a.mesh.Edges[e]
 		u, v := ed[0], ed[1]
@@ -350,16 +236,11 @@ func (a *App) edgePhase(p *machine.Proc, priv map[int32]*[3]float64) {
 			au[k] += c[k]
 			av[k] -= c[k]
 		}
-		if a.mech == apps.MPPoll {
-			polls++
-			if polls%8 == 0 {
-				p.Poll()
-			}
-		}
+		a.mech.ComputePoll(p, idx)
 	}
 	// Face phase: each face reads its four corners and accumulates with
 	// alternating sign.
-	for _, f := range a.myFaces[p.ID] {
+	for fi, f := range a.myFaces[p.ID] {
 		fc := a.mesh.Faces[f]
 		s0 := a.readState(p, fc[0])
 		s1 := a.readState(p, fc[1])
@@ -374,12 +255,7 @@ func (a *App) edgePhase(p *machine.Proc, priv map[int32]*[3]float64) {
 				acc[k] += signs[vi] * c[k]
 			}
 		}
-		if a.mech == apps.MPPoll {
-			polls++
-			if polls%8 == 0 {
-				p.Poll()
-			}
-		}
+		a.mech.ComputePoll(p, len(edges)+fi)
 	}
 }
 
@@ -399,58 +275,22 @@ func (a *App) flushPhase(p *machine.Proc, priv map[int32]*[3]float64) {
 	pf := a.mech.UsesPrefetch()
 	nodes := a.touched[p.ID]
 	if a.mech.UsesMessages() {
-		type bulkBuf struct {
-			args []int64
-			vals []float64
-		}
-		bulks := make(map[int]*bulkBuf)
-		sends := 0
-		for _, v := range nodes {
+		// Local flush: direct memory update; handlers that target the
+		// same words run on this same thread, so no lock is needed.
+		a.flush.Flush(p, func(v int32) {
 			acc := priv[v]
-			if acc == nil {
-				continue
-			}
-			owner := a.mesh.Part[v]
-			if owner == p.ID {
-				// Local flush: direct memory update; handlers that
-				// target the same words run on this same thread, so no
-				// lock is needed.
-				p.Compute(flushOverheadCycles)
-				for k := 0; k < 3; k++ {
-					ad := a.accumAddr[v] + mem.Addr(1+k)
-					p.Poke(ad, p.Peek(ad)+acc[k])
-				}
-			} else if a.mech == apps.Bulk {
-				b := bulks[owner]
-				if b == nil {
-					b = &bulkBuf{}
-					bulks[owner] = b
-				}
-				b.args = append(b.args, int64(a.accumAddr[v]))
-				b.vals = append(b.vals, acc[0], acc[1], acc[2])
-			} else {
-				p.Send(owner, a.accumH, []int64{int64(a.accumAddr[v])}, acc[0:3][:])
-				sends++
-				if a.mech == apps.MPPoll && sends%4 == 0 {
-					p.Poll()
-				}
+			p.Compute(flushOverheadCycles)
+			for k := 0; k < 3; k++ {
+				ad := a.accumAddr[v] + mem.Addr(1+k)
+				p.Poke(ad, p.Peek(ad)+acc[k])
 			}
 			*acc = [3]float64{}
-		}
-		dsts := make([]int, 0, len(bulks))
-		for d := range bulks {
-			dsts = append(dsts, d)
-		}
-		sort.Ints(dsts)
-		for _, d := range dsts {
-			b := bulks[d]
-			p.ChargeGather(len(b.vals))
-			p.SendBulk(d, a.bulkAccH, b.args, b.vals)
-		}
-		for a.recvAccum[p.ID] < a.expAccum[p.ID] {
-			p.WaitAndHandle()
-		}
-		a.recvAccum[p.ID] = 0
+		}, func(args []int64, vals []float64, v int32) ([]int64, []float64) {
+			acc := priv[v]
+			args, vals = append(args, int64(a.accumAddr[v])), append(vals, acc[:]...)
+			*acc = [3]float64{}
+			return args, vals
+		})
 		return
 	}
 	// Shared memory: per-node lock, colocated with the accumulator.

@@ -44,9 +44,6 @@ func OpenDiskCache(dir string) (*DiskCache, error) {
 	return &DiskCache{dir: dir}, nil
 }
 
-// Dir returns the cache directory.
-func (dc *DiskCache) Dir() string { return dc.dir }
-
 // diskEntry is the JSON layout of one cached run.
 type diskEntry struct {
 	Schema      int            `json:"schema"`

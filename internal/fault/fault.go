@@ -578,9 +578,6 @@ func (in *Injector) node(id int) *nodeNoise {
 	return st
 }
 
-// Config returns the injector's fault configuration.
-func (in *Injector) Config() Config { return in.cfg }
-
 // Stats returns counts of faults injected so far.
 func (in *Injector) Stats() Stats {
 	return Stats{

@@ -169,6 +169,24 @@ func TestPrintModelComparison(t *testing.T) {
 	}
 }
 
+// TestModelComparisonUsesRunner checks that the model comparison's runs
+// go through the default runner: a repeat executes nothing.
+func TestModelComparisonUsesRunner(t *testing.T) {
+	old := core.DefaultRunner
+	core.DefaultRunner = core.NewRunner(1)
+	defer func() { core.DefaultRunner = old }()
+	lats := []int64{15, 50, 100, 200}
+	for i, want := range []uint64{6, 6} {
+		var buf bytes.Buffer
+		if _, err := PrintModelComparison(&buf, core.EM3D, core.ScaleTiny, machine.DefaultConfig(), lats); err != nil {
+			t.Fatal(err)
+		}
+		if _, executed := core.DefaultRunner.Stats(); executed != want {
+			t.Errorf("call %d: %d runs executed in all, want %d", i+1, executed, want)
+		}
+	}
+}
+
 func TestPrintLogP(t *testing.T) {
 	var buf bytes.Buffer
 	lp := PrintLogP(&buf, machine.DefaultConfig())

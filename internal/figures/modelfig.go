@@ -14,14 +14,16 @@ import (
 // PrintModelComparison fits the Section 2 analytical model from two
 // baseline runs and prints model-vs-simulated shared-memory runtimes
 // across the latency sweep — the quantitative companion to the paper's
-// conceptual Figure 2. It returns the worst model/simulated ratio.
+// conceptual Figure 2. It returns the worst model/simulated ratio. Its
+// runs go through core.DefaultRunner, which memoizes, caches, logs and
+// counts them with the sweeps they repeat.
 func PrintModelComparison(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, lats []int64) (float64, error) {
-	smRun, err := core.Run(core.RunConfig{App: app, Mech: apps.SM, Scale: sc,
+	smRun, err := core.DefaultRunner.Run(core.RunConfig{App: app, Mech: apps.SM, Scale: sc,
 		Machine: cfg, SkipValidate: true})
 	if err != nil {
 		return 0, err
 	}
-	mpRun, err := core.Run(core.RunConfig{App: app, Mech: apps.MPPoll, Scale: sc,
+	mpRun, err := core.DefaultRunner.Run(core.RunConfig{App: app, Mech: apps.MPPoll, Scale: sc,
 		Machine: cfg, SkipValidate: true})
 	if err != nil {
 		return 0, err
@@ -38,7 +40,7 @@ func PrintModelComparison(w io.Writer, app core.AppName, sc core.Scale, cfg mach
 	for _, lat := range lats {
 		c := cfg
 		c.IdealNetOneWayCycles = lat
-		simRun, err := core.Run(core.RunConfig{App: app, Mech: apps.SM, Scale: sc,
+		simRun, err := core.DefaultRunner.Run(core.RunConfig{App: app, Mech: apps.SM, Scale: sc,
 			Machine: c, SkipValidate: true})
 		if err != nil {
 			return 0, err

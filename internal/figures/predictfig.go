@@ -219,7 +219,8 @@ func WriteLatencyToleranceCSV(w io.Writer, rows []PredictedFig4) error {
 // simulation on the Figure 10 latency axis for shared memory: the
 // fitted Section 2 closed form (which names the region) and the
 // dependency-graph replay (which should win on magnitude). Returns the
-// error statistics of each.
+// error statistics of each. Like PrintModelComparison, it runs on
+// core.DefaultRunner.
 func PrintGraphVsClosedForm(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, lats []int64) (graphErr, closedErr predict.ErrorStats, err error) {
 	// Full validation: every point simulated.
 	ps, err := core.DefaultRunner.PredictedSweep(app, sc,
@@ -227,12 +228,12 @@ func PrintGraphVsClosedForm(w io.Writer, app core.AppName, sc core.Scale, cfg ma
 	if err != nil {
 		return graphErr, closedErr, err
 	}
-	smRun, err := core.Run(core.RunConfig{App: app, Mech: apps.SM, Scale: sc,
+	smRun, err := core.DefaultRunner.Run(core.RunConfig{App: app, Mech: apps.SM, Scale: sc,
 		Machine: cfg, SkipValidate: true})
 	if err != nil {
 		return graphErr, closedErr, err
 	}
-	mpRun, err := core.Run(core.RunConfig{App: app, Mech: apps.MPPoll, Scale: sc,
+	mpRun, err := core.DefaultRunner.Run(core.RunConfig{App: app, Mech: apps.MPPoll, Scale: sc,
 		Machine: cfg, SkipValidate: true})
 	if err != nil {
 		return graphErr, closedErr, err

@@ -46,10 +46,6 @@ type Proc struct {
 	doneAt sim.Time // when this processor's body returned (load-imbalance metric)
 }
 
-// Thread exposes the underlying simulated thread (for synchronization
-// libraries that need Pause/Wake).
-func (p *Proc) Thread() *sim.Thread { return p.th }
-
 // Now returns the current simulated time.
 func (p *Proc) Now() sim.Time { return p.th.Now() }
 

@@ -145,9 +145,6 @@ func (s *System) SetIdealNetwork(oneWay sim.Time) {
 	s.idealOneWay = oneWay
 }
 
-// Store returns the authoritative backing store.
-func (s *System) Store() *Store { return s.store }
-
 // Params returns the memory parameters.
 func (s *System) Params() Params { return s.par }
 

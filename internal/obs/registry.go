@@ -35,9 +35,6 @@ func (g *Gauge) SetMax(v int64) {
 	}
 }
 
-// Add adjusts the gauge by delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v += delta }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v }
 

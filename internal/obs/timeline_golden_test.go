@@ -64,10 +64,10 @@ func TestWriteTimelineGolden(t *testing.T) {
 	}
 	text := string(want)
 	for _, needle := range []string{
-		`"name":"critpath"`,                 // critical-path process lane
-		`"args":{"src":1,"lat":1,"bw":1}`,   // edge decomposition in cycles
-		`"ph":"i"`,                          // protocol instants survive
-		`"ph":"X"`,                          // span/edge slices survive
+		`"name":"critpath"`,               // critical-path process lane
+		`"args":{"src":1,"lat":1,"bw":1}`, // edge decomposition in cycles
+		`"ph":"i"`,                        // protocol instants survive
+		`"ph":"X"`,                        // span/edge slices survive
 	} {
 		if !strings.Contains(text, needle) {
 			t.Errorf("golden lost %s", needle)

@@ -10,6 +10,12 @@ import (
 	"repro/internal/sim"
 )
 
+// Barrier holds each processor in Wait until every processor has
+// arrived. SMBarrier, SMCentralBarrier and MsgBarrier implement it.
+type Barrier interface {
+	Wait(p *machine.Proc)
+}
+
 // traceEvent records a synchronization event when tracing is enabled.
 func traceEvent(m *machine.Machine, p *machine.Proc, kind obs.EventKind, a, b int64) {
 	if m.Trace != nil {
