@@ -47,6 +47,9 @@ func paperbench(args ...string) *exec.Cmd {
 // Figure S1 (82 s at -j 2) is pinned by CI against
 // testdata/golden/s1_tiny instead, rewritten with
 // `go run ./cmd/paperbench -fig S1 -scale tiny -csv cmd/paperbench/testdata/golden/s1_tiny`.
+// faultSpec is the fault schedule of the faulted golden runs.
+const faultSpec = "jitter:max=200ns,prob=0.1;outage:node=*,start=10us,dur=2us,every=50us;stall:node=5,start=5us,dur=3us,every=40us"
+
 var goldenRuns = []struct {
 	name    string
 	args    []string
@@ -62,6 +65,11 @@ var goldenRuns = []struct {
 	// Noise and delay runs pass through every app's compute and
 	// message phases.
 	{"s2_tiny", []string{"-fig", "S2", "-scale", "tiny", "-noiseseeds", "4", "-csv", "OUT"}, figureArtifacts},
+	// Jitter, link outages and drain stalls on every Figure 4 run.
+	{"fig4_faults", []string{"-fig", "4", "-scale", "tiny", "-faults", faultSpec, "-seed", "3", "-csv", "OUT"}, figureArtifacts},
+	// Fault and noise clauses on one machine, each drawn from its own
+	// seed.
+	{"s2_em3d_faults", []string{"-fig", "S2", "-scale", "tiny", "-app", "em3d", "-noiseseeds", "2", "-faults", faultSpec, "-seed", "3", "-csv", "OUT"}, figureArtifacts},
 	// Fills all three observation rings: protocol events, thread spans
 	// and causal edges.
 	{"fig4_timeline", []string{"-fig", "4", "-scale", "tiny", "-timeline", "OUT", "-dumptrace", "16", "-critpath"}, timelineArtifacts},
