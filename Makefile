@@ -1,6 +1,6 @@
 # Tier-1 verification plus the race-certified concurrency surface.
-# `make check` is the gate every PR must pass; it also checks gofmt, runs the tests of
-# the separate cmd/bench module (workload digests, metric plumbing) and
+# `make check` is the gate every PR must pass; it also checks gofmt, vets and runs the
+# tests of the separate cmd/bench module (workload digests, metric plumbing) and
 # every Go benchmark of the root, internal/core and internal/sim once
 # (benchsmoke), so a benchmark that fails at run time fails the gate.
 # `make profile` captures host CPU/heap profiles of a tiny figure
@@ -13,6 +13,7 @@ GO ?= go
 
 check: fmt build race test lint benchsmoke
 	$(GO) vet ./...
+	$(GO) -C cmd/bench vet .
 	$(GO) -C cmd/bench test .
 
 # Formatting gate: gofmt -l must list no .go file. The lint fixtures

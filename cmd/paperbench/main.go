@@ -61,23 +61,8 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a host heap profile to this file on success")
 	flag.Parse()
 
-	if *faults != "" {
-		fc, err := fault.Parse(*faults)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if fc.NoiseEnabled() {
-			log.Fatal("-faults carries hostnoise/netnoise/delay clauses; those belong in -noise (which has its own seeds)")
-		}
-	}
-	if *noise != "" {
-		nc, err := fault.Parse(*noise)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if nc.FaultsEnabled() {
-			log.Fatal("-noise carries jitter/outage/stall clauses; those belong in -faults")
-		}
+	if _, err := fault.New(*faults, *seed, *noise, 0); err != nil {
+		log.Fatalf("-faults/-noise: %v", err)
 	}
 	if *noiseSeeds < 1 {
 		log.Fatal("-noiseseeds must be at least 1")

@@ -37,11 +37,10 @@ func oneWay(t *testing.T, prep func(r *rig)) sim.Time {
 
 func TestDrainStallDelaysDelivery(t *testing.T) {
 	base := oneWay(t, nil)
-	cfg, err := fault.Parse("stall:node=1,start=0ps,dur=20us")
+	in, err := fault.New("stall:node=1,start=0ps,dur=20us", 1, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := fault.NewInjector(cfg, 1)
 	stalled := oneWay(t, func(r *rig) { r.sys.SetFaultInjector(in) })
 	if stalled <= base || stalled < 20*sim.Microsecond {
 		t.Errorf("stalled one-way = %v, want past the 20us stall window (baseline %v)", stalled, base)
@@ -51,8 +50,11 @@ func TestDrainStallDelaysDelivery(t *testing.T) {
 	}
 
 	// A stall on a different node leaves this path untouched.
-	cfg, _ = fault.Parse("stall:node=9,start=0ps,dur=20us")
-	clear := oneWay(t, func(r *rig) { r.sys.SetFaultInjector(fault.NewInjector(cfg, 1)) })
+	other, err := fault.New("stall:node=9,start=0ps,dur=20us", 1, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear := oneWay(t, func(r *rig) { r.sys.SetFaultInjector(other) })
 	if clear != base {
 		t.Errorf("unrelated stall changed one-way: %v != %v", clear, base)
 	}

@@ -28,9 +28,10 @@ type NoiseDistribution struct {
 // spec across the given seeds (Figure S2, distribution panel). Crashed
 // seeds are isolated like crashed sweep points: absent from that
 // mechanism's samples, reported via Runner.Failures. The sweep errors
-// only when every run failed.
+// only when every run failed, or before any run when spec or
+// base.FaultSpec is bad or holds a clause that belongs in the other.
 func (r *Runner) NoiseSeedSweep(app AppName, sc Scale, mechs []apps.Mechanism, base machine.Config, spec string, seeds []uint64) ([]NoiseDistribution, error) {
-	if _, err := fault.Parse(spec); err != nil {
+	if _, err := fault.New(base.FaultSpec, base.FaultSeed, spec, 0); err != nil {
 		return nil, err
 	}
 	jobs := make([]RunConfig, 0, len(mechs)*len(seeds))

@@ -107,6 +107,14 @@ func TestNoiseExperimentErrors(t *testing.T) {
 		machine.DefaultConfig(), "hostnoise:dist=gaussian,mean=1us", []uint64{1}); err == nil {
 		t.Error("bad noise spec accepted")
 	}
+	// A fault clause in the noise spec is rejected before any run.
+	if _, err := r.NoiseSeedSweep(core.EM3D, core.ScaleTiny, []apps.Mechanism{apps.SM, apps.MPPoll},
+		machine.DefaultConfig(), "jitter:max=100ns,prob=0.5", []uint64{1, 2}); err == nil {
+		t.Error("fault clause in a noise spec accepted")
+	}
+	if _, executed := r.Stats(); executed != 0 || len(r.Failures()) != 0 {
+		t.Errorf("rejected specs ran %d simulations with %d failures, want none", executed, len(r.Failures()))
+	}
 	if _, err := r.DelayPropagation(core.EM3D, core.ScaleTiny, mechs,
 		machine.DefaultConfig(), 99); err == nil {
 		t.Error("out-of-range delay node accepted")

@@ -18,7 +18,7 @@
 // every platform and Go version.
 //
 // Determinism is the core contract: an Injector's entire schedule,
-// stochastic or not, is a pure function of (Config, seed, query order).
+// stochastic or not, is a pure function of (specs, seeds, query order).
 // Host noise draws from one splitmix64 stream per node (the node id
 // salts the seed), network noise from a dedicated stream consumed in
 // delivery order; the simulator dispatches events in a total
@@ -33,8 +33,14 @@
 //
 // Specs are canonical strings (Parse / Config.String round-trip, fuzzed
 // by FuzzParseSpec), which keeps machine.Config comparable for the
-// sweep runner's memo cache. Fault clauses (jitter, outage, stall) and
-// noise clauses (hostnoise, netnoise, delay) are carried in separate
-// machine.Config fields so fault schedules and noise seeds sweep
-// independently.
+// sweep runner's memo cache. Parse reads every clause through one key
+// loop in spec order, so a bad spec always gets the same error. Fault
+// clauses (jitter, outage, stall) and noise clauses (hostnoise,
+// netnoise, delay) are carried in separate machine.Config fields, each
+// with its own seed, so fault schedules and noise seeds sweep
+// independently. New is the one front end for both: it parses the two
+// specs, rejects a clause in the wrong one, and returns a single
+// Injector per machine (nil when nothing injects) whose jitter draws
+// come from the fault seed and whose noise draws come from the noise
+// seed.
 package fault

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -74,16 +75,12 @@ const (
 	DistHeavyTail
 )
 
+// distNames spells each DistKind in specs.
+var distNames = [...]string{DistConst: "const", DistUniform: "uniform", DistExp: "exp", DistHeavyTail: "heavytail"}
+
 func (k DistKind) String() string {
-	switch k {
-	case DistConst:
-		return "const"
-	case DistUniform:
-		return "uniform"
-	case DistExp:
-		return "exp"
-	case DistHeavyTail:
-		return "heavytail"
+	if k >= 0 && int(k) < len(distNames) {
+		return distNames[k]
 	}
 	return fmt.Sprintf("DistKind(%d)", int(k))
 }
@@ -216,9 +213,11 @@ func fmtDur(t sim.Time) string {
 //
 // Durations take a ps/ns/us/ms suffix (e.g. 300ns, 40us). A node of "*"
 // (or -1) targets every node. Whitespace around clauses is ignored.
-// Discrete-fault clauses (jitter, outage, stall) belong in
-// machine.Config.FaultSpec; noise clauses (hostnoise, netnoise, delay)
-// belong in machine.Config.NoiseSpec, which carries its own seed.
+// Keys are read in spec order, so a clause with several bad values
+// reports the first. Discrete-fault clauses (jitter, outage, stall)
+// belong in machine.Config.FaultSpec; noise clauses (hostnoise, netnoise,
+// delay) belong in machine.Config.NoiseSpec, which carries its own seed.
+// New enforces that split.
 func Parse(spec string) (Config, error) {
 	var c Config
 	for _, clause := range strings.Split(spec, ";") {
@@ -226,103 +225,123 @@ func Parse(spec string) (Config, error) {
 		if clause == "" {
 			continue
 		}
-		kind, rest, ok := strings.Cut(clause, ":")
+		kind, body, ok := strings.Cut(clause, ":")
 		if !ok {
 			return Config{}, fmt.Errorf("fault: clause %q: want kind:key=val,...", clause)
 		}
-		kv, err := parseKVs(rest)
+		j := Jitter{Prob: 1}
+		n := Noise{Node: AllNodes, Dist: -1, Prob: 1}
+		d := Delay{Node: AllNodes}
+		w := Window{Node: AllNodes}
+		var noun string
+		var fields []field
+		switch kind {
+		case "jitter":
+			noun, fields = "jitter", []field{{"max", &j.Max, needDur}, {"prob", &j.Prob, ""}}
+		case "hostnoise", "netnoise":
+			noun, fields = "noise", []field{{"node", &n.Node, ""}, {"dist", &n.Dist, needDist}, {"mean", &n.Mean, needDur}, {"prob", &n.Prob, ""}}
+		case "delay":
+			noun, fields = "delay", []field{{"node", &d.Node, needNode}, {"at", &d.At, ""}, {"dur", &d.Dur, needDur}}
+		case "outage", "stall":
+			noun, fields = "window", []field{{"node", &w.Node, needNode}, {"start", &w.Start, ""}, {"dur", &w.Dur, needDur}, {"every", &w.Every, ""}}
+		default:
+			return Config{}, fmt.Errorf("fault: unknown clause kind %q (want jitter, hostnoise, netnoise, delay, outage, or stall)", kind)
+		}
+		err := parseFields(body, noun, fields)
+		if err == nil && w.Every > 0 && w.Dur >= w.Every {
+			err = fmt.Errorf("repeating window never closes: dur %v >= every %v", w.Dur, w.Every)
+		}
 		if err != nil {
 			return Config{}, fmt.Errorf("fault: clause %q: %w", clause, err)
 		}
 		switch kind {
 		case "jitter":
-			j, err := parseJitter(kv)
-			if err != nil {
-				return Config{}, fmt.Errorf("fault: clause %q: %w", clause, err)
-			}
 			if c.Jitter.Max > 0 {
 				return Config{}, fmt.Errorf("fault: duplicate jitter clause %q", clause)
 			}
 			c.Jitter = j
-		case "hostnoise", "netnoise":
-			n, err := parseNoise(kv)
-			if err != nil {
-				return Config{}, fmt.Errorf("fault: clause %q: %w", clause, err)
-			}
-			if kind == "hostnoise" {
-				c.HostNoise = append(c.HostNoise, n)
-			} else {
-				c.NetNoise = append(c.NetNoise, n)
-			}
+		case "hostnoise":
+			c.HostNoise = append(c.HostNoise, n)
+		case "netnoise":
+			c.NetNoise = append(c.NetNoise, n)
 		case "delay":
-			d, err := parseDelay(kv)
-			if err != nil {
-				return Config{}, fmt.Errorf("fault: clause %q: %w", clause, err)
-			}
 			c.Delays = append(c.Delays, d)
-		case "outage", "stall":
-			w, err := parseWindow(kv)
-			if err != nil {
-				return Config{}, fmt.Errorf("fault: clause %q: %w", clause, err)
-			}
-			if kind == "outage" {
-				c.Outages = append(c.Outages, w)
-			} else {
-				c.Stalls = append(c.Stalls, w)
-			}
-		default:
-			return Config{}, fmt.Errorf("fault: unknown clause kind %q (want jitter, hostnoise, netnoise, delay, outage, or stall)", kind)
+		case "outage":
+			c.Outages = append(c.Outages, w)
+		case "stall":
+			c.Stalls = append(c.Stalls, w)
 		}
 	}
 	return c, nil
 }
 
-func parseKVs(s string) (map[string]string, error) {
-	kv := map[string]string{}
-	for _, pair := range strings.Split(s, ",") {
+// field is one key a clause kind accepts. ptr points into the clause
+// being built, and its type picks how the value parses: *int a node,
+// *sim.Time a duration, *float64 a probability, *DistKind a
+// distribution. A nonempty need marks a required key (a required
+// duration must also be nonzero) and is the value its error asks for.
+type field struct {
+	key  string
+	ptr  any
+	need string
+}
+
+const (
+	needNode = "<id|*>"
+	needDist = "<const|uniform|exp|heavytail>"
+	needDur  = "<dur> > 0"
+)
+
+// parseFields reads a clause body's comma-separated key=value pairs into
+// fields, in spec order. noun names the clause family in errors.
+func parseFields(body, noun string, fields []field) error {
+	var given uint // bit i: fields[i] was read
+	for _, pair := range strings.Split(body, ",") {
 		pair = strings.TrimSpace(pair)
 		if pair == "" {
 			continue
 		}
 		k, v, ok := strings.Cut(pair, "=")
 		if !ok {
-			return nil, fmt.Errorf("bad key=value pair %q", pair)
+			return fmt.Errorf("bad key=value pair %q", pair)
 		}
-		if _, dup := kv[k]; dup {
-			return nil, fmt.Errorf("duplicate key %q", k)
+		i := slices.IndexFunc(fields, func(f field) bool { return f.key == k })
+		if i < 0 {
+			return fmt.Errorf("unknown %s key %q", noun, k)
 		}
-		kv[k] = v
-	}
-	return kv, nil
-}
-
-func parseJitter(kv map[string]string) (Jitter, error) {
-	var j Jitter
-	for k, v := range kv {
-		switch k {
-		case "max":
-			d, err := ParseDuration(v)
-			if err != nil {
-				return Jitter{}, err
+		if given&(1<<i) != 0 {
+			return fmt.Errorf("duplicate key %q", k)
+		}
+		given |= 1 << i
+		var err error
+		switch p := fields[i].ptr.(type) {
+		case *int:
+			*p = AllNodes
+			if v != "*" && v != "-1" {
+				if *p, err = strconv.Atoi(v); err != nil || *p < 0 {
+					err = fmt.Errorf("bad node %q", v)
+				}
 			}
-			j.Max = d
-		case "prob":
-			p, err := parseProb(v)
-			if err != nil {
-				return Jitter{}, err
+		case *sim.Time:
+			*p, err = ParseDuration(v)
+		case *float64:
+			*p, err = parseProb(v)
+		case *DistKind:
+			if *p = DistKind(slices.Index(distNames[:], v)); *p < 0 {
+				err = fmt.Errorf("bad dist %q (want const, uniform, exp, or heavytail)", v)
 			}
-			j.Prob = p
-		default:
-			return Jitter{}, fmt.Errorf("unknown jitter key %q", k)
+		}
+		if err != nil {
+			return err
 		}
 	}
-	if j.Max <= 0 {
-		return Jitter{}, fmt.Errorf("jitter needs max=<dur> > 0")
+	for i, f := range fields {
+		t, isDur := f.ptr.(*sim.Time)
+		if f.need != "" && (given&(1<<i) == 0 || isDur && *t == 0) {
+			return fmt.Errorf("%s needs %s=%s", noun, f.key, f.need)
+		}
 	}
-	if j.Prob == 0 {
-		j.Prob = 1
-	}
-	return j, nil
+	return nil
 }
 
 // parseProb rejects NaN explicitly: NaN slips past range comparisons and
@@ -333,145 +352,6 @@ func parseProb(v string) (float64, error) {
 		return 0, fmt.Errorf("bad prob %q (want 0 < prob <= 1)", v)
 	}
 	return p, nil
-}
-
-func parseNoise(kv map[string]string) (Noise, error) {
-	n := Noise{Node: AllNodes, Dist: -1}
-	for k, v := range kv {
-		switch k {
-		case "node":
-			if v == "*" || v == "-1" {
-				n.Node = AllNodes
-				continue
-			}
-			id, err := strconv.Atoi(v)
-			if err != nil || id < 0 {
-				return Noise{}, fmt.Errorf("bad node %q", v)
-			}
-			n.Node = id
-		case "dist":
-			switch v {
-			case "const":
-				n.Dist = DistConst
-			case "uniform":
-				n.Dist = DistUniform
-			case "exp":
-				n.Dist = DistExp
-			case "heavytail":
-				n.Dist = DistHeavyTail
-			default:
-				return Noise{}, fmt.Errorf("bad dist %q (want const, uniform, exp, or heavytail)", v)
-			}
-		case "mean":
-			d, err := ParseDuration(v)
-			if err != nil {
-				return Noise{}, err
-			}
-			n.Mean = d
-		case "prob":
-			p, err := parseProb(v)
-			if err != nil {
-				return Noise{}, err
-			}
-			n.Prob = p
-		default:
-			return Noise{}, fmt.Errorf("unknown noise key %q", k)
-		}
-	}
-	if n.Dist < 0 {
-		return Noise{}, fmt.Errorf("noise needs dist=<const|uniform|exp|heavytail>")
-	}
-	if n.Mean <= 0 {
-		return Noise{}, fmt.Errorf("noise needs mean=<dur> > 0")
-	}
-	if n.Prob == 0 {
-		n.Prob = 1
-	}
-	return n, nil
-}
-
-func parseDelay(kv map[string]string) (Delay, error) {
-	d := Delay{Node: AllNodes}
-	sawNode := false
-	for k, v := range kv {
-		switch k {
-		case "node":
-			sawNode = true
-			if v == "*" || v == "-1" {
-				d.Node = AllNodes
-				continue
-			}
-			id, err := strconv.Atoi(v)
-			if err != nil || id < 0 {
-				return Delay{}, fmt.Errorf("bad node %q", v)
-			}
-			d.Node = id
-		case "at", "dur":
-			t, err := ParseDuration(v)
-			if err != nil {
-				return Delay{}, err
-			}
-			if k == "at" {
-				d.At = t
-			} else {
-				d.Dur = t
-			}
-		default:
-			return Delay{}, fmt.Errorf("unknown delay key %q", k)
-		}
-	}
-	if !sawNode {
-		return Delay{}, fmt.Errorf("delay needs node=<id|*>")
-	}
-	if d.Dur <= 0 {
-		return Delay{}, fmt.Errorf("delay needs dur=<dur> > 0")
-	}
-	return d, nil
-}
-
-func parseWindow(kv map[string]string) (Window, error) {
-	w := Window{Node: AllNodes}
-	sawNode := false
-	for k, v := range kv {
-		switch k {
-		case "node":
-			sawNode = true
-			if v == "*" || v == "-1" {
-				w.Node = AllNodes
-				continue
-			}
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				return Window{}, fmt.Errorf("bad node %q", v)
-			}
-			w.Node = n
-		case "start", "dur", "every":
-			d, err := ParseDuration(v)
-			if err != nil {
-				return Window{}, err
-			}
-			switch k {
-			case "start":
-				w.Start = d
-			case "dur":
-				w.Dur = d
-			case "every":
-				w.Every = d
-			}
-		default:
-			return Window{}, fmt.Errorf("unknown window key %q", k)
-		}
-	}
-	if !sawNode {
-		return Window{}, fmt.Errorf("window needs node=<id|*>")
-	}
-	if w.Dur <= 0 {
-		return Window{}, fmt.Errorf("window needs dur=<dur> > 0")
-	}
-	if w.Every > 0 && w.Dur >= w.Every {
-		return Window{}, fmt.Errorf("repeating window never closes: dur %v >= every %v", w.Dur, w.Every)
-	}
-	return w, nil
 }
 
 // ParseDuration reads a simulated duration with a ps/ns/us/ms suffix.
@@ -518,31 +398,29 @@ func (s Stats) Samples() int64 { return s.HostNoiseSamples + s.NetNoiseSamples +
 // InjectedPs is the total simulated time injected by noise, in ps.
 func (s Stats) InjectedPs() int64 { return s.HostNoisePs + s.NetNoisePs + s.DelayPs }
 
-// Injector is the live fault source attached to one simulated machine.
-// Like the rest of the machine it is driven by one event loop and is not
-// safe for concurrent use.
+// Noise returns s with the discrete-fault counts cleared, leaving the
+// noise counts.
+func (s Stats) Noise() Stats {
+	s.Jittered, s.OutageDelays, s.StallRefusals = 0, 0, 0
+	return s
+}
+
+// Injector is the live fault and noise source attached to one simulated
+// machine. Like the rest of the machine it is driven by one event loop
+// and is not safe for concurrent use.
 type Injector struct {
 	cfg Config
-	rng uint64
+	rng uint64 // fault stream: jitter draws, in packet order
 
 	// Noise state. Each node gets its own host-noise stream (seeded from
-	// the injector seed mixed with the node id) so one node's compute
+	// the noise seed mixed with the node id) so one node's compute
 	// pattern cannot perturb another's draws; network noise shares one
 	// stream consumed in delivery order.
 	netRng uint64
 	seed   uint64
 	nodes  []nodeNoise
 
-	jittered      int64
-	outageDelays  int64
-	stallRefusals int64
-
-	hostNoiseSamples int64
-	hostNoisePs      int64
-	netNoiseSamples  int64
-	netNoisePs       int64
-	delaysFired      int64
-	delayPs          int64
+	st Stats
 }
 
 // nodeNoise is one node's private noise state.
@@ -552,15 +430,41 @@ type nodeNoise struct {
 	delayFired []bool // parallel to cfg.Delays; one-shot latches
 }
 
-// NewInjector builds an injector for cfg with the given schedule seed.
-func NewInjector(cfg Config, seed uint64) *Injector {
-	return &Injector{
-		cfg:    cfg,
-		rng:    splitmix64Init(seed),
-		netRng: splitmix64Init(mix64(seed, 0x6e6574)), // "net"
-		seed:   seed,
+// New builds one machine's injector from its two specs: faultSpec holds
+// the discrete-fault clauses (jitter, outage, stall), drawn from
+// faultSeed, and noiseSpec the noise clauses (hostnoise, netnoise,
+// delay), drawn from noiseSeed, so fault schedules and noise seeds sweep
+// independently. It rejects a bad spec and a clause in the wrong spec,
+// and returns nil when neither spec injects anything.
+func New(faultSpec string, faultSeed uint64, noiseSpec string, noiseSeed uint64) (*Injector, error) {
+	fc, err := Parse(faultSpec)
+	if err != nil {
+		return nil, fmt.Errorf("bad fault spec: %w", err)
 	}
+	if fc.NoiseEnabled() {
+		return nil, fmt.Errorf("noise clauses in FaultSpec %q; put hostnoise/netnoise/delay in NoiseSpec", faultSpec)
+	}
+	nc, err := Parse(noiseSpec)
+	if err != nil {
+		return nil, fmt.Errorf("bad noise spec: %w", err)
+	}
+	if nc.FaultsEnabled() {
+		return nil, fmt.Errorf("fault clauses in NoiseSpec %q; put jitter/outage/stall in FaultSpec", noiseSpec)
+	}
+	if !fc.Enabled() && !nc.Enabled() {
+		return nil, nil
+	}
+	fc.HostNoise, fc.NetNoise, fc.Delays = nc.HostNoise, nc.NetNoise, nc.Delays
+	return &Injector{
+		cfg:    fc,
+		rng:    splitmix64Init(faultSeed),
+		netRng: splitmix64Init(mix64(noiseSeed, 0x6e6574)), // "net"
+		seed:   noiseSeed,
+	}, nil
 }
+
+// NoiseEnabled reports whether the injector carries noise clauses.
+func (in *Injector) NoiseEnabled() bool { return in.cfg.NoiseEnabled() }
 
 // node returns the lazily-initialized state for one node.
 func (in *Injector) node(id int) *nodeNoise {
@@ -579,20 +483,7 @@ func (in *Injector) node(id int) *nodeNoise {
 }
 
 // Stats returns counts of faults injected so far.
-func (in *Injector) Stats() Stats {
-	return Stats{
-		Jittered:      in.jittered,
-		OutageDelays:  in.outageDelays,
-		StallRefusals: in.stallRefusals,
-
-		HostNoiseSamples: in.hostNoiseSamples,
-		HostNoisePs:      in.hostNoisePs,
-		NetNoiseSamples:  in.netNoiseSamples,
-		NetNoisePs:       in.netNoisePs,
-		DelaysFired:      in.delaysFired,
-		DelayPs:          in.delayPs,
-	}
-}
+func (in *Injector) Stats() Stats { return in.st }
 
 // splitmix64: tiny, well-mixed, and stable across Go versions (unlike
 // math/rand's unexported algorithms), which keeps fault schedules
@@ -614,8 +505,6 @@ func mix64(seed, salt uint64) uint64 {
 	z := seed ^ (salt+1)*0x9e3779b97f4a7c15
 	return next(&z)
 }
-
-func (in *Injector) next() uint64 { return next(&in.rng) }
 
 // gate reports whether an event with the given probability fires, drawing
 // one value from the stream iff prob < 1 (prob == 1 consumes nothing, so
@@ -720,8 +609,8 @@ func (in *Injector) ComputeDilation(nodeID int, now sim.Time) sim.Time {
 		}
 		d := sampleDist(&st.rng, n.Dist, n.Mean)
 		if d > 0 {
-			in.hostNoiseSamples++
-			in.hostNoisePs += int64(d)
+			in.st.HostNoiseSamples++
+			in.st.HostNoisePs += int64(d)
 			total += d
 		}
 	}
@@ -730,50 +619,41 @@ func (in *Injector) ComputeDilation(nodeID int, now sim.Time) sim.Time {
 			continue
 		}
 		st.delayFired[i] = true
-		in.delaysFired++
-		in.delayPs += int64(dl.Dur)
+		in.st.DelaysFired++
+		in.st.DelayPs += int64(dl.Dur)
 		total += dl.Dur
 	}
 	return total
 }
 
-// PacketDelay returns the extra delivery delay network noise adds to one
-// packet from src to dst. It consumes the shared network stream, so
-// callers must invoke it exactly once per packet, in delivery order.
+// PacketDelay returns the extra delivery delay for one packet from src to
+// dst: jitter drawn from the fault stream, then network noise drawn from
+// the noise seed's network stream. It advances both streams, so callers
+// must invoke it exactly once per packet, in send order.
 func (in *Injector) PacketDelay(src, dst int) sim.Time {
 	var total sim.Time
+	if j := in.cfg.Jitter; j.Max > 0 {
+		r := next(&in.rng)
+		//lint:allow simlint/intmath 53-bit mantissa divided by a power of two is exact; the compare is bit-identical on every IEEE-754 host
+		if j.Prob >= 1 || float64(r>>11)/(1<<53) < j.Prob {
+			total = sim.Time(next(&in.rng) % uint64(j.Max+1))
+			if total > 0 {
+				in.st.Jittered++
+			}
+		}
+	}
 	for _, n := range in.cfg.NetNoise {
 		if (!n.matches(src) && !n.matches(dst)) || !gate(&in.netRng, n.Prob) {
 			continue
 		}
 		d := sampleDist(&in.netRng, n.Dist, n.Mean)
 		if d > 0 {
-			in.netNoiseSamples++
-			in.netNoisePs += int64(d)
+			in.st.NetNoiseSamples++
+			in.st.NetNoisePs += int64(d)
 			total += d
 		}
 	}
 	return total
-}
-
-// PacketJitter returns the extra delivery delay for the next packet
-// (possibly zero). It consumes deterministic schedule state, so callers
-// must invoke it exactly once per packet, in dispatch order.
-func (in *Injector) PacketJitter() sim.Time {
-	j := in.cfg.Jitter
-	if j.Max <= 0 {
-		return 0
-	}
-	r := in.next()
-	//lint:allow simlint/intmath 53-bit mantissa divided by a power of two is exact; the compare is bit-identical on every IEEE-754 host
-	if j.Prob < 1 && float64(r>>11)/(1<<53) >= j.Prob {
-		return 0
-	}
-	d := sim.Time(in.next() % uint64(j.Max+1))
-	if d > 0 {
-		in.jittered++
-	}
-	return d
 }
 
 // LinkBlockedUntil reports when a mesh link joining nodes a and b becomes
@@ -790,7 +670,7 @@ func (in *Injector) LinkBlockedUntil(a, b int, t sim.Time) sim.Time {
 		}
 	}
 	if until > t {
-		in.outageDelays++
+		in.st.OutageDelays++
 		return until
 	}
 	return 0
@@ -809,7 +689,7 @@ func (in *Injector) DrainStalledUntil(node int, t sim.Time) sim.Time {
 		}
 	}
 	if until > t {
-		in.stallRefusals++
+		in.st.StallRefusals++
 		return until
 	}
 	return 0

@@ -77,6 +77,25 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseErrorsStable: a clause with several bad values reports the
+// first in spec order, the same way every time.
+func TestParseErrorsStable(t *testing.T) {
+	for spec, want := range map[string]string{
+		"jitter:max=bad,prob=2":          `bad duration "bad"`,
+		"outage:node=x,dur=1us,every=zz": `bad node "x"`,
+	} {
+		_, first := Parse(spec)
+		if first == nil || !strings.Contains(first.Error(), want) {
+			t.Fatalf("Parse(%q) error %v, want substring %q", spec, first, want)
+		}
+		for i := 0; i < 100; i++ {
+			if _, err := Parse(spec); err == nil || err.Error() != first.Error() {
+				t.Fatalf("Parse(%q) error %v, then %v", spec, first, err)
+			}
+		}
+	}
+}
+
 func TestParseDuration(t *testing.T) {
 	cases := map[string]sim.Time{
 		"0ps":   0,
@@ -126,15 +145,11 @@ func TestWindowActiveUntil(t *testing.T) {
 }
 
 func TestInjectorDeterminism(t *testing.T) {
-	cfg, err := Parse("jitter:max=300ns,prob=0.4")
-	if err != nil {
-		t.Fatal(err)
-	}
 	draw := func(seed uint64) []sim.Time {
-		in := NewInjector(cfg, seed)
+		in := mustNew(t, "jitter:max=300ns,prob=0.4", seed, "", 0)
 		out := make([]sim.Time, 200)
 		for i := range out {
-			out[i] = in.PacketJitter()
+			out[i] = in.PacketDelay(0, 1)
 		}
 		return out
 	}
@@ -147,11 +162,10 @@ func TestInjectorDeterminism(t *testing.T) {
 }
 
 func TestPacketJitterBoundsAndStats(t *testing.T) {
-	cfg, _ := Parse("jitter:max=100ns,prob=1")
-	in := NewInjector(cfg, 1)
+	in := mustNew(t, "jitter:max=100ns,prob=1", 1, "", 0)
 	nonzero := 0
 	for i := 0; i < 1000; i++ {
-		d := in.PacketJitter()
+		d := in.PacketDelay(0, 1)
 		if d < 0 || d > 100*sim.Nanosecond {
 			t.Fatalf("jitter %v out of [0, 100ns]", d)
 		}
@@ -167,11 +181,10 @@ func TestPacketJitterBoundsAndStats(t *testing.T) {
 	}
 
 	// prob=0.1 must jitter roughly a tenth of packets, not all of them.
-	cfg, _ = Parse("jitter:max=100ns,prob=0.1")
-	in = NewInjector(cfg, 1)
+	in = mustNew(t, "jitter:max=100ns,prob=0.1", 1, "", 0)
 	fired := 0
 	for i := 0; i < 1000; i++ {
-		if in.PacketJitter() > 0 {
+		if in.PacketDelay(0, 1) > 0 {
 			fired++
 		}
 	}
@@ -181,11 +194,7 @@ func TestPacketJitterBoundsAndStats(t *testing.T) {
 }
 
 func TestLinkBlockedUntil(t *testing.T) {
-	cfg, err := Parse("outage:node=3,start=1us,dur=2us")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := NewInjector(cfg, 1)
+	in := mustNew(t, "outage:node=3,start=1us,dur=2us", 1, "", 0)
 	if got := in.LinkBlockedUntil(0, 1, 2*sim.Microsecond); got != 0 {
 		t.Errorf("unrelated link blocked until %v", got)
 	}
@@ -205,11 +214,7 @@ func TestLinkBlockedUntil(t *testing.T) {
 }
 
 func TestDrainStalledUntilAllNodes(t *testing.T) {
-	cfg, err := Parse("stall:node=*,start=0ps,dur=1us,every=10us")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := NewInjector(cfg, 1)
+	in := mustNew(t, "stall:node=*,start=0ps,dur=1us,every=10us", 1, "", 0)
 	if got := in.DrainStalledUntil(7, 500*sim.Nanosecond); got != sim.Microsecond {
 		t.Errorf("stalled until %v, want 1us", got)
 	}
@@ -229,9 +234,39 @@ func TestZeroConfig(t *testing.T) {
 	if c.String() != "" {
 		t.Errorf("zero config String = %q, want empty", c.String())
 	}
-	in := NewInjector(c, 1)
-	if in.PacketJitter() != 0 || in.LinkBlockedUntil(0, 1, 100) != 0 || in.DrainStalledUntil(0, 100) != 0 {
-		t.Error("zero config injected a fault")
+	if in, err := New("", 1, " ; ", 1); in != nil || err != nil {
+		t.Errorf("New with empty specs = %v, %v; want no injector", in, err)
+	}
+}
+
+// mustNew builds an injector from the two specs, failing the test if New
+// rejects them or returns no injector.
+func mustNew(t *testing.T, faultSpec string, faultSeed uint64, noiseSpec string, noiseSeed uint64) *Injector {
+	t.Helper()
+	in, err := New(faultSpec, faultSeed, noiseSpec, noiseSeed)
+	if err != nil || in == nil {
+		t.Fatalf("New(%q, %d, %q, %d) = %v, %v", faultSpec, faultSeed, noiseSpec, noiseSeed, in, err)
+	}
+	return in
+}
+
+// TestNewSeedsDrawIndependently: on one injector, jitter draws from the
+// fault seed and network noise from the noise seed, exactly as two
+// single-spec injectors draw them.
+func TestNewSeedsDrawIndependently(t *testing.T) {
+	const faults, noise = "jitter:max=300ns,prob=0.4", "netnoise:node=*,dist=exp,mean=100ns,prob=0.5"
+	both := mustNew(t, faults, 3, noise, 7)
+	jitter := mustNew(t, faults, 3, "", 0)
+	net := mustNew(t, "", 0, noise, 7)
+	for i := 0; i < 200; i++ {
+		src, dst := i%16, (i+5)%16
+		want := jitter.PacketDelay(src, dst) + net.PacketDelay(src, dst)
+		if got := both.PacketDelay(src, dst); got != want {
+			t.Fatalf("packet %d: delay %v, want %v", i, got, want)
+		}
+	}
+	if got, want := both.Stats(), jitter.Stats(); got.Jittered != want.Jittered || got.Noise() != net.Stats() {
+		t.Errorf("stats %+v, want jitter %+v and noise %+v", got, want, net.Stats())
 	}
 }
 

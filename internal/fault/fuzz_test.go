@@ -6,10 +6,11 @@ import (
 )
 
 // FuzzParseSpec fuzzes the fault/noise spec grammar: Parse must never
-// panic, and any spec it accepts must render (String) to a canonical
-// form that re-parses to the identical Config — the fixed point the
-// memo cache and run log rely on, since canonical spec strings are part
-// of the cache key.
+// panic, a spec it rejects must be rejected with the same error text
+// every time, and any spec it accepts must render (String) to a
+// canonical form that re-parses to the identical Config — the fixed
+// point the memo cache and run log rely on, since canonical spec strings
+// are part of the cache key.
 func FuzzParseSpec(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -29,7 +30,10 @@ func FuzzParseSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, spec string) {
 		c, err := Parse(spec)
 		if err != nil {
-			return // rejected specs only need to not panic
+			if _, again := Parse(spec); again == nil || again.Error() != err.Error() {
+				t.Fatalf("Parse(%q) rejected with %q, then %v", spec, err, again)
+			}
+			return
 		}
 		canon := c.String()
 		c2, err := Parse(canon)

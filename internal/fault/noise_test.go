@@ -99,12 +99,8 @@ func TestConfigClasses(t *testing.T) {
 // are per node, so interleaving other nodes' draws must not perturb a
 // node's own sequence.
 func TestComputeDilationDeterminism(t *testing.T) {
-	cfg, err := Parse("hostnoise:node=*,dist=exp,mean=1us")
-	if err != nil {
-		t.Fatal(err)
-	}
 	draw := func(seed uint64, interleave bool) []sim.Time {
-		in := NewInjector(cfg, seed)
+		in := mustNew(t, "", 0, "hostnoise:node=*,dist=exp,mean=1us", seed)
 		out := make([]sim.Time, 100)
 		for i := range out {
 			if interleave {
@@ -127,12 +123,8 @@ func TestComputeDilationDeterminism(t *testing.T) {
 }
 
 func TestPacketDelayDeterminism(t *testing.T) {
-	cfg, err := Parse("netnoise:node=*,dist=heavytail,mean=100ns")
-	if err != nil {
-		t.Fatal(err)
-	}
 	draw := func(seed uint64) []sim.Time {
-		in := NewInjector(cfg, seed)
+		in := mustNew(t, "", 0, "netnoise:node=*,dist=heavytail,mean=100ns", seed)
 		out := make([]sim.Time, 200)
 		for i := range out {
 			out[i] = in.PacketDelay(i%16, (i+1)%16)
@@ -187,11 +179,7 @@ func TestSampleDistMeans(t *testing.T) {
 // TestDelayFiresOnce: a one-shot injected delay latches after its first
 // firing on the matching node and never fires again.
 func TestDelayFiresOnce(t *testing.T) {
-	cfg, err := Parse("delay:node=2,at=1us,dur=5us")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := NewInjector(cfg, 1)
+	in := mustNew(t, "", 0, "delay:node=2,at=1us,dur=5us", 1)
 	if got := in.ComputeDilation(2, 500*sim.Nanosecond); got != 0 {
 		t.Errorf("delay fired before its time: %v", got)
 	}
@@ -213,11 +201,7 @@ func TestDelayFiresOnce(t *testing.T) {
 // TestNoiseProbGate: prob thins host noise to roughly its configured
 // rate, and the stats counters account every injected picosecond.
 func TestNoiseProbGate(t *testing.T) {
-	cfg, err := Parse("hostnoise:node=*,dist=const,mean=1us,prob=0.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := NewInjector(cfg, 1)
+	in := mustNew(t, "", 0, "hostnoise:node=*,dist=const,mean=1us,prob=0.1", 1)
 	fired := 0
 	for i := 0; i < 1000; i++ {
 		if in.ComputeDilation(0, sim.Time(i)) > 0 {
@@ -243,11 +227,7 @@ func TestNoiseProbGate(t *testing.T) {
 // TestNoiseNodeFilter: a node-scoped netnoise clause touches only
 // packets with that node as an endpoint.
 func TestNoiseNodeFilter(t *testing.T) {
-	cfg, err := Parse("netnoise:node=3,dist=const,mean=10ns")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := NewInjector(cfg, 1)
+	in := mustNew(t, "", 0, "netnoise:node=3,dist=const,mean=10ns", 1)
 	if got := in.PacketDelay(0, 1); got != 0 {
 		t.Errorf("unrelated packet delayed %v", got)
 	}

@@ -178,10 +178,6 @@ type Machine struct {
 	AM    *am.System
 	Procs []*Proc
 
-	// ExtraEv accumulates counters owned by layers above the substrates
-	// (synchronization library); merged into Result.Events.
-	ExtraEv stats.Events
-
 	// Trace holds the last Cfg.TraceCap events when tracing is enabled.
 	Trace *obs.Ring[obs.Event]
 
@@ -196,13 +192,9 @@ type Machine struct {
 	// otherwise.
 	Crit *obs.CritRecorder
 
-	// Faults is the live fault injector; nil unless Cfg.FaultSpec is set.
+	// Faults is the live fault and noise injector; nil unless
+	// Cfg.FaultSpec or Cfg.NoiseSpec injects anything.
 	Faults *fault.Injector
-
-	// Noise is the live stochastic-noise injector; nil unless
-	// Cfg.NoiseSpec is set. Separate from Faults so the two spec strings
-	// keep independent seeds and RNG streams.
-	Noise *fault.Injector
 
 	ran    bool
 	doneN  int
@@ -272,32 +264,14 @@ func New(cfg Config) *Machine {
 		m.Crit = obs.NewCritRecorder(cfg.Nodes(), cap)
 		msys.SetCritPath(m.Crit)
 	}
-	if cfg.FaultSpec != "" {
-		fc, err := fault.Parse(cfg.FaultSpec)
-		if err != nil {
-			panic(fmt.Sprintf("machine: bad fault spec: %v", err))
-		}
-		if fc.NoiseEnabled() {
-			panic(fmt.Sprintf("machine: noise clauses in FaultSpec %q; put hostnoise/netnoise/delay in NoiseSpec", cfg.FaultSpec))
-		}
-		if fc.Enabled() {
-			m.Faults = fault.NewInjector(fc, cfg.FaultSeed)
-			net.SetFaultInjector(m.Faults)
-			asys.SetFaultInjector(m.Faults)
-		}
+	in, err := fault.New(cfg.FaultSpec, cfg.FaultSeed, cfg.NoiseSpec, cfg.NoiseSeed)
+	if err != nil {
+		panic("machine: " + err.Error())
 	}
-	if cfg.NoiseSpec != "" {
-		nc, err := fault.Parse(cfg.NoiseSpec)
-		if err != nil {
-			panic(fmt.Sprintf("machine: bad noise spec: %v", err))
-		}
-		if nc.FaultsEnabled() {
-			panic(fmt.Sprintf("machine: fault clauses in NoiseSpec %q; put jitter/outage/stall in FaultSpec", cfg.NoiseSpec))
-		}
-		if nc.Enabled() {
-			m.Noise = fault.NewInjector(nc, cfg.NoiseSeed)
-			net.SetNoiseInjector(m.Noise)
-		}
+	if in != nil {
+		m.Faults = in
+		net.SetFaultInjector(in)
+		asys.SetFaultInjector(in)
 	}
 	return m
 }
@@ -377,7 +351,7 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 		Time:    m.finish,
 		Cycles:  m.Clk.ToCycles(m.finish),
 		Volume:  m.Net.Volume(),
-		Events:  m.Mem.Events().Plus(m.AM.Events()).Plus(m.ExtraEv),
+		Events:  m.Mem.Events().Plus(m.AM.Events()),
 		PerProc: make([]stats.Breakdown, n),
 	}
 	res.DoneCycles = make([]int64, n)
@@ -387,8 +361,8 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 		res.Events = res.Events.Plus(p.Ev)
 		res.DoneCycles[i] = m.Clk.ToCycles(p.doneAt)
 	}
-	if m.Noise != nil {
-		res.Noise = m.Noise.Stats()
+	if m.Faults != nil {
+		res.Noise = m.Faults.Stats().Noise()
 	}
 	if m.Crit != nil {
 		// The critical path of a barrier-terminated SPMD run is the
@@ -455,10 +429,10 @@ func (m *Machine) enrich(se *sim.StallError) *sim.StallError {
 	for _, s := range m.AM.QueueDump(maxDumpNotes) {
 		se.Notes = append(se.Notes, "am: "+s)
 	}
-	if m.Noise != nil {
+	if m.Faults != nil && m.Faults.NoiseEnabled() {
 		// Distinguish a noise-induced stall from a protocol deadlock: a
 		// huge injected total means the watchdog likely tripped on noise.
-		st := m.Noise.Stats()
+		st := m.Faults.Stats()
 		se.Notes = append(se.Notes, fmt.Sprintf(
 			"noise: %d samples, %d ps injected (host %d samples/%d ps, net %d samples/%d ps, delays %d/%d ps)",
 			st.Samples(), st.InjectedPs(), st.HostNoiseSamples, st.HostNoisePs,

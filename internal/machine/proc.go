@@ -66,11 +66,11 @@ func (p *Proc) Compute(cycles int64) {
 	if cycles < 0 {
 		panic(fmt.Sprintf("machine: negative compute %d", cycles))
 	}
-	if p.M.Noise != nil {
+	if p.M.Faults != nil {
 		// Host noise dilates the compute phase at its boundary; one-shot
 		// injected delays also fire here (the processor is the target, so
 		// its compute path is where the stall lands).
-		if d := p.M.Noise.ComputeDilation(p.ID, p.th.Now()); d > 0 {
+		if d := p.M.Faults.ComputeDilation(p.ID, p.th.Now()); d > 0 {
 			p.BD.Add(stats.BucketCompute, d)
 			p.th.Sleep(d)
 		}

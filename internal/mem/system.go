@@ -485,7 +485,7 @@ func (s *System) homeProcess(home, req int, line Addr, write bool, t *txn, e *di
 	}
 
 	if !write {
-		s.countMiss(home, req, false)
+		s.countMiss(home, req)
 		extra := sim.Time(0)
 		if e.sharers.count() >= s.par.HWPointers {
 			s.ev.LimitLESSTraps++
@@ -502,7 +502,7 @@ func (s *System) homeProcess(home, req int, line Addr, write bool, t *txn, e *di
 	shs := e.sharers
 	shs.remove(req)
 	if shs.count() == 0 {
-		s.countMiss(home, req, false)
+		s.countMiss(home, req)
 		e.state = dirModified
 		e.owner = req
 		e.sharers = sharerSet{}
@@ -513,7 +513,7 @@ func (s *System) homeProcess(home, req int, line Addr, write bool, t *txn, e *di
 		s.release(home, e)
 		return
 	}
-	s.countMiss(home, req, false)
+	s.countMiss(home, req)
 	if s.par.Protocol == ProtocolUpdate && !t.atomic {
 		s.updateRound(home, req, line, t, e, shs)
 		return
@@ -553,13 +553,10 @@ func (s *System) homeProcess(home, req int, line Addr, write bool, t *txn, e *di
 }
 
 // countMiss classifies a (non-dirty-path) miss as local or remote-clean.
-func (s *System) countMiss(home, req int, dirty bool) {
-	switch {
-	case dirty:
-		s.ev.RemoteMissesDty++
-	case req == home:
+func (s *System) countMiss(home, req int) {
+	if req == home {
 		s.ev.LocalMisses++
-	default:
+	} else {
 		s.ev.RemoteMissesCln++
 	}
 }

@@ -15,7 +15,7 @@ type fixedFault struct {
 	until          sim.Time
 }
 
-func (f *fixedFault) PacketJitter() sim.Time { return f.jitter }
+func (f *fixedFault) PacketDelay(src, dst int) sim.Time { return f.jitter }
 
 func (f *fixedFault) LinkBlockedUntil(a, b int, t sim.Time) sim.Time {
 	if ((a == f.blockA && b == f.blockB) || (a == f.blockB && b == f.blockA)) && t < f.until {
@@ -82,11 +82,10 @@ func TestNilInjectorMatchesBaseline(t *testing.T) {
 }
 
 func TestRealInjectorOutageCountsStats(t *testing.T) {
-	cfg, err := fault.Parse("outage:node=*,start=0ps,dur=1us")
+	in, err := fault.New("outage:node=*,start=0ps,dur=1us", 1, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := fault.NewInjector(cfg, 1)
 	base := deliveryTime(t, nil)
 	got := deliveryTime(t, func(n *Network) { n.SetFaultInjector(in) })
 	if got <= base {

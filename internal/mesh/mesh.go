@@ -152,12 +152,8 @@ type Network struct {
 	stopX bool // stops cross-traffic generators
 
 	// fault, when non-nil, perturbs link reservations and deliveries
-	// (deterministic fault injection; see internal/fault).
+	// (seeded fault and noise injection; see internal/fault).
 	fault FaultInjector
-
-	// noise, when non-nil, adds seeded stochastic per-packet delivery
-	// delay (network noise; see internal/fault).
-	noise NoiseInjector
 
 	// Per-link instruments, allocated by SetMetrics; nil when metrics
 	// are disabled (one nil check on the reservation path). Indexed like
@@ -169,11 +165,12 @@ type Network struct {
 
 // FaultInjector perturbs network behaviour deterministically. It is
 // implemented by *fault.Injector; the interface keeps the mesh decoupled
-// from the fault package. Faults delay traffic but never drop it.
+// from the fault package. Faults and noise delay traffic but never drop
+// it.
 type FaultInjector interface {
-	// PacketJitter returns the extra delivery delay for the next packet.
-	// Called exactly once per packet, in send order.
-	PacketJitter() sim.Time
+	// PacketDelay returns the extra delivery delay for the next packet,
+	// from src to dst. Called exactly once per packet, in send order.
+	PacketDelay(src, dst int) sim.Time
 	// LinkBlockedUntil reports when the link joining nodes a and b
 	// becomes usable for a reservation desired at time t (0 = no outage).
 	LinkBlockedUntil(a, b int, t sim.Time) sim.Time
@@ -183,20 +180,6 @@ type FaultInjector interface {
 // With no injector attached the timing paths are byte-identical to a
 // fault-free build.
 func (n *Network) SetFaultInjector(fi FaultInjector) { n.fault = fi }
-
-// NoiseInjector adds stochastic per-packet delay. It is implemented by
-// *fault.Injector; a separate interface from FaultInjector because noise
-// carries its own seed and spec (machine.Config.NoiseSpec).
-type NoiseInjector interface {
-	// PacketDelay returns the extra delivery delay for the next packet
-	// from src to dst. Called exactly once per packet, in delivery order.
-	PacketDelay(src, dst int) sim.Time
-}
-
-// SetNoiseInjector attaches a noise injector (nil disables injection).
-// With no injector attached the timing paths are byte-identical to a
-// noise-free build.
-func (n *Network) SetNoiseInjector(ni NoiseInjector) { n.noise = ni }
 
 // Directions for link indexing.
 const (
@@ -369,10 +352,7 @@ func (n *Network) Send(p *Packet) sim.Time {
 	// by the serialization time.
 	tail := wk.head + n.cfg.HopLatency + wk.size
 	if n.fault != nil {
-		tail += n.fault.PacketJitter()
-	}
-	if n.noise != nil {
-		tail += n.noise.PacketDelay(p.Src, p.Dst)
+		tail += n.fault.PacketDelay(p.Src, p.Dst)
 	}
 	n.eng.At(tail, func() { n.deliver(p) })
 	return depart

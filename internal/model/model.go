@@ -3,6 +3,8 @@ package model
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/core"
 )
 
 // Mechanism mirrors the study's three structural classes (prefetching is
@@ -60,32 +62,8 @@ type MachineParams struct {
 type Prediction struct {
 	Cycles     float64
 	Rho        float64 // offered bisection utilization (0..1+)
-	Region     Region
+	Region     core.Region
 	StallShare float64 // fraction of runtime in communication stalls
-}
-
-// Region mirrors the paper's three regimes.
-type Region int
-
-const (
-	// Hiding: communication is overlapped or negligible.
-	Hiding Region = iota
-	// Latency: runtime grows with the latency term.
-	Latency
-	// Congestion: the bandwidth term dominates nonlinearly.
-	Congestion
-)
-
-func (r Region) String() string {
-	switch r {
-	case Hiding:
-		return "latency-hiding"
-	case Latency:
-		return "latency-dominated"
-	case Congestion:
-		return "congestion-dominated"
-	}
-	return fmt.Sprintf("Region(%d)", int(r))
 }
 
 // congestionCap bounds the 1/(1-rho) factor (a saturated network
@@ -150,11 +128,11 @@ func Predict(app AppParams, m MachineParams, mech Mechanism) Prediction {
 	p := Prediction{Cycles: t, Rho: rho, StallShare: stall / t}
 	switch {
 	case rho0 > 0.5:
-		p.Region = Congestion
+		p.Region = core.CongestionDominated
 	case excess < 0.08*t:
-		p.Region = Hiding
+		p.Region = core.LatencyHiding
 	default:
-		p.Region = Latency
+		p.Region = core.LatencyDominated
 	}
 	return p
 }

@@ -56,10 +56,10 @@ func TestBisectionCurveShape(t *testing.T) {
 	// SM hits congestion before MP.
 	smCong, mpCong := -1, -1
 	for i := range sm {
-		if sm[i].Region == Congestion && smCong < 0 {
+		if sm[i].Region == core.CongestionDominated && smCong < 0 {
 			smCong = i
 		}
-		if mp[i].Region == Congestion && mpCong < 0 {
+		if mp[i].Region == core.CongestionDominated && mpCong < 0 {
 			mpCong = i
 		}
 	}
@@ -93,10 +93,10 @@ func TestLatencyCurveShape(t *testing.T) {
 		t.Errorf("MP slope %.3f not ~flat vs SM %.3f", mpSlope, smSlope)
 	}
 	// Figure 2's regions: SM latency-dominated at high latency, MP hiding.
-	if sm[3].Region == Hiding {
+	if sm[3].Region == core.LatencyHiding {
 		t.Error("SM at 200 cycles classified as hiding")
 	}
-	if mp[3].Region != Hiding {
+	if mp[3].Region != core.LatencyHiding {
 		t.Errorf("MP at 200 cycles = %v, want hiding", mp[3].Region)
 	}
 }
@@ -167,7 +167,7 @@ func TestStrings(t *testing.T) {
 	if SharedMemory.String() == "" || Prefetched.String() == "" || MessagePassing.String() == "" {
 		t.Error("empty mechanism string")
 	}
-	for r := Hiding; r <= Congestion; r++ {
+	for r := core.LatencyHiding; r <= core.CongestionDominated; r++ {
 		if r.String() == "" {
 			t.Error("empty region string")
 		}

@@ -2,6 +2,9 @@ package repro
 
 import (
 	"testing"
+
+	"repro/internal/figures"
+	"repro/internal/sim"
 )
 
 func TestRunDefaultsMachine(t *testing.T) {
@@ -26,6 +29,36 @@ func TestRunAllAppsAllMechanisms(t *testing.T) {
 			}
 			if res.Cycles <= 0 {
 				t.Fatalf("%s/%s: empty result", app, mech)
+			}
+		}
+	}
+}
+
+// TestBreakdownCoversEveryCycle: every processor's four Figure 4 buckets
+// sum to its completion time, exactly to the cycle, for every app and
+// mechanism, both unperturbed and under faults, noise and an injected
+// delay. A stall no bucket records (or one recorded twice) would skew
+// Figure 4's bars without changing any completion time.
+func TestBreakdownCoversEveryCycle(t *testing.T) {
+	perturbed := DefaultMachine()
+	perturbed.FaultSpec = "jitter:max=200ns,prob=0.1;outage:node=*,start=10us,dur=2us,every=50us;stall:node=5,start=5us,dur=3us,every=40us"
+	perturbed.FaultSeed = 3
+	perturbed.NoiseSpec = figures.DefaultNoiseSpec + ";delay:node=5,at=20us,dur=10us"
+	perturbed.NoiseSeed = 1
+	for _, cfg := range []MachineConfig{DefaultMachine(), perturbed} {
+		clk := sim.NewClock(cfg.ClockMHz)
+		for _, app := range Apps {
+			for _, mech := range Mechanisms {
+				res, err := Run(Config{App: app, Mechanism: mech, Machine: cfg, SkipValidate: true})
+				if err != nil {
+					t.Fatalf("%s/%s (noise %q): %v", app, mech, cfg.NoiseSpec, err)
+				}
+				for i, bd := range res.PerProc {
+					if got := clk.ToCycles(bd.Total()); got != res.DoneCycles[i] {
+						t.Errorf("%s/%s (noise %q): proc %d buckets sum to %d cycles, done at %d",
+							app, mech, cfg.NoiseSpec, i, got, res.DoneCycles[i])
+					}
+				}
 			}
 		}
 	}
