@@ -104,6 +104,31 @@ func TestNewRejectsMisplacedClauses(t *testing.T) {
 	mustPanic("fault in NoiseSpec", cfg, "put jitter/outage/stall in FaultSpec")
 }
 
+// TestStallDumpNotesNoiseOnlyWhenConfigured: a stall dump carries the
+// noise note when a noise spec is set, and not for a fault spec alone,
+// though both run through the machine's one injector.
+func TestStallDumpNotesNoiseOnlyWhenConfigured(t *testing.T) {
+	for _, tc := range []struct {
+		faults, noise string
+		want          bool
+	}{
+		{"", "", false},
+		{"jitter:max=100ns", "", false},
+		{"", "hostnoise:node=*,dist=const,mean=1us", true},
+	} {
+		cfg := DefaultConfig()
+		cfg.FaultSpec, cfg.NoiseSpec = tc.faults, tc.noise
+		se := recoverStall(t, cfg, func(p *Proc) {
+			if p.ID < 2 {
+				p.WaitAndHandle()
+			}
+		})
+		if got := strings.Contains(se.Error(), "noise: "); got != tc.want {
+			t.Errorf("faults %q, noise %q: dump has noise note = %v, want %v:\n%s", tc.faults, tc.noise, got, tc.want, se.Error())
+		}
+	}
+}
+
 // TestDelayShiftsOneNode: a one-shot injected delay lands on exactly the
 // named node — in a communication-free workload its completion shifts by
 // exactly the delay, and every other node is untouched.
