@@ -230,9 +230,10 @@ func (e *RunError) Error() string {
 // the numerical result against the sequential reference, and returns the
 // measurements. A panicking simulation is recovered into a *RunError
 // rather than crashing the process; the crashed machine's paused thread
-// goroutines are abandoned (they hold no locks and touch no shared state,
-// so abandonment is safe, but a pathological sweep of thousands of
-// crashing points would accumulate them).
+// coroutines are abandoned, never resumed (they hold no locks and touch no
+// shared state, so abandonment is safe, but each keeps a parked host stack,
+// so a pathological sweep of thousands of crashing points would accumulate
+// them).
 func Run(rc RunConfig) (res RunResult, err error) {
 	a, err := NewAppSized(rc.App, rc.Scale, rc.Machine.Nodes(), rc.ScaleProblem)
 	if err != nil {

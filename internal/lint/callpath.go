@@ -69,8 +69,8 @@ func runCallPath(p *ModulePass) {
 	// Raw concurrency: module functions outside every sim scope that use
 	// host concurrency, reached from app scope. The engine-owned packages
 	// (sim, mem, mesh, ...) are sanctioned concurrency and act as
-	// barriers: an app reaching sim.Thread's goroutine handoff through
-	// the scheduler API is the design, not a leak.
+	// barriers: an app reaching the engine's thread handoff through the
+	// scheduler API is the design, not a leak.
 	sanctioned := func(n *CGNode) bool {
 		return nodeIn(n, simScopes) && !nodeIn(n, appScopes)
 	}

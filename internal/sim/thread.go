@@ -1,6 +1,11 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // ThreadState describes the lifecycle of a simulated thread.
 type ThreadState int
@@ -31,10 +36,11 @@ func (s ThreadState) String() string {
 }
 
 // Thread is a cooperatively scheduled simulated thread. A thread's body
-// runs on its own goroutine, but control is handed off strictly: while the
-// body executes, the engine goroutine (and every other thread) is blocked,
-// so the body may freely read and mutate simulation state and schedule
-// events. A body gives up control only through Pause (or by returning).
+// runs as a coroutine (iter.Pull) driven by the engine, so control is
+// handed off strictly: while the body executes, the engine (and every
+// other thread) is suspended, so the body may freely read and mutate
+// simulation state and schedule events. A body gives up control only
+// through Pause (or by returning).
 //
 // A paused thread is resumed by exactly one pending Wake; issuing a second
 // Wake for an already-woken thread is a model bug and panics.
@@ -43,11 +49,17 @@ type Thread struct {
 	name  string
 	state ThreadState
 
-	resume chan struct{} // engine -> thread: run now
-	yield  chan struct{} // thread -> engine: control returned
+	// The body's coroutine: next runs it until its next Pause (engine
+	// side), yield returns control to the engine (thread side). Both are
+	// dropped when the body finishes, so a finished thread does not keep
+	// the body's closure reachable.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	// wake is th.dispatch's method value, built once in Spawn so that
+	// scheduling a wake allocates nothing.
+	wake func()
 
 	wakePending bool
-	panicVal    interface{}
 
 	// Wait-reason bookkeeping for watchdog dumps. Two plain stores per
 	// pause keep the hot path allocation-free; formatting happens only
@@ -69,27 +81,26 @@ type Thread struct {
 // The body runs to completion unless it pauses; Spawn itself returns
 // immediately (the thread first runs when the engine reaches time at).
 func (e *Engine) Spawn(name string, at Time, body func(*Thread)) *Thread {
-	th := &Thread{
-		eng:    e,
-		name:   name,
-		state:  ThreadNew,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
-	go func() {
-		<-th.resume
+	th := &Thread{eng: e, name: name, state: ThreadNew}
+	// The coroutine's stop function is never called: after stop, yield
+	// returns at once, so a body would run on past its Pause calls with
+	// no engine in control. A crashed run abandons its paused coroutines.
+	th.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		th.yield = yield
 		defer func() {
-			if r := recover(); r != nil {
-				th.panicVal = r
-			}
 			th.state = ThreadDone
-			th.yield <- struct{}{}
+			th.next, th.yield = nil, nil
+			if r := recover(); r != nil {
+				// iter.Pull re-raises this on the engine's side of next.
+				panic(fmt.Sprintf("sim: thread %q panicked: %v", th.name, r))
+			}
 		}()
 		body(th)
-	}()
+	})
+	th.wake = th.dispatch
 	th.wakePending = true
 	e.threads = append(e.threads, th)
-	e.At(at, th.dispatch)
+	e.At(at, th.wake)
 	return th
 }
 
@@ -98,20 +109,16 @@ func (e *Engine) SpawnNow(name string, body func(*Thread)) *Thread {
 	return e.Spawn(name, e.now, body)
 }
 
-// dispatch transfers control to the thread and blocks until it yields.
-// It runs in engine context (as an event callback).
+// dispatch transfers control to the thread and returns when it pauses or
+// finishes. It runs in engine context (as an event callback). A body
+// panic resurfaces here, on the engine's side.
 func (th *Thread) dispatch() {
 	if th.state == ThreadDone {
 		panic(fmt.Sprintf("sim: wake of finished thread %q", th.name))
 	}
 	th.wakePending = false
 	th.state = ThreadRunning
-	th.resume <- struct{}{}
-	<-th.yield
-	if th.state == ThreadDone && th.panicVal != nil {
-		// Re-raise body panics on the engine goroutine so tests see them.
-		panic(fmt.Sprintf("sim: thread %q panicked: %v", th.name, th.panicVal))
-	}
+	th.next()
 }
 
 // Engine returns the engine this thread belongs to.
@@ -136,8 +143,7 @@ func (th *Thread) Pause() {
 	th.state = ThreadPaused
 	th.blockedSince = th.eng.now
 	armed := th.wakePending
-	th.yield <- struct{}{}
-	<-th.resume
+	th.yield(struct{}{})
 	th.state = ThreadRunning
 	d := th.eng.now - th.blockedSince
 	if armed {
@@ -189,7 +195,7 @@ func (th *Thread) WakeAt(t Time) {
 		panic(fmt.Sprintf("sim: duplicate wake for thread %q", th.name))
 	}
 	th.wakePending = true
-	th.eng.At(t, th.dispatch)
+	th.eng.At(t, th.wake)
 }
 
 // WakeAfter schedules the thread to resume d picoseconds from now.

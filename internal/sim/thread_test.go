@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestThreadRunsAtSpawnTime(t *testing.T) {
@@ -116,17 +118,86 @@ func TestThreadDoubleWakePanics(t *testing.T) {
 
 func TestThreadBodyPanicPropagates(t *testing.T) {
 	e := NewEngine()
-	e.Spawn("bad", 0, func(th *Thread) { panic("boom") })
+	// The panic comes after a Sleep, so it is raised by a resumed body
+	// rather than by the body's first run.
+	th := e.Spawn("bad", 0, func(th *Thread) {
+		th.Sleep(10)
+		panic("boom")
+	})
 	defer func() {
 		r := recover()
 		if r == nil {
 			t.Fatal("thread panic did not propagate to engine")
 		}
-		if !strings.Contains(r.(string), "boom") {
-			t.Errorf("panic value %v does not mention cause", r)
+		s, ok := r.(string)
+		if !ok {
+			t.Fatalf("panic value %#v is not a string", r)
+		}
+		if !strings.Contains(s, `"bad"`) {
+			t.Errorf("panic value %q does not name the thread", s)
+		}
+		if !strings.Contains(s, "boom") {
+			t.Errorf("panic value %q does not mention cause", s)
+		}
+		if th.State() != ThreadDone {
+			t.Errorf("state after panic = %v, want done", th.State())
 		}
 	}()
 	e.Run()
+}
+
+// TestThreadHandoffAllocatesNothing pins the handoff's steady state:
+// scheduling a wake and switching to and from the body allocate nothing.
+func TestThreadHandoffAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	const sleeps = 10000
+	e.Spawn("t", 0, func(th *Thread) {
+		for i := 0; i < sleeps; i++ {
+			th.Sleep(1)
+		}
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e.Run()
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n >= 100 {
+		t.Errorf("%d sleeps allocated %d objects, want fewer than 100", sleeps, n)
+	}
+}
+
+// spawnFinalized spawns a thread whose body is the only holder of an
+// object with a finalizer; the finalizer closes released.
+func spawnFinalized(e *Engine, released chan struct{}) *Thread {
+	obj := new([64]byte)
+	runtime.SetFinalizer(obj, func(*[64]byte) { close(released) })
+	return e.Spawn("t", 0, func(th *Thread) {
+		th.Sleep(1)
+		obj[0] = 1
+	})
+}
+
+// TestFinishedThreadReleasesBody checks that a finished thread keeps
+// nothing of its body alive: the engine still lists the thread, so a
+// thread holding its body's closure would pin the whole application.
+func TestFinishedThreadReleasesBody(t *testing.T) {
+	e := NewEngine()
+	released := make(chan struct{})
+	th := spawnFinalized(e, released)
+	e.Run()
+	timeout := time.After(10 * time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-released:
+			done = true
+		case <-time.After(10 * time.Millisecond):
+		case <-timeout:
+			t.Fatal("the finished thread's body was not collected")
+		}
+	}
+	if th.State() != ThreadDone || len(e.threads) != 1 {
+		t.Fatalf("state = %v with %d registered threads, want done with 1", th.State(), len(e.threads))
+	}
 }
 
 func TestThreadWakePending(t *testing.T) {
