@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -11,6 +13,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // update rewrites the golden files instead of comparing:
@@ -41,10 +45,11 @@ func paperbench(args ...string) *exec.Cmd {
 	return cmd
 }
 
-// goldenRuns are the pinned tiny-scale invocations. "OUT" in args is
-// replaced by a fresh output directory; collect turns one run into named
-// artifacts, compared byte for byte with testdata/golden/<name>/.
-// Figure S1 (82 s at -j 2) is pinned by CI against
+// goldenRuns are the pinned tiny-scale invocations. An "OUT" prefix in
+// args is replaced by a fresh output directory; collect turns one run
+// into named artifacts, compared byte for byte with
+// testdata/golden/<name>/.
+// Figure S1 (56 s at -j 2 on a 2-vCPU VM) is pinned by CI against
 // testdata/golden/s1_tiny instead, rewritten with
 // `go run ./cmd/paperbench -fig S1 -scale tiny -csv cmd/paperbench/testdata/golden/s1_tiny`.
 // faultSpec is the fault schedule of the faulted golden runs.
@@ -56,7 +61,9 @@ var goldenRuns = []struct {
 	collect func(t *testing.T, stdout, stderr []byte, out string) map[string][]byte
 }{
 	{"all_tiny", []string{"-all", "-scale", "tiny", "-csv", "OUT"}, figureArtifacts},
-	{"fig4_critpath_predict", []string{"-fig", "4", "-scale", "tiny", "-critpath", "-predict", "-csv", "OUT"}, figureArtifacts},
+	// -predicterr 15 fails the run if the dependency-graph model leaves
+	// its committed error bound.
+	{"fig4_critpath_predict", []string{"-fig", "4", "-scale", "tiny", "-critpath", "-predict", "-predicterr", "15", "-csv", "OUT"}, figureArtifacts},
 	// The predicted Figures 8-10, the hybrid Figure 1/2 regions and the
 	// graph-vs-closed-form table.
 	{"all_tiny_predict", []string{"-all", "-scale", "tiny", "-predict", "-csv", "OUT"}, figureArtifacts},
@@ -73,7 +80,14 @@ var goldenRuns = []struct {
 	// Fills all three observation rings: protocol events, thread spans
 	// and causal edges.
 	{"fig4_timeline", []string{"-fig", "4", "-scale", "tiny", "-timeline", "OUT", "-dumptrace", "16", "-critpath"}, timelineArtifacts},
+	{"s2_em3d_runlog", runLogArgs, runLogArtifacts},
 }
+
+// runLogArgs pin one run record per Runner.Run call, with fault spec and
+// seed, noise spec and seed, the delay clause, and the critical-path
+// summary.
+var runLogArgs = []string{"-fig", "S2", "-scale", "tiny", "-app", "em3d", "-noiseseeds", "2",
+	"-faults", faultSpec, "-seed", "3", "-critpath", "-runlog", "OUT/runlog.jsonl"}
 
 func TestFigureGolden(t *testing.T) {
 	if testing.Short() {
@@ -81,22 +95,44 @@ func TestFigureGolden(t *testing.T) {
 	}
 	for _, r := range goldenRuns {
 		t.Run(r.name, func(t *testing.T) {
-			out := t.TempDir()
-			args := make([]string, len(r.args))
-			for i, a := range r.args {
-				if a == "OUT" {
-					a = out
-				}
-				args[i] = a
-			}
-			cmd := paperbench(args...)
-			var stdout, stderr bytes.Buffer
-			cmd.Stdout, cmd.Stderr = &stdout, &stderr
-			if err := cmd.Run(); err != nil {
-				t.Fatalf("paperbench %s: %v\n%s", strings.Join(r.args, " "), err, stderr.Bytes())
-			}
-			checkGolden(t, filepath.Join("testdata", "golden", r.name), r.collect(t, stdout.Bytes(), stderr.Bytes(), out))
+			checkGoldenRun(t, r.name, r.args, r.collect)
 		})
+	}
+}
+
+// TestRunLogGoldenSerial reruns the run-log golden on one worker: the
+// records' deterministic fields do not depend on worker order.
+func TestRunLogGoldenSerial(t *testing.T) {
+	checkGoldenRun(t, "s2_em3d_runlog", append([]string{"-j", "1"}, runLogArgs...), runLogArtifacts)
+}
+
+// checkGoldenRun runs paperbench with args and compares its artifacts
+// with testdata/golden/<name>/.
+func checkGoldenRun(t *testing.T, name string, args []string,
+	collect func(t *testing.T, stdout, stderr []byte, out string) map[string][]byte) {
+	out := t.TempDir()
+	args = append([]string(nil), args...)
+	for i, a := range args {
+		if rest, ok := strings.CutPrefix(a, "OUT"); ok {
+			args[i] = out + rest
+		}
+	}
+	cmd := paperbench(args...)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("paperbench %s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
+	}
+	checkGolden(t, filepath.Join("testdata", "golden", name), collect(t, stdout.Bytes(), stderr.Bytes(), out))
+}
+
+// TestPredictErrExceeded: a -predicterr bound below the model's worst
+// validated error fails the run and says so.
+func TestPredictErrExceeded(t *testing.T) {
+	out, err := paperbench("-fig", "4", "-scale", "tiny", "-app", "em3d", "-predict", "-predicterr", "1").CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 || !strings.Contains(string(out), "EXCEEDS the -predicterr bound") {
+		t.Errorf("-predicterr 1: %v, want exit status 1 and an EXCEEDS line; output:\n%s", err, out)
 	}
 }
 
@@ -149,6 +185,31 @@ func timelineArtifacts(t *testing.T, _, stderr []byte, out string) map[string][]
 		"timeline.sha256": manifest.Bytes(),
 		"tracedump.txt":   []byte(strings.Join(sections, "")),
 	}
+}
+
+// runLogArtifacts is the run log with its host fields (memo, wall_ms)
+// dropped and its lines sorted, since runs finish in worker order.
+func runLogArtifacts(t *testing.T, _, _ []byte, out string) map[string][]byte {
+	data, err := os.ReadFile(filepath.Join(out, "runlog.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	dec := json.NewDecoder(bytes.NewReader(data))
+	for dec.More() {
+		var rec core.RunRecord
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatalf("run log is not valid JSONL: %v", err)
+		}
+		rec.Memo, rec.WallMS = "", 0
+		line, err := json.Marshal(&rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, string(line)+"\n")
+	}
+	sort.Strings(lines)
+	return map[string][]byte{"runlog.jsonl": []byte(strings.Join(lines, ""))}
 }
 
 func readDir(t *testing.T, dir string) map[string][]byte {

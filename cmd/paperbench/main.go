@@ -18,6 +18,10 @@ import (
 	"repro/internal/machine"
 )
 
+// timelineSpanCap is the thread-state spans each run retains for its
+// -timeline file (ring buffer capacity).
+const timelineSpanCap = 4096
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("paperbench: ")
@@ -50,11 +54,10 @@ func main() {
 		"snapshot per executed run into this directory (enables metrics collection; byte-identical across reruns)")
 	critpath := flag.Bool("critpath", false, "profile the critical path: attribute every cycle of the "+
 		"last-finishing processor to compute / memory stall / network latency / network bandwidth / "+
-		"synchronization (prints a table with -fig 4, adds a critpath_fig4.csv with -csv, a crit "+
-		"record per run with -runlog, and a critpath lane with -timeline)")
-	spanCap := flag.Int("spancap", 4096, "thread-state spans retained per run for -timeline (ring buffer capacity)")
-	runlog := flag.String("runlog", "", "write one JSON line per simulation run (fingerprint, memoization, "+
-		"wall time, outcome, hottest links) to this file")
+		"synchronization (prints a table with -fig 4, adds a critpath_fig4.csv with -csv, the "+
+		"summary to each -runlog record, and a critpath lane with -timeline)")
+	runlog := flag.String("runlog", "", "write one JSON run record per simulation run (configuration, "+
+		"outcome, measurements, memoization, wall time) to this file")
 	dumpTrace := flag.Int("dumptrace", 0, "retain up to n protocol trace events per run and dump them to stderr "+
 		"(with -timeline, the events also appear in the timeline JSON)")
 	cpuprofile := flag.String("cpuprofile", "", "write a host CPU profile to this file")
@@ -200,7 +203,7 @@ func main() {
 			}
 			tele.TimelineDir = *timelineDir
 			cfg.Metrics = true
-			cfg.SpanCap = *spanCap
+			cfg.SpanCap = timelineSpanCap
 		}
 		if *runlog != "" {
 			f, err := os.Create(*runlog)

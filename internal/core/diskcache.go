@@ -5,29 +5,29 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"repro/internal/machine"
 )
 
 // diskCacheSchema versions the on-disk entry layout. Bump it whenever
 // the serialized result shape or the meaning of any RunConfig field
 // changes: entries with a different schema are ignored, never trusted.
-const diskCacheSchema = 6 // 6: Config and Result lost the engine-choice fields (5: Config gained CritEdgeCap; 4: Result gained CritPath, Config gained CritPath)
+const diskCacheSchema = 7 // 7: an entry is a RunRecord (6: Config and Result lost the engine-choice fields; 5: Config gained CritEdgeCap; 4: Result gained CritPath, Config gained CritPath)
 
 // DiskCache persists completed run results across processes, extending
 // the Runner's in-memory single-flight memoization. Entries are keyed
 // by the canonical RunConfig fingerprint (the same normalization the
-// in-memory cache uses, validated by simlint's fingerprint check) and
-// carry both a schema version and the full canonical fingerprint text;
-// a load only hits when schema, key hash, and fingerprint text all
-// match, so corrupt files, hash collisions, and entries written by an
-// older RunConfig layout are all treated as misses and re-simulated.
+// in-memory cache uses, validated by simlint's fingerprint check). An
+// entry is the run's RunRecord — the same record the run log writes,
+// without its host fields — plus a schema version and the full
+// canonical fingerprint text; a load only hits when schema, key hash,
+// record label and fingerprint text all match, so corrupt files, hash
+// collisions, and entries written by an older RunConfig layout are all
+// treated as misses and re-simulated.
 //
-// Only successful runs are stored, and only their measurements:
-// observability byproducts (Trace, Obs, Spans) are host-side ring
-// buffers that are not serialized, so a run served from disk has them
-// nil. Figure and CSV generation never read them; per-run timeline
-// artifacts are only emitted for executed runs (see Telemetry).
+// The Runner stores only successful runs, and only of configurations
+// that record no observations: a run with TraceCap, SpanCap, Metrics or
+// CritPath set executes for its trace, span, metrics or causal-edge
+// rings, which the record cannot hold, so such a configuration is
+// neither loaded from nor stored to disk and executes once per process.
 //
 // Concurrent use — including by unrelated processes sharing the
 // directory — is safe: writes go to a unique temp file first and are
@@ -46,12 +46,9 @@ func OpenDiskCache(dir string) (*DiskCache, error) {
 
 // diskEntry is the JSON layout of one cached run.
 type diskEntry struct {
-	Schema      int            `json:"schema"`
-	Fingerprint string         `json:"fingerprint"` // canonical RunConfig, %+v rendering
-	App         string         `json:"app"`
-	Mech        string         `json:"mech"`
-	Scale       string         `json:"scale"`
-	Result      machine.Result `json:"result"`
+	Schema int    `json:"schema"`
+	Config string `json:"config"` // canonical RunConfig, %+v rendering
+	RunRecord
 }
 
 // path returns the entry file for a canonical (fingerprinted) config.
@@ -79,24 +76,18 @@ func (dc *DiskCache) Load(key RunConfig) (RunResult, bool) {
 	if err := json.Unmarshal(data, &e); err != nil {
 		return RunResult{}, false
 	}
-	if e.Schema != diskCacheSchema || e.Fingerprint != canonicalText(key) {
+	if e.Schema != diskCacheSchema || e.Config != canonicalText(key) ||
+		e.Fingerprint != FingerprintLabel(key) || e.Result == nil {
 		return RunResult{}, false
 	}
-	return RunResult{Result: e.Result, App: key.App, Mech: key.Mech}, true
+	return RunResult{Result: *e.Result, App: key.App, Mech: key.Mech}, true
 }
 
 // Store persists one successful run. Failures are reported to the
 // caller but are safe to ignore: the cache is an accelerator, not a
 // store of record.
 func (dc *DiskCache) Store(key RunConfig, res RunResult) error {
-	e := diskEntry{
-		Schema:      diskCacheSchema,
-		Fingerprint: canonicalText(key),
-		App:         string(key.App),
-		Mech:        key.Mech.String(),
-		Scale:       key.Scale.String(),
-		Result:      res.Result,
-	}
+	e := diskEntry{Schema: diskCacheSchema, Config: canonicalText(key), RunRecord: newRecord(key, res, nil)}
 	data, err := json.MarshalIndent(&e, "", "\t")
 	if err != nil {
 		return fmt.Errorf("core: disk cache: %w", err)

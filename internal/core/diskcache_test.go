@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"reflect"
@@ -96,8 +97,9 @@ func corruptAndRerun(t *testing.T, corrupt func(path string)) uint64 {
 }
 
 // TestDiskCacheDistrustsBadEntries: corrupt JSON, wrong schema versions,
-// and entries whose canonical fingerprint no longer matches (a stale
-// RunConfig layout) are all silent misses that re-simulate.
+// entries whose canonical fingerprint no longer matches (a stale
+// RunConfig layout), and records that name another configuration or
+// carry no result are all silent misses that re-simulate.
 func TestDiskCacheDistrustsBadEntries(t *testing.T) {
 	rewrite := func(mutate func(e map[string]any)) func(string) {
 		return func(path string) {
@@ -135,8 +137,10 @@ func TestDiskCacheDistrustsBadEntries(t *testing.T) {
 		}},
 		{"wrong-schema", rewrite(func(e map[string]any) { e["schema"] = diskCacheSchema + 1 })},
 		{"stale-fingerprint", rewrite(func(e map[string]any) {
-			e["fingerprint"] = e["fingerprint"].(string) + " extra-field:1"
+			e["config"] = e["config"].(string) + " extra-field:1"
 		})},
+		{"wrong-label", rewrite(func(e map[string]any) { e["fingerprint"] = "0000000000000000" })},
+		{"no-result", rewrite(func(e map[string]any) { delete(e, "result") })},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -171,5 +175,58 @@ func TestDiskCacheSkipsFailedRuns(t *testing.T) {
 	}
 	if len(entries) != 0 {
 		t.Errorf("failed run left %d cache entries", len(entries))
+	}
+}
+
+// TestPredictedSweepLogsEveryExecution: an instrumented base run records
+// causal edges, which the disk cannot hold, so a runner warm from
+// another process's disk cache still executes it — once, through the
+// memo, logged as the miss it is — while the validation runs come from
+// disk. Rerunning the sweep on the same runner executes nothing.
+func TestPredictedSweepLogsEveryExecution(t *testing.T) {
+	dir := t.TempDir()
+	mechs := []apps.Mechanism{apps.SM, apps.MPPoll}
+	ax := ClockAxis(machine.DefaultConfig(), []float64{20, 16})
+	newRunner := func(tele *Telemetry) *Runner {
+		t.Helper()
+		dc, err := OpenDiskCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRunner(2)
+		r.SetDiskCache(dc)
+		r.SetTelemetry(tele)
+		return r
+	}
+	if _, err := newRunner(nil).PredictedSweep(EM3D, ScaleTiny, mechs, ax, false); err != nil {
+		t.Fatal(err)
+	}
+
+	var log bytes.Buffer
+	r := newRunner(&Telemetry{RunLog: &log})
+	for i := 0; i < 2; i++ {
+		if _, err := r.PredictedSweep(EM3D, ScaleTiny, mechs, ax, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, executed := r.Stats(); executed != 2 {
+		t.Errorf("warm runner executed %d simulations, want 2 (the instrumented base runs, once each)", executed)
+	}
+	if n := r.DiskHits(); n != 2 {
+		t.Errorf("warm runner served %d runs from disk, want 2 (the validation runs)", n)
+	}
+	misses := 0
+	dec := json.NewDecoder(&log)
+	for dec.More() {
+		var rec RunRecord
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatalf("run log is not valid JSONL: %v", err)
+		}
+		if rec.Memo == "miss" {
+			misses++
+		}
+	}
+	if misses != 2 {
+		t.Errorf("run log holds %d miss records, want 2 (one per execution)", misses)
 	}
 }

@@ -55,18 +55,6 @@ type PredictedSweep struct {
 	Grid, Simulated int
 }
 
-// instrumentedRun executes rc (which must enable CritPath) preferring
-// the in-memory memo; a disk-served result lacks the edge recorder, so
-// it falls back to a direct execution.
-func (r *Runner) instrumentedRun(rc RunConfig) (RunResult, error) {
-	res, err := r.Run(rc)
-	if err != nil || res.Crit != nil {
-		return res, err
-	}
-	r.executed.Add(1)
-	return Run(rc)
-}
-
 // bisectionCrossFrac is the fraction of injected bytes assumed to cross
 // the machine's middle cut under dimension-order routing on a uniform
 // traffic pattern — the same convention model.Fit uses.
@@ -115,7 +103,7 @@ func (r *Runner) PredictedSweep(app AppName, sc Scale, mechs []apps.Mechanism, a
 		icfg := l.base
 		icfg.CritPath = true
 		icfg.CritEdgeCap = DefaultPredictEdgeCap
-		res, err := r.instrumentedRun(RunConfig{App: app, Mech: mech, Scale: sc, Machine: icfg, SkipValidate: true})
+		res, err := r.Run(RunConfig{App: app, Mech: mech, Scale: sc, Machine: icfg, SkipValidate: true})
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

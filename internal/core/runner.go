@@ -79,8 +79,8 @@ func (r *Runner) DiskHits() uint64 { return r.diskHits.Load() }
 
 // SetDiskCache attaches (or, with nil, detaches) a persistent result
 // cache: subsequent misses of the in-memory cache consult the disk
-// before simulating, and executed runs are stored back. Safe to call
-// concurrently with sweeps.
+// before simulating, and executed runs are stored back (see DiskCache
+// for which runs it holds). Safe to call concurrently with sweeps.
 func (r *Runner) SetDiskCache(dc *DiskCache) { r.disk.Store(dc) }
 
 // SetTelemetry attaches (or, with nil, detaches) an observability sink:
@@ -158,7 +158,11 @@ func (r *Runner) Run(rc RunConfig) (RunResult, error) {
 	e = &runnerEntry{done: make(chan struct{})}
 	r.cache[key] = e
 	r.mu.Unlock()
-	if dc := r.disk.Load(); dc != nil {
+	dc := r.disk.Load()
+	if m := key.Machine; m.TraceCap > 0 || m.SpanCap > 0 || m.Metrics || m.CritPath {
+		dc = nil // the run is for its observation rings, which the disk cannot hold
+	}
+	if dc != nil {
 		if res, ok := dc.Load(key); ok {
 			r.diskHits.Add(1)
 			e.res = res
@@ -177,7 +181,7 @@ func (r *Runner) Run(rc RunConfig) (RunResult, error) {
 		r.failMu.Unlock()
 	}
 	close(e.done)
-	if dc := r.disk.Load(); dc != nil && e.err == nil {
+	if dc != nil && e.err == nil {
 		if serr := dc.Store(key, e.res); serr != nil {
 			fmt.Fprintf(os.Stderr, "core: %v\n", serr)
 		}

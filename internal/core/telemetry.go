@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -24,12 +25,13 @@ import (
 // packages — it observes the host wall clock (run durations, heartbeat
 // throttling), which simlint's wallclock check bans inside the
 // simulation. Nothing here feeds back into simulated state; the
-// simulation-side data it serializes (timelines, metrics snapshots) is a
-// deterministic function of the RunConfig, so those files are
-// byte-identical across runs. The run log is not (it records wall time).
+// simulation-side data it serializes (timelines, metrics snapshots, the
+// run record's configuration and result) is a deterministic function of
+// the RunConfig, so those bytes are identical across runs. Only the run
+// log's host fields (memo, wall_ms) are not.
 type Telemetry struct {
-	// RunLog receives one JSON line per Runner.Run call (cache hits
-	// included, marked memo=hit).
+	// RunLog receives one RunRecord per Runner.Run call as a JSON line
+	// (cache hits included, marked memo=hit).
 	RunLog io.Writer
 	// Heartbeat receives throttled one-line progress reports.
 	Heartbeat io.Writer
@@ -49,44 +51,63 @@ type Telemetry struct {
 	lastBeat time.Time
 }
 
-// RunRecord is one sweep run's log entry, serialized as a JSON line.
+// RunRecord is the one serialized form of a run: the run log writes one
+// per Runner.Run call, and a disk-cache entry carries one. It names the
+// configuration, says how the run ended, and carries the measurements
+// whole, so a field added to machine.Result reaches both without code
+// here. Seeds are read from the canonical configuration, so an inert
+// seed (no spec to draw for) is 0 and omitted.
 type RunRecord struct {
-	Fingerprint string  `json:"fingerprint"`          // canonical RunConfig hash
-	App         string  `json:"app"`                  // application name
-	Mech        string  `json:"mech"`                 // communication mechanism
-	Scale       string  `json:"scale"`                // workload scale
-	Memo        string  `json:"memo"`                 // "hit" or "miss"
-	WallMS      float64 `json:"wall_ms"`              // host time spent (≈0 for hits)
-	SimCycles   int64   `json:"sim_cycles,omitempty"` // completion time, processor cycles
-	FaultSpec   string  `json:"fault_spec,omitempty"` // canonical fault injection spec
-	NoiseSpec   string  `json:"noise_spec,omitempty"` // canonical stochastic noise spec
-	NoiseSeed   uint64  `json:"noise_seed,omitempty"` // noise stream seed (meaningful with noise_spec)
+	Fingerprint string `json:"fingerprint"` // FingerprintLabel of the configuration
+	App         string `json:"app"`
+	Mech        string `json:"mech"`
+	Scale       string `json:"scale"`
+	FaultSpec   string `json:"fault_spec,omitempty"` // canonical fault injection spec
+	FaultSeed   uint64 `json:"fault_seed,omitempty"`
+	NoiseSpec   string `json:"noise_spec,omitempty"` // canonical stochastic noise spec
+	NoiseSeed   uint64 `json:"noise_seed,omitempty"`
 
-	// Per-run noise accounting (omitted when no noise was injected).
-	NoiseSamples    int64 `json:"noise_samples,omitempty"`     // stochastic draws that injected time
-	NoiseInjectedPs int64 `json:"noise_injected_ps,omitempty"` // total simulated time injected, ps
+	Outcome string `json:"outcome"`         // "ok", "stall", or "crash"
+	Error   string `json:"error,omitempty"` // failure detail
+	// P99HopWaitPs is the machine-wide p99 mesh hop wait, from the
+	// metrics registry (omitted when metrics did not run).
+	P99HopWaitPs int64           `json:"p99_hop_wait_ps,omitempty"`
+	Result       *machine.Result `json:"result,omitempty"` // nil unless outcome is "ok"
 
-	Outcome  string   `json:"outcome"`             // "ok", "stall", or "crash"
-	Error    string   `json:"error,omitempty"`     // failure detail
-	HotLinks []string `json:"hot_links,omitempty"` // top-3 mesh links by bytes (+ machine-wide p99 hop wait when metrics ran)
-
-	// Crit is the critical-path summary (omitted unless the run was
-	// profiled with machine.Config.CritPath).
-	Crit *CritRecord `json:"crit,omitempty"`
+	// Host fields, set only in the run log.
+	Memo   string  `json:"memo,omitempty"`    // "hit" or "miss"
+	WallMS float64 `json:"wall_ms,omitempty"` // host time spent (≈0 for hits)
 }
 
-// CritRecord is the runlog's critical-path summary: category cycles
-// summing to total_cycles, plus the longest recorded causal edges
-// rendered "kind src->dst [start,end)cyc lat=N bw=N".
-type CritRecord struct {
-	Node     int      `json:"node"`
-	Total    int64    `json:"total_cycles"`
-	Compute  int64    `json:"compute"`
-	MemStall int64    `json:"mem_stall"`
-	NetLat   int64    `json:"net_latency"`
-	NetBW    int64    `json:"net_bandwidth"`
-	Sync     int64    `json:"sync"`
-	TopEdges []string `json:"top_edges,omitempty"`
+// newRecord builds rc's record from one run's outcome: res when err is
+// nil, the failure otherwise.
+func newRecord(rc RunConfig, res RunResult, err error) RunRecord {
+	key := fingerprint(rc)
+	rec := RunRecord{
+		Fingerprint: FingerprintLabel(key),
+		App:         string(key.App),
+		Mech:        key.Mech.String(),
+		Scale:       key.Scale.String(),
+		FaultSpec:   key.Machine.FaultSpec,
+		FaultSeed:   key.Machine.FaultSeed,
+		NoiseSpec:   key.Machine.NoiseSpec,
+		NoiseSeed:   key.Machine.NoiseSeed,
+		Outcome:     "ok",
+	}
+	if err != nil {
+		rec.Outcome, rec.Error = "crash", err.Error()
+		if re, ok := err.(*RunError); ok && re.Stall != nil {
+			rec.Outcome = "stall"
+		}
+		return rec
+	}
+	rec.Result = &res.Result
+	if res.Obs != nil {
+		if h := res.Obs.FindHistogram("mesh_hop_wait_ps", ""); h != nil {
+			rec.P99HopWaitPs = h.P99()
+		}
+	}
+	return rec
 }
 
 // FingerprintLabel returns a stable 16-hex-digit hash of rc's canonical
@@ -111,57 +132,12 @@ func (t *Telemetry) observe(rc RunConfig, res RunResult, err error, wall time.Du
 	if !memo && err == nil {
 		t.writeArtifacts(rc, res)
 	}
-	rec := RunRecord{
-		Fingerprint: FingerprintLabel(rc),
-		App:         string(rc.App),
-		Mech:        rc.Mech.String(),
-		Scale:       rc.Scale.String(),
-		Memo:        "miss",
-		WallMS:      float64(wall.Microseconds()) / 1000,
-		FaultSpec:   rc.Machine.FaultSpec,
-		NoiseSpec:   rc.Machine.NoiseSpec,
-		Outcome:     "ok",
-	}
-	if rc.Machine.NoiseSpec != "" {
-		rec.NoiseSeed = rc.Machine.NoiseSeed
-	}
+	rec := newRecord(rc, res, err)
+	rec.Memo = "miss"
 	if memo {
 		rec.Memo = "hit"
 	}
-	switch {
-	case err == nil:
-		rec.SimCycles = res.Cycles
-		rec.NoiseSamples = res.Noise.Samples()
-		rec.NoiseInjectedPs = res.Noise.InjectedPs()
-		p99 := ""
-		if res.Obs != nil {
-			if h := res.Obs.FindHistogram("mesh_hop_wait_ps", ""); h != nil {
-				p99 = fmt.Sprintf(" p99wait=%dps", h.P99())
-			}
-		}
-		for _, l := range res.Links {
-			rec.HotLinks = append(rec.HotLinks,
-				fmt.Sprintf("%s(%d<->%d) bytes=%d util=%.3f%s", l.Link, l.A, l.B, l.Bytes, l.Utilization, p99))
-		}
-		if cp := res.CritPath; cp != nil {
-			cr := &CritRecord{
-				Node: cp.Node, Total: cp.TotalCycles,
-				Compute: cp.Compute, MemStall: cp.MemStall,
-				NetLat: cp.NetLatency, NetBW: cp.NetBandwidth, Sync: cp.Sync,
-			}
-			for _, e := range cp.TopEdges {
-				cr.TopEdges = append(cr.TopEdges, fmt.Sprintf("%s %d->%d [%d,%d)cyc lat=%d bw=%d",
-					e.Kind, e.Src, e.Dst, e.StartCycles, e.EndCycles, e.LatCycles, e.BWCycles))
-			}
-			rec.Crit = cr
-		}
-	default:
-		rec.Outcome = "crash"
-		rec.Error = err.Error()
-		if re, ok := err.(*RunError); ok && re.Stall != nil {
-			rec.Outcome = "stall"
-		}
-	}
+	rec.WallMS = float64(wall.Microseconds()) / 1000
 
 	t.mu.Lock()
 	defer t.mu.Unlock()

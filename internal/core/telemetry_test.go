@@ -98,45 +98,51 @@ func TestRunLogRecordsMemoization(t *testing.T) {
 		if rec.Outcome != "ok" || rec.App != "em3d" || rec.Mech != "mp-poll" || rec.Scale != "tiny" {
 			t.Errorf("bad record %+v", rec)
 		}
-		if rec.SimCycles <= 0 {
-			t.Errorf("record missing sim cycles: %+v", rec)
+		if rec.Result == nil || rec.Result.Cycles <= 0 {
+			t.Fatalf("record missing its result: %+v", rec)
 		}
-		if len(rec.HotLinks) == 0 || len(rec.HotLinks) > 3 {
-			t.Errorf("hot links = %v, want 1..3 entries", rec.HotLinks)
+		if n := len(rec.Result.Links); n == 0 || n > 3 {
+			t.Errorf("hot links = %v, want 1..3 entries", rec.Result.Links)
 		}
 	}
 }
 
 // TestRunLogRecordsStallOutcome checks that a watchdog-stalled run is
-// logged as outcome "stall" rather than a bare crash.
+// logged as outcome "stall", with its error and without a result.
 func TestRunLogRecordsStallOutcome(t *testing.T) {
 	var log bytes.Buffer
 	r := core.NewRunner(1)
 	r.SetTelemetry(&core.Telemetry{RunLog: &log})
 	rc := telemetryConfig()
-	// A permanent outage from t=0 on every node starves the run; the
-	// liveness watchdog turns that into a structured stall.
-	rc.Machine.FaultSpec = "outage:node=*,start=0,dur=1s"
+	// Every node's links go dark at t=0 for a full second, far past the
+	// run deadline, so the deadline watchdog ends the run as a stall.
+	rc.Machine.FaultSpec = "outage:node=*,start=0us,dur=1000000us"
 	rc.Machine.FaultSeed = 1
+	rc.Machine.DeadlineCycles = 2_000_000
 	if _, err := r.Run(rc); err == nil {
-		t.Skip("total outage did not stall this workload; nothing to log")
+		t.Fatal("outage run completed; expected a deadline stall")
 	}
 	var rec core.RunRecord
 	if err := json.Unmarshal(log.Bytes(), &rec); err != nil {
 		t.Fatalf("run log: %v", err)
 	}
-	if rec.Outcome != "stall" && rec.Outcome != "crash" {
-		t.Errorf("outcome = %q, want stall or crash", rec.Outcome)
+	if rec.Outcome != "stall" {
+		t.Errorf("outcome = %q, want stall (error %q)", rec.Outcome, rec.Error)
 	}
 	if rec.Error == "" {
 		t.Error("failed run logged without error detail")
+	}
+	if rec.Result != nil {
+		t.Errorf("failed run logged a result: %+v", rec.Result)
 	}
 }
 
 // TestInstrumentationIsPassive requires the paper-facing measurements of
 // an instrumented run to equal an uninstrumented run's exactly: metrics,
-// spans, and tracing observe the simulation without perturbing it, so
-// enabling them can never change figure data.
+// spans, tracing and the critical-path profiler observe the simulation
+// without perturbing it, so enabling them can never change figure data.
+// The root package's TestInstrumentationIsPassiveEveryPair repeats this
+// for every app and mechanism.
 func TestInstrumentationIsPassive(t *testing.T) {
 	bare := telemetryConfig()
 	bare.Machine.Metrics = false
@@ -146,15 +152,20 @@ func TestInstrumentationIsPassive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	instr, err := core.Run(telemetryConfig())
+	rc := telemetryConfig()
+	rc.Machine.CritPath = true
+	rc.Machine.CritEdgeCap = core.DefaultPredictEdgeCap
+	instr, err := core.Run(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if instr.Obs == nil || instr.Spans == nil || instr.Trace == nil {
-		t.Fatal("instrumented run did not record metrics/spans/trace")
+	if instr.Obs == nil || instr.Spans == nil || instr.Trace == nil || instr.Crit == nil || instr.CritPath == nil {
+		t.Fatal("instrumented run did not record metrics/spans/trace/critical path")
 	}
-	if !reflect.DeepEqual(plain.Result, instr.Result) {
+	got := instr.Result
+	got.CritPath = nil
+	if !reflect.DeepEqual(plain.Result, got) {
 		t.Errorf("instrumentation perturbed the run:\nplain: %+v\ninstrumented: %+v",
-			plain.Result, instr.Result)
+			plain.Result, got)
 	}
 }

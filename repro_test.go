@@ -1,8 +1,10 @@
 package repro
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/figures"
 	"repro/internal/sim"
 )
@@ -59,6 +61,40 @@ func TestBreakdownCoversEveryCycle(t *testing.T) {
 							app, mech, cfg.NoiseSpec, i, got, res.DoneCycles[i])
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestInstrumentationIsPassiveEveryPair: for every app and mechanism,
+// a run with metrics, spans, trace and the critical-path profiler (at
+// the predicted sweeps' edge cap) measures exactly what a bare run
+// does, apart from the critical-path summary it adds.
+func TestInstrumentationIsPassiveEveryPair(t *testing.T) {
+	instr := DefaultMachine()
+	instr.Metrics = true
+	instr.SpanCap = 2048
+	instr.TraceCap = 1024
+	instr.CritPath = true
+	instr.CritEdgeCap = core.DefaultPredictEdgeCap
+	for _, app := range Apps {
+		for _, mech := range Mechanisms {
+			bare, err := Run(Config{App: app, Mechanism: mech, SkipValidate: true})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", app, mech, err)
+			}
+			res, err := Run(Config{App: app, Mechanism: mech, Machine: instr, SkipValidate: true})
+			if err != nil {
+				t.Fatalf("%s/%s instrumented: %v", app, mech, err)
+			}
+			if res.CritPath == nil {
+				t.Fatalf("%s/%s: instrumented run has no critical-path summary", app, mech)
+			}
+			got := res.Result
+			got.CritPath = nil
+			if !reflect.DeepEqual(bare.Result, got) {
+				t.Errorf("%s/%s: instrumentation perturbed the run:\nbare: %+v\ninstrumented: %+v",
+					app, mech, bare.Result, got)
 			}
 		}
 	}
