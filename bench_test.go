@@ -408,7 +408,7 @@ func BenchmarkAblationValueLayout(b *testing.B) {
 	var ratio, trapRatio float64
 	for i := 0; i < b.N; i++ {
 		run := func(packed bool) core.RunResult {
-			a, err := core.NewApp(core.EM3D, core.ScaleSweep)
+			a, err := core.NewAppSized(core.EM3D, core.ScaleSweep, core.BaseProcs, false)
 			if err != nil {
 				b.Fatal(err)
 			}

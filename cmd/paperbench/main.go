@@ -383,11 +383,16 @@ func main() {
 		figures.PrintLogP(out, cfg)
 		sep()
 	}
-	if *all || *table == 1 || *table == 2 {
+	if *all || *table == 1 {
 		ranSomething = true
-		fmt.Fprintln(out, "Tables 1 and 2 are printed by the `machines` command:")
-		fmt.Fprintln(out, "  go run ./cmd/machines            # Table 1")
-		fmt.Fprintln(out, "  go run ./cmd/machines -relative  # Table 2")
+		figures.PrintTable1(out)
+	}
+	if *all || *table == 2 {
+		ranSomething = true
+		if *all {
+			fmt.Fprintln(out)
+		}
+		figures.PrintTable2(out)
 	}
 	if !ranSomething {
 		flag.Usage()

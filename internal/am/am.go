@@ -412,8 +412,8 @@ func (s *System) LastArrival(node int) (src int, sent sim.Time, bytes int, ok bo
 // HasPending reports whether node has undelivered messages queued.
 func (s *System) HasPending(node int) bool { return len(s.nis[node].q) > 0 }
 
-// QueueDepth returns the number of queued messages at node.
-func (s *System) QueueDepth(node int) int { return len(s.nis[node].q) }
+// queueDepth returns the number of queued messages at node.
+func (s *System) queueDepth(node int) int { return len(s.nis[node].q) }
 
 // Notify arms a one-shot callback invoked at the next message arrival at
 // node (or panics if one is already armed — a model bug).
@@ -425,11 +425,8 @@ func (s *System) Notify(node int, fn func()) {
 	ni.notify = fn
 }
 
-// NotifyArmed reports whether a notification callback is pending.
-func (s *System) NotifyArmed(node int) bool { return s.nis[node].notify != nil }
-
-// ClearNotify disarms a pending notification.
-func (s *System) ClearNotify(node int) { s.nis[node].notify = nil }
+// notifyArmed reports whether a notification callback is pending.
+func (s *System) notifyArmed(node int) bool { return s.nis[node].notify != nil }
 
 // Poll performs one polling operation on node's thread: it charges the
 // poll cost and dispatches every queued message with the cheap polled

@@ -288,7 +288,7 @@ func TestOutputBacklogStallsSender(t *testing.T) {
 func TestNotifyOneShotAndDoubleArmPanics(t *testing.T) {
 	r := newRig()
 	r.sys.Notify(3, func() {})
-	if !r.sys.NotifyArmed(3) {
+	if !r.sys.notifyArmed(3) {
 		t.Error("notify not armed")
 	}
 	defer func() {
@@ -297,19 +297,6 @@ func TestNotifyOneShotAndDoubleArmPanics(t *testing.T) {
 		}
 	}()
 	r.sys.Notify(3, func() {})
-}
-
-func TestClearNotify(t *testing.T) {
-	r := newRig()
-	r.sys.Notify(3, func() { t.Error("cleared notify fired") })
-	r.sys.ClearNotify(3)
-	if r.sys.NotifyArmed(3) {
-		t.Error("notify still armed after clear")
-	}
-	h := r.sys.Register(func(c *Ctx, args []int64, vals []float64) {})
-	var bd stats.Breakdown
-	r.eng.Spawn("send", 0, func(th *sim.Thread) { r.sys.Send(th, 0, 3, h, nil, nil, &bd) })
-	r.eng.Run()
 }
 
 func TestOversizeInlineMessagePanics(t *testing.T) {

@@ -38,10 +38,10 @@ func TestQueueDepthTracksArrivals(t *testing.T) {
 		}
 	})
 	r.eng.Run() // receiver never drains
-	if got := r.sys.QueueDepth(1); got != 5 {
+	if got := r.sys.queueDepth(1); got != 5 {
 		t.Errorf("queue depth = %d, want 5", got)
 	}
-	if r.sys.QueueDepth(2) != 0 {
+	if r.sys.queueDepth(2) != 0 {
 		t.Error("unrelated node has queued messages")
 	}
 }

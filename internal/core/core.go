@@ -74,26 +74,21 @@ func ParseScale(name string) (Scale, error) {
 // (weak scaling) holds per-processor work at its BaseProcs value.
 const BaseProcs = 32
 
-// NewApp constructs an application instance at the given scale for the
-// paper's 32-processor machine. Instances are deterministic: the same
-// (name, scale) always yields the same workload.
-func NewApp(name AppName, sc Scale) (apps.App, error) {
-	return NewAppSized(name, sc, BaseProcs, false)
-}
-
 // NewAppSized constructs an application instance at the given scale,
 // partitioned over procs processors. With scaleProblem false the
 // problem size is the scale's fixed size (strong scaling: the same
 // problem cut into more pieces); with scaleProblem true the problem
 // grows proportionally to procs/32, holding per-processor work constant
-// (weak scaling). At procs = BaseProcs both modes equal NewApp exactly,
-// byte for byte. Returns a descriptive error — not a panic — when the
+// (weak scaling). At procs = BaseProcs both modes are the paper's
+// 32-processor workload, byte for byte. Instances are deterministic: the
+// same arguments always yield the same workload. Returns a
+// *WorkloadError — not a panic — for an unknown application or when the
 // workload cannot be partitioned that finely (EM3D needs at least one
 // graph node per processor; UNSTRUC and MOLDYN use the paper's RCB
 // partitioner, which requires a power-of-two processor count).
 func NewAppSized(name AppName, sc Scale, procs int, scaleProblem bool) (apps.App, error) {
 	if procs < 1 {
-		return nil, fmt.Errorf("core: %s with %d processors", name, procs)
+		return nil, &WorkloadError{fmt.Errorf("core: %s with %d processors", name, procs)}
 	}
 	// sized scales a base problem dimension by procs/BaseProcs in
 	// weak-scaling mode, keeping the exact base value at BaseProcs.
@@ -119,12 +114,12 @@ func NewAppSized(name AppName, sc Scale, procs int, scaleProblem bool) (apps.App
 		}
 		p.Procs = procs
 		if p.Nodes < p.Procs {
-			return nil, fmt.Errorf("core: em3d at scale %s has %d graph nodes, too few for %d processors", sc, p.Nodes, procs)
+			return nil, &WorkloadError{fmt.Errorf("core: em3d at scale %s has %d graph nodes, too few for %d processors", sc, p.Nodes, procs)}
 		}
 		return em3d.New(p), nil
 	case UNSTRUC:
 		if !pow2 {
-			return nil, fmt.Errorf("core: unstruc RCB partitioning needs a power-of-two processor count, not %d", procs)
+			return nil, &WorkloadError{fmt.Errorf("core: unstruc RCB partitioning needs a power-of-two processor count, not %d", procs)}
 		}
 		p := workload.DefaultUnstrucParams()
 		switch sc {
@@ -155,7 +150,7 @@ func NewAppSized(name AppName, sc Scale, procs int, scaleProblem bool) (apps.App
 		return iccg.New(p), nil
 	case MOLDYN:
 		if !pow2 {
-			return nil, fmt.Errorf("core: moldyn RCB partitioning needs a power-of-two processor count, not %d", procs)
+			return nil, &WorkloadError{fmt.Errorf("core: moldyn RCB partitioning needs a power-of-two processor count, not %d", procs)}
 		}
 		p := workload.DefaultMoldynParams()
 		switch sc {
@@ -174,8 +169,13 @@ func NewAppSized(name AppName, sc Scale, procs int, scaleProblem bool) (apps.App
 		p.Procs = procs
 		return moldyn.New(p), nil
 	}
-	return nil, fmt.Errorf("core: unknown application %q", name)
+	return nil, &WorkloadError{fmt.Errorf("core: unknown application %q", name)}
 }
+
+// WorkloadError is NewAppSized's refusal to build a workload for a
+// configuration. Run returns it before any machine is built, so the
+// runner counts no simulation for it and logs the run as invalid.
+type WorkloadError struct{ error }
 
 // RunConfig is one experiment point. The workload is partitioned over
 // exactly Machine.Nodes() processors, so changing the machine geometry

@@ -12,16 +12,16 @@ import (
 func TestNewAppAllNamesAndScales(t *testing.T) {
 	for _, name := range AppNames {
 		for _, sc := range []Scale{ScaleTiny, ScaleSweep, ScaleDefault} {
-			a, err := NewApp(name, sc)
+			a, err := NewAppSized(name, sc, BaseProcs, false)
 			if err != nil {
-				t.Fatalf("NewApp(%s, %s): %v", name, sc, err)
+				t.Fatalf("NewAppSized(%s, %s): %v", name, sc, err)
 			}
 			if a.Name() != string(name) {
 				t.Errorf("app name %q != %q", a.Name(), name)
 			}
 		}
 	}
-	if _, err := NewApp("nonesuch", ScaleTiny); err == nil {
+	if _, err := NewAppSized("nonesuch", ScaleTiny, BaseProcs, false); err == nil {
 		t.Error("unknown app name did not error")
 	}
 }

@@ -10,7 +10,7 @@ import (
 // diskCacheSchema versions the on-disk entry layout. Bump it whenever
 // the serialized result shape or the meaning of any RunConfig field
 // changes: entries with a different schema are ignored, never trusted.
-const diskCacheSchema = 7 // 7: an entry is a RunRecord (6: Config and Result lost the engine-choice fields; 5: Config gained CritEdgeCap; 4: Result gained CritPath, Config gained CritPath)
+const diskCacheSchema = 8 // 8: Result.Noise became Result.Faults, with the fault counts (7: an entry is a RunRecord; 6: Config and Result lost the engine-choice fields; 5: Config gained CritEdgeCap; 4: Result gained CritPath, Config gained CritPath)
 
 // DiskCache persists completed run results across processes, extending
 // the Runner's in-memory single-flight memoization. Entries are keyed

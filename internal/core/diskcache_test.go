@@ -178,6 +178,55 @@ func TestDiskCacheSkipsFailedRuns(t *testing.T) {
 	}
 }
 
+// TestUnbuildableRunExecutesNothing: a configuration NewAppSized refuses
+// (tiny em3d's 320-node graph on 512 processors) builds no machine, so a
+// runner warm from another runner's disk cache executes no simulation
+// for the sweep, and its run log calls the refused run invalid, not a
+// crash.
+func TestUnbuildableRunExecutesNothing(t *testing.T) {
+	dir := t.TempDir()
+	ax, err := NodeScalingAxis(machine.DefaultConfig(), []int{32, 512}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(tele *Telemetry) *Runner {
+		t.Helper()
+		dc, err := OpenDiskCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRunner(1)
+		r.SetDiskCache(dc)
+		r.SetTelemetry(tele)
+		if _, err := r.Sweep(EM3D, ScaleTiny, []apps.Mechanism{apps.SM}, ax); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	sweep(nil)
+
+	var log bytes.Buffer
+	r := sweep(&Telemetry{RunLog: &log})
+	if _, executed := r.Stats(); executed != 0 {
+		t.Errorf("warm runner executed %d simulations, want 0", executed)
+	}
+	if n := r.DiskHits(); n != 1 {
+		t.Errorf("warm runner served %d runs from disk, want 1 (the 32-node run)", n)
+	}
+	outcomes := map[string]int{}
+	dec := json.NewDecoder(&log)
+	for dec.More() {
+		var rec RunRecord
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatalf("run log is not valid JSONL: %v", err)
+		}
+		outcomes[rec.Outcome]++
+	}
+	if want := map[string]int{"ok": 1, "invalid": 1}; !reflect.DeepEqual(outcomes, want) {
+		t.Errorf("run log outcomes %v, want %v", outcomes, want)
+	}
+}
+
 // TestPredictedSweepLogsEveryExecution: an instrumented base run records
 // causal edges, which the disk cannot hold, so a runner warm from
 // another process's disk cache still executes it — once, through the

@@ -141,11 +141,19 @@ func TestEM3DValidatesUnderSeededFaults(t *testing.T) {
 	if !reflect.DeepEqual(res1, res2) {
 		t.Error("same fault seed produced different results")
 	}
+	// The result counts the faults the run took.
+	if f := res1.Faults; f.Jittered == 0 || f.OutageDelays == 0 {
+		t.Errorf("result counts %d jittered packets and %d outage delays, want both > 0", f.Jittered, f.OutageDelays)
+	}
 
 	// Message-passing mechanisms exercise the NI drain-stall path.
 	rc.Mech = apps.MPPoll
-	if _, err := Run(rc); err != nil {
+	mp, err := Run(rc)
+	if err != nil {
 		t.Fatalf("EM3D/MPPoll under faults failed validation: %v", err)
+	}
+	if mp.Faults.StallRefusals == 0 {
+		t.Error("result counts no stall refusals for a message-passing run under drain stalls")
 	}
 }
 

@@ -138,8 +138,7 @@ func (r *Runner) DelayPropagation(app AppName, sc Scale, mechs []apps.Mechanism,
 
 	// Hop distances from the delayed node, from a throwaway mesh (pure
 	// geometry; no simulation).
-	m := mesh.New(sim.NewEngine(), mesh.Config{Width: base.Width, Height: base.Height,
-		HopLatency: base.HopLatency, PsPerByte: base.PsPerByte, Torus: base.Torus})
+	m := mesh.New(sim.NewEngine(), base.Mesh())
 	hops := make([]int, base.Nodes())
 	maxHops := 0
 	for i := range hops {

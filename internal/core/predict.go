@@ -277,26 +277,3 @@ func (ps *PredictedSweep) HybridPoints() []SweepPoint {
 	}
 	return out
 }
-
-// FastestPerPoint returns the winning mechanism at each point of the
-// hybrid curve (ties to the lower mechanism value, matching the stable
-// order of apps.Mechanisms), or -1 where nothing was measured or
-// predicted — the per-point half of the sweep's mechanism verdicts.
-func (ps *PredictedSweep) FastestPerPoint() []apps.Mechanism {
-	out := make([]apps.Mechanism, len(ps.Points))
-	for i, sp := range ps.HybridPoints() {
-		best := apps.Mechanism(-1)
-		var bestCycles int64
-		for _, mech := range apps.Mechanisms {
-			r, ok := sp.Results[mech]
-			if !ok {
-				continue
-			}
-			if best < 0 || r.Cycles < bestCycles {
-				best, bestCycles = mech, r.Cycles
-			}
-		}
-		out[i] = best
-	}
-	return out
-}

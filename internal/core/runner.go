@@ -67,7 +67,8 @@ func SetDefaultWorkers(n int) { DefaultRunner = NewRunner(n) }
 func (r *Runner) Workers() int { return r.workers }
 
 // Stats reports how many runs were served from cache and how many
-// actually executed a simulation.
+// actually executed a simulation (a configuration NewAppSized refuses
+// executes none).
 func (r *Runner) Stats() (hits, executed uint64) {
 	return r.hits.Load(), r.executed.Load()
 }
@@ -89,13 +90,6 @@ func (r *Runner) SetDiskCache(dc *DiskCache) { r.disk.Store(dc) }
 // call concurrently with sweeps; in-flight runs may record to either
 // sink around the switch.
 func (r *Runner) SetTelemetry(t *Telemetry) { r.tele.Store(t) }
-
-// ClearCache drops all memoized results.
-func (r *Runner) ClearCache() {
-	r.mu.Lock()
-	r.cache = make(map[RunConfig]*runnerEntry)
-	r.mu.Unlock()
-}
 
 // Failures returns the crashed runs recovered so far, one per distinct
 // failing configuration (cache hits on a failed entry do not re-report).
@@ -171,10 +165,12 @@ func (r *Runner) Run(rc RunConfig) (RunResult, error) {
 			return e.res, nil
 		}
 	}
-	r.executed.Add(1)
 	start := time.Now()
 	e.res, e.err = Run(rc)
 	wall := time.Since(start)
+	if _, invalid := e.err.(*WorkloadError); !invalid {
+		r.executed.Add(1) // a machine was built and run
+	}
 	if re, ok := e.err.(*RunError); ok {
 		r.failMu.Lock()
 		r.failures = append(r.failures, re)

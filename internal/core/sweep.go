@@ -94,8 +94,7 @@ func (ax *Axis) run(app AppName, sc Scale, mech apps.Mechanism, i int) RunConfig
 // ExtraRho: the model distrusts exactly the points it cannot see, and
 // the pruned mode simulates them.
 func BisectionAxis(base machine.Config, crossRates []float64) Axis {
-	native := mesh.Config{Width: base.Width, Height: base.Height, HopLatency: base.HopLatency, PsPerByte: base.PsPerByte}.
-		BisectionBytesPerCycle(clockOf(base))
+	native := base.Mesh().BisectionBytesPerCycle(clockOf(base))
 	sCross := float64(CrossMsgBytes) * float64(base.PsPerByte) // link occupancy per cross packet, ps
 	fx := xHopFrac(base.Width, base.Height)
 	xs := make([]float64, len(crossRates))
@@ -292,8 +291,7 @@ func (r *Runner) Sweep(app AppName, sc Scale, mechs []apps.Mechanism, ax Axis) (
 // convention of the paper's Table 1 (Alewife ~ 15 at 20 MHz).
 func NetLatencyCycles(cfg machine.Config) float64 {
 	clk := sim.NewClock(cfg.ClockMHz)
-	m := mesh.New(sim.NewEngine(), mesh.Config{Width: cfg.Width, Height: cfg.Height,
-		HopLatency: cfg.HopLatency, PsPerByte: cfg.PsPerByte, Torus: cfg.Torus})
+	m := mesh.New(sim.NewEngine(), cfg.Mesh())
 	avg := m.AvgHops()
 	t := float64(cfg.HopLatency)*(avg+1) + 24*float64(cfg.PsPerByte)
 	return t / float64(clk.PsPerCycle())

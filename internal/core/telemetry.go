@@ -67,7 +67,10 @@ type RunRecord struct {
 	NoiseSpec   string `json:"noise_spec,omitempty"` // canonical stochastic noise spec
 	NoiseSeed   uint64 `json:"noise_seed,omitempty"`
 
-	Outcome string `json:"outcome"`         // "ok", "stall", or "crash"
+	// Outcome is "ok", "stall" (a watchdog diagnostic), "crash" (any
+	// other failed run), or "invalid" (no workload could be built for
+	// the configuration, so nothing was simulated).
+	Outcome string `json:"outcome"`
 	Error   string `json:"error,omitempty"` // failure detail
 	// P99HopWaitPs is the machine-wide p99 mesh hop wait, from the
 	// metrics registry (omitted when metrics did not run).
@@ -98,6 +101,9 @@ func newRecord(rc RunConfig, res RunResult, err error) RunRecord {
 		rec.Outcome, rec.Error = "crash", err.Error()
 		if re, ok := err.(*RunError); ok && re.Stall != nil {
 			rec.Outcome = "stall"
+		}
+		if _, ok := err.(*WorkloadError); ok {
+			rec.Outcome = "invalid"
 		}
 		return rec
 	}

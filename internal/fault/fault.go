@@ -124,8 +124,8 @@ type Config struct {
 	Stalls    []Window // endpoint drain stalls: the node's NI refuses input
 }
 
-// Enabled reports whether the config injects anything at all.
-func (c Config) Enabled() bool { return c.FaultsEnabled() || c.NoiseEnabled() }
+// enabled reports whether the config injects anything at all.
+func (c Config) enabled() bool { return c.FaultsEnabled() || c.NoiseEnabled() }
 
 // FaultsEnabled reports whether the config injects discrete faults —
 // jitter, outages, or stalls, the clauses machine.Config.FaultSpec
@@ -323,7 +323,7 @@ func parseFields(body, noun string, fields []field) error {
 				}
 			}
 		case *sim.Time:
-			*p, err = ParseDuration(v)
+			*p, err = parseDuration(v)
 		case *float64:
 			*p, err = parseProb(v)
 		case *DistKind:
@@ -354,8 +354,8 @@ func parseProb(v string) (float64, error) {
 	return p, nil
 }
 
-// ParseDuration reads a simulated duration with a ps/ns/us/ms suffix.
-func ParseDuration(s string) (sim.Time, error) {
+// parseDuration reads a simulated duration with a ps/ns/us/ms suffix.
+func parseDuration(s string) (sim.Time, error) {
 	units := []struct {
 		suffix string
 		scale  sim.Time
@@ -397,13 +397,6 @@ func (s Stats) Samples() int64 { return s.HostNoiseSamples + s.NetNoiseSamples +
 
 // InjectedPs is the total simulated time injected by noise, in ps.
 func (s Stats) InjectedPs() int64 { return s.HostNoisePs + s.NetNoisePs + s.DelayPs }
-
-// Noise returns s with the discrete-fault counts cleared, leaving the
-// noise counts.
-func (s Stats) Noise() Stats {
-	s.Jittered, s.OutageDelays, s.StallRefusals = 0, 0, 0
-	return s
-}
 
 // Injector is the live fault and noise source attached to one simulated
 // machine. Like the rest of the machine it is driven by one event loop
@@ -451,7 +444,7 @@ func New(faultSpec string, faultSeed uint64, noiseSpec string, noiseSeed uint64)
 	if nc.FaultsEnabled() {
 		return nil, fmt.Errorf("fault clauses in NoiseSpec %q; put jitter/outage/stall in FaultSpec", noiseSpec)
 	}
-	if !fc.Enabled() && !nc.Enabled() {
+	if !fc.enabled() && !nc.enabled() {
 		return nil, nil
 	}
 	fc.HostNoise, fc.NetNoise, fc.Delays = nc.HostNoise, nc.NetNoise, nc.Delays

@@ -89,8 +89,8 @@ func TestConfigClasses(t *testing.T) {
 			t.Errorf("%q: FaultsEnabled=%v NoiseEnabled=%v, want %v/%v",
 				tc.spec, c.FaultsEnabled(), c.NoiseEnabled(), tc.faults, tc.noise)
 		}
-		if !c.Enabled() {
-			t.Errorf("%q: Enabled() = false", tc.spec)
+		if !c.enabled() {
+			t.Errorf("%q: enabled() = false", tc.spec)
 		}
 	}
 }

@@ -13,11 +13,11 @@ type CatalogEntry struct {
 	Title string // one-line description
 }
 
-// Catalog lists every figure and table in selector order. paperbench
+// catalog lists every figure and table in selector order. paperbench
 // -list prints it. TestCatalogListsEveryFigure pins the selectors to a
 // list in the test itself; nothing checks them against the dispatch in
 // cmd/paperbench/main.go, so keep the two in sync by hand.
-func Catalog() []CatalogEntry {
+func catalog() []CatalogEntry {
 	return []CatalogEntry{
 		{"-fig 1", "bandwidth region classification (derived from the Figure 8 sweep)"},
 		{"-fig 2", "latency region classification (derived from the Figure 10 sweep)"},
@@ -31,8 +31,8 @@ func Catalog() []CatalogEntry {
 		{"-fig 10", "runtime vs one-way network latency"},
 		{"-fig S1", "mechanism scaling with machine size, 32-512 nodes (beyond the paper)"},
 		{"-fig S2", "mechanism sensitivity to stochastic noise and single-delay propagation (beyond the paper)"},
-		{"-table 1", "machine configurations (printed by cmd/machines)"},
-		{"-table 2", "relative machine parameters (printed by cmd/machines -relative)"},
+		{"-table 1", "parameter estimates for fourteen 32-processor machines"},
+		{"-table 2", "the same parameters in units of local cache-miss latency"},
 		{"-model", "analytical model vs simulator comparison, plus LogP parameters"},
 		{"-predict", "dependency-graph sweep predictions for figs 4/8/9/10 from one instrumented run per mechanism (-prune simulates only low-confidence and near-crossover points)"},
 	}
@@ -42,7 +42,7 @@ func Catalog() []CatalogEntry {
 func PrintCatalog(w io.Writer) {
 	fmt.Fprintln(w, "paperbench artifacts:")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	for _, e := range Catalog() {
+	for _, e := range catalog() {
 		fmt.Fprintf(tw, "  %s\t%s\n", e.Flag, e.Title)
 	}
 	tw.Flush()

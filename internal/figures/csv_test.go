@@ -56,7 +56,7 @@ func TestSweepPrintersMarkMissingMechanism(t *testing.T) {
 		}},
 	}
 	var buf bytes.Buffer
-	PrintSweep(&buf, "title", "x", mechs, pts)
+	printSweep(&buf, "title", "x", mechs, pts)
 	lines := strings.Split(buf.String(), "\n")
 	if got := strings.Fields(lines[2]); strings.Join(got, " ") != "18.0 100 50" {
 		t.Errorf("full row = %q", lines[2])

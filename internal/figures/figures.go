@@ -143,10 +143,10 @@ func PrintFig3(w io.Writer, cfg machine.Config) core.MissPenalties {
 	return mp
 }
 
-// PrintSweep renders a sweep as one series per mechanism (the paper's
+// printSweep renders a sweep as one series per mechanism (the paper's
 // line plots), with runtime in cycles. A mechanism a point did not
 // measure (a crashed run) prints "-".
-func PrintSweep(w io.Writer, title, xlabel string, mechs []apps.Mechanism, pts []core.SweepPoint) {
+func printSweep(w io.Writer, title, xlabel string, mechs []apps.Mechanism, pts []core.SweepPoint) {
 	fmt.Fprintln(w, title)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "%s", xlabel)
@@ -240,7 +240,7 @@ func (f SweepFigure) Run(w io.Writer, app core.AppName, sc core.Scale, ax core.A
 		if pts, err = core.DefaultRunner.Sweep(app, sc, apps.Mechanisms, ax); err != nil {
 			return nil, nil, err
 		}
-		PrintSweep(w, fmt.Sprintf("Figure %d (%s): execution cycles vs %s", f.Num, app, f.Subject),
+		printSweep(w, fmt.Sprintf("Figure %d (%s): execution cycles vs %s", f.Num, app, f.Subject),
 			f.XLabel, apps.Mechanisms, pts)
 	}
 	if f.Crossover {
@@ -260,7 +260,7 @@ func Fig7(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, rate
 	if err != nil {
 		return nil, err
 	}
-	PrintSweep(w, fmt.Sprintf("Figure 7 (%s): sensitivity to cross-traffic message length (%.0f bytes/cycle consumed)", app, rate),
+	printSweep(w, fmt.Sprintf("Figure 7 (%s): sensitivity to cross-traffic message length (%.0f bytes/cycle consumed)", app, rate),
 		"msg bytes", mechs, pts)
 	return pts, nil
 }

@@ -15,8 +15,9 @@ import (
 // baseline runs and prints model-vs-simulated shared-memory runtimes
 // across the latency sweep — the quantitative companion to the paper's
 // conceptual Figure 2. It returns the worst model/simulated ratio. Its
-// runs go through core.DefaultRunner, which memoizes, caches, logs and
-// counts them with the sweeps they repeat.
+// runs go through core.DefaultRunner, whose Sweep over
+// core.IdealLatencyAxis runs the latency points on the worker pool and
+// memoizes, caches, logs and counts them with the sweeps they repeat.
 func PrintModelComparison(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, lats []int64) (float64, error) {
 	smRun, err := core.DefaultRunner.Run(core.RunConfig{App: app, Mech: apps.SM, Scale: sc,
 		Machine: cfg, SkipValidate: true})
@@ -33,17 +34,19 @@ func PrintModelComparison(w io.Writer, app core.AppName, sc core.Scale, cfg mach
 		return 0, err
 	}
 
+	pts, err := core.DefaultRunner.Sweep(app, sc, []apps.Mechanism{apps.SM}, core.IdealLatencyAxis(cfg, lats))
+	if err != nil {
+		return 0, err
+	}
+
 	fmt.Fprintf(w, "Analytical model vs simulator (%s, shared memory, latency sweep)\n", app)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "one-way cycles\tsimulated\tmodel\tmodel/sim\tmodel region")
 	worst := 1.0
-	for _, lat := range lats {
-		c := cfg
-		c.IdealNetOneWayCycles = lat
-		simRun, err := core.DefaultRunner.Run(core.RunConfig{App: app, Mech: apps.SM, Scale: sc,
-			Machine: c, SkipValidate: true})
-		if err != nil {
-			return 0, err
+	for i, lat := range lats {
+		simRun, ok := pts[i].Results[apps.SM]
+		if !ok {
+			continue // a failed run; the runner reports it
 		}
 		mp := machP
 		mp.OneWayLatency = float64(lat)

@@ -82,7 +82,7 @@ func TestCatalogListsEveryFigure(t *testing.T) {
 		"-fig 7", "-fig 8", "-fig 9", "-fig 10", "-fig S1", "-fig S2",
 		"-table 1", "-table 2", "-model", "-predict",
 	}
-	cat := Catalog()
+	cat := catalog()
 	if len(cat) != len(want) {
 		t.Fatalf("catalog has %d entries, want %d", len(cat), len(want))
 	}

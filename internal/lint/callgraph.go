@@ -498,27 +498,3 @@ func Chain(n *CGNode, reach map[*CGNode]*ReachStep) string {
 	}
 	return s
 }
-
-// ReachableFrom computes forward reachability from the given roots,
-// following call, ref, and iface edges. Roots are included.
-func (g *CallGraph) ReachableFrom(roots []*CGNode) map[*CGNode]bool {
-	seen := make(map[*CGNode]bool)
-	var stack []*CGNode
-	for _, r := range roots {
-		if r != nil && !seen[r] {
-			seen[r] = true
-			stack = append(stack, r)
-		}
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range n.Edges {
-			if !seen[e.To] {
-				seen[e.To] = true
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	return seen
-}

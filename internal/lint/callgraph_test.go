@@ -246,25 +246,3 @@ func direct() { c() }
 		t.Error("direct caller of c lost reachability to an unrelated barrier")
 	}
 }
-
-func TestReachableFrom(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs := buildPkgs(t, fset, []srcPkg{{path: "repro/internal/cgfix", src: `package cgfix
-
-func root() { mid() }
-
-func mid() { leaf() }
-
-func leaf() {}
-
-func island() {}
-`}})
-	g := BuildCallGraph(pkgs)
-	got := g.ReachableFrom([]*CGNode{nodeByName(t, g, "cgfix.root")})
-	if !got[nodeByName(t, g, "cgfix.leaf")] {
-		t.Error("leaf not reachable from root")
-	}
-	if got[nodeByName(t, g, "cgfix.island")] {
-		t.Error("island spuriously reachable")
-	}
-}

@@ -64,9 +64,9 @@ func TestFixtures(t *testing.T) {
 			dir := filepath.Join("testdata", "src", tc.dir)
 			fset := token.NewFileSet()
 			files, wants := parseFixture(t, fset, dir, tc.ignoreWants)
-			diags, err := CheckPackage(fset, tc.pkgPath, files, tc.checks)
+			diags, err := checkPackage(fset, tc.pkgPath, files, tc.checks)
 			if err != nil {
-				t.Fatalf("CheckPackage: %v", err)
+				t.Fatalf("checkPackage: %v", err)
 			}
 			got := make(map[string][]string)
 			for _, d := range diags {
@@ -227,7 +227,7 @@ func covered(m map[int]int) []int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := CheckPackage(fset, "repro/internal/figures/fixture", []*ast.File{f}, []*Check{MapOrderCheck})
+	diags, err := checkPackage(fset, "repro/internal/figures/fixture", []*ast.File{f}, []*Check{MapOrderCheck})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func covered(m map[int]int) []int {
 
 	// The same stale allow is NOT reported when its check is deselected:
 	// a -checks run says nothing about the others.
-	none, err := CheckPackage(fset, "repro/internal/figures/fixture", []*ast.File{f}, []*Check{WallclockCheck})
+	none, err := checkPackage(fset, "repro/internal/figures/fixture", []*ast.File{f}, []*Check{WallclockCheck})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func b() {}
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := CheckPackage(fset, "repro/internal/figures/fixture", []*ast.File{f}, []*Check{MapOrderCheck})
+	diags, err := checkPackage(fset, "repro/internal/figures/fixture", []*ast.File{f}, []*Check{MapOrderCheck})
 	if err != nil {
 		t.Fatal(err)
 	}

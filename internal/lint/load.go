@@ -280,10 +280,10 @@ func typeCheck(fset *token.FileSet, pkg *Package, imp types.Importer) error {
 	return nil
 }
 
-// CheckPackage type-checks the given files as a single package with the
+// checkPackage type-checks the given files as a single package with the
 // given import path and runs the checks over it — the fixture-test entry
 // point (Load is the production path).
-func CheckPackage(fset *token.FileSet, pkgPath string, files []*ast.File, checks []*Check) ([]Diagnostic, error) {
+func checkPackage(fset *token.FileSet, pkgPath string, files []*ast.File, checks []*Check) ([]Diagnostic, error) {
 	pkg := &Package{Path: pkgPath, Fset: fset, Files: files}
 	imp := &moduleImporter{
 		source:  importer.ForCompiler(fset, "source", nil),

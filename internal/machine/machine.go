@@ -165,6 +165,16 @@ func ConfigForNodes(nodes int) (Config, error) {
 // Nodes returns the node count.
 func (c Config) Nodes() int { return c.Width * c.Height }
 
+// Mesh returns the interconnect part of c: the mesh New builds, and the
+// geometry every hop count and bisection figure is read from.
+func (c Config) Mesh() mesh.Config {
+	return mesh.Config{
+		Width: c.Width, Height: c.Height,
+		HopLatency: c.HopLatency, PsPerByte: c.PsPerByte,
+		Torus: c.Torus, AdaptiveXY: c.AdaptiveXY,
+	}
+}
+
 // Machine is one simulated multiprocessor instance. Build it with New,
 // set up application state (allocations, handlers), then call Run exactly
 // once.
@@ -216,11 +226,7 @@ func New(cfg Config) *Machine {
 	}
 	eng := sim.NewEngine()
 	clk := sim.NewClock(cfg.ClockMHz)
-	net := mesh.New(eng, mesh.Config{
-		Width: cfg.Width, Height: cfg.Height,
-		HopLatency: cfg.HopLatency, PsPerByte: cfg.PsPerByte,
-		Torus: cfg.Torus, AdaptiveXY: cfg.AdaptiveXY,
-	})
+	net := mesh.New(eng, cfg.Mesh())
 	store := mem.NewStore(cfg.Nodes())
 	msys := mem.NewSystem(eng, net, clk, cfg.Mem, store)
 	asys := am.NewSystem(eng, net, clk, cfg.AM)
@@ -302,9 +308,9 @@ type Result struct {
 	// outward by hop distance (or not) depending on the mechanism.
 	DoneCycles []int64
 
-	// Noise counts stochastic noise actually injected; the zero value when
-	// the config carries no NoiseSpec.
-	Noise fault.Stats
+	// Faults counts the faults and noise actually injected; the zero
+	// value when the config carries neither FaultSpec nor NoiseSpec.
+	Faults fault.Stats
 }
 
 // Run executes body on every processor concurrently (SPMD) and returns
@@ -362,7 +368,7 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 		res.DoneCycles[i] = m.Clk.ToCycles(p.doneAt)
 	}
 	if m.Faults != nil {
-		res.Noise = m.Faults.Stats().Noise()
+		res.Faults = m.Faults.Stats()
 	}
 	if m.Crit != nil {
 		// The critical path of a barrier-terminated SPMD run is the

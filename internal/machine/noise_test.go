@@ -34,15 +34,15 @@ func TestNoiseRunReproducible(t *testing.T) {
 		return m.Run(noisyWorkload(m))
 	}
 	a, b := run(7), run(7)
-	if a.Cycles != b.Cycles || !reflect.DeepEqual(a.DoneCycles, b.DoneCycles) || a.Noise != b.Noise {
+	if a.Cycles != b.Cycles || !reflect.DeepEqual(a.DoneCycles, b.DoneCycles) || a.Faults != b.Faults {
 		t.Errorf("same seed, different runs: %d vs %d cycles, noise %+v vs %+v",
-			a.Cycles, b.Cycles, a.Noise, b.Noise)
+			a.Cycles, b.Cycles, a.Faults, b.Faults)
 	}
 	if c := run(8); c.Cycles == a.Cycles && reflect.DeepEqual(c.DoneCycles, a.DoneCycles) {
 		t.Error("different noise seeds produced identical runs")
 	}
-	if a.Noise.HostNoiseSamples == 0 || a.Noise.NetNoiseSamples == 0 {
-		t.Errorf("noise hooks never fired: %+v", a.Noise)
+	if a.Faults.HostNoiseSamples == 0 || a.Faults.NetNoiseSamples == 0 {
+		t.Errorf("noise hooks never fired: %+v", a.Faults)
 	}
 	if len(a.DoneCycles) != 32 {
 		t.Fatalf("DoneCycles has %d entries, want 32", len(a.DoneCycles))
@@ -65,16 +65,16 @@ func TestNoiseDilatesRuntime(t *testing.T) {
 		return m.Run(noisyWorkload(m))
 	}
 	quiet := run("")
-	if quiet.Noise.Samples() != 0 || quiet.Noise.InjectedPs() != 0 {
-		t.Errorf("quiet run reports injection: %+v", quiet.Noise)
+	if quiet.Faults.Samples() != 0 || quiet.Faults.InjectedPs() != 0 {
+		t.Errorf("quiet run reports injection: %+v", quiet.Faults)
 	}
 	noisy := run("hostnoise:node=*,dist=const,mean=5us")
 	if noisy.Cycles <= quiet.Cycles {
 		t.Errorf("const 5us host noise did not lengthen the run: %d vs %d cycles",
 			noisy.Cycles, quiet.Cycles)
 	}
-	if noisy.Noise.HostNoiseSamples == 0 || noisy.Noise.HostNoisePs == 0 {
-		t.Errorf("noise fired but stats empty: %+v", noisy.Noise)
+	if noisy.Faults.HostNoiseSamples == 0 || noisy.Faults.HostNoisePs == 0 {
+		t.Errorf("noise fired but stats empty: %+v", noisy.Faults)
 	}
 }
 
@@ -158,7 +158,7 @@ func TestDelayShiftsOneNode(t *testing.T) {
 				i, delayed.DoneCycles[i], quiet.DoneCycles[i])
 		}
 	}
-	if delayed.Noise.DelaysFired != 1 {
-		t.Errorf("DelaysFired = %d, want 1", delayed.Noise.DelaysFired)
+	if delayed.Faults.DelaysFired != 1 {
+		t.Errorf("DelaysFired = %d, want 1", delayed.Faults.DelaysFired)
 	}
 }

@@ -223,17 +223,6 @@ func (p *Proc) critMsgWait(start, end sim.Time) {
 	})
 }
 
-// HandlePending receives any already-queued messages without blocking.
-func (p *Proc) HandlePending() int {
-	if !p.M.AM.HasPending(p.ID) {
-		return 0
-	}
-	if p.mode == RecvPoll {
-		return p.Poll()
-	}
-	return p.M.AM.DrainInterrupts(p.th, p.ID, &p.BD)
-}
-
 // SpinCycles charges synchronization spin time without other effect;
 // synchronization primitives use it for backoff waits.
 func (p *Proc) SpinCycles(cycles int64) {

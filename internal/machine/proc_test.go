@@ -44,30 +44,6 @@ func TestWaitAndHandleChargesSync(t *testing.T) {
 	}
 }
 
-func TestHandlePendingNonBlocking(t *testing.T) {
-	m := New(DefaultConfig())
-	handled := 0
-	h := m.AM.Register(func(c *am.Ctx, args []int64, vals []float64) { handled++ })
-	m.Run(func(p *Proc) {
-		switch p.ID {
-		case 0:
-			p.Send(1, h, nil, nil)
-		case 1:
-			p.SetRecvMode(RecvPoll)
-			if n := p.HandlePending(); n != 0 {
-				t.Errorf("HandlePending before arrival returned %d", n)
-			}
-			p.Compute(2000)
-			if n := p.HandlePending(); n != 1 {
-				t.Errorf("HandlePending after arrival returned %d", n)
-			}
-		}
-	})
-	if handled != 1 {
-		t.Errorf("handled = %d", handled)
-	}
-}
-
 func TestPrefetchChargesIssueCost(t *testing.T) {
 	m := New(DefaultConfig())
 	a := m.Alloc(5, 2)

@@ -78,16 +78,6 @@ func (m Machine) NetLatPerLocalMiss() float64 {
 	return m.NetLatency / m.LocalMiss
 }
 
-// RelBisection returns this machine's bisection bandwidth per cycle as a
-// fraction of Alewife's (the X-axis of Figure 8, normalized). NA when no
-// network.
-func (m Machine) RelBisection() float64 {
-	if m.BytesPerCycle == NA {
-		return NA
-	}
-	return m.BytesPerCycle / Alewife().BytesPerCycle
-}
-
 // RelNetLatency returns this machine's network latency relative to
 // Alewife's 15 cycles (the X-axis of Figures 9/10, normalized).
 func (m Machine) RelNetLatency() float64 {

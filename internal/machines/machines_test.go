@@ -101,16 +101,15 @@ func TestPaperDivergenceRecorded(t *testing.T) {
 }
 
 func TestRelativeToAlewife(t *testing.T) {
-	a := Alewife()
-	if a.RelBisection() != 1 || a.RelNetLatency() != 1 {
-		t.Error("Alewife should be 1.0 relative to itself")
+	if r := Alewife().RelNetLatency(); r != 1 {
+		t.Errorf("Alewife relative latency = %v, want 1", r)
 	}
-	delta, _ := ByName("Intel Delta")
-	if r := delta.RelBisection(); math.Abs(r-0.3) > 0.01 {
-		t.Errorf("Delta relative bisection = %.2f, want 0.30", r)
+	cm5, _ := ByName("TMC CM5")
+	if r := cm5.RelNetLatency(); math.Abs(r-50.0/15) > 0.01 {
+		t.Errorf("CM5 relative latency = %.2f, want 3.33", r)
 	}
-	t0, _ := ByName("Wisconsin T0")
-	if t0.RelBisection() != NA {
-		t.Error("T0 relative bisection should be NA")
+	ksr, _ := ByName("KSR-2")
+	if ksr.RelNetLatency() != NA {
+		t.Error("KSR-2 relative latency should be NA")
 	}
 }

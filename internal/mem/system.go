@@ -836,22 +836,8 @@ func (s *System) writeback(node int, line Addr, gen uint64) {
 	})
 }
 
-// CacheHas reports (for tests) whether node's cache or prefetch buffer
+// cacheHas reports (for tests) whether node's cache or prefetch buffer
 // holds addr's line.
-func (s *System) CacheHas(node int, a Addr) bool {
+func (s *System) cacheHas(node int, a Addr) bool {
 	return s.nodes[node].cache.has(LineOf(a, s.par.LineWords))
-}
-
-// FlushAll drops every cached line on every node, writing back dirty data
-// accounting-free. Used between experiment phases that must start cold.
-func (s *System) FlushAll() {
-	for _, nm := range s.nodes {
-		for i := range nm.cache.lines {
-			nm.cache.lines[i].state = lineInvalid
-		}
-		for i := range nm.cache.pf {
-			nm.cache.pf[i].used = false
-		}
-		nm.dir.entries = make(map[Addr]*dirEntry)
-	}
 }

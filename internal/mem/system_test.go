@@ -161,11 +161,11 @@ func TestWriteInvalidatesReaders(t *testing.T) {
 	r.run(func(th *sim.Thread) {
 		r.sys.Load(th, 0, a, &bd, stats.BucketMemWait) // 0 caches S
 		r.sys.Load(th, 2, a, &bd, stats.BucketMemWait) // 2 caches S
-		if !r.sys.CacheHas(0, a) || !r.sys.CacheHas(2, a) {
+		if !r.sys.cacheHas(0, a) || !r.sys.cacheHas(2, a) {
 			t.Fatal("readers did not cache the line")
 		}
 		r.sys.StoreWord(th, 3, a, 1.0, &bd, stats.BucketMemWait) // invalidates 0 and 2
-		if r.sys.CacheHas(0, a) || r.sys.CacheHas(2, a) {
+		if r.sys.cacheHas(0, a) || r.sys.cacheHas(2, a) {
 			t.Error("write did not invalidate cached readers")
 		}
 		if v := r.sys.Load(th, 0, a, &bd, stats.BucketMemWait); v != 1.0 {
@@ -344,7 +344,7 @@ func TestEvictionWritesBackDirtyLine(t *testing.T) {
 	r.run(func(th *sim.Thread) {
 		r.sys.StoreWord(th, 0, a, 1.5, &bd, stats.BucketMemWait) // dirty in node 0
 		r.sys.Load(th, 0, conflict, &bd, stats.BucketMemWait)    // evicts it
-		if r.sys.CacheHas(0, a) {
+		if r.sys.cacheHas(0, a) {
 			t.Error("conflicting fill did not evict")
 		}
 		// Another node reads the line: must see the written value.
@@ -379,22 +379,6 @@ func TestIdealNetworkUniformLatency(t *testing.T) {
 	if r.net.PacketsSent() != 0 {
 		t.Errorf("ideal mode sent %d real packets", r.net.PacketsSent())
 	}
-}
-
-func TestFlushAll(t *testing.T) {
-	r := newRig()
-	a := r.st.Alloc(0, 2)
-	var bd stats.Breakdown
-	r.run(func(th *sim.Thread) {
-		r.sys.Load(th, 0, a, &bd, stats.BucketMemWait)
-		if !r.sys.CacheHas(0, a) {
-			t.Fatal("line not cached")
-		}
-		r.sys.FlushAll()
-		if r.sys.CacheHas(0, a) {
-			t.Error("line survived FlushAll")
-		}
-	})
 }
 
 func TestUpgradeCounted(t *testing.T) {

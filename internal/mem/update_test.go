@@ -29,7 +29,7 @@ func TestUpdateProtocolReadersKeepCopies(t *testing.T) {
 		r.sys.Load(th, 2, a, &bd, stats.BucketMemWait)
 		// A write pushes updates instead of invalidating.
 		r.sys.StoreWord(th, 3, a, 7.5, &bd, stats.BucketMemWait)
-		if !r.sys.CacheHas(1, a) || !r.sys.CacheHas(2, a) {
+		if !r.sys.cacheHas(1, a) || !r.sys.cacheHas(2, a) {
 			t.Error("update protocol invalidated reader copies")
 		}
 		// Readers hit and see the new value.

@@ -551,9 +551,9 @@ func (n *Network) Retries() int64 { return n.retries }
 // CrossTrafficStats returns injected cross-traffic packet and byte counts.
 func (n *Network) CrossTrafficStats() (packets, bytes int64) { return n.xPackets, n.xBytes }
 
-// BisectionCrossings returns bytes that crossed the mesh's X bisection,
+// bisectionCrossings returns bytes that crossed the mesh's X bisection,
 // split into application and cross-traffic bytes.
-func (n *Network) BisectionCrossings() (app, cross int64) {
+func (n *Network) bisectionCrossings() (app, cross int64) {
 	return n.appBisectionBytes, n.xBisectionBytes
 }
 
@@ -623,45 +623,6 @@ func (n *Network) scheduleXGen(src, dst, size int, period, offset sim.Time) {
 // tick check.
 func (n *Network) StopCrossTraffic() { n.stopX = true }
 
-// LinkStats summarizes per-link load over an elapsed interval.
-type LinkStats struct {
-	AvgUtilization float64 // mean fraction of link time spent serializing
-	MaxUtilization float64 // the hottest link's fraction
-	Hotspot        string  // human-readable hottest link
-	TotalBytes     int64   // sum over all links (bytes x hops traversed)
-}
-
-// LinkStats computes utilization over the interval [0, elapsed]: a
-// link's utilization is its serialized bytes times PsPerByte over the
-// elapsed time. Use it to see where the paper's congestion-dominated
-// region comes from.
-func (n *Network) LinkStats(elapsed sim.Time) LinkStats {
-	if elapsed <= 0 {
-		return LinkStats{}
-	}
-	var st LinkStats
-	links := 0
-	for d := range n.linkBytes {
-		for i, b := range n.linkBytes[d] {
-			st.TotalBytes += b
-			//lint:allow simlint/intmath post-run utilization reporting; never feeds event times
-			u := float64(b) * float64(n.cfg.PsPerByte) / float64(elapsed)
-			//lint:allow simlint/intmath post-run utilization reporting; never feeds event times
-			st.AvgUtilization += u
-			links++
-			if u > st.MaxUtilization {
-				st.MaxUtilization = u
-				st.Hotspot = fmt.Sprintf("%s link %d", dirNames[d], i)
-			}
-		}
-	}
-	if links > 0 {
-		//lint:allow simlint/intmath post-run utilization reporting; never feeds event times
-		st.AvgUtilization /= float64(links)
-	}
-	return st
-}
-
 // OccupiedLinks lists the directed links still reserved past now, most
 // heavily loaded first is not guaranteed — order follows link indexing.
 // At most max entries are returned (0 means no limit). Used by watchdog
@@ -726,9 +687,10 @@ func (n *Network) TopLinks(elapsed sim.Time, k int) []LinkLoad {
 	return all
 }
 
-// UncongestedLatency returns the no-contention delivery time for a packet
-// of size bytes over hops hops.
-func (n *Network) UncongestedLatency(hops, size int) sim.Time {
+// uncongestedLatency returns the no-contention delivery time for a packet
+// of size bytes over hops hops: the reference the timing tests compare
+// deliveries against.
+func (n *Network) uncongestedLatency(hops, size int) sim.Time {
 	return sim.Time(hops+1)*n.cfg.HopLatency + sim.Time(size)*n.cfg.PsPerByte
 }
 

@@ -66,7 +66,7 @@ func TestUncongestedDeliveryTime(t *testing.T) {
 	n.Send(p)
 	eng.Run()
 	hops := n.Hops(0, n.ID(4, 2)) // 6
-	want := n.UncongestedLatency(hops, 24)
+	want := n.uncongestedLatency(hops, 24)
 	if at != want {
 		t.Errorf("delivered at %v, want %v", at, want)
 	}
@@ -89,8 +89,8 @@ func TestLocalDelivery(t *testing.T) {
 	if at < 0 {
 		t.Fatal("local packet never delivered")
 	}
-	if at != n.UncongestedLatency(0, 8) {
-		t.Errorf("local delivery at %v, want %v", at, n.UncongestedLatency(0, 8))
+	if at != n.uncongestedLatency(0, 8) {
+		t.Errorf("local delivery at %v, want %v", at, n.uncongestedLatency(0, 8))
 	}
 }
 
@@ -135,14 +135,14 @@ func TestDimensionOrderRoutingCrossesBisection(t *testing.T) {
 	n := New(eng, alewifeCfg())
 	n.Send(&Packet{Src: n.ID(0, 0), Dst: n.ID(7, 3), Class: ClassAM, HdrBytes: 24})
 	eng.Run()
-	app, cross := n.BisectionCrossings()
+	app, cross := n.bisectionCrossings()
 	if app != 24 || cross != 0 {
 		t.Errorf("bisection crossings app=%d cross=%d, want 24, 0", app, cross)
 	}
 	// A packet within the left half must not cross.
 	n.Send(&Packet{Src: n.ID(0, 0), Dst: n.ID(3, 3), Class: ClassAM, HdrBytes: 24})
 	eng.Run()
-	app, _ = n.BisectionCrossings()
+	app, _ = n.bisectionCrossings()
 	if app != 24 {
 		t.Errorf("intra-half packet crossed bisection: app=%d", app)
 	}
@@ -202,8 +202,13 @@ func TestEndpointBackpressureRetries(t *testing.T) {
 	}
 }
 
+// crossTrafficEventLimit bounds the cross-traffic runs below: a
+// generator that ignores StopCrossTraffic fails the test, not hangs it.
+const crossTrafficEventLimit = 1_000_000
+
 func TestCrossTrafficInjectsAndIsAbsorbed(t *testing.T) {
 	eng := sim.NewEngine()
+	eng.SetEventLimit(crossTrafficEventLimit)
 	n := New(eng, alewifeCfg())
 	clk := sim.NewClock(20)
 	got := 0
@@ -212,9 +217,13 @@ func TestCrossTrafficInjectsAndIsAbsorbed(t *testing.T) {
 		return true, 0
 	}))
 	n.StartCrossTraffic(CrossTraffic{MsgBytes: 64, BytesPerCycle: 8}, clk)
-	eng.RunUntil(clk.Cycles(10000))
-	n.StopCrossTraffic()
-	pkts, bytes := n.CrossTrafficStats()
+	var pkts, bytes int64
+	eng.At(clk.Cycles(10000), func() {
+		n.StopCrossTraffic()
+		pkts, bytes = n.CrossTrafficStats()
+	})
+	// Run returns only once the generators have stopped.
+	eng.Run()
 	if pkts == 0 {
 		t.Fatal("no cross-traffic injected")
 	}
@@ -228,15 +237,13 @@ func TestCrossTrafficInjectsAndIsAbsorbed(t *testing.T) {
 	if bytes < 70000 || bytes > 90000 {
 		t.Errorf("cross bytes = %d, want ~80000", bytes)
 	}
-	_, cross := n.BisectionCrossings()
-	if cross != bytes {
-		t.Errorf("bisection cross bytes = %d, want all %d", cross, bytes)
-	}
-	// Generators stop.
-	eng.RunUntil(clk.Cycles(20000))
-	pkts2, _ := n.CrossTrafficStats()
+	pkts2, bytes2 := n.CrossTrafficStats()
 	if pkts2 > pkts+int64(2*4) { // at most one in-flight tick per generator
 		t.Errorf("cross-traffic kept flowing after stop: %d -> %d", pkts, pkts2)
+	}
+	_, cross := n.bisectionCrossings()
+	if cross != bytes2 {
+		t.Errorf("bisection cross bytes = %d, want all %d", cross, bytes2)
 	}
 }
 
@@ -249,19 +256,20 @@ func TestCrossTrafficDegradesAppLatency(t *testing.T) {
 	// cross-traffic than without it.
 	measure := func(rate float64) sim.Time {
 		eng := sim.NewEngine()
+		eng.SetEventLimit(crossTrafficEventLimit)
 		n := New(eng, alewifeCfg())
 		clk := sim.NewClock(20)
 		if rate > 0 {
 			n.StartCrossTraffic(CrossTraffic{MsgBytes: 64, BytesPerCycle: rate}, clk)
 		}
 		// Warm the network, then time one packet.
-		eng.RunUntil(clk.Cycles(5000))
 		var sent, recv sim.Time
-		sent = eng.Now()
-		n.Send(&Packet{Src: n.ID(0, 0), Dst: n.ID(7, 0), Class: ClassAM, HdrBytes: 24,
-			Deliver: func(now sim.Time, _ *Packet) { recv = now; eng.Stop() }})
+		eng.At(clk.Cycles(5000), func() {
+			sent = eng.Now()
+			n.Send(&Packet{Src: n.ID(0, 0), Dst: n.ID(7, 0), Class: ClassAM, HdrBytes: 24,
+				Deliver: func(now sim.Time, _ *Packet) { recv = now; n.StopCrossTraffic() }})
+		})
 		eng.Run()
-		n.StopCrossTraffic()
 		return recv - sent
 	}
 	free := measure(0)
@@ -314,44 +322,55 @@ func TestClassString(t *testing.T) {
 	}
 }
 
-func TestLinkStats(t *testing.T) {
+func TestTopLinks(t *testing.T) {
 	eng := sim.NewEngine()
 	n := New(eng, alewifeCfg())
 	for i := 0; i < 10; i++ {
 		n.Send(&Packet{Src: 0, Dst: 7, Class: ClassAM, HdrBytes: 24})
 	}
 	end := eng.Run()
-	st := n.LinkStats(end)
-	if st.TotalBytes != 10*24*7 {
-		t.Errorf("total link bytes = %d, want %d (10 packets x 24B x 7 hops)",
-			st.TotalBytes, 10*24*7)
+	all := n.TopLinks(end, 100)
+	if len(all) != 7 {
+		t.Fatalf("%d loaded links, want the 7 on the route: %+v", len(all), all)
 	}
-	if st.MaxUtilization <= st.AvgUtilization {
-		t.Error("hotspot not above average")
+	var total int64
+	for i, l := range all {
+		total += l.Bytes
+		if l.Link == "" {
+			t.Errorf("link %d unnamed", i)
+		}
+		if l.Utilization <= 0 || l.Utilization > 1.01 {
+			t.Errorf("%s utilization %f outside (0, 1]", l.Link, l.Utilization)
+		}
+		if i > 0 && (l.Bytes > all[i-1].Bytes || l.Bytes == all[i-1].Bytes && l.Link < all[i-1].Link) {
+			t.Errorf("links out of order: %+v before %+v", all[i-1], l)
+		}
 	}
-	if st.Hotspot == "" {
-		t.Error("no hotspot named")
+	if total != 10*24*7 {
+		t.Errorf("total link bytes = %d, want %d (10 packets x 24B x 7 hops)", total, 10*24*7)
 	}
-	if st.MaxUtilization > 1.01 {
-		t.Errorf("utilization %f above 1", st.MaxUtilization)
+	if top := n.TopLinks(end, 3); len(top) != 3 || top[0] != all[0] || top[2] != all[2] {
+		t.Errorf("TopLinks(3) = %+v, want the first 3 of %+v", top, all)
 	}
-	if z := n.LinkStats(0); z.TotalBytes != 0 {
-		t.Error("zero-elapsed stats should be empty")
+	if z := n.TopLinks(0, 3); z != nil {
+		t.Errorf("zero-elapsed TopLinks = %+v, want none", z)
 	}
 }
 
-func TestLinkStatsCongestion(t *testing.T) {
+func TestTopLinksCongestion(t *testing.T) {
 	// A saturating flood should push the first link toward ~1.0.
 	eng := sim.NewEngine()
-	cfg := alewifeCfg()
-	n := New(eng, cfg)
+	n := New(eng, alewifeCfg())
 	for i := 0; i < 200; i++ {
 		n.Send(&Packet{Src: 0, Dst: 1, Class: ClassAM, HdrBytes: 64})
 	}
 	end := eng.Run()
-	st := n.LinkStats(end)
-	if st.MaxUtilization < 0.9 {
-		t.Errorf("flooded link utilization %.2f, want ~1.0", st.MaxUtilization)
+	top := n.TopLinks(end, 1)
+	if len(top) != 1 || top[0].A != 0 || top[0].B != 1 {
+		t.Fatalf("hottest link %+v, want the 0-1 link", top)
+	}
+	if top[0].Utilization < 0.9 {
+		t.Errorf("flooded link utilization %.2f, want ~1.0", top[0].Utilization)
 	}
 }
 
@@ -371,7 +390,7 @@ func TestDeliveryLowerBoundProperty(t *testing.T) {
 			size := 8 + int(s)%56
 			sendAt := eng.Now()
 			hops := n.Hops(src, dst)
-			lb := n.UncongestedLatency(hops, size)
+			lb := n.uncongestedLatency(hops, size)
 			n.Send(&Packet{Src: src, Dst: dst, Class: ClassAM,
 				HdrBytes: 8, PayloadBytes: size - 8,
 				Deliver: func(now sim.Time, _ *Packet) {

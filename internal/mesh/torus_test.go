@@ -61,7 +61,7 @@ func TestTorusDelivery(t *testing.T) {
 	if delivered != 1 {
 		t.Fatal("packet not delivered")
 	}
-	if want := n.UncongestedLatency(1, 24); at != want {
+	if want := n.uncongestedLatency(1, 24); at != want {
 		t.Errorf("wrap delivery at %v, want %v", at, want)
 	}
 }
@@ -100,7 +100,7 @@ func TestTorusWrapCrossingCounted(t *testing.T) {
 	// of the) bisection.
 	n.Send(&Packet{Src: 0, Dst: 7, Class: ClassAM, HdrBytes: 24})
 	eng.Run()
-	app, _ := n.BisectionCrossings()
+	app, _ := n.bisectionCrossings()
 	if app != 24 {
 		t.Errorf("wrap crossing not counted: %d", app)
 	}

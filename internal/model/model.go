@@ -148,9 +148,9 @@ func congestionFactor(rho float64) float64 {
 	return f
 }
 
-// BisectionCurve evaluates the model across bisection bandwidths (the
+// bisectionCurve evaluates the model across bisection bandwidths (the
 // analytical Figure 1).
-func BisectionCurve(app AppParams, m MachineParams, mech Mechanism, bisections []float64) []Prediction {
+func bisectionCurve(app AppParams, m MachineParams, mech Mechanism, bisections []float64) []Prediction {
 	out := make([]Prediction, len(bisections))
 	for i, b := range bisections {
 		mm := m
@@ -160,9 +160,9 @@ func BisectionCurve(app AppParams, m MachineParams, mech Mechanism, bisections [
 	return out
 }
 
-// LatencyCurve evaluates the model across one-way latencies (the
+// latencyCurve evaluates the model across one-way latencies (the
 // analytical Figure 2).
-func LatencyCurve(app AppParams, m MachineParams, mech Mechanism, latencies []float64) []Prediction {
+func latencyCurve(app AppParams, m MachineParams, mech Mechanism, latencies []float64) []Prediction {
 	out := make([]Prediction, len(latencies))
 	for i, l := range latencies {
 		mm := m

@@ -45,8 +45,8 @@ func TestPredictBasicOrdering(t *testing.T) {
 func TestBisectionCurveShape(t *testing.T) {
 	app, m := em3dish()
 	bisections := []float64{18, 10, 6, 4, 2, 1}
-	sm := BisectionCurve(app, m, SharedMemory, bisections)
-	mp := BisectionCurve(app, m, MessagePassing, bisections)
+	sm := bisectionCurve(app, m, SharedMemory, bisections)
+	mp := bisectionCurve(app, m, MessagePassing, bisections)
 	// Monotone degradation.
 	for i := 1; i < len(sm); i++ {
 		if sm[i].Cycles < sm[i-1].Cycles {
@@ -80,9 +80,9 @@ func TestBisectionCurveShape(t *testing.T) {
 func TestLatencyCurveShape(t *testing.T) {
 	app, m := em3dish()
 	lats := []float64{15, 50, 100, 200}
-	sm := LatencyCurve(app, m, SharedMemory, lats)
-	pf := LatencyCurve(app, m, Prefetched, lats)
-	mp := LatencyCurve(app, m, MessagePassing, lats)
+	sm := latencyCurve(app, m, SharedMemory, lats)
+	pf := latencyCurve(app, m, Prefetched, lats)
+	mp := latencyCurve(app, m, MessagePassing, lats)
 	smSlope := (sm[3].Cycles - sm[0].Cycles) / (lats[3] - lats[0])
 	pfSlope := (pf[3].Cycles - pf[0].Cycles) / (lats[3] - lats[0])
 	mpSlope := (mp[3].Cycles - mp[0].Cycles) / (lats[3] - lats[0])

@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -30,5 +31,36 @@ func TestDumpEvents(t *testing.T) {
 	// A partly filled ring has dropped nothing.
 	if got := dump(8, 3); strings.Contains(got, "dropped") || strings.Count(got, "\n") != 3 {
 		t.Errorf("partial dump:\n%s", got)
+	}
+}
+
+func TestKindStrings(t *testing.T) {
+	for k := obs.KMissStart; k <= obs.KLock; k++ {
+		if strings.Contains(k.String(), "EventKind(") {
+			t.Errorf("kind %d lacks a name", int(k))
+		}
+	}
+}
+
+func TestKindStringRoundTrip(t *testing.T) {
+	// Every in-range kind must have a distinct name (a duplicate would
+	// make dumps ambiguous), and out-of-range values must degrade to the
+	// numeric form rather than stealing a real kind's name.
+	seen := map[string]obs.EventKind{}
+	for k := obs.KMissStart; k <= obs.KLock; k++ {
+		s := k.String()
+		if prev, dup := seen[s]; dup {
+			t.Errorf("kinds %d and %d share the name %q", int(prev), int(k), s)
+		}
+		seen[s] = k
+	}
+	for _, k := range []obs.EventKind{obs.KLock + 1, 99, -1} {
+		want := fmt.Sprintf("EventKind(%d)", int(k))
+		if got := k.String(); got != want {
+			t.Errorf("EventKind(%d).String() = %q, want %q", int(k), got, want)
+		}
+		if _, taken := seen[k.String()]; taken {
+			t.Errorf("out-of-range kind %d collides with a named kind", int(k))
+		}
 	}
 }

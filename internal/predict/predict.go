@@ -99,9 +99,12 @@ type event struct {
 // to re-solve at arbitrary (latency, bandwidth) points. Build it once
 // per base run; Solve is read-only and safe for concurrent use.
 type Model struct {
-	nodes    int
-	clk      sim.Clock
-	events   []event
+	nodes  int
+	clk    sim.Clock
+	events []event
+	// coverage is the fraction of the run's causal edges the model
+	// retains; below 1, evicted edges are frozen at base cost inside
+	// rigid gaps.
 	coverage float64
 	bisBytes float64
 	bisBW    float64
@@ -201,10 +204,6 @@ func Build(in Input) (*Model, error) {
 		bisBW:    in.BisectionBW,
 	}, nil
 }
-
-// Coverage is the fraction of the run's causal edges the model retains;
-// below 1, evicted edges are frozen at base cost inside rigid gaps.
-func (m *Model) Coverage() float64 { return m.coverage }
 
 // Events reports the solved DAG's event count (edges plus terminals).
 func (m *Model) Events() int { return len(m.events) }

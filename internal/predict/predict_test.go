@@ -179,7 +179,7 @@ func TestConfidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Coverage(); got != 0.5 {
+	if got := m.coverage; got != 0.5 {
 		t.Errorf("coverage = %v, want 0.5", got)
 	}
 	// A run whose traffic saturates the cut halves the trust again.

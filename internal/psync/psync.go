@@ -278,8 +278,8 @@ type SpinLock struct {
 	addr mem.Addr
 }
 
-// NewSpinLock allocates a lock in its own cache line homed at node.
-func NewSpinLock(m *machine.Machine, node int) *SpinLock {
+// newSpinLock allocates a lock in its own cache line homed at node.
+func newSpinLock(m *machine.Machine, node int) *SpinLock {
 	return &SpinLock{m: m, addr: m.Alloc(node, 2)}
 }
 

@@ -148,7 +148,7 @@ func TestMsgBarrierCheaperThanSMBarrier(t *testing.T) {
 
 func TestSpinLockMutualExclusion(t *testing.T) {
 	m := machine.New(machine.DefaultConfig())
-	l := NewSpinLock(m, 0)
+	l := newSpinLock(m, 0)
 	shared := m.Alloc(0, 4) // two lines of protected data
 	m.Run(func(p *machine.Proc) {
 		for i := 0; i < 5; i++ {
@@ -172,7 +172,7 @@ func TestSpinLockMutualExclusion(t *testing.T) {
 
 func TestSpinLockCountsContention(t *testing.T) {
 	m := machine.New(machine.DefaultConfig())
-	l := NewSpinLock(m, 0)
+	l := newSpinLock(m, 0)
 	res := m.Run(func(p *machine.Proc) {
 		l.Acquire(p)
 		p.Compute(200) // hold it a while to force contention
@@ -191,7 +191,7 @@ func TestSpinLockCountsContention(t *testing.T) {
 
 func TestReleaseUnheldLockPanics(t *testing.T) {
 	m := machine.New(machine.DefaultConfig())
-	l := NewSpinLock(m, 0)
+	l := newSpinLock(m, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("releasing unheld lock did not panic")
@@ -224,7 +224,7 @@ func TestSpinLockRoughFairness(t *testing.T) {
 	// should be spread across processors, not monopolized by the
 	// closest node.
 	m := machine.New(machine.DefaultConfig())
-	l := NewSpinLock(m, 0)
+	l := newSpinLock(m, 0)
 	counts := make([]int, 32)
 	m.Run(func(p *machine.Proc) {
 		for i := 0; i < 6; i++ {

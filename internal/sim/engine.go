@@ -56,8 +56,7 @@ type Engine struct {
 	// interface boxing (unlike container/heap). (at, seq) is a total
 	// order — seq is unique — so dispatch order is independent of the
 	// heap's treatment of equal elements.
-	events  []event
-	stopped bool
+	events []event
 
 	// dispatched counts events executed; useful for progress limits.
 	dispatched uint64
@@ -68,7 +67,7 @@ type Engine struct {
 	deadline Time
 
 	// threads registers every spawned thread, for watchdog diagnostics
-	// (blocked-thread dumps, deadlock detection).
+	// (blocked-thread dumps, the deadline check).
 	threads []*Thread
 
 	// spanObs, when non-nil, observes every completed thread pause
@@ -176,38 +175,14 @@ func (e *Engine) pop() event {
 	return top
 }
 
-// Stop makes Run return after the current event completes. Pending events
-// remain queued; a subsequent Run resumes them.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events in time order until the queue is empty or Stop is
-// called. It returns the final simulated time.
+// Run executes events in time order until the queue is empty. It
+// returns the final simulated time.
 func (e *Engine) Run() Time {
-	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
+	for len(e.events) > 0 {
 		if e.pastDeadline() {
 			panic(e.Diagnose(StallDeadline))
 		}
 		e.step()
-	}
-	return e.now
-}
-
-// RunUntil executes events in time order until the queue is empty, Stop is
-// called, or the next event would fire after deadline. Time advances to at
-// most deadline — except after a Stop, which leaves now at the last
-// dispatched event (a stopped run must not silently skip simulated time).
-func (e *Engine) RunUntil(deadline Time) Time {
-	e.stopped = false
-	for len(e.events) > 0 && !e.stopped {
-		if e.events[0].at > deadline {
-			e.now = deadline
-			return e.now
-		}
-		e.step()
-	}
-	if !e.stopped && e.now < deadline {
-		e.now = deadline
 	}
 	return e.now
 }

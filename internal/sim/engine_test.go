@@ -84,45 +84,6 @@ func TestEngineNegativeAfterPanics(t *testing.T) {
 	e.After(-1, func() {})
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.At(1, func() { count++; e.Stop() })
-	e.At(2, func() { count++ })
-	e.Run()
-	if count != 1 {
-		t.Errorf("events after Stop ran: count = %d, want 1", count)
-	}
-	// Run again resumes the queue.
-	e.Run()
-	if count != 2 {
-		t.Errorf("resumed Run did not execute pending event: count = %d", count)
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.At(10, func() { count++ })
-	e.At(20, func() { count++ })
-	e.At(30, func() { count++ })
-	now := e.RunUntil(20)
-	if count != 2 {
-		t.Errorf("RunUntil(20) executed %d events, want 2", count)
-	}
-	if now != 20 {
-		t.Errorf("RunUntil(20) time = %d, want 20", now)
-	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", e.Pending())
-	}
-	// RunUntil past the last event advances time to the deadline.
-	now = e.RunUntil(100)
-	if count != 3 || now != 100 {
-		t.Errorf("RunUntil(100): count=%d now=%d, want 3, 100", count, now)
-	}
-}
-
 func TestEngineEventLimit(t *testing.T) {
 	e := NewEngine()
 	e.SetEventLimit(10)

@@ -127,9 +127,6 @@ func (th *Thread) Engine() *Engine { return th.eng }
 // Name returns the thread's name.
 func (th *Thread) Name() string { return th.name }
 
-// State returns the thread's lifecycle state.
-func (th *Thread) State() ThreadState { return th.state }
-
 // Now returns the current simulated time.
 func (th *Thread) Now() Time { return th.eng.Now() }
 
@@ -200,9 +197,6 @@ func (th *Thread) WakeAt(t Time) {
 
 // WakeAfter schedules the thread to resume d picoseconds from now.
 func (th *Thread) WakeAfter(d Time) { th.WakeAt(th.eng.Now() + d) }
-
-// WakePending reports whether a wake event is already scheduled.
-func (th *Thread) WakePending() bool { return th.wakePending }
 
 // Sleep pauses the thread for duration d of simulated time.
 func (th *Thread) Sleep(d Time) {

@@ -76,8 +76,8 @@ func TestThreadPauseAndExternalWake(t *testing.T) {
 	if resumed != 70 {
 		t.Errorf("resumed at %d, want 70", resumed)
 	}
-	if th.State() != ThreadDone {
-		t.Errorf("state = %v, want done", th.State())
+	if th.state != ThreadDone {
+		t.Errorf("state = %v, want done", th.state)
 	}
 }
 
@@ -139,8 +139,8 @@ func TestThreadBodyPanicPropagates(t *testing.T) {
 		if !strings.Contains(s, "boom") {
 			t.Errorf("panic value %q does not mention cause", s)
 		}
-		if th.State() != ThreadDone {
-			t.Errorf("state after panic = %v, want done", th.State())
+		if th.state != ThreadDone {
+			t.Errorf("state after panic = %v, want done", th.state)
 		}
 	}()
 	e.Run()
@@ -195,19 +195,19 @@ func TestFinishedThreadReleasesBody(t *testing.T) {
 			t.Fatal("the finished thread's body was not collected")
 		}
 	}
-	if th.State() != ThreadDone || len(e.threads) != 1 {
-		t.Fatalf("state = %v with %d registered threads, want done with 1", th.State(), len(e.threads))
+	if th.state != ThreadDone || len(e.threads) != 1 {
+		t.Fatalf("state = %v with %d registered threads, want done with 1", th.state, len(e.threads))
 	}
 }
 
 func TestThreadWakePending(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("t", 0, func(th *Thread) {
-		if th.WakePending() {
+		if th.wakePending {
 			t.Error("wake pending while running")
 		}
 		th.WakeAfter(10)
-		if !th.WakePending() {
+		if !th.wakePending {
 			t.Error("wake not pending after WakeAfter")
 		}
 		th.Pause()

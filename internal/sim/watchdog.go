@@ -36,7 +36,8 @@ type BlockedThread struct {
 // *StallError as the value; the sweep runner recovers it into a RunError.
 type StallError struct {
 	Kind       StallKind
-	Now        Time
+	Now        Time // engine time: the last dispatched event
+	Deadline   Time // the armed deadline (see SetDeadline); 0 if none
 	Dispatched uint64
 	Pending    int
 	NextEvents []Time // times of the soonest few queued events
@@ -47,8 +48,13 @@ type StallError struct {
 // Error formats the full multi-line diagnostic dump.
 func (e *StallError) Error() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "sim: %s at t=%v after %d events: %d blocked thread(s), %d pending event(s)",
-		e.Kind, e.Now, e.Dispatched, len(e.Blocked), e.Pending)
+	fmt.Fprintf(&b, "sim: %s at t=%v after %d events", e.Kind, e.Now, e.Dispatched)
+	if e.Kind == StallDeadline && len(e.NextEvents) > 0 {
+		// The engine stops short of the deadline, so name the deadline
+		// and the event that lies beyond it.
+		fmt.Fprintf(&b, " (deadline %v, next event at %v)", e.Deadline, e.NextEvents[0])
+	}
+	fmt.Fprintf(&b, ": %d blocked thread(s), %d pending event(s)", len(e.Blocked), e.Pending)
 	for _, th := range e.Blocked {
 		fmt.Fprintf(&b, "\n  blocked: %s", th.Name)
 		if th.Reason != "" {
@@ -78,6 +84,7 @@ func (e *Engine) Diagnose(kind StallKind) *StallError {
 	d := &StallError{
 		Kind:       kind,
 		Now:        e.now,
+		Deadline:   e.deadline,
 		Dispatched: e.dispatched,
 		Pending:    len(e.events),
 	}
@@ -94,12 +101,6 @@ func (e *Engine) Diagnose(kind StallKind) *StallError {
 		if th.state != ThreadPaused {
 			continue
 		}
-		if th.wakePending && kind == StallDeadlock {
-			// A scheduled wake means the thread will run again; it is not
-			// part of a deadlock. For deadline/event-limit stalls it still
-			// belongs in the dump — it is where the time went.
-			continue
-		}
 		reason := th.formatWaitReason()
 		if th.wakePending {
 			if reason != "" {
@@ -114,33 +115,6 @@ func (e *Engine) Diagnose(kind StallKind) *StallError {
 		})
 	}
 	return d
-}
-
-// CheckLiveness returns a deadlock diagnostic if the event queue is empty
-// while paused threads remain with no wake scheduled (they can never run
-// again), or nil if the engine is live. Call it after Run returns.
-func (e *Engine) CheckLiveness() *StallError {
-	if len(e.events) > 0 {
-		return nil
-	}
-	for _, th := range e.threads {
-		if th.state == ThreadPaused && !th.wakePending {
-			return e.Diagnose(StallDeadlock)
-		}
-	}
-	return nil
-}
-
-// BlockedThreads returns the threads currently paused with no wake
-// scheduled.
-func (e *Engine) BlockedThreads() []*Thread {
-	var out []*Thread
-	for _, th := range e.threads {
-		if th.state == ThreadPaused && !th.wakePending {
-			out = append(out, th)
-		}
-	}
-	return out
 }
 
 // SetDeadline arms the no-forward-progress watchdog: if the next event

@@ -5,7 +5,9 @@ import (
 	"testing"
 )
 
-func TestCheckLivenessDetectsDeadlock(t *testing.T) {
+// TestDiagnoseDeadlockDump pins the deadlock dump machine.Run panics
+// with when the queue drains before every thread finishes.
+func TestDiagnoseDeadlockDump(t *testing.T) {
 	eng := NewEngine()
 	// Two threads pause forever with no wake scheduled: a deadlock once
 	// the queue drains.
@@ -19,10 +21,7 @@ func TestCheckLivenessDetectsDeadlock(t *testing.T) {
 	})
 	eng.Run()
 
-	se := eng.CheckLiveness()
-	if se == nil {
-		t.Fatal("CheckLiveness returned nil for a deadlocked engine")
-	}
+	se := eng.Diagnose(StallDeadlock)
 	if se.Kind != StallDeadlock {
 		t.Errorf("Kind = %v, want %v", se.Kind, StallDeadlock)
 	}
@@ -47,30 +46,6 @@ func TestCheckLivenessDetectsDeadlock(t *testing.T) {
 			t.Errorf("dump missing %q:\n%s", want, msg)
 		}
 	}
-	if got := eng.BlockedThreads(); len(got) != 2 {
-		t.Errorf("BlockedThreads returned %d, want 2", len(got))
-	}
-}
-
-func TestCheckLivenessNilWhenAllThreadsFinish(t *testing.T) {
-	eng := NewEngine()
-	eng.Spawn("worker", 0, func(th *Thread) { th.Sleep(5 * Nanosecond) })
-	eng.Run()
-	if se := eng.CheckLiveness(); se != nil {
-		t.Errorf("CheckLiveness = %v, want nil", se)
-	}
-}
-
-func TestCheckLivenessNilWithPendingEvents(t *testing.T) {
-	eng := NewEngine()
-	th := eng.Spawn("waiter", 0, func(th *Thread) { th.Pause() })
-	eng.RunUntil(1 * Nanosecond)
-	// The thread is paused but a wake is queued: not a deadlock.
-	th.WakeAt(5 * Nanosecond)
-	if se := eng.CheckLiveness(); se != nil {
-		t.Errorf("CheckLiveness = %v, want nil (wake pending)", se)
-	}
-	eng.Run()
 }
 
 func TestEventLimitPanicsWithDiagnostic(t *testing.T) {
@@ -124,6 +99,14 @@ func TestDeadlinePanicsWithDiagnostic(t *testing.T) {
 		if se.Blocked[0].Reason != "long-sleep; wake scheduled" {
 			t.Errorf("Reason = %q, want wait reason plus pending wake", se.Blocked[0].Reason)
 		}
+		// The engine stops at its last event, short of the deadline, so
+		// the dump names the deadline and the event beyond it.
+		first, _, _ := strings.Cut(se.Error(), "\n")
+		want := "sim: deadline at t=0ps after 1 events (deadline 1.000us, next event at 1.000ms): " +
+			"1 blocked thread(s), 1 pending event(s)"
+		if first != want {
+			t.Errorf("dump first line:\n%s\nwant:\n%s", first, want)
+		}
 	}()
 	eng.Run()
 	t.Fatal("Run returned; want deadline panic")
@@ -159,19 +142,6 @@ func TestDiagnoseBoundsNextEvents(t *testing.T) {
 	}
 	if se.Pending != 8 {
 		t.Errorf("Pending = %d, want 8", se.Pending)
-	}
-}
-
-func TestRunUntilAfterStopStaysAtLastEvent(t *testing.T) {
-	eng := NewEngine()
-	eng.At(10*Nanosecond, func() { eng.Stop() })
-	eng.At(20*Nanosecond, func() {})
-	if got := eng.RunUntil(100 * Nanosecond); got != 10*Nanosecond {
-		t.Errorf("RunUntil after Stop = %v, want 10ns (must not warp to the deadline)", got)
-	}
-	// Resuming picks the queue back up and then advances to the deadline.
-	if got := eng.RunUntil(100 * Nanosecond); got != 100*Nanosecond {
-		t.Errorf("resumed RunUntil = %v, want 100ns", got)
 	}
 }
 

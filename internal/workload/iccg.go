@@ -92,8 +92,8 @@ func NewICCG(p ICCGParams) *ICCGSystem {
 // ICCGFlopsPerEdge: subtract and multiply per incoming edge.
 const ICCGFlopsPerEdge = 2
 
-// NNZ returns the number of sub-diagonal nonzeros (DAG edges).
-func (s *ICCGSystem) NNZ() int {
+// nnz returns the number of sub-diagonal nonzeros (DAG edges).
+func (s *ICCGSystem) nnz() int {
 	t := 0
 	for _, p := range s.Preds {
 		t += len(p)
@@ -118,10 +118,10 @@ func (s *ICCGSystem) RemoteEdgeFraction() float64 {
 	return float64(remote) / float64(total)
 }
 
-// Levels returns the DAG level of each row (longest path from a source)
+// levels returns the DAG level of each row (longest path from a source)
 // and the number of levels — the critical-path structure that makes
 // ICCG's parallelism so challenging.
-func (s *ICCGSystem) Levels() ([]int, int) {
+func (s *ICCGSystem) levels() ([]int, int) {
 	lv := make([]int, s.P.Rows)
 	max := 0
 	for i := 0; i < s.P.Rows; i++ {

@@ -85,17 +85,8 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-// BlockPartition assigns n items to nparts contiguous, balanced blocks.
-func BlockPartition(n, nparts int) []int {
-	part := make([]int, n)
-	for i := range part {
-		part[i] = i * nparts / n
-	}
-	return part
-}
-
-// PartSizes returns the number of items in each of nparts parts.
-func PartSizes(part []int, nparts int) []int {
+// partSizes returns the number of items in each of nparts parts.
+func partSizes(part []int, nparts int) []int {
 	sizes := make([]int, nparts)
 	for _, p := range part {
 		sizes[p]++

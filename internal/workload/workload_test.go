@@ -10,7 +10,7 @@ import (
 
 func TestRCBBalanced(t *testing.T) {
 	g := NewMoldyn(DefaultMoldynParams())
-	sizes := PartSizes(g.Part, 32)
+	sizes := partSizes(g.Part, 32)
 	min, max := 1<<30, 0
 	for _, s := range sizes {
 		if s < min {
@@ -70,22 +70,6 @@ func TestRCBBadPartsPanics(t *testing.T) {
 			}()
 			RCB([]Point3{{}, {}}, n)
 		}()
-	}
-}
-
-func TestBlockPartition(t *testing.T) {
-	part := BlockPartition(100, 32)
-	sizes := PartSizes(part, 32)
-	for p, s := range sizes {
-		if s < 3 || s > 4 {
-			t.Errorf("part %d has %d items", p, s)
-		}
-	}
-	// Monotone.
-	for i := 1; i < len(part); i++ {
-		if part[i] < part[i-1] {
-			t.Fatal("block partition not monotone")
-		}
 	}
 }
 
@@ -264,8 +248,8 @@ func TestICCGSuccsMirrorPreds(t *testing.T) {
 			count++
 		}
 	}
-	if count != s.NNZ() {
-		t.Errorf("succ edges %d != nnz %d", count, s.NNZ())
+	if count != s.nnz() {
+		t.Errorf("succ edges %d != nnz %d", count, s.nnz())
 	}
 }
 
@@ -286,7 +270,7 @@ func TestICCGSolveCorrect(t *testing.T) {
 
 func TestICCGHasDeepDAG(t *testing.T) {
 	s := NewICCG(DefaultICCGParams())
-	_, nLevels := s.Levels()
+	_, nLevels := s.levels()
 	if nLevels < 50 {
 		t.Errorf("DAG only %d levels; not challenging enough", nLevels)
 	}
@@ -382,7 +366,7 @@ func TestGeneratorGoldenStats(t *testing.T) {
 		want int
 	}{
 		{"unstruc edges", len(un.Edges), 5032},
-		{"iccg nnz", ic.NNZ(), 32006},
+		{"iccg nnz", ic.nnz(), 32006},
 		{"moldyn pairs", len(pairs), 30730},
 	}
 	for _, g := range golden {
