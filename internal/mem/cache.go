@@ -24,28 +24,49 @@ type pfEntry struct {
 	used  bool   // filled
 }
 
+// pageLines is the number of frames in one cache page. Frames are
+// allocated a page at a time, on the first fill into the page: a run
+// touches a few of a node's 64 Alewife pages, so untouched pages cost
+// nothing.
+const pageLines = 64
+
+// cachePage is one page of direct-mapped frames.
+type cachePage [pageLines]cacheLine
+
 // cache models one node's direct-mapped cache plus its software-prefetch
 // buffer. It tracks only tags and states; data lives in the Store.
 type cache struct {
-	lines []cacheLine
-	pf    []pfEntry
-	pfNxt int // FIFO replacement cursor for the prefetch buffer
+	// pages holds the frames, frame i in pages[i/pageLines]. The slice
+	// and each page are allocated on the first fill into them; a frame
+	// in a missing page reads as invalid.
+	pages  []*cachePage
+	nlines int // frames (Params.CacheLines)
+	pf     []pfEntry
+	pfNxt  int // FIFO replacement cursor for the prefetch buffer
 }
 
 func newCache(p Params) *cache {
-	return &cache{
-		lines: make([]cacheLine, p.CacheLines),
-		pf:    make([]pfEntry, p.PrefetchEntries),
-	}
+	return &cache{nlines: p.CacheLines, pf: make([]pfEntry, p.PrefetchEntries)}
 }
 
-func (c *cache) idx(line Addr) int { return int(line % Addr(len(c.lines))) }
+func (c *cache) idx(line Addr) int { return int(line % Addr(c.nlines)) }
+
+// resident returns line's frame if it holds line, else nil. A page that
+// was never filled holds no line.
+func (c *cache) resident(line Addr) *cacheLine {
+	i := c.idx(line)
+	if p := i / pageLines; p < len(c.pages) && c.pages[p] != nil {
+		if fr := &c.pages[p][i%pageLines]; fr.state != lineInvalid && fr.tag == line {
+			return fr
+		}
+	}
+	return nil
+}
 
 // lookup returns the state of line in the cache proper (not the prefetch
 // buffer); lineInvalid if absent.
 func (c *cache) lookup(line Addr) lineState {
-	fr := &c.lines[c.idx(line)]
-	if fr.state != lineInvalid && fr.tag == line {
+	if fr := c.resident(line); fr != nil {
 		return fr.state
 	}
 	return lineInvalid
@@ -54,9 +75,19 @@ func (c *cache) lookup(line Addr) lineState {
 // fill installs line with state st and ownership generation gen,
 // returning the victim line number, whether the victim was dirty (needs
 // write-back), and the victim's generation. A victim of NilAddr means
-// the frame was free or held the same line.
+// the frame was free or held the same line. The first fill into a page
+// allocates it.
 func (c *cache) fill(line Addr, st lineState, gen uint64) (victim Addr, victimDirty bool, victimGen uint64) {
-	fr := &c.lines[c.idx(line)]
+	i := c.idx(line)
+	if c.pages == nil {
+		c.pages = make([]*cachePage, (c.nlines+pageLines-1)/pageLines)
+	}
+	pg := c.pages[i/pageLines]
+	if pg == nil {
+		pg = new(cachePage)
+		c.pages[i/pageLines] = pg
+	}
+	fr := &pg[i%pageLines]
 	victim, victimDirty, victimGen = NilAddr, false, 0
 	if fr.state != lineInvalid && fr.tag != line {
 		victim = fr.tag
@@ -71,8 +102,7 @@ func (c *cache) fill(line Addr, st lineState, gen uint64) (victim Addr, victimDi
 
 // setState updates the state of a resident line; no-op if absent.
 func (c *cache) setState(line Addr, st lineState) {
-	fr := &c.lines[c.idx(line)]
-	if fr.tag == line && fr.state != lineInvalid {
+	if fr := c.resident(line); fr != nil {
 		fr.state = st
 	}
 }
@@ -80,8 +110,7 @@ func (c *cache) setState(line Addr, st lineState) {
 // invalidate drops line from the cache and prefetch buffer. It reports
 // whether the dropped copy was dirty.
 func (c *cache) invalidate(line Addr) (wasDirty bool) {
-	fr := &c.lines[c.idx(line)]
-	if fr.tag == line && fr.state != lineInvalid {
+	if fr := c.resident(line); fr != nil {
 		wasDirty = fr.state == lineModified
 		fr.state = lineInvalid
 	}

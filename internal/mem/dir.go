@@ -77,7 +77,7 @@ type dirEntry struct {
 	// busy serializes multi-message transactions (invalidation rounds,
 	// owner fetches). Requests arriving while busy queue FIFO.
 	busy  bool
-	queue []func()
+	queue []*txn
 
 	// modGen counts Modified-ownership grants for this line. The grant
 	// reply carries the value to the new owner's cache, and an eviction

@@ -10,4 +10,14 @@
 // pointers. Controller and DRAM costs are expressed in processor cycles
 // (the CMMU is clocked with the processor); network transit is wall-clock
 // time, which is what makes the paper's clock-scaling experiment work.
+//
+// Host memory grows with what a run touches, not with the modelled
+// machine. Cache frames live in 64-line pages, each allocated on the
+// first fill into it; a frame in a missing page reads as invalid.
+// Protocol state in flight lives in pooled records: a transaction (txn)
+// per miss, a leg per sharer of an invalidation or update round, and a
+// writeBack per dirty eviction. Each protocol step is a method of its
+// record, bound once when the record is built, and each record carries
+// its own packet, so no protocol step allocates once the records exist.
+// Directory entries are created on first touch.
 package mem

@@ -19,6 +19,11 @@ func FuzzProtocolOps(f *testing.F) {
 	f.Add([]byte{1, 9, 42, 7, 200, 13, 88, 3, 54, 99, 250, 17})
 	f.Add([]byte{2, 0, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50, 55, 60})
 	f.Add([]byte("3 read-write-prefetch-rmw soup with enough ops to collide"))
+	// Update protocol under RC: node 25's write prefetch is granted
+	// Shared, and node 7's atomic invalidates the line while that reply
+	// is in flight. The invalidation must wait for the fill, or node 25
+	// keeps a Shared copy the directory no longer lists.
+	f.Add([]byte("77227xAc28777777700x78200+,0000000002000x0"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 128 {
 			t.Skip("empty or oversized op stream")

@@ -45,14 +45,20 @@ type holder struct {
 }
 
 // holders collects every cached copy (cache proper and prefetch buffer)
-// of every line, keyed by line number.
+// of every line, keyed by line number. Only allocated cache pages are
+// walked: a missing page holds no valid frame.
 func (s *System) holders() map[Addr][]holder {
 	m := make(map[Addr][]holder)
 	for node, nm := range s.nodes {
-		for i := range nm.cache.lines {
-			fr := &nm.cache.lines[i]
-			if fr.state != lineInvalid {
-				m[fr.tag] = append(m[fr.tag], holder{node: node, st: fr.state})
+		for _, pg := range nm.cache.pages {
+			if pg == nil {
+				continue
+			}
+			for i := range pg {
+				fr := &pg[i]
+				if fr.state != lineInvalid {
+					m[fr.tag] = append(m[fr.tag], holder{node: node, st: fr.state})
+				}
 			}
 		}
 		for i := range nm.cache.pf {

@@ -50,6 +50,11 @@ type System struct {
 	// crit, when non-nil, receives the critical-path decomposition of
 	// miss waits and the miss/txn causal edges.
 	crit *obs.CritRecorder
+
+	// Pooled protocol records (see newTxn, newLeg, writeback).
+	txnFree freeList[txn]
+	legFree freeList[leg]
+	wbFree  freeList[writeBack]
 }
 
 // SetMetrics registers the memory system's instruments on reg and begins
@@ -92,20 +97,103 @@ type nodeMem struct {
 	busyDir int      // directory entries currently in service (metrics)
 }
 
-// txn is an outstanding miss transaction at the requesting node.
+// txn is an outstanding miss transaction at the requesting node. Records
+// are pooled per System: newTxn takes one when a miss starts and
+// complete returns it as its very last act. Every step a transaction
+// schedules is a method value bound once per record (step), so
+// scheduling a step allocates nothing.
 type txn struct {
+	s        *System
 	line     Addr
+	home     int // the line's home node
+	node     int // the requesting node
 	write    bool
-	node     int
 	prefetch bool
 	atomic   bool     // RMW/Update: requires exclusivity even under ProtocolUpdate
 	granted  bool     // home has issued the reply (it is en route)
 	gen      uint64   // dirEntry.modGen of a Modified grant (0 for shared grants)
 	start    sim.Time // issue time, for the miss-latency histogram
 
+	// Home-side state, set once the request reaches home.
+	e     *dirEntry // the line's directory entry
+	owner int       // the third party an owner fetch visits
+	acks  int       // acknowledgements an invalidation or update round awaits
+	extra sim.Time  // LimitLESS penalty the round's grant adds
+	st    lineState // the state the grant installs at the requester
+
 	waiters    []waiter
 	onComplete []func()
+
+	msg  courier // the request, owner fetch and reply, one at a time
+	step txnSteps
 }
+
+// txnSteps are a transaction's protocol steps, bound to its record once.
+type txnSteps struct {
+	sendRequest, reachHome              func()
+	dispatch, process, serveHome        func()
+	reachOwner, fetch, fetchNow         func()
+	returnHome, ownerDone               func()
+	sendReply, reachRequester, complete func()
+}
+
+// leg is one sharer's part of an invalidation or update round: the
+// home's message to the sharer, the sharer's step, and its
+// acknowledgement back to home. Legs are pooled like transactions.
+type leg struct {
+	s      *System
+	t      *txn // the write transaction whose round this is
+	sh     int  // the sharer
+	update bool // an update round: data pushed, the sharer keeps its copy
+	msg    courier
+	step   legSteps
+}
+
+// legSteps are a leg's protocol steps, bound to its record once.
+type legSteps struct {
+	reachSharer, atSharer, sendAck, reachHome, acked func()
+}
+
+// writeBack is a dirty eviction's write-back to home. Write-backs are
+// pooled like transactions.
+type writeBack struct {
+	s    *System
+	node int // the evicting node
+	home int
+	line Addr
+	gen  uint64 // the ownership generation the evicted copy was granted under
+	msg  courier
+	step struct{ reachHome, apply func() }
+}
+
+// freeList is a pool of one kind of protocol record.
+type freeList[T any] []*T
+
+// get takes a record from the pool, or returns nil if it is empty.
+func (f *freeList[T]) get() *T {
+	n := len(*f)
+	if n == 0 {
+		return nil
+	}
+	r := (*f)[n-1]
+	*f = (*f)[:n-1]
+	return r
+}
+
+func (f *freeList[T]) put(r *T) { *f = append(*f, r) }
+
+// courier carries a pooled record's protocol messages, one at a time:
+// the packet each rides in and the step its arrival runs. Coherence
+// packets pass through the endpoint straight to Deliver, and a record
+// sends its next message only from a later step, so the network is done
+// with the packet by the time it is reused.
+type courier struct {
+	pkt     mesh.Packet
+	arrive  func()
+	deliver func(sim.Time, *mesh.Packet) // c.delivered, bound once
+}
+
+func (c *courier) delivered(sim.Time, *mesh.Packet) { c.arrive() }
 
 type waiter struct {
 	th     *sim.Thread
@@ -172,21 +260,23 @@ func (s *System) atCtl(node int, fn func()) {
 	s.eng.At(start+s.cyc(s.par.HomeOccCycles), fn)
 }
 
-// sendCoh moves a protocol message from src to dst and runs onDeliver at
-// arrival. Local (src==dst) messages bypass the network; ideal-network
-// mode replaces transit with the fixed one-way latency.
-func (s *System) sendCoh(src, dst int, class mesh.Class, payloadBytes int, onDeliver func()) {
+// sendCoh moves a protocol message from src to dst in c's packet and
+// runs arrive at arrival. Local (src==dst) messages bypass the network;
+// ideal-network mode replaces transit with the fixed one-way latency.
+func (s *System) sendCoh(src, dst int, class mesh.Class, payloadBytes int, c *courier, arrive func()) {
 	switch {
 	case src == dst:
-		s.eng.After(0, onDeliver)
+		s.eng.After(0, arrive)
 	case s.idealNet:
-		s.eng.After(s.idealOneWay, onDeliver)
+		s.eng.After(s.idealOneWay, arrive)
 	default:
-		s.net.Send(&mesh.Packet{
+		c.arrive = arrive
+		c.pkt = mesh.Packet{
 			Src: src, Dst: dst, Class: class,
 			HdrBytes: s.par.HdrBytes, PayloadBytes: payloadBytes,
-			Deliver: func(sim.Time, *mesh.Packet) { onDeliver() },
-		})
+			Deliver: c.deliver,
+		}
+		s.net.Send(&c.pkt)
 	}
 }
 
@@ -370,6 +460,54 @@ func (s *System) installLine(node int, line Addr, st lineState, gen uint64) {
 // Transactions
 // ---------------------------------------------------------------------------
 
+// newTxn takes a transaction record from the pool, or builds one and
+// binds its steps.
+func (s *System) newTxn() *txn {
+	if t := s.txnFree.get(); t != nil {
+		return t
+	}
+	t := &txn{s: s}
+	t.msg.deliver = t.msg.delivered
+	t.step = txnSteps{
+		sendRequest: t.sendRequest, reachHome: t.reachHome,
+		dispatch: t.dispatch, process: t.process, serveHome: t.serveHome,
+		reachOwner: t.reachOwner, fetch: t.fetch, fetchNow: t.fetchNow,
+		returnHome: t.returnHome, ownerDone: t.ownerDone,
+		sendReply: t.sendReply, reachRequester: t.reachRequester, complete: t.complete,
+	}
+	return t
+}
+
+// freeTxn returns a finished transaction's record to the pool. Its
+// slices keep their capacity but are cleared, so a pooled record pins no
+// callback or thread.
+func (s *System) freeTxn(t *txn) {
+	clear(t.waiters)
+	clear(t.onComplete)
+	*t = txn{s: s, waiters: t.waiters[:0], onComplete: t.onComplete[:0],
+		msg: courier{deliver: t.msg.deliver}, step: t.step}
+	s.txnFree.put(t)
+}
+
+// newLeg takes a round-leg record from the pool, or builds one.
+func (s *System) newLeg(t *txn, sh int, update bool) *leg {
+	l := s.legFree.get()
+	if l == nil {
+		l = &leg{s: s}
+		l.msg.deliver = l.msg.delivered
+		l.step = legSteps{reachSharer: l.reachSharer, atSharer: l.atSharer, sendAck: l.sendAck,
+			reachHome: l.reachHome, acked: l.acked}
+	}
+	l.t, l.sh, l.update = t, sh, update
+	return l
+}
+
+// freeLeg returns a finished leg's record to the pool.
+func (s *System) freeLeg(l *leg) {
+	l.t = nil
+	s.legFree.put(l)
+}
+
 // startTxn opens a miss transaction at node and routes the request to
 // the line's home controller.
 func (s *System) startTxn(node int, line Addr, write, prefetch bool) *txn {
@@ -380,99 +518,83 @@ func (s *System) startTxn(node int, line Addr, write, prefetch bool) *txn {
 		}
 		s.tr.Add(obs.Event{At: s.eng.Now(), Node: node, Kind: obs.KMissStart, A: int64(line), B: w})
 	}
-	t := &txn{line: line, write: write, node: node, prefetch: prefetch, start: s.eng.Now()}
+	t := s.newTxn()
+	t.line, t.home, t.node = line, s.lineHome(line), node
+	t.write, t.prefetch, t.start = write, prefetch, s.eng.Now()
 	s.nodes[node].pending[line] = t
 	if s.mTxnTotal != nil {
 		s.mTxnTotal.Inc()
 		s.mTxnOut[node].SetMax(int64(len(s.nodes[node].pending)))
 	}
-	home := s.lineHome(line)
-	if node == home {
+	if node == t.home {
 		// Local request: no network issue cost; straight to the controller.
-		s.atCtl(home, func() { s.homeDispatch(home, node, line, write, t) })
+		s.atCtl(t.home, t.step.dispatch)
 		return t
 	}
-	s.eng.After(s.cyc(s.par.ReqCycles), func() {
-		s.sendCoh(node, home, mesh.ClassCohReq, 0, func() {
-			s.atCtl(home, func() { s.homeDispatch(home, node, line, write, t) })
-		})
-	})
+	s.eng.After(s.cyc(s.par.ReqCycles), t.step.sendRequest)
 	return t
 }
 
-// homeDispatch runs at the home controller when a request arrives. The
+// sendRequest sends the request to home once the requester has issued it.
+func (t *txn) sendRequest() {
+	t.s.sendCoh(t.node, t.home, mesh.ClassCohReq, 0, &t.msg, t.step.reachHome)
+}
+
+// reachHome passes the arrived request to the home controller.
+func (t *txn) reachHome() { t.s.atCtl(t.home, t.step.dispatch) }
+
+// dispatch runs at the home controller when a request arrives. The
 // directory entry services one request at a time; while one is in
 // service (busy), later arrivals park in a strict FIFO queue. release
 // pops exactly one queued request per completion, so no requester can
 // starve behind faster re-requesters.
-func (s *System) homeDispatch(home, req int, line Addr, write bool, t *txn) {
-	e := s.nodes[home].dir.entry(line)
+func (t *txn) dispatch() {
+	s := t.s
+	e := s.nodes[t.home].dir.entry(t.line)
+	t.e = e
 	if e.busy {
-		e.queue = append(e.queue, func() { s.homeProcess(home, req, line, write, t, e) })
+		e.queue = append(e.queue, t)
 		return
 	}
 	e.busy = true
 	if s.mDirBusy != nil {
-		nm := s.nodes[home]
+		nm := s.nodes[t.home]
 		nm.busyDir++
-		s.mDirBusy[home].SetMax(int64(nm.busyDir))
+		s.mDirBusy[t.home].SetMax(int64(nm.busyDir))
 	}
-	s.homeProcess(home, req, line, write, t, e)
+	t.process()
 }
 
-// homeProcess services one request; e.busy is held by the caller and
+// process services one request; e.busy is held by the caller and
 // released via s.release at every terminal point.
-func (s *System) homeProcess(home, req int, line Addr, write bool, t *txn, e *dirEntry) {
+func (t *txn) process() {
+	s, e := t.s, t.e
+	home, req, line, write := t.home, t.node, t.line, t.write
 	if e.state == dirModified && e.owner != req {
 		if e.owner == home {
 			// Dirty in the home's own cache: the controller pulls the
-			// line from its processor's cache inline — no network, no
-			// extra controller passes (Alewife's 2-party dirty case).
-			serve := func() {
-				s.ev.RemoteMissesDty++
-				if write {
-					s.ev.Invalidations++
-					s.nodes[home].cache.invalidate(line)
-					e.state = dirModified
-					e.owner = req
-					e.sharers = sharerSet{}
-					e.sharers.add(req)
-					e.modGen++
-					t.gen = e.modGen
-				} else {
-					s.nodes[home].cache.downgrade(line)
-					e.state = dirShared
-					e.sharers = sharerSet{}
-					e.sharers.add(home)
-					e.sharers.add(req)
-					e.owner = -1
-				}
-				s.grant(home, req, line, write, t, 0)
-				s.release(home, e)
-			}
-			// If the home's own write grant is still in flight (ownership
+			// line from its processor's cache inline (serveHome). If the
+			// home's own write grant is still in flight (ownership
 			// recorded, fill pending), defer until the fill completes:
 			// invalidating the cache now would miss the in-flight fill and
-			// leave two Modified copies (mirrors ownerFetch's deferral).
+			// leave two Modified copies (mirrors fetch's deferral).
 			if ot := s.nodes[home].pending[line]; ot != nil && ot.write && ot.granted {
-				ot.onComplete = append(ot.onComplete, serve)
+				ot.onComplete = append(ot.onComplete, t.step.serveHome)
 				return
 			}
-			serve()
+			t.serveHome()
 			return
 		}
 		// Dirty at a third party: fetch (and for writes, invalidate) the
 		// owner's copy.
 		s.ev.RemoteMissesDty++
-		owner := e.owner
+		t.owner = e.owner
 		class := mesh.ClassCohReq
 		if write {
 			class = mesh.ClassCohInval
 			s.ev.Invalidations++
 		}
-		s.sendCoh(home, owner, class, 0, func() {
-			s.atCtl(owner, func() { s.ownerFetch(owner, home, req, line, write, t) })
-		})
+		s.sendCoh(home, t.owner, class, 0, &t.msg, t.step.reachOwner)
 		return
 	}
 
@@ -493,7 +615,7 @@ func (s *System) homeProcess(home, req int, line Addr, write bool, t *txn, e *di
 		}
 		e.state = dirShared
 		e.sharers.add(req)
-		s.grant(home, req, line, false, t, extra)
+		s.grant(t, false, extra)
 		s.release(home, e)
 		return
 	}
@@ -503,53 +625,62 @@ func (s *System) homeProcess(home, req int, line Addr, write bool, t *txn, e *di
 	shs.remove(req)
 	if shs.count() == 0 {
 		s.countMiss(home, req)
-		e.state = dirModified
-		e.owner = req
-		e.sharers = sharerSet{}
-		e.sharers.add(req)
-		e.modGen++
-		t.gen = e.modGen
-		s.grant(home, req, line, true, t, 0)
+		t.takeOwnership()
+		s.grant(t, true, 0)
 		s.release(home, e)
 		return
 	}
 	s.countMiss(home, req)
 	if s.par.Protocol == ProtocolUpdate && !t.atomic {
-		s.updateRound(home, req, line, t, e, shs)
+		s.updateRound(t, shs)
 		return
 	}
-	extra := sim.Time(0)
 	if shs.count() >= s.par.HWPointers {
 		s.ev.LimitLESSTraps++
 		// Software walks the overflow directory and invalidates each
 		// sharer: a fixed trap cost plus a per-sharer term.
-		extra = s.cyc(s.par.LimitLESSCycles + s.par.LimitLESSPerSharerCycles*int64(shs.count()))
+		t.extra = s.cyc(s.par.LimitLESSCycles + s.par.LimitLESSPerSharerCycles*int64(shs.count()))
 	}
-	acks := shs.count()
+	t.acks = shs.count()
 	shs.forEach(func(sh int) {
 		s.ev.Invalidations++
-		s.sendCoh(home, sh, mesh.ClassCohInval, 0, func() {
-			s.atCtl(sh, func() {
-				s.invalidateAt(sh, line, func() {
-					s.sendCoh(sh, home, mesh.ClassCohInval, 0, func() {
-						s.atCtl(home, func() {
-							acks--
-							if acks == 0 {
-								e.state = dirModified
-								e.owner = req
-								e.sharers = sharerSet{}
-								e.sharers.add(req)
-								e.modGen++
-								t.gen = e.modGen
-								s.grant(home, req, line, true, t, extra)
-								s.release(home, e)
-							}
-						})
-					})
-				})
-			})
-		})
+		l := s.newLeg(t, sh, false)
+		s.sendCoh(home, sh, mesh.ClassCohInval, 0, &l.msg, l.step.reachSharer)
 	})
+}
+
+// takeOwnership records the requester as the line's Modified owner and
+// stamps the grant with the new ownership generation.
+func (t *txn) takeOwnership() {
+	e := t.e
+	e.state = dirModified
+	e.owner = t.node
+	e.sharers = sharerSet{}
+	e.sharers.add(t.node)
+	e.modGen++
+	t.gen = e.modGen
+}
+
+// serveHome serves a request for a line dirty in the home's own cache:
+// the controller pulls the line from its processor's cache inline — no
+// network, no extra controller passes (Alewife's 2-party dirty case).
+func (t *txn) serveHome() {
+	s, e, home := t.s, t.e, t.home
+	s.ev.RemoteMissesDty++
+	if t.write {
+		s.ev.Invalidations++
+		s.nodes[home].cache.invalidate(t.line)
+		t.takeOwnership()
+	} else {
+		s.nodes[home].cache.downgrade(t.line)
+		e.state = dirShared
+		e.sharers = sharerSet{}
+		e.sharers.add(home)
+		e.sharers.add(t.node)
+		e.owner = -1
+	}
+	s.grant(t, t.write, 0)
+	s.release(home, e)
 }
 
 // countMiss classifies a (non-dirty-path) miss as local or remote-clean.
@@ -561,14 +692,61 @@ func (s *System) countMiss(home, req int) {
 	}
 }
 
-// invalidateAt removes a line from a node's cache, deferring if a granted
-// read reply is in flight (the 8-byte invalidation can overtake the
-// 24-byte data reply in the network; acking first would install a stale
-// shared copy). Deferral is safe only for granted read transactions,
-// which complete independently of the invalidation round.
+// reachSharer passes the home's invalidation or update to the sharer's
+// controller.
+func (l *leg) reachSharer() { l.s.atCtl(l.sh, l.step.atSharer) }
+
+// atSharer runs at the sharer's controller: an update leaves the copy in
+// place and acknowledges at once; an invalidation drops it first.
+func (l *leg) atSharer() {
+	if l.update {
+		l.sendAck()
+		return
+	}
+	l.s.invalidateAt(l.sh, l.t.line, l.step.sendAck)
+}
+
+// sendAck returns the sharer's acknowledgement to home.
+func (l *leg) sendAck() {
+	class := mesh.ClassCohInval
+	if l.update {
+		class = mesh.ClassCohAck
+	}
+	l.s.sendCoh(l.sh, l.t.home, class, 0, &l.msg, l.step.reachHome)
+}
+
+// reachHome passes the arrived acknowledgement to the home controller.
+func (l *leg) reachHome() { l.s.atCtl(l.t.home, l.step.acked) }
+
+// acked counts one acknowledgement at home. The last one of a round
+// grants the write: Modified after an invalidation round, Shared after
+// an update round.
+func (l *leg) acked() {
+	s, t, update := l.s, l.t, l.update
+	s.freeLeg(l)
+	t.acks--
+	if t.acks > 0 {
+		return
+	}
+	if update {
+		s.grantState(t, lineShared, 0)
+	} else {
+		t.takeOwnership()
+		s.grant(t, true, t.extra)
+	}
+	s.release(t.home, t.e)
+}
+
+// invalidateAt removes a line from a node's cache, deferring if a reply
+// granting a Shared copy is in flight (the 8-byte invalidation can
+// overtake the 24-byte data reply in the network; acking first would
+// install a stale shared copy). Reads are granted Shared, and so are
+// writes under the update protocol. Deferral is safe only for such
+// granted transactions, which complete independently of the
+// invalidation round.
 func (s *System) invalidateAt(node int, line Addr, ack func()) {
 	nm := s.nodes[node]
-	if t := nm.pending[line]; t != nil && !t.write && t.granted {
+	if t := nm.pending[line]; t != nil && t.granted && t.st == lineShared {
 		t.onComplete = append(t.onComplete, func() {
 			nm.cache.invalidate(line)
 			ack()
@@ -582,136 +760,128 @@ func (s *System) invalidateAt(node int, line Addr, ack func()) {
 	ack()
 }
 
-// ownerFetch runs at the current owner when the home requests its dirty
-// copy. If the owner's own write grant is still in flight, the fetch
-// defers until the fill completes (ownership must be observed before it
-// can be taken away).
-func (s *System) ownerFetch(owner, home, req int, line Addr, write bool, t *txn) {
-	nm := s.nodes[owner]
-	if ot := nm.pending[line]; ot != nil && ot.write && ot.granted {
-		ot.onComplete = append(ot.onComplete, func() {
-			s.ownerFetchNow(owner, home, req, line, write, t)
-		})
+// reachOwner passes the home's fetch to the owner's controller.
+func (t *txn) reachOwner() { t.s.atCtl(t.owner, t.step.fetch) }
+
+// fetch runs at the current owner when the home requests its dirty
+// copy (ownerFetch). If the owner's own write grant is still in flight,
+// the fetch defers until the fill completes (ownership must be observed
+// before it can be taken away).
+func (t *txn) fetch() {
+	if ot := t.s.nodes[t.owner].pending[t.line]; ot != nil && ot.write && ot.granted {
+		ot.onComplete = append(ot.onComplete, t.step.fetchNow)
 		return
 	}
-	s.ownerFetchNow(owner, home, req, line, write, t)
+	t.fetchNow()
 }
 
-// ownerFetchNow surrenders the owner's dirty copy immediately.
-func (s *System) ownerFetchNow(owner, home, req int, line Addr, write bool, t *txn) {
-	nm := s.nodes[owner]
-	if write {
-		nm.cache.invalidate(line)
+// fetchNow surrenders the owner's dirty copy immediately and returns the
+// line to home.
+func (t *txn) fetchNow() {
+	s := t.s
+	nm := s.nodes[t.owner]
+	if t.write {
+		nm.cache.invalidate(t.line)
 	} else {
-		nm.cache.downgrade(line)
+		nm.cache.downgrade(t.line)
 	}
-	// Owner returns the line to home.
-	s.sendCoh(owner, home, mesh.ClassCohData, s.par.LineBytes, func() {
-		s.atCtl(home, func() {
-			e := s.nodes[home].dir.entry(line)
-			if write {
-				e.state = dirModified
-				e.owner = req
-				e.sharers = sharerSet{}
-				e.sharers.add(req)
-				e.modGen++
-				t.gen = e.modGen
-			} else {
-				e.state = dirShared
-				e.sharers = sharerSet{}
-				e.sharers.add(owner)
-				e.sharers.add(req)
-				e.owner = -1
-			}
-			s.grant(home, req, line, write, t, 0)
-			s.release(home, e)
-		})
-	})
+	s.sendCoh(t.owner, t.home, mesh.ClassCohData, s.par.LineBytes, &t.msg, t.step.returnHome)
+}
+
+// returnHome passes the owner's returned line to the home controller.
+func (t *txn) returnHome() { t.s.atCtl(t.home, t.step.ownerDone) }
+
+// ownerDone records the owner fetch's outcome at home and grants.
+func (t *txn) ownerDone() {
+	s, e := t.s, t.e
+	if t.write {
+		t.takeOwnership()
+	} else {
+		e.state = dirShared
+		e.sharers = sharerSet{}
+		e.sharers.add(t.owner)
+		e.sharers.add(t.node)
+		e.owner = -1
+	}
+	s.grant(t, t.write, 0)
+	s.release(t.home, e)
 }
 
 // updateRound implements the write-through update protocol: the written
 // data is pushed to every sharer (which keeps its copy), acks return, and
 // the writer is granted a SHARED copy — its next store to the line pays
 // another round trip, and its readers never refetch.
-func (s *System) updateRound(home, req int, line Addr, t *txn, e *dirEntry, shs sharerSet) {
+func (s *System) updateRound(t *txn, shs sharerSet) {
+	e := t.e
 	e.state = dirShared
-	e.sharers.add(req)
+	e.sharers.add(t.node)
 	if shs.count() == 0 {
-		s.grantState(home, req, line, lineShared, t, 0)
-		s.release(home, e)
+		s.grantState(t, lineShared, 0)
+		s.release(t.home, e)
 		return
 	}
 	e.busy = true
-	acks := shs.count()
+	t.acks = shs.count()
 	shs.forEach(func(sh int) {
 		// Update carries the new data: header + one word.
-		s.sendCoh(home, sh, mesh.ClassCohData, 8, func() {
-			s.atCtl(sh, func() {
-				s.sendCoh(sh, home, mesh.ClassCohAck, 0, func() {
-					s.atCtl(home, func() {
-						acks--
-						if acks == 0 {
-							s.grantState(home, req, line, lineShared, t, 0)
-							s.release(home, e)
-						}
-					})
-				})
-			})
-		})
+		l := s.newLeg(t, sh, true)
+		s.sendCoh(t.home, sh, mesh.ClassCohData, 8, &l.msg, l.step.reachSharer)
 	})
 }
 
 // grant sends the data reply to the requestor after DRAM access (plus any
 // LimitLESS software penalty) and marks the transaction granted.
-func (s *System) grant(home, req int, line Addr, write bool, t *txn, extra sim.Time) {
+func (s *System) grant(t *txn, write bool, extra sim.Time) {
 	st := lineShared
 	if write {
 		st = lineModified
 	}
-	s.grantState(home, req, line, st, t, extra)
+	s.grantState(t, st, extra)
 }
 
 // grantState is grant with an explicit final cache state for the
 // requestor (the update protocol grants writes as shared).
-func (s *System) grantState(home, req int, line Addr, st lineState, t *txn, extra sim.Time) {
+func (s *System) grantState(t *txn, st lineState, extra sim.Time) {
 	t.granted = true
+	t.st = st
 	if s.crit != nil {
 		// Directory txn begin→grant edge, recorded at the home (the grant
 		// side); the requester-side view is the later miss→fill edge.
-		s.crit.Edge(obs.CritEdge{Kind: "txn", Src: t.node, Dst: home, Start: t.start, End: s.eng.Now()})
+		s.crit.Edge(obs.CritEdge{Kind: "txn", Src: t.node, Dst: t.home, Start: t.start, End: s.eng.Now()})
 	}
-	delay := s.cyc(s.par.DRAMCycles) + extra
-	if req == home {
+	if t.node == t.home {
 		// Local fill: no reply message; LocalMissCycles covers the DRAM
 		// path (calibrated to the paper's ~11-cycle local miss).
 		rest := s.par.LocalMissCycles - s.par.HomeOccCycles
 		if rest < 0 {
 			rest = 0
 		}
-		s.eng.After(s.cyc(rest)+extra, func() {
-			s.completeTxn(req, line, st, t)
-		})
+		s.eng.After(s.cyc(rest)+extra, t.step.complete)
 		return
 	}
 	// The DRAM delay elapses at home; the reply's delivery callback (and
 	// so the fill timer) runs at the requestor.
-	s.eng.After(delay, func() {
-		s.sendCoh(home, req, mesh.ClassCohData, s.par.LineBytes, func() {
-			s.eng.After(s.cyc(s.par.FillCycles), func() {
-				s.completeTxn(req, line, st, t)
-			})
-		})
-	})
+	s.eng.After(s.cyc(s.par.DRAMCycles)+extra, t.step.sendReply)
 }
+
+// sendReply sends the data reply once the home's DRAM access is done.
+func (t *txn) sendReply() {
+	t.s.sendCoh(t.home, t.node, mesh.ClassCohData, t.s.par.LineBytes, &t.msg, t.step.reachRequester)
+}
+
+// reachRequester starts the requester's cache fill on the reply's arrival.
+func (t *txn) reachRequester() { t.s.eng.After(t.s.cyc(t.s.par.FillCycles), t.step.complete) }
 
 // release finishes one request's service: it hands the entry to the
 // oldest queued request (keeping busy held across the handoff so fresh
 // arrivals cannot jump the queue) or marks the entry idle.
 func (s *System) release(home int, e *dirEntry) {
 	if len(e.queue) > 0 {
-		f := e.queue[0]
-		e.queue = e.queue[1:]
-		s.atCtl(home, f)
+		t := e.queue[0]
+		n := copy(e.queue, e.queue[1:])
+		e.queue[n] = nil
+		e.queue = e.queue[:n]
+		s.atCtl(home, t.step.process)
 		return
 	}
 	e.busy = false
@@ -720,12 +890,14 @@ func (s *System) release(home int, e *dirEntry) {
 	}
 }
 
-// completeTxn installs the line, runs deferred operations, and wakes
-// waiting threads.
-func (s *System) completeTxn(node int, line Addr, st lineState, t *txn) {
+// complete finishes the transaction at the requester: it installs the
+// line, runs deferred operations, wakes waiting threads and, last of
+// all, returns the record to the pool.
+func (t *txn) complete() {
+	s, node, line := t.s, t.node, t.line
 	nm := s.nodes[node]
 	if t.prefetch {
-		evicted, dirty, evictedGen := nm.cache.pfFill(line, st, t.gen)
+		evicted, dirty, evictedGen := nm.cache.pfFill(line, t.st, t.gen)
 		if evicted != NilAddr {
 			s.ev.PrefetchUseless++
 			if dirty {
@@ -733,7 +905,7 @@ func (s *System) completeTxn(node int, line Addr, st lineState, t *txn) {
 			}
 		}
 	} else {
-		s.installLine(node, line, st, t.gen)
+		s.installLine(node, line, t.st, t.gen)
 	}
 	delete(nm.pending, line)
 	if s.mMissRd != nil {
@@ -755,12 +927,13 @@ func (s *System) completeTxn(node int, line Addr, st lineState, t *txn) {
 	}
 	now := s.eng.Now()
 	if s.crit != nil {
-		s.critComplete(node, line, t, now)
+		s.critComplete(t, now)
 	}
 	for _, w := range t.waiters {
 		w.bd.Add(w.bucket, now-w.start)
 		w.th.WakeAt(now)
 	}
+	s.freeTxn(t)
 }
 
 // critComplete decomposes a completed transaction's waits for the
@@ -771,8 +944,8 @@ func (s *System) completeTxn(node int, line Addr, st lineState, t *txn) {
 // occupancy, invalidation rounds — is network bandwidth/occupancy.
 // Waits charged to buckets other than mem-wait (synchronization spins)
 // are left whole, matching the paper's bucket convention.
-func (s *System) critComplete(node int, line Addr, t *txn, now sim.Time) {
-	home := s.lineHome(line)
+func (s *System) critComplete(t *txn, now sim.Time) {
+	node, home := t.node, t.home
 	var latRaw, fixed sim.Time
 	switch {
 	case s.idealNet:
@@ -812,28 +985,41 @@ func (s *System) critComplete(node int, line Addr, t *txn, now sim.Time) {
 // ownership generation the evicted copy was granted under.
 func (s *System) writeback(node int, line Addr, gen uint64) {
 	s.ev.WriteBacks++
-	home := s.lineHome(line)
-	s.sendCoh(node, home, mesh.ClassCohData, s.par.LineBytes, func() {
-		s.atCtl(home, func() {
-			e := s.nodes[home].dir.entry(line)
-			// A fast re-request (8-byte header) can overtake the slower
-			// line-sized write-back packet, so by the time the write-back
-			// arrives the evictor may have re-acquired ownership. Clearing
-			// the directory then would let a second node be granted
-			// Modified concurrently; the write-back is stale exactly when
-			// its generation is not the one the directory last granted.
-			// (If a re-acquisition is merely in flight, clearing is
-			// harmless: the request then finds the line uncached, exactly
-			// as if it had been sent after the write-back landed. The
-			// generation check keeps this decision home-local.)
-			if !e.busy && e.state == dirModified && e.owner == node &&
-				e.modGen == gen {
-				e.state = dirUncached
-				e.sharers = sharerSet{}
-				e.owner = -1
-			}
-		})
-	})
+	w := s.wbFree.get()
+	if w == nil {
+		w = &writeBack{s: s}
+		w.msg.deliver = w.msg.delivered
+		w.step.reachHome, w.step.apply = w.reachHome, w.apply
+	}
+	w.node, w.home, w.line, w.gen = node, s.lineHome(line), line, gen
+	s.sendCoh(node, w.home, mesh.ClassCohData, s.par.LineBytes, &w.msg, w.step.reachHome)
+}
+
+// reachHome passes the arrived write-back to the home controller.
+func (w *writeBack) reachHome() { w.s.atCtl(w.home, w.step.apply) }
+
+// apply clears the directory's record of the evicted copy, unless the
+// write-back is stale, and returns the record to the pool.
+func (w *writeBack) apply() {
+	s := w.s
+	e := s.nodes[w.home].dir.entry(w.line)
+	// A fast re-request (8-byte header) can overtake the slower
+	// line-sized write-back packet, so by the time the write-back
+	// arrives the evictor may have re-acquired ownership. Clearing
+	// the directory then would let a second node be granted
+	// Modified concurrently; the write-back is stale exactly when
+	// its generation is not the one the directory last granted.
+	// (If a re-acquisition is merely in flight, clearing is
+	// harmless: the request then finds the line uncached, exactly
+	// as if it had been sent after the write-back landed. The
+	// generation check keeps this decision home-local.)
+	if !e.busy && e.state == dirModified && e.owner == w.node &&
+		e.modGen == w.gen {
+		e.state = dirUncached
+		e.sharers = sharerSet{}
+		e.owner = -1
+	}
+	s.wbFree.put(w)
 }
 
 // cacheHas reports (for tests) whether node's cache or prefetch buffer

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -29,15 +30,21 @@ func newRig() *testRig {
 }
 
 // run spawns one thread per body at t=0 and runs to completion, then
-// checks the directory/cache invariants at quiescence. Every protocol
-// scenario in this package therefore doubles as an invariant test.
+// checks that every body returned (a thread left paused forever would
+// skip its own assertions) and the directory/cache invariants at
+// quiescence. Every protocol scenario in this package therefore doubles
+// as an invariant test.
 func (r *testRig) run(bodies ...func(th *sim.Thread)) {
+	finished := 0
 	for i, b := range bodies {
 		b := b
-		r.eng.Spawn("t", sim.Time(i)*0, func(th *sim.Thread) { b(th) })
+		r.eng.Spawn("t", sim.Time(i)*0, func(th *sim.Thread) { b(th); finished++ })
 	}
 	r.eng.SetEventLimit(50_000_000)
 	r.eng.Run()
+	if finished != len(bodies) {
+		panic(fmt.Sprintf("%d of %d threads never finished", len(bodies)-finished, len(bodies)))
+	}
 	if err := r.sys.CheckInvariants(true); err != nil {
 		panic(err)
 	}

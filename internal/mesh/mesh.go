@@ -143,8 +143,6 @@ type Network struct {
 	vol stats.Volume
 	// Cross-traffic accounting.
 	xPackets, xBytes int64
-	// Bytes that crossed the X-dimension bisection, by app vs cross.
-	appBisectionBytes, xBisectionBytes int64
 
 	packetsSent int64
 	retries     int64
@@ -341,13 +339,6 @@ func (n *Network) Send(p *Packet) sim.Time {
 			depart = wk.head - n.cfg.HopLatency
 		}
 	}
-	if wk.cross {
-		if p.Class == ClassXTraffic {
-			n.xBisectionBytes += int64(p.Size())
-		} else {
-			n.appBisectionBytes += int64(p.Size())
-		}
-	}
 	// Head passes the routers plus the ejection stage; the tail follows
 	// by the serialization time.
 	tail := wk.head + n.cfg.HopLatency + wk.size
@@ -365,13 +356,11 @@ type walk struct {
 	x, y   int
 	dx, dy int
 	yFirst bool // route Y before X (the adaptive choice)
-	cross  bool // crossed the X-dimension bisection
 }
 
 // nextLink picks the packet's next directed link per dimension-ordered
-// routing (X then Y, or Y then X when the adaptive choice flipped),
-// advances the walk's position, and flags bisection crossings. ok=false
-// means the packet has arrived.
+// routing (X then Y, or Y then X when the adaptive choice flipped) and
+// advances the walk's position. ok=false means the packet has arrived.
 func (n *Network) nextLink(wk *walk) (d, idx int, ok bool) {
 	w, h := n.cfg.Width, n.cfg.Height
 	switch {
@@ -380,28 +369,16 @@ func (n *Network) nextLink(wk *walk) (d, idx int, ok bool) {
 			d = dirEast
 			if n.cfg.Torus {
 				idx = wk.y*w + wk.x
-				if wk.x == w/2-1 || wk.x == w-1 {
-					wk.cross = true
-				}
 			} else {
 				idx = wk.y*(w-1) + wk.x
-				if wk.x == w/2-1 {
-					wk.cross = true
-				}
 			}
 			wk.x = (wk.x + 1) % w
 		} else {
 			d = dirWest
 			if n.cfg.Torus {
 				idx = wk.y*w + (wk.x-1+w)%w
-				if wk.x == w/2 || wk.x == 0 {
-					wk.cross = true
-				}
 			} else {
 				idx = wk.y*(w-1) + (wk.x - 1)
-				if wk.x == w/2 {
-					wk.cross = true
-				}
 			}
 			wk.x = (wk.x - 1 + w) % w
 		}
@@ -550,12 +527,6 @@ func (n *Network) Retries() int64 { return n.retries }
 
 // CrossTrafficStats returns injected cross-traffic packet and byte counts.
 func (n *Network) CrossTrafficStats() (packets, bytes int64) { return n.xPackets, n.xBytes }
-
-// bisectionCrossings returns bytes that crossed the mesh's X bisection,
-// split into application and cross-traffic bytes.
-func (n *Network) bisectionCrossings() (app, cross int64) {
-	return n.appBisectionBytes, n.xBisectionBytes
-}
 
 // CrossTraffic describes the paper's bisection-emulation workload: I/O
 // nodes on both edges of the mesh stream fixed-size messages across the

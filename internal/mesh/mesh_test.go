@@ -130,21 +130,39 @@ func TestDisjointPathsDoNotContend(t *testing.T) {
 	}
 }
 
+// bisectionLoads returns the loaded links, as TopLinks reports them,
+// that join the halves x < Width/2 and x >= Width/2 (on a torus the wrap
+// links join them too).
+func bisectionLoads(n *Network) []LinkLoad {
+	var out []LinkLoad
+	half := n.Config().Width / 2
+	for _, l := range n.TopLinks(n.eng.Now()+1, n.Nodes()*4) {
+		ax, _ := n.XY(l.A)
+		bx, _ := n.XY(l.B)
+		if (ax < half) != (bx < half) {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
 func TestDimensionOrderRoutingCrossesBisection(t *testing.T) {
 	eng := sim.NewEngine()
 	n := New(eng, alewifeCfg())
 	n.Send(&Packet{Src: n.ID(0, 0), Dst: n.ID(7, 3), Class: ClassAM, HdrBytes: 24})
 	eng.Run()
-	app, cross := n.bisectionCrossings()
-	if app != 24 || cross != 0 {
-		t.Errorf("bisection crossings app=%d cross=%d, want 24, 0", app, cross)
+	// X first along row 0: the packet crosses on the link (3,0)-(4,0).
+	got := bisectionLoads(n)
+	if len(got) != 1 || got[0].A != n.ID(3, 0) || got[0].B != n.ID(4, 0) || got[0].Bytes != 24 {
+		t.Errorf("bisection links loaded = %+v, want 24 bytes on (3,0)-(4,0) only", got)
 	}
 	// A packet within the left half must not cross.
+	eng = sim.NewEngine()
+	n = New(eng, alewifeCfg())
 	n.Send(&Packet{Src: n.ID(0, 0), Dst: n.ID(3, 3), Class: ClassAM, HdrBytes: 24})
 	eng.Run()
-	app, _ = n.bisectionCrossings()
-	if app != 24 {
-		t.Errorf("intra-half packet crossed bisection: app=%d", app)
+	if got := bisectionLoads(n); len(got) != 0 {
+		t.Errorf("intra-half packet crossed bisection: %+v", got)
 	}
 }
 
@@ -241,7 +259,11 @@ func TestCrossTrafficInjectsAndIsAbsorbed(t *testing.T) {
 	if pkts2 > pkts+int64(2*4) { // at most one in-flight tick per generator
 		t.Errorf("cross-traffic kept flowing after stop: %d -> %d", pkts, pkts2)
 	}
-	_, cross := n.bisectionCrossings()
+	// Every cross-traffic packet crosses the bisection exactly once.
+	var cross int64
+	for _, l := range bisectionLoads(n) {
+		cross += l.Bytes
+	}
 	if cross != bytes2 {
 		t.Errorf("bisection cross bytes = %d, want all %d", cross, bytes2)
 	}

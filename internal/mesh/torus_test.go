@@ -100,9 +100,9 @@ func TestTorusWrapCrossingCounted(t *testing.T) {
 	// of the) bisection.
 	n.Send(&Packet{Src: 0, Dst: 7, Class: ClassAM, HdrBytes: 24})
 	eng.Run()
-	app, _ := n.bisectionCrossings()
-	if app != 24 {
-		t.Errorf("wrap crossing not counted: %d", app)
+	got := bisectionLoads(n)
+	if len(got) != 1 || got[0].A != 7 || got[0].B != 0 || got[0].Bytes != 24 {
+		t.Errorf("bisection links loaded = %+v, want 24 bytes on the wrap link 7-0", got)
 	}
 }
 
