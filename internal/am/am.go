@@ -121,9 +121,8 @@ type msg struct {
 
 // ni is one node's network interface receive side.
 type ni struct {
-	q        []*msg
-	notify   func() // one-shot arm: fires on message arrival
-	waitFull int64
+	q      []*msg
+	notify func() // one-shot arm: fires on message arrival
 	// Last arrival, for the critical-path recorder: a receiver woken by
 	// its armed notify can ask what message woke it (see LastArrival).
 	lastSrc   int
@@ -328,7 +327,7 @@ func (s *System) inject(src, dst int, h HandlerID, args []int64, vals []float64,
 		s.outFree[src] = depart
 	}
 	// Track our own serialization contribution to the backlog.
-	ser := sim.Time(m.bytes) * s.net.Config().PsPerByte
+	ser := sim.Time(m.bytes) * s.net.PsPerByte
 	s.outFree[src] += ser
 }
 
@@ -357,7 +356,6 @@ func (e endpoint) TryDeliver(now sim.Time, p *mesh.Packet) (bool, sim.Time) {
 		ni := e.s.nis[e.node]
 		if e.s.fault != nil {
 			if u := e.s.fault.DrainStalledUntil(e.node, now); u > now {
-				ni.waitFull++
 				if e.s.mWaitFull != nil {
 					e.s.mWaitFull[e.node].Inc()
 				}
@@ -365,7 +363,6 @@ func (e endpoint) TryDeliver(now sim.Time, p *mesh.Packet) (bool, sim.Time) {
 			}
 		}
 		if len(ni.q) >= e.s.par.InQueueCap {
-			ni.waitFull++
 			if e.s.mWaitFull != nil {
 				e.s.mWaitFull[e.node].Inc()
 			}

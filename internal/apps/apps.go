@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/machine"
 )
@@ -93,6 +94,14 @@ type App interface {
 
 // CyclesPerFlop converts application FLOP counts to Sparcle cycles.
 const CyclesPerFlop = 2
+
+// Close reports whether got matches want within relative error tol,
+// taken against max(|want|, 1) so that values near zero compare
+// absolutely: the check every Validate makes against its sequential
+// reference.
+func Close(got, want, tol float64) bool {
+	return math.Abs(got-want)/math.Max(math.Abs(want), 1) <= tol
+}
 
 // BlockRange returns the [lo, hi) range of items owned by proc pr when n
 // items are block-distributed over nprocs.

@@ -2,7 +2,6 @@ package em3d
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/am"
 	"repro/internal/apps"
@@ -256,26 +255,12 @@ func (a *App) computePhase(p *machine.Proc, ph int) {
 func (a *App) Validate() error {
 	e, h := a.g.Reference(a.par.Iters)
 	for i := range e {
-		if err := closeEnough(a.m.Store.Peek(a.valAddr[0][i]), e[i]); err != nil {
-			return fmt.Errorf("em3d: E[%d] %v", i, err)
+		if got := a.m.Store.Peek(a.valAddr[0][i]); !apps.Close(got, e[i], 1e-9) {
+			return fmt.Errorf("em3d: E[%d] = %v, want %v", i, got, e[i])
 		}
-		if err := closeEnough(a.m.Store.Peek(a.valAddr[1][i]), h[i]); err != nil {
-			return fmt.Errorf("em3d: H[%d] %v", i, err)
+		if got := a.m.Store.Peek(a.valAddr[1][i]); !apps.Close(got, h[i], 1e-9) {
+			return fmt.Errorf("em3d: H[%d] = %v, want %v", i, got, h[i])
 		}
-	}
-	return nil
-}
-
-func closeEnough(got, want float64) error {
-	if got == want {
-		return nil
-	}
-	scale := math.Abs(want)
-	if scale < 1 {
-		scale = 1
-	}
-	if math.Abs(got-want)/scale > 1e-9 {
-		return fmt.Errorf("= %v, want %v", got, want)
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package iccg
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/am"
@@ -300,12 +299,7 @@ func (a *App) processRowSM(p *machine.Proc, row int32, pf bool) {
 func (a *App) Validate() error {
 	want := a.sys.Reference()
 	for i := range want {
-		got := a.m.Store.Peek(a.rowAddr[i])
-		scale := math.Abs(want[i])
-		if scale < 1 {
-			scale = 1
-		}
-		if math.Abs(got-want[i])/scale > 1e-9 {
+		if got := a.m.Store.Peek(a.rowAddr[i]); !apps.Close(got, want[i], 1e-9) {
 			return fmt.Errorf("iccg: x[%d] = %v, want %v", i, got, want[i])
 		}
 	}

@@ -2,7 +2,6 @@ package moldyn
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/am"
@@ -407,25 +406,16 @@ func (a *App) Validate() error {
 			Y: a.m.Store.Peek(a.posAddr[i] + 1),
 			Z: a.m.Store.Peek(a.posAddr[i] + 2),
 		}
-		if err := close3(got, wantPos[i]); err != nil {
-			return fmt.Errorf("moldyn: pos[%d] %v", i, err)
+		if !close3(got, wantPos[i]) {
+			return fmt.Errorf("moldyn: pos[%d] = %+v, want %+v", i, got, wantPos[i])
 		}
-		if err := close3(a.vel[i], wantVel[i]); err != nil {
-			return fmt.Errorf("moldyn: vel[%d] %v", i, err)
+		if !close3(a.vel[i], wantVel[i]) {
+			return fmt.Errorf("moldyn: vel[%d] = %+v, want %+v", i, a.vel[i], wantVel[i])
 		}
 	}
 	return nil
 }
 
-func close3(got, want workload.Point3) error {
-	for _, pair := range [][2]float64{{got.X, want.X}, {got.Y, want.Y}, {got.Z, want.Z}} {
-		scale := math.Abs(pair[1])
-		if scale < 1 {
-			scale = 1
-		}
-		if math.Abs(pair[0]-pair[1])/scale > 1e-6 {
-			return fmt.Errorf("= %+v, want %+v", got, want)
-		}
-	}
-	return nil
+func close3(got, want workload.Point3) bool {
+	return apps.Close(got.X, want.X, 1e-6) && apps.Close(got.Y, want.Y, 1e-6) && apps.Close(got.Z, want.Z, 1e-6)
 }

@@ -2,7 +2,6 @@ package unstruc
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/am"
@@ -337,12 +336,7 @@ func (a *App) Validate() error {
 	for i := range want {
 		for k := 0; k < 3; k++ {
 			got := a.m.Store.Peek(a.stateAddr[i] + mem.Addr(k))
-			w := want[i][k]
-			scale := math.Abs(w)
-			if scale < 1 {
-				scale = 1
-			}
-			if math.Abs(got-w)/scale > 1e-6 {
+			if w := want[i][k]; !apps.Close(got, w, 1e-6) {
 				return fmt.Errorf("unstruc: state[%d][%d] = %v, want %v", i, k, got, w)
 			}
 		}

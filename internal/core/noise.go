@@ -6,8 +6,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/fault"
 	"repro/internal/machine"
-	"repro/internal/mesh"
-	"repro/internal/sim"
 )
 
 // This file is the Figure S2 methodology: the paper's mechanism axis
@@ -136,13 +134,12 @@ func (r *Runner) DelayPropagation(app AppName, sc Scale, mechs []apps.Mechanism,
 		return nil, err
 	}
 
-	// Hop distances from the delayed node, from a throwaway mesh (pure
-	// geometry; no simulation).
-	m := mesh.New(sim.NewEngine(), base.Mesh())
+	// Hop distances from the delayed node.
+	geo := base.Mesh()
 	hops := make([]int, base.Nodes())
 	maxHops := 0
 	for i := range hops {
-		hops[i] = m.Hops(node, i)
+		hops[i] = geo.Hops(node, i)
 		if hops[i] > maxHops {
 			maxHops = hops[i]
 		}

@@ -55,10 +55,11 @@ type PredictedSweep struct {
 	Grid, Simulated int
 }
 
-// bisectionCrossFrac is the fraction of injected bytes assumed to cross
+// BisectionCrossFrac is the fraction of injected bytes assumed to cross
 // the machine's middle cut under dimension-order routing on a uniform
-// traffic pattern — the same convention model.Fit uses.
-const bisectionCrossFrac = 0.5
+// traffic pattern. The dependency-graph predictor and the closed-form
+// model (model.Fit) both use it.
+const BisectionCrossFrac = 0.5
 
 // errNoPrediction is PredictedSweep's answer on an axis internal/predict
 // cannot solve.
@@ -116,7 +117,7 @@ func (r *Runner) PredictedSweep(app AppName, sc Scale, mechs []apps.Mechanism, a
 			Edges:          res.Crit.Edges(),
 			EdgesTotal:     res.Crit.EdgesTotal(),
 			DoneCycles:     res.DoneCycles,
-			BisectionBytes: bisectionCrossFrac * float64(res.Volume.Total()),
+			BisectionBytes: BisectionCrossFrac * float64(res.Volume.Total()),
 			BisectionBW:    res.Bisection,
 		})
 		if err != nil {

@@ -291,8 +291,7 @@ func (r *Runner) Sweep(app AppName, sc Scale, mechs []apps.Mechanism, ax Axis) (
 // convention of the paper's Table 1 (Alewife ~ 15 at 20 MHz).
 func NetLatencyCycles(cfg machine.Config) float64 {
 	clk := sim.NewClock(cfg.ClockMHz)
-	m := mesh.New(sim.NewEngine(), cfg.Mesh())
-	avg := m.AvgHops()
+	avg := cfg.Mesh().AvgHops()
 	t := float64(cfg.HopLatency)*(avg+1) + 24*float64(cfg.PsPerByte)
 	return t / float64(clk.PsPerCycle())
 }

@@ -179,26 +179,11 @@ func WriteMissPenaltiesCSV(w io.Writer, mp core.MissPenalties) error {
 	if err := cw.Write([]string{"operation", "measured_cycles", "paper_cycles"}); err != nil {
 		return err
 	}
-	rows := [][3]string{
-		{"local_read", f(mp.LocalRead), "11"},
-		{"remote_clean_read", f(mp.RemoteCleanRead), "40"},
-		{"remote_dirty_read_3party", f(mp.RemoteDirtyRead), "63"},
-		{"limitless_read", f(mp.LimitLESSRead), "425"},
-		{"local_write", f(mp.LocalWrite), "12"},
-		{"remote_clean_write", f(mp.RemoteCleanWrite), "39"},
-		{"remote_inval_write", f(mp.RemoteInvalWrite), "55"},
-		{"remote_dirty_write_3party", f(mp.RemoteDirtyWrite), "75"},
-		{"limitless_write", f(mp.LimitLESSWrite), "707"},
-		{"null_active_message", f(mp.NullAMCycles), "102"},
-		{"net_latency_24B", f(mp.NetLatency24), "15"},
-	}
-	for _, r := range rows {
-		if err := cw.Write(r[:]); err != nil {
+	for _, r := range fig3Rows(mp) {
+		if err := cw.Write([]string{r.key, fmt.Sprintf("%.1f", r.measured), r.paperCSV}); err != nil {
 			return err
 		}
 	}
 	cw.Flush()
 	return cw.Error()
 }
-
-func f(v float64) string { return fmt.Sprintf("%.1f", v) }

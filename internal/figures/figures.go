@@ -113,31 +113,39 @@ func PrintFig5(w io.Writer, rows []Fig4Row) {
 	tw.Flush()
 }
 
+// fig3Row is one operation of Figure 3's cost table.
+type fig3Row struct {
+	label, key string // printed name and CSV key
+	measured   float64
+	paper      string // the paper's cost as printed, a range where it gives one
+	paperCSV   string // the paper's cost as one CSV number
+}
+
+// fig3Rows lists Figure 3's operations with their measured costs.
+func fig3Rows(mp core.MissPenalties) []fig3Row {
+	return []fig3Row{
+		{"local read miss", "local_read", mp.LocalRead, "11", "11"},
+		{"remote clean read", "remote_clean_read", mp.RemoteCleanRead, "38-42", "40"},
+		{"remote dirty read (3-party)", "remote_dirty_read_3party", mp.RemoteDirtyRead, "63", "63"},
+		{"LimitLESS sw read", "limitless_read", mp.LimitLESSRead, "425", "425"},
+		{"local write miss", "local_write", mp.LocalWrite, "12", "12"},
+		{"remote clean write", "remote_clean_write", mp.RemoteCleanWrite, "38-40", "39"},
+		{"remote write, 1 inval", "remote_inval_write", mp.RemoteInvalWrite, "43-66", "55"},
+		{"remote dirty write (3-party)", "remote_dirty_write_3party", mp.RemoteDirtyWrite, "66-84", "75"},
+		{"LimitLESS sw write", "limitless_write", mp.LimitLESSWrite, "707", "707"},
+		{"null active message", "null_active_message", mp.NullAMCycles, "102 + 0.8/hop", "102"},
+		{"one-way 24B network latency", "net_latency_24B", mp.NetLatency24, "15", "15"},
+	}
+}
+
 // PrintFig3 renders the measured miss penalties against the paper's.
 func PrintFig3(w io.Writer, cfg machine.Config) core.MissPenalties {
 	mp := core.MeasureMissPenalties(cfg)
 	fmt.Fprintln(w, "Figure 3 (cost table): shared-memory penalties, measured vs paper")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "operation\tmeasured (cycles)\tpaper (cycles)")
-	rows := []struct {
-		name  string
-		got   float64
-		paper string
-	}{
-		{"local read miss", mp.LocalRead, "11"},
-		{"remote clean read", mp.RemoteCleanRead, "38-42"},
-		{"remote dirty read (3-party)", mp.RemoteDirtyRead, "63"},
-		{"LimitLESS sw read", mp.LimitLESSRead, "425"},
-		{"local write miss", mp.LocalWrite, "12"},
-		{"remote clean write", mp.RemoteCleanWrite, "38-40"},
-		{"remote write, 1 inval", mp.RemoteInvalWrite, "43-66"},
-		{"remote dirty write (3-party)", mp.RemoteDirtyWrite, "66-84"},
-		{"LimitLESS sw write", mp.LimitLESSWrite, "707"},
-		{"null active message", mp.NullAMCycles, "102 + 0.8/hop"},
-		{"one-way 24B network latency", mp.NetLatency24, "15"},
-	}
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%.1f\t%s\n", r.name, r.got, r.paper)
+	for _, r := range fig3Rows(mp) {
+		fmt.Fprintf(tw, "%s\t%.1f\t%s\n", r.label, r.measured, r.paper)
 	}
 	tw.Flush()
 	return mp

@@ -381,7 +381,7 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 		}
 		res.CritPath = m.Crit.Summarize(m.Clk, crit, m.Procs[crit].BD, critTopEdges)
 	}
-	res.Bisection = m.Net.Config().BisectionBytesPerCycle(m.Clk)
+	res.Bisection = m.Net.BisectionBytesPerCycle(m.Clk)
 	//lint:allow simlint/intmath result-reporting field (Figure 8 x-axis); computed after the run ends
 	res.EmulatedBisection = res.Bisection - m.Cfg.CrossTraffic.BytesPerCycle
 	res.Links = m.Net.TopLinks(m.finish, 3)

@@ -16,7 +16,7 @@ func TestDefaultConfigShape(t *testing.T) {
 		t.Errorf("nodes = %d, want 32", cfg.Nodes())
 	}
 	m := New(cfg)
-	if got := m.Net.Config().BisectionBytesPerCycle(m.Clk); got < 17 || got > 19 {
+	if got := m.Net.BisectionBytesPerCycle(m.Clk); got < 17 || got > 19 {
 		t.Errorf("bisection = %.2f bytes/cycle, want ~18", got)
 	}
 }

@@ -210,7 +210,7 @@ func (p *Proc) critMsgWait(start, end sim.Time) {
 	if src == p.ID {
 		latRaw = p.M.Clk.Cycles(2) // NI loopback (see am inject)
 	} else {
-		latRaw = sim.Time(p.M.Net.Hops(src, p.ID)+1) * p.M.Cfg.HopLatency
+		latRaw = p.M.Net.Latency(p.M.Net.Hops(src, p.ID), 0)
 	}
 	lat := latRaw
 	if lat > transit {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/machine"
-	"repro/internal/mesh"
 	"repro/internal/sim"
 )
 
@@ -37,36 +36,24 @@ func ConfigFor(m Machine) (machine.Config, EmulationNote, error) {
 	cfg := machine.DefaultConfig()
 	cfg.ClockMHz = m.MHz
 	clk := sim.NewClock(m.MHz)
-
-	switch m.Name {
-	case "Cray T3D", "Cray T3E":
-		cfg.Mem.LineWords = 2
+	note.Topology = "8x4 mesh"
+	if m.Name == "Cray T3D" || m.Name == "Cray T3E" {
+		cfg.Torus = true
 		note.Topology = "8x4 torus"
-		cfg.CrossTraffic = mesh.CrossTraffic{} // tori don't support the emulation
-	default:
-		note.Topology = "8x4 mesh"
 	}
-	torus := note.Topology == "8x4 torus"
+	geo := cfg.Mesh()
 
 	// Per-link bandwidth from the bisection target.
-	links := 2 * cfg.Height
-	if torus {
-		links = 4 * cfg.Height
-	}
-	cfg.PsPerByte = sim.Time(float64(links) * float64(clk.PsPerCycle()) / m.BytesPerCycle)
+	cfg.PsPerByte = sim.Time(float64(geo.BisectionLinks()) * float64(clk.PsPerCycle()) / m.BytesPerCycle)
 	if cfg.PsPerByte < 1 {
 		cfg.PsPerByte = 1
 	}
 
 	// Per-hop latency from the one-way 24-byte target over the average
 	// distance.
-	avgHops := 4.0 // 8x4 mesh
-	if torus {
-		avgHops = 3.0
-	}
 	target := float64(m.NetLatency) * float64(clk.PsPerCycle())
 	ser := 24 * float64(cfg.PsPerByte)
-	hop := (target - ser) / (avgHops + 1)
+	hop := (target - ser) / (geo.AvgHops() + 1)
 	if hop < float64(clk.PsPerCycle())/10 {
 		hop = float64(clk.PsPerCycle()) / 10
 		note.Comment = "serialization alone exceeds the latency target; hop latency clamped"
@@ -96,22 +83,7 @@ func ConfigFor(m Machine) (machine.Config, EmulationNote, error) {
 			cfg.Mem.CtlServiceCycles = cfg.Mem.HomeOccCycles
 		}
 	}
-	if w, h := cfg.Width, cfg.Height; w*h != 32 {
-		return cfg, note, fmt.Errorf("machines: emulation assumes 32 nodes, got %dx%d", w, h)
-	}
-	cfg.Mem.HdrBytes = 8
-	if torus {
-		// mesh.Config carried through machine.Config:
-		cfg = withTorus(cfg)
-	}
 	return cfg, note, nil
-}
-
-// withTorus flips the topology flag (machine.Config embeds the mesh
-// parameters directly).
-func withTorus(cfg machine.Config) machine.Config {
-	cfg.Torus = true
-	return cfg
 }
 
 // EmulatableMachines returns the Table 1 rows that have enough network

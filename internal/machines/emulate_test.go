@@ -19,20 +19,17 @@ func TestConfigForMatchesHeadlineParams(t *testing.T) {
 			t.Errorf("%s: clock %v, want %v", m.Name, cfg.ClockMHz, m.MHz)
 		}
 		// Bisection match.
-		clk := sim.NewClock(m.MHz)
-		links := 2.0 * float64(cfg.Height)
-		if cfg.Torus {
-			links *= 2
-		}
-		bis := links * float64(clk.PsPerCycle()) / float64(cfg.PsPerByte)
+		bis := cfg.Mesh().BisectionBytesPerCycle(sim.NewClock(m.MHz))
 		if math.Abs(bis-m.BytesPerCycle)/m.BytesPerCycle > 0.05 {
 			t.Errorf("%s: bisection %.1f bytes/cycle, want %.1f", m.Name, bis, m.BytesPerCycle)
 		}
-		// Latency match (unless clamped).
+		// Latency match (unless clamped): the hop latency is fitted over
+		// the topology's own average distance, so only the picosecond
+		// rounding of HopLatency and PsPerByte remains.
 		if note.Comment == "" {
 			lat := core.NetLatencyCycles(cfg)
-			if math.Abs(lat-m.NetLatency)/m.NetLatency > 0.15 {
-				t.Errorf("%s: latency %.1f cycles, want %.0f", m.Name, lat, m.NetLatency)
+			if math.Abs(lat-m.NetLatency)/m.NetLatency > 0.001 {
+				t.Errorf("%s: latency %.3f cycles, want %.0f", m.Name, lat, m.NetLatency)
 			}
 		}
 		if got := m.RemoteMiss != NA; note.SharedMemory != got {

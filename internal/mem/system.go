@@ -954,8 +954,7 @@ func (s *System) critComplete(t *txn, now sim.Time) {
 	case node == home:
 		fixed = s.cyc(s.par.LocalMissCycles)
 	default:
-		hops := sim.Time(s.net.Hops(node, home) + 1)
-		latRaw = 2 * hops * s.net.Config().HopLatency
+		latRaw = 2 * s.net.Latency(s.net.Hops(node, home), 0)
 		fixed = s.cyc(s.par.ReqCycles + s.par.HomeOccCycles + s.par.DRAMCycles + s.par.FillCycles)
 	}
 	split := func(d sim.Time) (lat, bw sim.Time) {

@@ -4,8 +4,17 @@
 // paper's bisection-bandwidth emulation via I/O cross-traffic injected
 // across both edges of the mesh (Figure 6).
 //
+// Geometry. Config holds the interconnect's geometry and uncongested
+// timing as pure methods: Nodes, XY, ID, Hops, AvgHops, Latency and
+// BisectionLinks. Network embeds its Config, so the same methods read
+// off a live network, and callers that only need geometry never build
+// one. Send routes a packet as two fixed-direction legs, X then Y (or Y
+// then X under AdaptiveXY), and Config.link is the one link-index
+// function.
+//
 // Timing model. A packet's head advances one router per HopLatency; its
 // body follows in a pipeline, so an uncongested delivery takes
+// Config.Latency(hops, Size):
 //
 //	(hops+1)*HopLatency + Size*PsPerByte
 //

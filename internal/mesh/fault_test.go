@@ -116,35 +116,3 @@ func TestOccupiedLinksDump(t *testing.T) {
 		t.Errorf("links still occupied after drain: %v", occ)
 	}
 }
-
-func TestLinkEndsRoundTrip(t *testing.T) {
-	for _, torus := range []bool{false, true} {
-		cfg := alewifeCfg()
-		cfg.Torus = torus
-		n := New(sim.NewEngine(), cfg)
-		seen := map[[2]int]bool{}
-		for d := range n.busyUntil {
-			for i := range n.busyUntil[d] {
-				a, b := n.linkEnds(d, i)
-				if a < 0 || a >= n.Nodes() || b < 0 || b >= n.Nodes() || a == b {
-					t.Fatalf("torus=%v dir=%d idx=%d: bad endpoints %d,%d", torus, d, i, a, b)
-				}
-				ax, ay := n.XY(a)
-				bx, by := n.XY(b)
-				dx, dy := bx-ax, by-ay
-				if cfg.Torus {
-					dx, dy = (dx+cfg.Width)%cfg.Width, (dy+cfg.Height)%cfg.Height
-					if !((dx == 1 && dy == 0) || (dx == 0 && dy == 1)) {
-						t.Fatalf("torus dir=%d idx=%d: %d->%d not adjacent", d, i, a, b)
-					}
-				} else if dx+dy != 1 || dx*dy != 0 {
-					t.Fatalf("mesh dir=%d idx=%d: %d->%d not adjacent", d, i, a, b)
-				}
-				seen[[2]int{d, i}] = true
-			}
-		}
-		if len(seen) == 0 {
-			t.Fatal("no links enumerated")
-		}
-	}
-}

@@ -62,10 +62,6 @@ type Packet struct {
 	// Deliver is invoked when the endpoint accepts the packet. It runs in
 	// engine context and must not block. Nil packets are absorbed.
 	Deliver func(now sim.Time, p *Packet)
-
-	// Payload carries model-level contents (protocol ops, AM args). The
-	// network does not interpret it.
-	Payload interface{}
 }
 
 // Size returns the wire size in bytes.
@@ -106,10 +102,50 @@ type Config struct {
 	AdaptiveXY bool
 }
 
-// bisectionLinks counts directed links crossing the X-dimension middle
+// Nodes returns the number of routers (compute endpoints).
+func (c Config) Nodes() int { return c.Width * c.Height }
+
+// XY returns the mesh coordinates of node id.
+func (c Config) XY(id int) (x, y int) { return id % c.Width, id / c.Width }
+
+// ID returns the node id at coordinates (x, y).
+func (c Config) ID(x, y int) int { return y*c.Width + x }
+
+// Hops returns the dimension-order hop count between two nodes (shortest
+// way around each ring for a torus).
+func (c Config) Hops(src, dst int) int {
+	sx, sy := c.XY(src)
+	dx, dy := c.XY(dst)
+	return c.toward(dirEast, sx, dx).hops + c.toward(dirNorth, sy, dy).hops
+}
+
+// AvgHops returns the average dimension-order distance between distinct
+// compute nodes: the distance of the paper's one-way latency convention.
+func (c Config) AvgHops() float64 {
+	total, pairs := 0, 0
+	for s := 0; s < c.Nodes(); s++ {
+		for d := 0; d < c.Nodes(); d++ {
+			if s != d {
+				total += c.Hops(s, d)
+				pairs++
+			}
+		}
+	}
+	//lint:allow simlint/intmath topology statistic for calibration; never feeds event times
+	return float64(total) / float64(pairs)
+}
+
+// Latency returns the uncongested delivery time of a packet of the given
+// size over hops hops: the head passes hops routers plus the ejection
+// stage, and the tail follows by the serialization time.
+func (c Config) Latency(hops, bytes int) sim.Time {
+	return sim.Time(hops+1)*c.HopLatency + sim.Time(bytes)*c.PsPerByte
+}
+
+// BisectionLinks counts directed links crossing the X-dimension middle
 // cut: 2 per row for a mesh, 4 per row for a torus (the cut severs the
 // ring twice).
-func (c Config) bisectionLinks() int {
+func (c Config) BisectionLinks() int {
 	if c.Torus {
 		return 4 * c.Height
 	}
@@ -120,18 +156,107 @@ func (c Config) bisectionLinks() int {
 // per processor cycle for the given clock.
 func (c Config) BisectionBytesPerCycle(clk sim.Clock) float64 {
 	//lint:allow simlint/intmath reporting figure (bandwidth label); never feeds event times
-	return float64(c.bisectionLinks()) * float64(clk.PsPerCycle()) / float64(c.PsPerByte)
+	return float64(c.BisectionLinks()) * float64(clk.PsPerCycle()) / float64(c.PsPerByte)
 }
 
-// Network is a simulated 2-D mesh.
+// Directions for link indexing. Each dimension's backward direction
+// follows its forward one.
+const (
+	dirEast = iota
+	dirWest
+	dirNorth // +y
+	dirSouth // -y
+)
+
+// dirNames renders link directions for diagnostics and metric labels.
+var dirNames = [4]string{"east", "west", "north", "south"}
+
+// dirStep is the coordinate move of one hop in each direction.
+var dirStep = [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}
+
+// leg is one dimension's share of a route: hops links in direction d.
+type leg struct{ d, hops int }
+
+// toward returns the leg from coordinate a to b in the dimension whose
+// forward direction is fwd (dirEast or dirNorth). A torus goes the short
+// way around, forward on a tie.
+func (c Config) toward(fwd, a, b int) leg {
+	k := c.Width
+	if fwd == dirNorth {
+		k = c.Height
+	}
+	ahead := b - a
+	if c.Torus {
+		if ahead < 0 {
+			ahead += k
+		}
+		if ahead > k-ahead {
+			return leg{fwd + 1, k - ahead}
+		}
+	} else if ahead < 0 {
+		return leg{fwd + 1, -ahead}
+	}
+	return leg{fwd, ahead}
+}
+
+// wrap brings a coordinate at most one ring length outside [0, k) back
+// into it.
+func wrap(v, k int) int {
+	switch {
+	case v < 0:
+		return v + k
+	case v >= k:
+		return v - k
+	}
+	return v
+}
+
+// link returns the index of the directed link leaving router (x, y) in
+// direction d. A link is indexed by its west or south router: X links
+// y*(Width-1)+x on a mesh, y*Width+x on a torus, and Y links y*Width+x,
+// where the torus's wrap links belong to the last column and top row.
+func (c Config) link(d, x, y int) int {
+	switch d {
+	case dirWest:
+		if x--; x < 0 {
+			x += c.Width
+		}
+	case dirSouth:
+		if y--; y < 0 {
+			y += c.Height
+		}
+	}
+	row := c.Width
+	if d <= dirWest && !c.Torus {
+		row--
+	}
+	return y*row + x
+}
+
+// linkEnds returns the node ids of the routers joined by directed link
+// (d, idx), west or south router first: the inverse of link. Outage
+// windows target nodes; a link is out when either endpoint is targeted.
+func (c Config) linkEnds(d, idx int) (a, b int) {
+	if d <= dirWest {
+		row := c.Width
+		if !c.Torus {
+			row--
+		}
+		x, y := idx%row, idx/row
+		return c.ID(x, y), c.ID((x+1)%c.Width, y)
+	}
+	x, y := idx%c.Width, idx/c.Width
+	return c.ID(x, y), c.ID(x, (y+1)%c.Height)
+}
+
+// Network is a simulated 2-D mesh. It embeds its Config, so the geometry
+// (Nodes, XY, ID, Hops, Latency) reads straight off the network.
 type Network struct {
+	Config
 	eng *sim.Engine
-	cfg Config
 
 	// busyUntil[d][i] is the reservation horizon of directed link i in
-	// direction d. X links: index y*(Width-1)+x for the link between
-	// (x,y) and (x+1,y). Y links: index y*Width+x for the link between
-	// (x,y) and (x,y+1).
+	// direction d, indexed by Config.link.
 	busyUntil [4][]sim.Time
 	// linkBytes accumulates bytes serialized per directed link, for
 	// utilization and hot-spot reporting.
@@ -179,17 +304,6 @@ type FaultInjector interface {
 // fault-free build.
 func (n *Network) SetFaultInjector(fi FaultInjector) { n.fault = fi }
 
-// Directions for link indexing.
-const (
-	dirEast = iota
-	dirWest
-	dirNorth // +y
-	dirSouth // -y
-)
-
-// dirNames renders link directions for diagnostics and metric labels.
-var dirNames = [4]string{"east", "west", "north", "south"}
-
 // linkName renders the canonical label of directed link (d, idx). Zero
 // padding keeps lexicographic metric order equal to numeric link order.
 func linkName(d, idx int) string { return fmt.Sprintf("%s%03d", dirNames[d], idx) }
@@ -222,220 +336,64 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	if cfg.PsPerByte <= 0 {
 		panic("mesh: PsPerByte must be positive")
 	}
-	n := &Network{eng: eng, cfg: cfg}
-	nx := (cfg.Width - 1) * cfg.Height
-	ny := cfg.Width * (cfg.Height - 1)
+	n := &Network{Config: cfg, eng: eng}
+	nx, ny := (cfg.Width-1)*cfg.Height, cfg.Width*(cfg.Height-1)
 	if cfg.Torus {
-		nx = cfg.Width * cfg.Height
-		ny = cfg.Width * cfg.Height
+		nx, ny = cfg.Nodes(), cfg.Nodes()
 	}
-	n.busyUntil[dirEast] = make([]sim.Time, nx)
-	n.busyUntil[dirWest] = make([]sim.Time, nx)
-	n.busyUntil[dirNorth] = make([]sim.Time, ny)
-	n.busyUntil[dirSouth] = make([]sim.Time, ny)
-	for d := range n.linkBytes {
-		n.linkBytes[d] = make([]int64, len(n.busyUntil[d]))
+	for d, links := range [4]int{nx, nx, ny, ny} {
+		n.busyUntil[d] = make([]sim.Time, links)
+		n.linkBytes[d] = make([]int64, links)
 	}
-	n.endpoints = make([]Endpoint, cfg.Width*cfg.Height)
+	n.endpoints = make([]Endpoint, cfg.Nodes())
 	for i := range n.endpoints {
 		n.endpoints[i] = AcceptAll{}
 	}
 	return n
 }
 
-// Config returns the network configuration.
-func (n *Network) Config() Config { return n.cfg }
-
-// Nodes returns the number of routers (compute endpoints).
-func (n *Network) Nodes() int { return n.cfg.Width * n.cfg.Height }
-
 // Attach installs ep as the endpoint of node id.
 func (n *Network) Attach(id int, ep Endpoint) { n.endpoints[id] = ep }
 
-// XY returns the mesh coordinates of node id.
-func (n *Network) XY(id int) (x, y int) { return id % n.cfg.Width, id / n.cfg.Width }
-
-// ID returns the node id at coordinates (x, y).
-func (n *Network) ID(x, y int) int { return y*n.cfg.Width + x }
-
-// Hops returns the dimension-order hop count between two nodes (shortest
-// way around each ring for a torus).
-func (n *Network) Hops(src, dst int) int {
-	sx, sy := n.XY(src)
-	dx, dy := n.XY(dst)
-	hx, hy := abs(dx-sx), abs(dy-sy)
-	if n.cfg.Torus {
-		if w := n.cfg.Width - hx; w < hx {
-			hx = w
-		}
-		if w := n.cfg.Height - hy; w < hy {
-			hy = w
-		}
-	}
-	return hx + hy
-}
-
-// stepX decides the next X move from x toward dx: +1 (east) or -1
-// (west), taking the short way around on a torus.
-func (n *Network) stepX(x, dx int) int {
-	if !n.cfg.Torus {
-		if dx > x {
-			return 1
-		}
-		return -1
-	}
-	fwd := ((dx - x) + n.cfg.Width) % n.cfg.Width
-	if fwd <= n.cfg.Width-fwd {
-		return 1
-	}
-	return -1
-}
-
-func (n *Network) stepY(y, dy int) int {
-	if !n.cfg.Torus {
-		if dy > y {
-			return 1
-		}
-		return -1
-	}
-	fwd := ((dy - y) + n.cfg.Height) % n.cfg.Height
-	if fwd <= n.cfg.Height-fwd {
-		return 1
-	}
-	return -1
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 // Send injects p into the network at the current simulated time. The
-// packet is routed X-then-Y (or Y-then-X under the adaptive choice),
-// reserving each link in turn; its Deliver callback (if any) runs when
-// the destination endpoint accepts it. The returned time is when the
-// packet's head actually enters its first link — under congestion this
-// lags Now, which senders use to model finite output-queue depth.
+// packet is routed as two fixed-direction legs, X then Y (or Y then X
+// under the adaptive choice), reserving each link in turn; its Deliver
+// callback (if any) runs when the destination endpoint accepts it. The
+// returned time is when the packet's head actually enters its first
+// link — under congestion this lags Now, which senders use to model
+// finite output-queue depth.
 func (n *Network) Send(p *Packet) sim.Time {
 	now := n.eng.Now()
 	n.packetsSent++
 	n.account(p)
 
-	wk := &walk{size: sim.Time(p.Size()) * n.cfg.PsPerByte, head: now}
-	wk.x, wk.y = n.XY(p.Src)
-	wk.dx, wk.dy = n.XY(p.Dst)
-	wk.yFirst = n.cfg.AdaptiveXY && wk.x != wk.dx && wk.y != wk.dy &&
-		n.yFirstFreer(wk.x, wk.y, wk.dx, wk.dy)
-	depart := now
-	for first := true; ; first = false {
-		d, idx, ok := n.nextLink(wk)
-		if !ok {
-			break
-		}
-		wk.head = n.reserve(d, idx, wk.head, wk.size)
-		if first {
-			depart = wk.head - n.cfg.HopLatency
+	size := sim.Time(p.Size()) * n.PsPerByte
+	x, y := n.XY(p.Src)
+	tx, ty := n.XY(p.Dst)
+	legs := [2]leg{n.toward(dirEast, x, tx), n.toward(dirNorth, y, ty)}
+	if n.AdaptiveXY && legs[0].hops > 0 && legs[1].hops > 0 &&
+		n.busyUntil[legs[1].d][n.link(legs[1].d, x, y)] < n.busyUntil[legs[0].d][n.link(legs[0].d, x, y)] {
+		legs[0], legs[1] = legs[1], legs[0]
+	}
+	head, depart, first := now, now, true
+	for _, l := range legs {
+		step := dirStep[l.d]
+		for i := 0; i < l.hops; i++ {
+			head = n.reserve(l.d, n.link(l.d, x, y), head, size)
+			if first {
+				depart, first = head-n.HopLatency, false
+			}
+			x, y = wrap(x+step[0], n.Width), wrap(y+step[1], n.Height)
 		}
 	}
 	// Head passes the routers plus the ejection stage; the tail follows
 	// by the serialization time.
-	tail := wk.head + n.cfg.HopLatency + wk.size
+	tail := head + n.HopLatency + size
 	if n.fault != nil {
 		tail += n.fault.PacketDelay(p.Src, p.Dst)
 	}
 	n.eng.At(tail, func() { n.deliver(p) })
 	return depart
-}
-
-// walk is one packet's routing state while Send reserves its links.
-type walk struct {
-	size   sim.Time
-	head   sim.Time
-	x, y   int
-	dx, dy int
-	yFirst bool // route Y before X (the adaptive choice)
-}
-
-// nextLink picks the packet's next directed link per dimension-ordered
-// routing (X then Y, or Y then X when the adaptive choice flipped) and
-// advances the walk's position. ok=false means the packet has arrived.
-func (n *Network) nextLink(wk *walk) (d, idx int, ok bool) {
-	w, h := n.cfg.Width, n.cfg.Height
-	switch {
-	case wk.x != wk.dx && (!wk.yFirst || wk.y == wk.dy):
-		if n.stepX(wk.x, wk.dx) > 0 {
-			d = dirEast
-			if n.cfg.Torus {
-				idx = wk.y*w + wk.x
-			} else {
-				idx = wk.y*(w-1) + wk.x
-			}
-			wk.x = (wk.x + 1) % w
-		} else {
-			d = dirWest
-			if n.cfg.Torus {
-				idx = wk.y*w + (wk.x-1+w)%w
-			} else {
-				idx = wk.y*(w-1) + (wk.x - 1)
-			}
-			wk.x = (wk.x - 1 + w) % w
-		}
-		return d, idx, true
-	case wk.y != wk.dy:
-		if n.stepY(wk.y, wk.dy) > 0 {
-			d = dirNorth
-			idx = wk.y*w + wk.x
-			wk.y = (wk.y + 1) % h
-		} else {
-			d = dirSouth
-			if n.cfg.Torus {
-				idx = ((wk.y-1+h)%h)*w + wk.x
-			} else {
-				idx = (wk.y-1)*w + wk.x
-			}
-			wk.y = (wk.y - 1 + h) % h
-		}
-		return d, idx, true
-	}
-	return 0, 0, false
-}
-
-// yFirstFreer reports whether the first Y-direction link out of (x,y) is
-// free sooner than the first X-direction link (the adaptive XY/YX choice).
-func (n *Network) yFirstFreer(x, y, dx, dy int) bool {
-	w := n.cfg.Width
-	var xd, xi int
-	if n.stepX(x, dx) > 0 {
-		xd = dirEast
-		if n.cfg.Torus {
-			xi = y*w + x
-		} else {
-			xi = y*(w-1) + x
-		}
-	} else {
-		xd = dirWest
-		if n.cfg.Torus {
-			xi = y*w + (x-1+w)%w
-		} else {
-			xi = y*(w-1) + (x - 1)
-		}
-	}
-	h := n.cfg.Height
-	var yd, yi int
-	if n.stepY(y, dy) > 0 {
-		yd = dirNorth
-		yi = y*w + x
-	} else {
-		yd = dirSouth
-		if n.cfg.Torus {
-			yi = ((y-1+h)%h)*w + x
-		} else {
-			yi = (y-1)*w + x
-		}
-	}
-	return n.busyUntil[yd][yi] < n.busyUntil[xd][xi]
 }
 
 // reserve occupies directed link (d, idx) from the head's arrival and
@@ -452,33 +410,14 @@ func (n *Network) reserve(d, idx int, head, size sim.Time) sim.Time {
 		}
 	}
 	n.busyUntil[d][idx] = start + size
-	n.linkBytes[d][idx] += int64(size / n.cfg.PsPerByte)
+	n.linkBytes[d][idx] += int64(size / n.PsPerByte)
 	if n.mBusy[d] != nil {
 		n.mBusy[d][idx].Add(int64(size))
 		wait := int64(start - head)
 		n.mWait[d][idx].SetMax(wait)
 		n.mQueue.Observe(wait)
 	}
-	return start + n.cfg.HopLatency
-}
-
-// linkEnds returns the node ids of the routers joined by directed link
-// (d, idx), inverting the index scheme documented on busyUntil. Outage
-// windows target nodes; a link is out when either endpoint is targeted.
-func (n *Network) linkEnds(d, idx int) (a, b int) {
-	w, h := n.cfg.Width, n.cfg.Height
-	switch d {
-	case dirEast, dirWest:
-		if n.cfg.Torus {
-			x, y := idx%w, idx/w
-			return n.ID(x, y), n.ID((x+1)%w, y)
-		}
-		x, y := idx%(w-1), idx/(w-1)
-		return n.ID(x, y), n.ID(x+1, y)
-	default: // dirNorth, dirSouth
-		x, y := idx%w, idx/w
-		return n.ID(x, y), n.ID(x, (y+1)%h)
-	}
+	return start + n.HopLatency
 }
 
 func (n *Network) deliver(p *Packet) {
@@ -494,7 +433,7 @@ func (n *Network) deliver(p *Packet) {
 	}
 	n.retries++
 	if retryAt <= n.eng.Now() {
-		retryAt = n.eng.Now() + n.cfg.HopLatency
+		retryAt = n.eng.Now() + n.HopLatency
 	}
 	n.eng.At(retryAt, func() { n.deliver(p) })
 }
@@ -546,14 +485,14 @@ type CrossTraffic struct {
 // StopCrossTraffic. Offsets are staggered deterministically to avoid
 // phase-locking artifacts.
 func (n *Network) StartCrossTraffic(ct CrossTraffic, clk sim.Clock) {
-	if n.cfg.Torus {
+	if n.Torus {
 		panic("mesh: cross-traffic bisection emulation requires a mesh (the paper's topology)")
 	}
 	if ct.BytesPerCycle <= 0 || ct.MsgBytes <= 0 {
 		return
 	}
 	n.stopX = false
-	gens := 2 * n.cfg.Height
+	gens := 2 * n.Height
 	//lint:allow simlint/intmath one-time generator-period setup, latched as integer Time before any event runs
 	perGen := ct.BytesPerCycle / float64(gens)
 	//lint:allow simlint/intmath one-time generator-period setup, latched as integer Time before any event runs
@@ -566,7 +505,7 @@ func (n *Network) StartCrossTraffic(ct CrossTraffic, clk sim.Clock) {
 	for g := 0; g < gens; g++ {
 		y := g / 2
 		eastbound := g%2 == 0
-		src, dst := n.ID(0, y), n.ID(n.cfg.Width-1, y)
+		src, dst := n.ID(0, y), n.ID(n.Width-1, y)
 		if !eastbound {
 			src, dst = dst, src
 		}
@@ -642,7 +581,7 @@ func (n *Network) TopLinks(elapsed sim.Time, k int) []LinkLoad {
 			all = append(all, LinkLoad{
 				Link: linkName(d, i), A: a, B: bb, Bytes: b,
 				//lint:allow simlint/intmath post-run utilization reporting; never feeds event times
-				Utilization: float64(b) * float64(n.cfg.PsPerByte) / float64(elapsed),
+				Utilization: float64(b) * float64(n.PsPerByte) / float64(elapsed),
 			})
 		}
 	}
@@ -656,28 +595,4 @@ func (n *Network) TopLinks(elapsed sim.Time, k int) []LinkLoad {
 		all = all[:k]
 	}
 	return all
-}
-
-// uncongestedLatency returns the no-contention delivery time for a packet
-// of size bytes over hops hops: the reference the timing tests compare
-// deliveries against.
-func (n *Network) uncongestedLatency(hops, size int) sim.Time {
-	return sim.Time(hops+1)*n.cfg.HopLatency + sim.Time(size)*n.cfg.PsPerByte
-}
-
-// AvgHops returns the average dimension-order distance between distinct
-// compute nodes, useful for calibration.
-func (n *Network) AvgHops() float64 {
-	total, pairs := 0, 0
-	for s := 0; s < n.Nodes(); s++ {
-		for d := 0; d < n.Nodes(); d++ {
-			if s == d {
-				continue
-			}
-			total += n.Hops(s, d)
-			pairs++
-		}
-	}
-	//lint:allow simlint/intmath topology statistic for docs/experiments; never feeds event times
-	return float64(total) / float64(pairs)
 }

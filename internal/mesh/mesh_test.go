@@ -15,7 +15,7 @@ func alewifeCfg() Config {
 }
 
 func TestXYIDRoundTrip(t *testing.T) {
-	n := New(sim.NewEngine(), alewifeCfg())
+	n := alewifeCfg()
 	for id := 0; id < n.Nodes(); id++ {
 		x, y := n.XY(id)
 		if n.ID(x, y) != id {
@@ -28,7 +28,7 @@ func TestXYIDRoundTrip(t *testing.T) {
 }
 
 func TestHopsManhattan(t *testing.T) {
-	n := New(sim.NewEngine(), alewifeCfg())
+	n := alewifeCfg()
 	cases := []struct{ src, dst, want int }{
 		{0, 0, 0},
 		{0, 1, 1},
@@ -44,7 +44,7 @@ func TestHopsManhattan(t *testing.T) {
 }
 
 func TestHopsSymmetric(t *testing.T) {
-	n := New(sim.NewEngine(), alewifeCfg())
+	n := alewifeCfg()
 	prop := func(a, b uint8) bool {
 		s, d := int(a)%n.Nodes(), int(b)%n.Nodes()
 		return n.Hops(s, d) == n.Hops(d, s)
@@ -66,7 +66,7 @@ func TestUncongestedDeliveryTime(t *testing.T) {
 	n.Send(p)
 	eng.Run()
 	hops := n.Hops(0, n.ID(4, 2)) // 6
-	want := n.uncongestedLatency(hops, 24)
+	want := n.Latency(hops, 24)
 	if at != want {
 		t.Errorf("delivered at %v, want %v", at, want)
 	}
@@ -89,8 +89,8 @@ func TestLocalDelivery(t *testing.T) {
 	if at < 0 {
 		t.Fatal("local packet never delivered")
 	}
-	if at != n.uncongestedLatency(0, 8) {
-		t.Errorf("local delivery at %v, want %v", at, n.uncongestedLatency(0, 8))
+	if at != n.Latency(0, 8) {
+		t.Errorf("local delivery at %v, want %v", at, n.Latency(0, 8))
 	}
 }
 
@@ -135,7 +135,7 @@ func TestDisjointPathsDoNotContend(t *testing.T) {
 // links join them too).
 func bisectionLoads(n *Network) []LinkLoad {
 	var out []LinkLoad
-	half := n.Config().Width / 2
+	half := n.Width / 2
 	for _, l := range n.TopLinks(n.eng.Now()+1, n.Nodes()*4) {
 		ax, _ := n.XY(l.A)
 		bx, _ := n.XY(l.B)
@@ -312,11 +312,14 @@ func TestBisectionBytesPerCycle(t *testing.T) {
 }
 
 func TestAvgHops(t *testing.T) {
-	n := New(sim.NewEngine(), alewifeCfg())
-	avg := n.AvgHops()
-	// 8x4 mesh: E[|dx|]=2.625, E[|dy|]=1.25 over distinct pairs ~ 4.0.
-	if avg < 3.5 || avg > 4.5 {
-		t.Errorf("avg hops = %.2f, want ~4", avg)
+	// Over distinct pairs of the 8x4 grid: (E|dx| + E|dy|) * 1024/992,
+	// with E|dx| + E|dy| = 2.625 + 1.25 on the mesh and 2 + 1 on the
+	// torus.
+	if got := alewifeCfg().AvgHops(); got != 4.0 {
+		t.Errorf("8x4 mesh AvgHops = %v, want 4", got)
+	}
+	if got, want := torusCfg().AvgHops(), 96.0/31.0; got != want {
+		t.Errorf("8x4 torus AvgHops = %v, want 96/31 = %v", got, want)
 	}
 }
 
@@ -412,7 +415,7 @@ func TestDeliveryLowerBoundProperty(t *testing.T) {
 			size := 8 + int(s)%56
 			sendAt := eng.Now()
 			hops := n.Hops(src, dst)
-			lb := n.uncongestedLatency(hops, size)
+			lb := n.Latency(hops, size)
 			n.Send(&Packet{Src: src, Dst: dst, Class: ClassAM,
 				HdrBytes: 8, PayloadBytes: size - 8,
 				Deliver: func(now sim.Time, _ *Packet) {

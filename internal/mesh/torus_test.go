@@ -14,7 +14,7 @@ func torusCfg() Config {
 }
 
 func TestTorusHopsShortWay(t *testing.T) {
-	n := New(sim.NewEngine(), torusCfg())
+	n := torusCfg()
 	cases := []struct{ src, dst, want int }{
 		{0, 0, 0},
 		{0, 7, 1},                       // wrap: (0,0) -> (7,0) is 1 hop west
@@ -30,8 +30,7 @@ func TestTorusHopsShortWay(t *testing.T) {
 }
 
 func TestTorusHopsNeverExceedMesh(t *testing.T) {
-	tor := New(sim.NewEngine(), torusCfg())
-	msh := New(sim.NewEngine(), alewifeCfg())
+	tor, msh := torusCfg(), alewifeCfg()
 	prop := func(a, b uint8) bool {
 		s, d := int(a)%32, int(b)%32
 		return tor.Hops(s, d) <= msh.Hops(s, d)
@@ -42,8 +41,7 @@ func TestTorusHopsNeverExceedMesh(t *testing.T) {
 }
 
 func TestTorusAvgHopsBelowMesh(t *testing.T) {
-	tor := New(sim.NewEngine(), torusCfg())
-	msh := New(sim.NewEngine(), alewifeCfg())
+	tor, msh := torusCfg(), alewifeCfg()
 	if tor.AvgHops() >= msh.AvgHops() {
 		t.Errorf("torus avg hops %.2f >= mesh %.2f", tor.AvgHops(), msh.AvgHops())
 	}
@@ -61,7 +59,7 @@ func TestTorusDelivery(t *testing.T) {
 	if delivered != 1 {
 		t.Fatal("packet not delivered")
 	}
-	if want := n.uncongestedLatency(1, 24); at != want {
+	if want := n.Latency(1, 24); at != want {
 		t.Errorf("wrap delivery at %v, want %v", at, want)
 	}
 }

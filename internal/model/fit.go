@@ -56,7 +56,7 @@ func Fit(smRun, mpRun core.RunResult, cfg machine.Config) (AppParams, MachinePar
 		BisectionPerCyc:  smRun.Bisection,
 		OneWayLatency:    oneWay,
 		BaseOneWay:       oneWay,
-		BisectionTraffic: 0.5, // dimension-order traffic crossing the middle cut
+		BisectionTraffic: core.BisectionCrossFrac,
 	}
 	return app, mp, nil
 }

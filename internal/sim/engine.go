@@ -196,6 +196,3 @@ func (e *Engine) step() {
 	}
 	ev.fn()
 }
-
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.events) }
