@@ -1,9 +1,9 @@
 # Tier-1 verification plus the race-certified concurrency surface.
 # `make check` is the gate every PR must pass; it also checks gofmt, vets and runs the
 # tests of the separate cmd/bench module (workload digests, metric plumbing) and
-# every Go benchmark of the root, internal/core, internal/sim, internal/mesh and
-# internal/mem once (benchsmoke), so a benchmark that fails at run time fails
-# the gate.
+# every Go benchmark of the root, internal/core, internal/sim, internal/mesh,
+# internal/mem and internal/am once (benchsmoke), so a benchmark that fails at
+# run time fails the gate.
 # `make profile` captures host CPU/heap profiles of a tiny figure
 # regeneration (see the bench target for simulated-time performance
 # tracking).
@@ -69,16 +69,17 @@ profile:
 # One iteration of every benchmark: the per-figure and ablation
 # benchmarks at the root, the sweep benchmarks of internal/core, the
 # engine benchmarks of internal/sim, the packet benchmark of
-# internal/mesh and the coherence-miss benchmark of internal/mem (about
-# 30 s on 2 cores).
+# internal/mesh, the coherence-miss benchmark of internal/mem and the
+# null-message benchmark of internal/am (about 30 s on 2 cores).
 benchsmoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core ./internal/sim ./internal/mesh ./internal/mem
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core ./internal/sim ./internal/mesh ./internal/mem ./internal/am
 
 # Performance tracking: event-engine allocation profile, host cost and
-# allocations of one packet and of one coherence miss, and serial vs
-# parallel sweep throughput.
+# allocations of one packet, of one coherence miss and of one null
+# active-message round trip, and serial vs parallel sweep throughput.
 bench:
 	$(GO) test -bench 'BenchmarkEngine|BenchmarkThreadHandoff' -benchmem -run xxx ./internal/sim/
 	$(GO) test -bench BenchmarkSend -benchmem -run xxx ./internal/mesh/
 	$(GO) test -bench BenchmarkRemoteMiss -benchmem -run xxx ./internal/mem/
+	$(GO) test -bench BenchmarkNullMessage -benchmem -run xxx ./internal/am/
 	$(GO) test -bench 'BenchmarkClockSweep|BenchmarkContextSwitchSweepMemoized' -benchtime 3x -run xxx ./internal/core/

@@ -14,7 +14,8 @@ type HandlerID int
 
 // Ctx is the context passed to an executing handler. Handlers run inline
 // on the receiving processor's thread at message-dispatch time; they must
-// not block, but they may charge compute time and send replies.
+// not block, but they may charge compute time and send replies. Each node
+// has one Ctx, reused by every handler that runs there.
 type Ctx struct {
 	sys  *System
 	Node int              // receiving node
@@ -54,7 +55,10 @@ func niWords(args []int64, vals []float64) int64 {
 	return int64(len(args) + 2*len(vals))
 }
 
-// Handler is an active-message handler body.
+// Handler is an active-message handler body. args, vals and c are valid
+// only until the handler returns: the slices are the message record's
+// own buffers and c is its node's context, and both are reused by later
+// messages. A handler that needs a value afterwards copies it out.
 type Handler func(c *Ctx, args []int64, vals []float64)
 
 // Params configures the message system. Costs are processor cycles.
@@ -108,20 +112,31 @@ func DefaultParams() Params {
 	}
 }
 
-// msg is one queued message at a receiving NI.
+// msg is one active message, from injection until its handler returns.
+// Records are pooled per System: inject takes one and drain returns it
+// once the handler has returned. A record keeps its payload buffers'
+// capacity, its packet and its arrival steps, bound once when the record
+// is built, so a message on a warm record allocates nothing.
 type msg struct {
-	src     int
-	handler HandlerID
-	args    []int64
-	vals    []float64
-	bulk    bool
-	bytes   int      // wire size, for stats
-	sent    sim.Time // injection timestamp at the source
+	s        *System
+	src, dst int
+	handler  HandlerID
+	args     []int64
+	vals     []float64
+	bulk     bool
+	bytes    int      // wire size, for stats
+	sent     sim.Time // injection timestamp at the source
+	pkt      mesh.Packet
+	loopback func() // m.arrive, the NI loopback's arrival event
 }
+
+// delivered is the packet's Deliver callback.
+func (m *msg) delivered(sim.Time, *mesh.Packet) { m.arrive() }
 
 // ni is one node's network interface receive side.
 type ni struct {
-	q      []*msg
+	q      []*msg // arrived messages, oldest first; dequeued in place
+	ctx    Ctx    // the node's handler context
 	notify func() // one-shot arm: fires on message arrival
 	// Last arrival, for the critical-path recorder: a receiver woken by
 	// its armed notify can ask what message woke it (see LastArrival).
@@ -139,6 +154,7 @@ type System struct {
 	par      Params
 	handlers []Handler
 	nis      []*ni
+	free     []*msg // pooled message records
 	// ev is the message accounting, summed over all nodes.
 	ev stats.Events
 
@@ -208,7 +224,7 @@ func NewSystem(eng *sim.Engine, net *mesh.Network, clk sim.Clock, par Params) *S
 	s := &System{eng: eng, net: net, clk: clk, par: par}
 	s.nis = make([]*ni, net.Nodes())
 	for i := range s.nis {
-		s.nis[i] = &ni{}
+		s.nis[i] = &ni{ctx: Ctx{sys: s, Node: i}}
 	}
 	s.outFree = make([]sim.Time, net.Nodes())
 	return s
@@ -299,9 +315,10 @@ func (s *System) inject(src, dst int, h HandlerID, args []int64, vals []float64,
 		s.ev.BulkBytes += int64(s.par.ValBytes * len(vals))
 	}
 	// Copy payloads: applications commonly reuse gather buffers.
-	m := &msg{src: src, handler: h, bulk: bulk, sent: s.eng.Now()}
-	m.args = append([]int64(nil), args...)
-	m.vals = append([]float64(nil), vals...)
+	m := s.newMsg()
+	m.src, m.dst, m.handler, m.bulk, m.sent = src, dst, h, bulk, s.eng.Now()
+	m.args = append(m.args[:0], args...)
+	m.vals = append(m.vals[:0], vals...)
 
 	payload := s.wireBytes(args, vals)
 	if bulk && s.par.DMAAlign > 1 {
@@ -314,15 +331,13 @@ func (s *System) inject(src, dst int, h HandlerID, args []int64, vals []float64,
 
 	if src == dst {
 		// Loopback through the NI without entering the mesh.
-		s.eng.After(s.clk.Cycles(2), func() { s.arrive(dst, m) })
+		s.eng.After(s.clk.Cycles(2), m.loopback)
 		return
 	}
-	depart := s.net.Send(&mesh.Packet{
-		Src: src, Dst: dst,
-		Class:    classOf(bulk),
-		HdrBytes: hdr, PayloadBytes: payload,
-		Deliver: func(now sim.Time, p *mesh.Packet) { s.arrive(dst, m) },
-	})
+	p := &m.pkt
+	p.Src, p.Dst, p.Class = src, dst, classOf(bulk)
+	p.HdrBytes, p.PayloadBytes = hdr, payload
+	depart := s.net.Send(p)
 	if depart > s.outFree[src] {
 		s.outFree[src] = depart
 	}
@@ -330,6 +345,26 @@ func (s *System) inject(src, dst int, h HandlerID, args []int64, vals []float64,
 	ser := sim.Time(m.bytes) * s.net.PsPerByte
 	s.outFree[src] += ser
 }
+
+// newMsg takes a message record from the pool, or builds one and binds
+// its arrival steps.
+func (s *System) newMsg() *msg {
+	if n := len(s.free); n > 0 {
+		m := s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+		return m
+	}
+	m := &msg{s: s}
+	m.pkt.Deliver = m.delivered
+	m.loopback = m.arrive
+	return m
+}
+
+// ReleasePools drops the pooled message records, so a machine kept for
+// its results after its run pins none of them. Later messages build
+// fresh records.
+func (s *System) ReleasePools() { s.free = nil }
 
 func classOf(bulk bool) mesh.Class {
 	if bulk {
@@ -380,9 +415,10 @@ func (e endpoint) TryDeliver(now sim.Time, p *mesh.Packet) (bool, sim.Time) {
 	}
 }
 
-// arrive enqueues a message at the destination NI and fires any armed
+// arrive enqueues m at its destination NI and fires any armed
 // notification.
-func (s *System) arrive(node int, m *msg) {
+func (m *msg) arrive() {
+	s, node := m.s, m.dst
 	ni := s.nis[node]
 	ni.q = append(ni.q, m)
 	ni.lastSrc, ni.lastSent, ni.lastBytes = m.src, m.sent, m.bytes
@@ -453,12 +489,16 @@ func (s *System) DrainInterrupts(th *sim.Thread, node int, bd *stats.Breakdown) 
 
 // drain dispatches queued messages until the queue is empty, charging
 // perMsg overhead cycles per message, then running the handler inline.
+// A message's record returns to the pool only once its handler has
+// returned: until then the handler reads the record's buffers.
 func (s *System) drain(th *sim.Thread, node int, bd *stats.Breakdown, perMsg int64) int {
 	ni := s.nis[node]
 	n := 0
 	for len(ni.q) > 0 {
 		m := ni.q[0]
-		ni.q = ni.q[1:]
+		k := copy(ni.q, ni.q[1:])
+		ni.q[k] = nil
+		ni.q = ni.q[:k]
 		n++
 		s.ev.MessagesRecv++
 		if s.mRecv != nil {
@@ -474,8 +514,10 @@ func (s *System) drain(th *sim.Thread, node int, bd *stats.Breakdown, perMsg int
 			cost += s.par.RecvPerWordCycles * niWords(m.args, m.vals)
 		}
 		s.charge(th, bd, cost)
-		ctx := &Ctx{sys: s, Node: node, Src: m.src, th: th, bd: bd}
+		ctx := &ni.ctx
+		ctx.Src, ctx.th, ctx.bd = m.src, th, bd
 		s.handlers[m.handler](ctx, m.args, m.vals)
+		s.free = append(s.free, m)
 	}
 	return n
 }

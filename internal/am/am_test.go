@@ -116,7 +116,10 @@ func TestHandlerReceivesArgsAndVals(t *testing.T) {
 	var gotVals []float64
 	var gotSrc int
 	h := r.sys.Register(func(c *Ctx, args []int64, vals []float64) {
-		gotArgs, gotVals, gotSrc = args, vals, c.Src
+		// args and vals are valid only until the handler returns.
+		gotArgs = append([]int64(nil), args...)
+		gotVals = append([]float64(nil), vals...)
+		gotSrc = c.Src
 	})
 	var bd stats.Breakdown
 	r.eng.Spawn("recv", 0, func(th *sim.Thread) { r.waitAndDrain(th, 5, &bd, true) })
@@ -338,7 +341,7 @@ func TestLocalLoopback(t *testing.T) {
 func TestPayloadCopiedOnSend(t *testing.T) {
 	r := newRig()
 	var got []float64
-	h := r.sys.Register(func(c *Ctx, args []int64, vals []float64) { got = vals })
+	h := r.sys.Register(func(c *Ctx, args []int64, vals []float64) { got = append(got, vals...) })
 	var bd, bdr stats.Breakdown
 	buf := []float64{1, 2, 3}
 	r.eng.Spawn("recv", 0, func(th *sim.Thread) { r.waitAndDrain(th, 1, &bdr, true) })

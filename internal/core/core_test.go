@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -50,6 +51,22 @@ func TestNetLatencyCyclesMatchesTable1(t *testing.T) {
 	cfg.ClockMHz = 14
 	if l14 := NetLatencyCycles(cfg); l14 >= lat {
 		t.Errorf("14MHz latency %.1f >= 20MHz latency %.1f", l14, lat)
+	}
+}
+
+// TestOneNodeClockAxisIsFinite checks Figure 9's latency column on a
+// one-node machine: with no pair of distinct nodes the average distance
+// is 0, so each point reads the ejection stage plus serialization, a
+// finite latency at every clock.
+func TestOneNodeClockAxisIsFinite(t *testing.T) {
+	cfg, err := machine.ConfigForNodes(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range ClockAxis(cfg, DefaultClockMHzs).X {
+		if math.IsNaN(x) || math.IsInf(x, 0) || x <= 0 {
+			t.Errorf("one-node latency at %v MHz = %v cycles, want finite and positive", DefaultClockMHzs[i], x)
+		}
 	}
 }
 

@@ -236,7 +236,9 @@ func New(cfg Config) *Machine {
 	}
 	for i := 0; i < cfg.Nodes(); i++ {
 		net.Attach(i, asys.Endpoint(i)) // AM queueing; coherence passes through
-		m.Procs = append(m.Procs, &Proc{M: m, ID: i})
+		p := &Proc{M: m, ID: i}
+		p.wake = p.wakeNow
+		m.Procs = append(m.Procs, p)
 	}
 	if cfg.IdealNetOneWayCycles > 0 {
 		msys.SetIdealNetwork(clk.Cycles(cfg.IdealNetOneWayCycles))
@@ -345,6 +347,10 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 		m.Eng.SetDeadline(m.Clk.Cycles(m.Cfg.DeadlineCycles))
 	}
 	m.runEngine()
+	// The run is over: drop the protocol and message records pooled for
+	// it, so a machine kept for its results holds none of them.
+	m.Mem.ReleasePools()
+	m.AM.ReleasePools()
 	if m.doneN != n {
 		d := m.Eng.Diagnose(sim.StallDeadlock)
 		d.Notes = append(d.Notes, fmt.Sprintf("only %d/%d processors finished", m.doneN, n))

@@ -44,7 +44,11 @@ type Proc struct {
 	th     *sim.Thread
 	mode   RecvMode
 	doneAt sim.Time // when this processor's body returned (load-imbalance metric)
+	wake   func()   // p.wakeNow, bound once: WaitAndHandle's arrival callback
 }
+
+// wakeNow resumes p's thread at the current time.
+func (p *Proc) wakeNow() { p.th.WakeAt(p.th.Engine().Now()) }
 
 // Now returns the current simulated time.
 func (p *Proc) Now() sim.Time { return p.th.Now() }
@@ -170,7 +174,7 @@ func (p *Proc) Poll() int {
 func (p *Proc) WaitAndHandle() int {
 	if !p.M.AM.HasPending(p.ID) {
 		start := p.th.Now()
-		p.M.AM.Notify(p.ID, func() { p.th.WakeAt(p.th.Engine().Now()) })
+		p.M.AM.Notify(p.ID, p.wake)
 		p.th.SetWaitReason("await-message", 0)
 		p.th.Pause()
 		p.BD.Add(stats.BucketSync, p.th.Now()-start)

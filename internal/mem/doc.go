@@ -18,6 +18,10 @@
 // per miss, a leg per sharer of an invalidation or update round, and a
 // writeBack per dirty eviction. Each protocol step is a method of its
 // record, bound once when the record is built, and each record carries
-// its own packet, so no protocol step allocates once the records exist.
-// Directory entries are created on first touch.
+// its own packet, whose delivery event the network binds on its first
+// send. What a transaction does when it completes is an ordered list of
+// typed actions: an SC store carries its address and value, a buffered
+// RC store its address, and only atomics and deferred protocol steps
+// carry a function. So a steady-state miss allocates nothing once the
+// records exist. Directory entries are created on first touch.
 package mem

@@ -55,16 +55,7 @@ func (s *System) storeRelaxed(th *sim.Thread, node int, a Addr, v float64, bd *s
 
 	// Retire into the buffer (loads will forward from here).
 	rc.pending[a] = v
-	apply := func() {
-		// Apply the latest buffered value; a newer store to the same
-		// address may have superseded v.
-		if cur, ok := rc.pending[a]; ok {
-			s.store.Poke(a, cur)
-			delete(rc.pending, a)
-		}
-		rc.outstanding--
-		s.wakeRC(node, rc)
-	}
+	apply := action{kind: actRCStore, a: a}
 
 	if t := nm.pending[line]; t != nil && t.write {
 		// Join the in-flight write transaction without blocking.
@@ -119,6 +110,20 @@ func (s *System) storeRelaxed(th *sim.Thread, node int, a Addr, v float64, bd *s
 	t := s.startTxn(node, line, true, false)
 	t.onComplete = append(t.onComplete, apply)
 	s.chargeStoreIssue(th, bd)
+}
+
+// applyRC completes one buffered store of node's at a: it applies the
+// latest buffered value (a newer store to the same address may have
+// superseded the one that issued the transaction) and wakes the
+// fence and full-buffer waiters.
+func (s *System) applyRC(node int, a Addr) {
+	rc := s.nodes[node].rcSt
+	if cur, ok := rc.pending[a]; ok {
+		s.store.Poke(a, cur)
+		delete(rc.pending, a)
+	}
+	rc.outstanding--
+	s.wakeRC(node, rc)
 }
 
 // chargeStoreIssue charges the small processor-side cost of issuing a

@@ -122,7 +122,7 @@ type txn struct {
 	st    lineState // the state the grant installs at the requester
 
 	waiters    []waiter
-	onComplete []func()
+	onComplete []action // run in order when the transaction completes
 
 	msg  courier // the request, owner fetch and reply, one at a time
 	step txnSteps
@@ -186,14 +186,54 @@ func (f *freeList[T]) put(r *T) { *f = append(*f, r) }
 // the packet each rides in and the step its arrival runs. Coherence
 // packets pass through the endpoint straight to Deliver, and a record
 // sends its next message only from a later step, so the network is done
-// with the packet by the time it is reused.
+// with the packet by the time it is reused. The packet's Deliver, and
+// the delivery event the network binds on its first send, stay bound
+// for the record's life: sendCoh sets only the addressing fields.
 type courier struct {
-	pkt     mesh.Packet
-	arrive  func()
-	deliver func(sim.Time, *mesh.Packet) // c.delivered, bound once
+	pkt    mesh.Packet
+	arrive func()
 }
 
+// bind makes c's packet run c's arrival step on delivery.
+func (c *courier) bind() { c.pkt.Deliver = c.delivered }
+
 func (c *courier) delivered(sim.Time, *mesh.Packet) { c.arrive() }
+
+// action is one thing a transaction does when it completes, in the
+// order actions were added: write an SC store's value, apply a buffered
+// RC store from the write buffer, or call a function (an atomic's
+// update, or a protocol step deferred until the fill).
+type action struct {
+	kind actionKind
+	a    Addr
+	v    float64
+	fn   func()
+}
+
+type actionKind uint8
+
+const (
+	actNone    actionKind = iota
+	actStore              // write v at a
+	actRCStore            // apply the write buffer's latest value at a
+	actCall               // call fn
+)
+
+// call wraps fn as an action.
+func call(fn func()) action { return action{kind: actCall, fn: fn} }
+
+// do runs x on behalf of node, the node whose transaction or access it
+// belongs to.
+func (s *System) do(node int, x action) {
+	switch x.kind {
+	case actStore:
+		s.store.Poke(x.a, x.v)
+	case actRCStore:
+		s.applyRC(node, x.a)
+	case actCall:
+		x.fn()
+	}
+}
 
 type waiter struct {
 	th     *sim.Thread
@@ -236,6 +276,11 @@ func (s *System) SetIdealNetwork(oneWay sim.Time) {
 // Params returns the memory parameters.
 func (s *System) Params() Params { return s.par }
 
+// ReleasePools drops the pooled protocol records, so a machine kept for
+// its results after its run pins none of them. Later misses build fresh
+// records.
+func (s *System) ReleasePools() { s.txnFree, s.legFree, s.wbFree = nil, nil, nil }
+
 // Events returns the accumulated protocol event counters.
 func (s *System) Events() stats.Events { return s.ev }
 
@@ -271,12 +316,10 @@ func (s *System) sendCoh(src, dst int, class mesh.Class, payloadBytes int, c *co
 		s.eng.After(s.idealOneWay, arrive)
 	default:
 		c.arrive = arrive
-		c.pkt = mesh.Packet{
-			Src: src, Dst: dst, Class: class,
-			HdrBytes: s.par.HdrBytes, PayloadBytes: payloadBytes,
-			Deliver: c.deliver,
-		}
-		s.net.Send(&c.pkt)
+		p := &c.pkt
+		p.Src, p.Dst, p.Class = src, dst, class
+		p.HdrBytes, p.PayloadBytes = s.par.HdrBytes, payloadBytes
+		s.net.Send(p)
 	}
 }
 
@@ -294,7 +337,7 @@ func (s *System) Load(th *sim.Thread, node int, a Addr, bd *stats.Breakdown, buc
 		th.Sleep(d)
 		return v
 	}
-	s.access(th, node, a, false, nil, bd, bucket)
+	s.access(th, node, a, false, action{}, bd, bucket)
 	return s.store.Peek(a)
 }
 
@@ -305,7 +348,7 @@ func (s *System) StoreWord(th *sim.Thread, node int, a Addr, v float64, bd *stat
 		s.storeRelaxed(th, node, a, v, bd, bucket)
 		return
 	}
-	s.access(th, node, a, true, func() { s.store.Poke(a, v) }, bd, bucket)
+	s.access(th, node, a, true, action{kind: actStore, a: a, v: v}, bd, bucket)
 }
 
 // RMW performs an atomic read-modify-write: fn is applied to the current
@@ -314,7 +357,7 @@ func (s *System) StoreWord(th *sim.Thread, node int, a Addr, v float64, bd *stat
 func (s *System) RMW(th *sim.Thread, node int, a Addr, fn func(float64) float64, bd *stats.Breakdown, bucket stats.TimeBucket) float64 {
 	s.Fence(th, node, bd, bucket) // atomics order buffered stores
 	var out float64
-	s.accessEx(th, node, a, true, true, func() { out = fn(s.store.Peek(a)); s.store.Poke(a, out) }, bd, bucket)
+	s.accessEx(th, node, a, true, true, call(func() { out = fn(s.store.Peek(a)); s.store.Poke(a, out) }), bd, bucket)
 	return out
 }
 
@@ -325,7 +368,7 @@ func (s *System) RMW(th *sim.Thread, node int, a Addr, fn func(float64) float64,
 // both.
 func (s *System) Update(th *sim.Thread, node int, a Addr, fn func(), bd *stats.Breakdown, bucket stats.TimeBucket) {
 	s.Fence(th, node, bd, bucket) // atomics order buffered stores
-	s.accessEx(th, node, a, true, true, fn, bd, bucket)
+	s.accessEx(th, node, a, true, true, call(fn), bd, bucket)
 }
 
 // Prefetch issues a non-binding prefetch of a's line (write requests
@@ -353,13 +396,14 @@ func (s *System) Prefetch(node int, a Addr, write bool) {
 	s.startTxn(node, line, write, true)
 }
 
-// access is the common blocking path for loads, stores and RMWs.
-func (s *System) access(th *sim.Thread, node int, a Addr, write bool, apply func(), bd *stats.Breakdown, bucket stats.TimeBucket) {
+// access is the common blocking path for loads, stores and RMWs. apply
+// runs once the access is satisfied (actNone for a load).
+func (s *System) access(th *sim.Thread, node int, a Addr, write bool, apply action, bd *stats.Breakdown, bucket stats.TimeBucket) {
 	s.accessEx(th, node, a, write, false, apply, bd, bucket)
 }
 
 // accessEx is access with the atomicity requirement made explicit.
-func (s *System) accessEx(th *sim.Thread, node int, a Addr, write, atomic bool, apply func(), bd *stats.Breakdown, bucket stats.TimeBucket) {
+func (s *System) accessEx(th *sim.Thread, node int, a Addr, write, atomic bool, apply action, bd *stats.Breakdown, bucket stats.TimeBucket) {
 	line := LineOf(a, s.par.LineWords)
 	nm := s.nodes[node]
 	for {
@@ -381,7 +425,7 @@ func (s *System) accessEx(th *sim.Thread, node int, a Addr, write, atomic bool, 
 					t.prefetch = false
 					s.ev.PrefetchUseful++
 				}
-				if apply != nil {
+				if apply.kind != actNone {
 					t.onComplete = append(t.onComplete, apply)
 				}
 				s.wait(t, th, bd, bucket)
@@ -398,8 +442,8 @@ func (s *System) accessEx(th *sim.Thread, node int, a Addr, write, atomic bool, 
 			d := s.cyc(s.par.HitCycles)
 			bd.Add(stats.BucketCompute, d)
 			th.Sleep(d)
-			if apply != nil {
-				apply()
+			if apply.kind != actNone {
+				s.do(node, apply)
 			}
 			return
 		}
@@ -414,8 +458,8 @@ func (s *System) accessEx(th *sim.Thread, node int, a Addr, write, atomic bool, 
 				d := s.cyc(s.par.PrefetchMoveCycles)
 				bd.Add(bucket, d)
 				th.Sleep(d)
-				if apply != nil {
-					apply()
+				if apply.kind != actNone {
+					s.do(node, apply)
 				}
 				return
 			}
@@ -432,7 +476,7 @@ func (s *System) accessEx(th *sim.Thread, node int, a Addr, write, atomic bool, 
 		}
 		t := s.startTxn(node, line, write, false)
 		t.atomic = atomic
-		if apply != nil {
+		if apply.kind != actNone {
 			t.onComplete = append(t.onComplete, apply)
 		}
 		s.wait(t, th, bd, bucket)
@@ -467,7 +511,7 @@ func (s *System) newTxn() *txn {
 		return t
 	}
 	t := &txn{s: s}
-	t.msg.deliver = t.msg.delivered
+	t.msg.bind()
 	t.step = txnSteps{
 		sendRequest: t.sendRequest, reachHome: t.reachHome,
 		dispatch: t.dispatch, process: t.process, serveHome: t.serveHome,
@@ -480,12 +524,12 @@ func (s *System) newTxn() *txn {
 
 // freeTxn returns a finished transaction's record to the pool. Its
 // slices keep their capacity but are cleared, so a pooled record pins no
-// callback or thread.
+// callback or thread; its courier keeps its bound packet.
 func (s *System) freeTxn(t *txn) {
 	clear(t.waiters)
 	clear(t.onComplete)
 	*t = txn{s: s, waiters: t.waiters[:0], onComplete: t.onComplete[:0],
-		msg: courier{deliver: t.msg.deliver}, step: t.step}
+		msg: t.msg, step: t.step}
 	s.txnFree.put(t)
 }
 
@@ -494,7 +538,7 @@ func (s *System) newLeg(t *txn, sh int, update bool) *leg {
 	l := s.legFree.get()
 	if l == nil {
 		l = &leg{s: s}
-		l.msg.deliver = l.msg.delivered
+		l.msg.bind()
 		l.step = legSteps{reachSharer: l.reachSharer, atSharer: l.atSharer, sendAck: l.sendAck,
 			reachHome: l.reachHome, acked: l.acked}
 	}
@@ -579,7 +623,7 @@ func (t *txn) process() {
 			// invalidating the cache now would miss the in-flight fill and
 			// leave two Modified copies (mirrors fetch's deferral).
 			if ot := s.nodes[home].pending[line]; ot != nil && ot.write && ot.granted {
-				ot.onComplete = append(ot.onComplete, t.step.serveHome)
+				ot.onComplete = append(ot.onComplete, call(t.step.serveHome))
 				return
 			}
 			t.serveHome()
@@ -747,10 +791,10 @@ func (l *leg) acked() {
 func (s *System) invalidateAt(node int, line Addr, ack func()) {
 	nm := s.nodes[node]
 	if t := nm.pending[line]; t != nil && t.granted && t.st == lineShared {
-		t.onComplete = append(t.onComplete, func() {
+		t.onComplete = append(t.onComplete, call(func() {
 			nm.cache.invalidate(line)
 			ack()
-		})
+		}))
 		return
 	}
 	if s.tr != nil {
@@ -769,7 +813,7 @@ func (t *txn) reachOwner() { t.s.atCtl(t.owner, t.step.fetch) }
 // before it can be taken away).
 func (t *txn) fetch() {
 	if ot := t.s.nodes[t.owner].pending[t.line]; ot != nil && ot.write && ot.granted {
-		ot.onComplete = append(ot.onComplete, t.step.fetchNow)
+		ot.onComplete = append(ot.onComplete, call(t.step.fetchNow))
 		return
 	}
 	t.fetchNow()
@@ -922,8 +966,8 @@ func (t *txn) complete() {
 	if s.tr != nil {
 		s.tr.Add(obs.Event{At: s.eng.Now(), Node: node, Kind: obs.KMissEnd, A: int64(line)})
 	}
-	for _, f := range t.onComplete {
-		f()
+	for _, x := range t.onComplete {
+		s.do(node, x)
 	}
 	now := s.eng.Now()
 	if s.crit != nil {
@@ -987,7 +1031,7 @@ func (s *System) writeback(node int, line Addr, gen uint64) {
 	w := s.wbFree.get()
 	if w == nil {
 		w = &writeBack{s: s}
-		w.msg.deliver = w.msg.delivered
+		w.msg.bind()
 		w.step.reachHome, w.step.apply = w.reachHome, w.apply
 	}
 	w.node, w.home, w.line, w.gen = node, s.lineHome(line), line, gen

@@ -24,4 +24,12 @@
 // nonlinear congestion of the paper's "Congestion Dominated" region.
 // Link reservations are made in send order (a standard fast cut-through
 // approximation: one delivery event per packet rather than one per hop).
+//
+// Delivery. A packet's delivery event is bound once, on its first Send,
+// and reused by back-pressure retries and by later sends of the same
+// packet, so senders that keep their packets (coherence records, active
+// message records) schedule deliveries without allocating. Cross-traffic
+// packets reserve their links and draw their fault delay in send order
+// like any other, but leave the mesh at its edge and schedule no
+// delivery, so each generator resends one packet.
 package mesh

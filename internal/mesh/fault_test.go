@@ -24,6 +24,40 @@ func (f *fixedFault) LinkBlockedUntil(a, b int, t sim.Time) sim.Time {
 	return 0
 }
 
+// countingFault counts PacketDelay draws and injects no fault.
+type countingFault struct{ draws int }
+
+func (f *countingFault) PacketDelay(src, dst int) sim.Time { f.draws++; return 0 }
+
+func (f *countingFault) LinkBlockedUntil(a, b int, t sim.Time) sim.Time { return 0 }
+
+// TestCrossTrafficSchedulesNoDelivery sends one cross-traffic packet
+// across the mesh twice: each send reserves every link of its route and
+// draws its fault delay once, but adds no event, so the same packet can
+// be resent at once.
+func TestCrossTrafficSchedulesNoDelivery(t *testing.T) {
+	eng := sim.NewEngine()
+	n := New(eng, alewifeCfg())
+	f := &countingFault{}
+	n.SetFaultInjector(f)
+	p := &Packet{Src: n.ID(0, 1), Dst: n.ID(7, 1), Class: ClassXTraffic, HdrBytes: 8, PayloadBytes: 56}
+	for send := 1; send <= 2; send++ {
+		n.Send(p)
+		if f.draws != send {
+			t.Errorf("send %d: %d PacketDelay draws, want %d", send, f.draws, send)
+		}
+		for x := 0; x < 7; x++ {
+			if got, want := n.linkBytes[dirEast][n.link(dirEast, x, 1)], int64(64*send); got != want {
+				t.Errorf("send %d: east link from (%d,1) carried %d bytes, want %d", send, x, got, want)
+			}
+		}
+	}
+	eng.Run()
+	if d := eng.Dispatched(); d != 0 {
+		t.Errorf("cross-traffic dispatched %d events, want none", d)
+	}
+}
+
 func deliveryTime(t *testing.T, prep func(n *Network)) sim.Time {
 	t.Helper()
 	eng := sim.NewEngine()

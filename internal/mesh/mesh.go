@@ -62,6 +62,13 @@ type Packet struct {
 	// Deliver is invoked when the endpoint accepts the packet. It runs in
 	// engine context and must not block. Nil packets are absorbed.
 	Deliver func(now sim.Time, p *Packet)
+
+	// net and arrival are the packet's delivery event, bound on its first
+	// Send and reused by back-pressure retries and by later sends of the
+	// same packet, so a reused packet schedules its delivery without
+	// allocating.
+	net     *Network
+	arrival func()
 }
 
 // Size returns the wire size in bytes.
@@ -121,6 +128,7 @@ func (c Config) Hops(src, dst int) int {
 
 // AvgHops returns the average dimension-order distance between distinct
 // compute nodes: the distance of the paper's one-way latency convention.
+// A one-node machine has no such pair, and its average is 0.
 func (c Config) AvgHops() float64 {
 	total, pairs := 0, 0
 	for s := 0; s < c.Nodes(); s++ {
@@ -130,6 +138,9 @@ func (c Config) AvgHops() float64 {
 				pairs++
 			}
 		}
+	}
+	if pairs == 0 {
+		return 0 // one node: no message ever crosses the mesh
 	}
 	//lint:allow simlint/intmath topology statistic for calibration; never feeds event times
 	return float64(total) / float64(pairs)
@@ -358,10 +369,13 @@ func (n *Network) Attach(id int, ep Endpoint) { n.endpoints[id] = ep }
 // Send injects p into the network at the current simulated time. The
 // packet is routed as two fixed-direction legs, X then Y (or Y then X
 // under the adaptive choice), reserving each link in turn; its Deliver
-// callback (if any) runs when the destination endpoint accepts it. The
-// returned time is when the packet's head actually enters its first
-// link — under congestion this lags Now, which senders use to model
-// finite output-queue depth.
+// callback (if any) runs when the destination endpoint accepts it. A
+// cross-traffic packet reserves its links and draws its fault delay like
+// any other, but leaves at the mesh edge: no delivery is scheduled, so
+// its sender may resend it at once. Any other packet may be sent again
+// once it has been delivered. The returned time is when the packet's
+// head actually enters its first link — under congestion this lags Now,
+// which senders use to model finite output-queue depth.
 func (n *Network) Send(p *Packet) sim.Time {
 	now := n.eng.Now()
 	n.packetsSent++
@@ -392,9 +406,21 @@ func (n *Network) Send(p *Packet) sim.Time {
 	if n.fault != nil {
 		tail += n.fault.PacketDelay(p.Src, p.Dst)
 	}
-	n.eng.At(tail, func() { n.deliver(p) })
+	if p.Class == ClassXTraffic {
+		// Cross-traffic exits the mesh at the edge I/O nodes without
+		// disturbing the compute node's network interface.
+		return depart
+	}
+	if p.net != n {
+		p.net, p.arrival = n, p.arrive
+	}
+	n.eng.At(tail, p.arrival)
 	return depart
 }
+
+// arrive offers p to its destination endpoint: the delivery event bound
+// by Send.
+func (p *Packet) arrive() { p.net.deliver(p) }
 
 // reserve occupies directed link (d, idx) from the head's arrival and
 // returns when the head reaches the next router.
@@ -421,11 +447,6 @@ func (n *Network) reserve(d, idx int, head, size sim.Time) sim.Time {
 }
 
 func (n *Network) deliver(p *Packet) {
-	if p.Class == ClassXTraffic {
-		// Cross-traffic exits the mesh at the edge I/O nodes without
-		// disturbing the compute node's network interface.
-		return
-	}
 	ep := n.endpoints[p.Dst]
 	ok, retryAt := ep.TryDeliver(n.eng.Now(), p)
 	if ok {
@@ -435,7 +456,7 @@ func (n *Network) deliver(p *Packet) {
 	if retryAt <= n.eng.Now() {
 		retryAt = n.eng.Now() + n.HopLatency
 	}
-	n.eng.At(retryAt, func() { n.deliver(p) })
+	n.eng.At(retryAt, p.arrival)
 }
 
 func (n *Network) account(p *Packet) {
@@ -514,16 +535,16 @@ func (n *Network) StartCrossTraffic(ct CrossTraffic, clk sim.Clock) {
 	}
 }
 
+// scheduleXGen starts one generator. Cross-traffic schedules no
+// delivery, so the generator resends one packet every period.
 func (n *Network) scheduleXGen(src, dst, size int, period, offset sim.Time) {
+	p := &Packet{Src: src, Dst: dst, Class: ClassXTraffic, HdrBytes: 8, PayloadBytes: size - 8}
 	var tick func()
 	tick = func() {
 		if n.stopX {
 			return
 		}
-		n.Send(&Packet{
-			Src: src, Dst: dst, Class: ClassXTraffic,
-			HdrBytes: 8, PayloadBytes: size - 8,
-		})
+		n.Send(p)
 		n.eng.After(period, tick)
 	}
 	n.eng.After(offset, tick)

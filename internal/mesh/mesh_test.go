@@ -220,6 +220,28 @@ func TestEndpointBackpressureRetries(t *testing.T) {
 	}
 }
 
+// TestResentPacketAllocatesNothing resends one delivered packet: its
+// delivery event, bound on the first send, is reused.
+func TestResentPacketAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine()
+	n := New(eng, alewifeCfg())
+	got := 0
+	p := &Packet{Src: 0, Dst: 5, Class: ClassAM, HdrBytes: 8, PayloadBytes: 16,
+		Deliver: func(sim.Time, *Packet) { got++ }}
+	n.Send(p)
+	eng.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		n.Send(p)
+		eng.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("resending a delivered packet: %v allocations, want 0", allocs)
+	}
+	if got != 102 {
+		t.Errorf("%d deliveries, want 102", got)
+	}
+}
+
 // crossTrafficEventLimit bounds the cross-traffic runs below: a
 // generator that ignores StopCrossTraffic fails the test, not hangs it.
 const crossTrafficEventLimit = 1_000_000
@@ -320,6 +342,12 @@ func TestAvgHops(t *testing.T) {
 	}
 	if got, want := torusCfg().AvgHops(), 96.0/31.0; got != want {
 		t.Errorf("8x4 torus AvgHops = %v, want 96/31 = %v", got, want)
+	}
+	// One node: no pair of distinct nodes, and no distance to average.
+	one := alewifeCfg()
+	one.Width, one.Height = 1, 1
+	if got := one.AvgHops(); got != 0 {
+		t.Errorf("1x1 mesh AvgHops = %v, want 0", got)
 	}
 }
 

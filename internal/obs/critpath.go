@@ -1,7 +1,8 @@
 package obs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -79,11 +80,11 @@ func (r *CritRecorder) EdgesTotal() int64 { return r.ring.Total() }
 // order the prediction layer reads them in.
 func (r *CritRecorder) Edges() []CritEdge {
 	all := r.ring.Items()
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].End != all[j].End {
-			return all[i].End < all[j].End
+	slices.SortStableFunc(all, func(a, b CritEdge) int {
+		if c := cmp.Compare(a.End, b.End); c != 0 {
+			return c
 		}
-		return all[i].Start < all[j].Start
+		return cmp.Compare(a.Start, b.Start)
 	})
 	return all
 }
@@ -129,7 +130,9 @@ type CritEdgeSummary struct {
 // net latency/bandwidth are the recorder's reclassifications, and
 // mem-stall/sync keep the remainder of their buckets — converted to
 // cycles per category so the five cycle counts sum to TotalCycles by
-// construction. topN bounds the reported longest edges.
+// construction. topN bounds the reported longest edges: ranked longest
+// first, then by earlier start, lower source, destination and kind, with
+// full ties in recording order.
 func (r *CritRecorder) Summarize(clk sim.Clock, node int, bd stats.Breakdown, topN int) *CritStats {
 	compute := bd.T[stats.BucketCompute] + bd.T[stats.BucketMsgOverhead]
 	memStall := bd.T[stats.BucketMemWait] - r.latMem[node] - r.bwMem[node]
@@ -147,27 +150,7 @@ func (r *CritRecorder) Summarize(clk sim.Clock, node int, bd stats.Breakdown, to
 	}
 	s.TotalCycles = s.Compute + s.MemStall + s.NetLatency + s.NetBandwidth + s.Sync
 
-	edges := r.Edges()
-	sort.SliceStable(edges, func(i, j int) bool {
-		di, dj := edges[i].End-edges[i].Start, edges[j].End-edges[j].Start
-		if di != dj {
-			return di > dj
-		}
-		if edges[i].Start != edges[j].Start {
-			return edges[i].Start < edges[j].Start
-		}
-		if edges[i].Src != edges[j].Src {
-			return edges[i].Src < edges[j].Src
-		}
-		if edges[i].Dst != edges[j].Dst {
-			return edges[i].Dst < edges[j].Dst
-		}
-		return edges[i].Kind < edges[j].Kind
-	})
-	if len(edges) > topN {
-		edges = edges[:topN]
-	}
-	for _, e := range edges {
+	for _, e := range r.topEdges(topN) {
 		s.TopEdges = append(s.TopEdges, CritEdgeSummary{
 			Kind:        e.Kind,
 			Src:         e.Src,
@@ -179,4 +162,49 @@ func (r *CritRecorder) Summarize(clk sim.Clock, node int, bd stats.Breakdown, to
 		})
 	}
 	return s
+}
+
+// topEdges returns the n highest-ranked retained edges in one pass over
+// the ring, oldest first. An edge displaces a kept one only if it ranks
+// strictly higher, so ties keep recording order.
+func (r *CritRecorder) topEdges(n int) []CritEdge {
+	var top []CritEdge
+	older, newer := r.ring.parts()
+	for _, part := range [2][]CritEdge{older, newer} {
+		for i := range part {
+			e := &part[i]
+			at := len(top)
+			for at > 0 && ranksAbove(e, &top[at-1]) {
+				at--
+			}
+			if at >= n {
+				continue
+			}
+			if len(top) < n {
+				top = append(top, CritEdge{})
+			}
+			copy(top[at+1:], top[at:])
+			top[at] = *e
+		}
+	}
+	return top
+}
+
+// ranksAbove reports whether edge a ranks strictly above b in the
+// top-edge summary: longer first, then earlier start, then lower source,
+// destination and kind.
+func ranksAbove(a, b *CritEdge) bool {
+	if da, db := a.End-a.Start, b.End-b.Start; da != db {
+		return da > db
+	}
+	if a.Start != b.Start {
+		return a.Start < b.Start
+	}
+	if a.Src != b.Src {
+		return a.Src < b.Src
+	}
+	if a.Dst != b.Dst {
+		return a.Dst < b.Dst
+	}
+	return a.Kind < b.Kind
 }

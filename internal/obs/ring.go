@@ -1,6 +1,9 @@
 package obs
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Ring is a fixed-capacity buffer that retains the last entries added.
 // It is the one bounded ring behind every observation stream: protocol
@@ -33,9 +36,16 @@ func (r *Ring[T]) Total() int64 { return int64(r.total) }
 
 // Items returns a copy of the retained entries, oldest first.
 func (r *Ring[T]) Items() []T {
+	older, newer := r.parts()
+	return slices.Concat(older, newer)
+}
+
+// parts returns the retained entries in place, oldest first: older, then
+// newer. Both alias the ring's buffer.
+func (r *Ring[T]) parts() (older, newer []T) {
 	if r.total < cap(r.buf) {
-		return append([]T(nil), r.buf[:r.total]...)
+		return r.buf[:r.total], nil
 	}
 	oldest := r.total % cap(r.buf)
-	return append(append(make([]T, 0, cap(r.buf)), r.buf[oldest:]...), r.buf[:oldest]...)
+	return r.buf[oldest:], r.buf[:oldest]
 }
