@@ -27,10 +27,9 @@ build:
 	$(GO) build ./...
 
 # Determinism and simulation-safety analysis (internal/lint), seven
-# checks: the per-package wallclock, unseededrand, maporder, rawconc,
-# fingerprint, and intmath, plus the call-graph-aware callpath. Zero
-# diagnostics — including stale //lint:allow comments — is the bar.
-# See DESIGN.md §10.
+# per-package checks: wallclock, unseededrand, maporder, rawconc,
+# fingerprint, closedscope and intmath. Zero diagnostics — including
+# stale //lint:allow comments — is the bar. See DESIGN.md §10.
 # The second invocation self-lints the analyzer and its CLI explicitly
 # (the pattern set must be import-closed, which these two trees are).
 lint:

@@ -3,7 +3,6 @@
 // `make check` and CI:
 //
 //	simlint ./...            # lint every package in the module
-//	simlint -tests ./...     # include _test.go files
 //	simlint -checks maporder,wallclock ./internal/apps/...
 //	simlint -list            # describe the suite
 //

@@ -12,7 +12,6 @@ import (
 )
 
 func main() {
-	tests := flag.Bool("tests", false, "also lint _test.go files")
 	checks := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := flag.Bool("list", false, "list the checks and exit")
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
@@ -39,7 +38,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	pkgs, err := lint.Load(root, flag.Args(), *tests)
+	pkgs, err := lint.Load(root, flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -28,7 +28,7 @@ import (
 var FingerprintCheck = &Check{
 	Name:  "fingerprint",
 	Doc:   "verify the canonical RunConfig fingerprint covers every field and that all fields have value semantics",
-	Scope: "internal/driver (RunConfig and its fingerprint)",
+	Scope: "every package (a missing fingerprint is an error only in internal/core)",
 	Run:   runFingerprint,
 }
 

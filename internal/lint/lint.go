@@ -20,24 +20,19 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: simlint/%s: %s", d.Pos, d.Check, d.Message)
 }
 
-// Check is one analyzer of the suite: either a per-package syntactic
-// check (Run set) or a module-wide interprocedural check over the shared
-// call graph (RunModule set).
+// Check is one analyzer of the suite, run on one package at a time.
 type Check struct {
 	Name string
 	Doc  string
 	// Scope names where the check looks, for -list ("sim packages",
-	// "app packages", "module-wide", ...).
+	// "every package", ...).
 	Scope string
 	// Applies reports whether the check concerns the package with the
-	// given import path; nil means every package. Per-package checks run
-	// only on applying packages; module checks use it to decide where
-	// their //lint:allow suppressions are meaningful.
+	// given import path; nil means every package. A check runs only on
+	// the packages it applies to, and only there are its //lint:allow
+	// suppressions audited.
 	Applies func(pkgPath string) bool
 	Run     func(*Pass)
-	// RunModule runs once over the whole loaded package set with the
-	// shared call graph.
-	RunModule func(*ModulePass)
 }
 
 // Pass carries one (check, package) analysis run.
@@ -48,32 +43,15 @@ type Pass struct {
 	Pkg     *types.Package
 	Info    *types.Info
 	Files   []*ast.File
+	// Loaded is every package of the run, for checks that look past the
+	// package's own imports.
+	Loaded []*Package
 
 	diags *[]Diagnostic
 }
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Check:   p.Check.Name,
-		Pos:     p.Fset.Position(pos),
-		Message: fmt.Sprintf(format, args...),
-	})
-}
-
-// ModulePass carries one module-wide analysis run: every loaded package
-// plus the shared call graph.
-type ModulePass struct {
-	Check *Check
-	Fset  *token.FileSet
-	Pkgs  []*Package
-	Graph *CallGraph
-
-	diags *[]Diagnostic
-}
-
-// Reportf records a diagnostic at pos.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Check:   p.Check.Name,
 		Pos:     p.Fset.Position(pos),
@@ -89,7 +67,7 @@ func Checks() []*Check {
 		MapOrderCheck,
 		RawConcCheck,
 		FingerprintCheck,
-		CallPathCheck,
+		ClosedScopeCheck,
 		IntMathCheck,
 	}
 }
@@ -121,8 +99,10 @@ func Select(names string) ([]*Check, error) {
 }
 
 // simScopes are the simulator-facing packages where only simulated
-// cycles and explicitly seeded randomness may be observed: everything a
-// run's result can depend on must be derived from the RunConfig.
+// cycles and explicitly seeded randomness may be observed, and no host
+// concurrency used: everything a run's result can depend on must be
+// derived from the RunConfig. closedscope keeps the list closed under
+// module imports.
 var simScopes = []string{
 	"internal/sim",
 	"internal/machine",
@@ -138,14 +118,9 @@ var simScopes = []string{
 	// (The host-side telemetry sinks — run log, heartbeat — live in
 	// internal/core, deliberately outside this list.)
 	"internal/obs",
-}
-
-// appScopes are the simulated-application packages where concurrency
-// must go through sim.Thread/psync, never the host runtime.
-var appScopes = []string{
-	"internal/apps",
-	"internal/workload",
-	"internal/psync",
+	// stats holds the cycle breakdowns and traffic volumes that every
+	// layer adds to.
+	"internal/stats",
 }
 
 // inScope reports whether pkgPath falls under any of the scope path
@@ -163,16 +138,12 @@ func inScope(pkgPath string, scopes []string) bool {
 
 // Run executes the checks over the packages and returns the surviving
 // diagnostics (suppressions applied, stale suppressions reported),
-// sorted by position. Per-package checks run first; module-wide checks
-// share one call graph, built lazily only when such a check is selected.
+// sorted by position.
 func Run(pkgs []*Package, checks []*Check) []Diagnostic {
 	var raw []Diagnostic
 	sup := collectModuleSuppressions(pkgs, &raw)
 	for _, pkg := range pkgs {
 		for _, c := range checks {
-			if c.Run == nil {
-				continue
-			}
 			if c.Applies != nil && !c.Applies(pkg.Path) {
 				continue
 			}
@@ -183,23 +154,10 @@ func Run(pkgs []*Package, checks []*Check) []Diagnostic {
 				Pkg:     pkg.Pkg,
 				Info:    pkg.Info,
 				Files:   pkg.Files,
+				Loaded:  pkgs,
 				diags:   &raw,
 			})
 		}
-	}
-	var graph *CallGraph
-	for _, c := range checks {
-		if c.RunModule == nil {
-			continue
-		}
-		if graph == nil {
-			graph = BuildCallGraph(pkgs)
-		}
-		fset := graph.Fset
-		if fset == nil && len(pkgs) > 0 {
-			fset = pkgs[0].Fset
-		}
-		c.RunModule(&ModulePass{Check: c, Fset: fset, Pkgs: pkgs, Graph: graph, diags: &raw})
 	}
 	var out []Diagnostic
 	for _, d := range raw {

@@ -37,18 +37,22 @@ func TestFixtures(t *testing.T) {
 		// The runlog/heartbeat telemetry sinks measure host wall time by
 		// design; they live in internal/core, which must stay out of scope.
 		{name: "wallclock-runlog-host-side", dir: "wallclock", pkgPath: "repro/internal/core/fixture", checks: []*Check{WallclockCheck}, ignoreWants: true},
+		// Every layer adds to the stats breakdowns from inside a run.
+		{name: "wallclock-stats", dir: "wallclock", pkgPath: "repro/internal/stats/fixture", checks: []*Check{WallclockCheck}},
 		{name: "unseededrand", dir: "unseededrand", pkgPath: "repro/internal/workload/fixture", checks: []*Check{UnseededRandCheck}},
 		{name: "unseededrand-out-of-scope", dir: "unseededrand", pkgPath: "repro/cmd/fixture", checks: []*Check{UnseededRandCheck}, ignoreWants: true},
 		{name: "maporder", dir: "maporder", pkgPath: "repro/internal/figures/fixture", checks: []*Check{MapOrderCheck}},
 		{name: "rawconc", dir: "rawconc", pkgPath: "repro/internal/apps/fixture", checks: []*Check{RawConcCheck}},
 		{name: "rawconc-psync", dir: "rawconc", pkgPath: "repro/internal/psync", checks: []*Check{RawConcCheck}},
-		{name: "rawconc-out-of-scope", dir: "rawconc", pkgPath: "repro/internal/sim", checks: []*Check{RawConcCheck}, ignoreWants: true},
+		// The engine switches threads as coroutines and needs no host
+		// concurrency either.
+		{name: "rawconc-sim", dir: "rawconc", pkgPath: "repro/internal/sim", checks: []*Check{RawConcCheck}},
+		// The parallel sweep runner is host-facing by design.
+		{name: "rawconc-out-of-scope", dir: "rawconc", pkgPath: "repro/internal/core", checks: []*Check{RawConcCheck}, ignoreWants: true},
 		// A worker barrier built on sync/atomic values (method calls that
-		// never name the package at the call site) and park channels is
-		// sanctioned inside internal/sim — the engine owns host scheduling
-		// — but must fire in application code.
+		// never name the package at the call site) and park channels.
 		{name: "rawconc-atomic-app", dir: "rawconc_atomic", pkgPath: "repro/internal/apps/fixture", checks: []*Check{RawConcCheck}},
-		{name: "rawconc-atomic-sim", dir: "rawconc_atomic", pkgPath: "repro/internal/sim", checks: []*Check{RawConcCheck}, ignoreWants: true},
+		{name: "rawconc-atomic-sim", dir: "rawconc_atomic", pkgPath: "repro/internal/sim", checks: []*Check{RawConcCheck}},
 		{name: "fingerprint-good", dir: "fingerprint_good", pkgPath: "repro/internal/core", checks: []*Check{FingerprintCheck}},
 		{name: "fingerprint-missing-field", dir: "fingerprint_missing_field", pkgPath: "repro/internal/core", checks: []*Check{FingerprintCheck}},
 		{name: "fingerprint-reference-fields", dir: "fingerprint_reference", pkgPath: "repro/internal/core", checks: []*Check{FingerprintCheck}},
@@ -68,23 +72,30 @@ func TestFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatalf("checkPackage: %v", err)
 			}
-			got := make(map[string][]string)
-			for _, d := range diags {
-				key := fmt.Sprintf("%s:%d", filepath.Base(d.Pos.Filename), d.Pos.Line)
-				got[key] = append(got[key], d.Check)
-			}
-			for key, names := range got {
-				sort.Strings(names)
-				if want := wants[key]; !equalStrings(names, want) {
-					t.Errorf("%s: got %v, want %v", key, names, want)
-				}
-			}
-			for key, names := range wants {
-				if _, ok := got[key]; !ok {
-					t.Errorf("%s: missing expected diagnostics %v", key, names)
-				}
-			}
+			checkWants(t, diags, wants)
 		})
+	}
+}
+
+// checkWants compares diagnostics against //want annotations keyed
+// "file:line".
+func checkWants(t *testing.T, diags []Diagnostic, wants map[string][]string) {
+	t.Helper()
+	got := make(map[string][]string)
+	for _, d := range diags {
+		key := fmt.Sprintf("%s:%d", filepath.Base(d.Pos.Filename), d.Pos.Line)
+		got[key] = append(got[key], d.Check)
+	}
+	for key, names := range got {
+		sort.Strings(names)
+		if want := wants[key]; !equalStrings(names, want) {
+			t.Errorf("%s: got %v, want %v", key, names, want)
+		}
+	}
+	for key, names := range wants {
+		if _, ok := got[key]; !ok {
+			t.Errorf("%s: missing expected diagnostics %v", key, names)
+		}
 	}
 }
 
@@ -140,19 +151,16 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// TestCallPathFixture runs the interprocedural callpath check over a
-// four-package fixture module: a host helper package (clock, global
-// rand, goroutine spawn), a sim-engine package whose concurrency is
-// sanctioned, a machine-like sim package, and an application package.
-// Cross-package boundary blame, direct-call deferral to the syntactic
-// checks, and the engine barrier are all only observable with more than
-// one package, which is why this does not fit the TestFixtures harness.
-func TestCallPathFixture(t *testing.T) {
+// TestClosedScopeFixture runs closedscope over three fixture packages
+// type-checked together: an engine-like sim package, a host package that
+// imports only it, and a mesh-like sim package that imports both. Both
+// rules are only observable with more than one package, which is why
+// this does not fit the TestFixtures harness.
+func TestClosedScopeFixture(t *testing.T) {
 	specs := []struct{ dir, path string }{
-		{dir: "callpath_host", path: "repro/internal/hostfix"},
-		{dir: "callpath_engine", path: "repro/internal/sim/fixture"},
-		{dir: "callpath_sim", path: "repro/internal/machine/fixture"},
-		{dir: "callpath_app", path: "repro/internal/apps/fixture"},
+		{dir: "closedscope_sim", path: "repro/internal/sim/fixture"},
+		{dir: "closedscope_host", path: "repro/internal/hostfix"},
+		{dir: "closedscope_mesh", path: "repro/internal/mesh/fixture"},
 	}
 	fset := token.NewFileSet()
 	imp := &moduleImporter{
@@ -174,32 +182,71 @@ func TestCallPathFixture(t *testing.T) {
 		imp.checked[s.path] = pkg.Pkg
 		pkgs = append(pkgs, pkg)
 	}
-	diags := Run(pkgs, []*Check{CallPathCheck})
-	got := make(map[string][]string)
-	for _, d := range diags {
-		key := fmt.Sprintf("%s:%d", filepath.Base(d.Pos.Filename), d.Pos.Line)
-		got[key] = append(got[key], d.Check)
-	}
-	for key, names := range got {
-		sort.Strings(names)
-		if want := wants[key]; !equalStrings(names, want) {
-			t.Errorf("%s: got %v, want %v", key, names, want)
-		}
-	}
-	for key, names := range wants {
-		if _, ok := got[key]; !ok {
-			t.Errorf("%s: missing expected diagnostics %v", key, names)
-		}
-	}
-	// The report must carry the full chain to the forbidden function.
+	diags := Run(pkgs, []*Check{ClosedScopeCheck})
+	checkWants(t, diags, wants)
+	// The host type is reported with the interface it satisfies, from a
+	// package it does not import.
 	found := false
 	for _, d := range diags {
-		if strings.Contains(d.Message, "machfix.Stamp -> hostfix.NowMillis -> time.Now") {
+		if strings.Contains(d.Message, "WallDelay implements meshfix.FaultInjector") {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("no diagnostic carries the Stamp -> NowMillis -> time.Now chain:\n%v", diags)
+		t.Errorf("no diagnostic names WallDelay and meshfix.FaultInjector:\n%v", diags)
+	}
+}
+
+// TestLoad loads the import-closed pair that make lint's self-lint
+// names, and checks that a pattern set missing an imported package is
+// refused.
+func TestLoad(t *testing.T) {
+	pkgs, err := Load("../..", []string{"./internal/lint", "./cmd/simlint"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, p := range pkgs {
+		paths = append(paths, p.Path)
+		for _, f := range p.Files {
+			if name := p.Fset.Position(f.Package).Filename; strings.HasSuffix(name, "_test.go") {
+				t.Errorf("%s: test file loaded", name)
+			}
+		}
+		if p.Pkg == nil || p.Info == nil {
+			t.Errorf("%s: not type-checked", p.Path)
+		}
+	}
+	// cmd/simlint imports internal/lint, so it type-checks second.
+	if want := []string{"repro/internal/lint", "repro/cmd/simlint"}; !equalStrings(paths, want) {
+		t.Errorf("loaded %v, want %v", paths, want)
+	}
+	if _, err := Load("../..", []string{"./internal/core"}); err == nil ||
+		!strings.Contains(err.Error(), "outside the loaded pattern set") {
+		t.Errorf("Load(./internal/core) = %v, want an error naming an import outside the loaded pattern set", err)
+	}
+}
+
+// TestDocListsChecks checks that the package doc lists exactly the
+// suite, in order.
+func TestDocListsChecks(t *testing.T) {
+	src, err := os.ReadFile("doc.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed []string
+	for _, line := range strings.Split(string(src), "\n") {
+		entry, ok := strings.CutPrefix(line, "//\t")
+		if name, _, dash := strings.Cut(entry, " — "); ok && dash {
+			listed = append(listed, strings.TrimSpace(name))
+		}
+	}
+	var want []string
+	for _, c := range Checks() {
+		want = append(want, c.Name)
+	}
+	if !equalStrings(listed, want) {
+		t.Errorf("doc.go lists %v, want Checks() order %v", listed, want)
 	}
 }
 

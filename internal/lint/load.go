@@ -28,14 +28,13 @@ type Package struct {
 // Load parses and type-checks the packages matched by patterns, rooted
 // at the module directory root. Patterns are "./..." (every package
 // under root), or "./dir" / "dir" for a single package directory.
-// Test files are excluded unless includeTests is set; testdata, vendor,
-// and hidden directories are always skipped.
+// Test files and testdata, vendor, and hidden directories are skipped.
 //
 // Loading is stdlib-only: module-internal imports resolve against the
 // packages being loaded (so patterns that include a package's
 // dependencies type-check them once), and everything else — the
 // standard library — is type-checked from source via go/importer.
-func Load(root string, patterns []string, includeTests bool) ([]*Package, error) {
+func Load(root string, patterns []string) ([]*Package, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
@@ -53,7 +52,7 @@ func Load(root string, patterns []string, includeTests bool) ([]*Package, error)
 	byPath := make(map[string]*Package, len(dirs))
 	var pkgs []*Package
 	for _, dir := range dirs {
-		pkg, err := parseDir(fset, root, modPath, dir, includeTests)
+		pkg, err := parseDir(fset, root, modPath, dir)
 		if err != nil {
 			return nil, err
 		}
@@ -147,9 +146,9 @@ func expandPatterns(root string, patterns []string) ([]string, error) {
 	return dirs, nil
 }
 
-// parseDir parses one package directory; returns nil if it holds no
-// buildable Go files.
-func parseDir(fset *token.FileSet, root, modPath, dir string, includeTests bool) (*Package, error) {
+// parseDir parses the non-test files of one package directory; returns
+// nil if it holds none.
+func parseDir(fset *token.FileSet, root, modPath, dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -158,10 +157,8 @@ func parseDir(fset *token.FileSet, root, modPath, dir string, includeTests bool)
 	imports := make(map[string]bool)
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		if !includeTests && strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") ||
+			strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -179,21 +176,6 @@ func parseDir(fset *token.FileSet, root, modPath, dir string, includeTests bool)
 	if len(files) == 0 {
 		return nil, nil
 	}
-	// External test packages (package foo_test) cannot be type-checked
-	// together with package foo; keep only the primary package's files.
-	primary := files[0].Name.Name
-	for _, f := range files {
-		if !strings.HasSuffix(f.Name.Name, "_test") {
-			primary = f.Name.Name
-			break
-		}
-	}
-	kept := files[:0]
-	for _, f := range files {
-		if f.Name.Name == primary {
-			kept = append(kept, f)
-		}
-	}
 	rel, err := filepath.Rel(root, dir)
 	if err != nil {
 		return nil, err
@@ -202,7 +184,7 @@ func parseDir(fset *token.FileSet, root, modPath, dir string, includeTests bool)
 	if rel != "." {
 		path = modPath + "/" + filepath.ToSlash(rel)
 	}
-	pkg := &Package{Path: path, Dir: dir, Fset: fset, Files: kept}
+	pkg := &Package{Path: path, Dir: dir, Fset: fset, Files: files}
 	for imp := range imports {
 		pkg.imports = append(pkg.imports, imp)
 	}

@@ -6,26 +6,27 @@ import (
 	"go/types"
 )
 
-// RawConcCheck forbids host concurrency primitives in simulated-
-// application code: `go` statements, channel types and operations,
-// select, and the sync / sync-atomic packages. Application code runs on
-// sim.Thread cooperative threads scheduled by the event engine; all
-// synchronization must go through psync (barriers, locks) or the
-// machine's messaging surface so that host goroutine scheduling can
-// never leak into simulated results. A raw goroutine in an app would
-// race the deterministic engine and break run-to-run reproducibility.
+// RawConcCheck forbids host concurrency primitives in simulator-facing
+// code: `go` statements, channel types and operations, select, and the
+// sync / sync-atomic packages. Simulated code runs on sim.Thread
+// cooperative threads scheduled by the event engine, which switches
+// between them as coroutines; all synchronization must go through psync
+// (barriers, locks) or the machine's messaging surface so that host
+// goroutine scheduling can never leak into simulated results. A raw
+// goroutine or a lock would race the deterministic engine and break
+// run-to-run reproducibility.
 var RawConcCheck = &Check{
 	Name:  "rawconc",
-	Doc:   "forbid go statements, channels, select, and sync primitives in simulated-application code (use sim.Thread/psync)",
-	Scope: "app packages (direct use; callpath covers transitive ones)",
+	Doc:   "forbid go statements, channels, select, and sync primitives in simulator-facing code (use sim.Thread/psync)",
+	Scope: "sim packages",
 	Applies: func(pkgPath string) bool {
-		return inScope(pkgPath, appScopes)
+		return inScope(pkgPath, simScopes)
 	},
 	Run: runRawConc,
 }
 
 func runRawConc(p *Pass) {
-	const remedy = "; simulated-application code must use sim.Thread/psync so host scheduling cannot leak into results"
+	const remedy = "; simulator-facing code must use sim.Thread/psync so host scheduling cannot leak into results"
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {

@@ -1,10 +1,8 @@
 // Package fixture is a host-parallel worker barrier: worker goroutines,
 // sync/atomic counters driven through their methods (epoch.Add never
-// names the package at the call site), and buffered park channels.
-// Inside internal/sim host concurrency is sanctioned (the engine owns
-// host scheduling); the identical code in a simulated application would
-// let host interleave leak into results, so rawconc must fire there and
-// stay silent in sim.
+// names the package at the call site), and buffered park channels. In
+// any sim scope, the engine included, it would let host interleaving
+// leak into results, so rawconc must fire on every such line.
 package fixture
 
 import "sync/atomic"

@@ -14,7 +14,7 @@ import (
 var UnseededRandCheck = &Check{
 	Name:  "unseededrand",
 	Doc:   "forbid global math/rand functions and unseeded rand.New in simulator-facing packages",
-	Scope: "sim packages (direct calls; callpath covers transitive ones)",
+	Scope: "sim packages",
 	Applies: func(pkgPath string) bool {
 		return inScope(pkgPath, simScopes)
 	},

@@ -14,7 +14,7 @@ import (
 var WallclockCheck = &Check{
 	Name:  "wallclock",
 	Doc:   "forbid time.Now/Since/Sleep etc. in simulator-facing packages; only simulated cycles may be observed",
-	Scope: "sim packages (direct calls; callpath covers transitive ones)",
+	Scope: "sim packages",
 	Applies: func(pkgPath string) bool {
 		return inScope(pkgPath, simScopes)
 	},
