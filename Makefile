@@ -30,11 +30,9 @@ build:
 # per-package checks: wallclock, unseededrand, maporder, rawconc,
 # fingerprint, closedscope and intmath. Zero diagnostics — including
 # stale //lint:allow comments — is the bar. See DESIGN.md §10.
-# The second invocation self-lints the analyzer and its CLI explicitly
-# (the pattern set must be import-closed, which these two trees are).
+# ./... includes the analyzer and its CLI.
 lint:
 	$(GO) run ./cmd/simlint ./...
-	$(GO) run ./cmd/simlint ./internal/lint ./cmd/simlint
 
 test:
 	$(GO) test ./...

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"flag"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -18,27 +17,12 @@ import (
 // justified in the change log.
 var update = flag.Bool("update", false, "rewrite testdata/golden/tiny.txt")
 
-// asMainEnv makes the test binary run emulate's own main, so the golden
-// test drives the real command rather than a copy of its table loop.
-const asMainEnv = "EMULATE_TEST_AS_MAIN"
-
-func TestMain(m *testing.M) {
-	if os.Getenv(asMainEnv) != "" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
 // TestEmulateGolden pins the emulated Table 1 machines at tiny scale:
 // every runtime and SM/MP ratio, byte for byte.
 func TestEmulateGolden(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-scale", "tiny")
-	cmd.Env = append(os.Environ(), asMainEnv+"=1")
 	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("emulate -scale tiny: %v\n%s", err, stderr.Bytes())
+	if code := run([]string{"-scale", "tiny"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("emulate -scale tiny: exit status %d\n%s", code, stderr.Bytes())
 	}
 	path := filepath.Join("testdata", "golden", "tiny.txt")
 	if *update {

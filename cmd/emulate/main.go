@@ -1,9 +1,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"text/tabwriter"
 
@@ -12,20 +13,30 @@ import (
 	"repro/internal/machines"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("emulate: ")
-	appName := flag.String("app", "em3d", "application: em3d, unstruc, iccg, moldyn")
-	scaleName := flag.String("scale", "sweep", "workload scale")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run prints the table and returns the exit status: 1 for a bad flag
+// value or a failed run, 2 for an unknown flag.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("emulate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	appName := fs.String("app", "em3d", "application: em3d, unstruc, iccg, moldyn")
+	scaleName := fs.String("scale", "sweep", "workload scale")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int { fmt.Fprintf(stderr, "emulate: %v\n", err); return 1 }
 
 	sc, err := core.ParseScale(*scaleName)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 
-	fmt.Printf("%s on emulated Table 1 machines (32 nodes each; runtimes in processor cycles)\n\n", *appName)
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(stdout, "%s on emulated Table 1 machines (32 nodes each; runtimes in processor cycles)\n\n", *appName)
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "machine\ttopology\tSM\tMP-poll\tSM/MP\tnote")
 	for _, m := range machines.EmulatableMachines() {
 		cfg, note, err := machines.ConfigFor(m)
@@ -36,7 +47,7 @@ func main() {
 		mp, err := core.Run(core.RunConfig{App: core.AppName(*appName), Mech: apps.MPPoll,
 			Scale: sc, Machine: cfg, SkipValidate: true})
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		smText := "n/a"
 		ratioText := "-"
@@ -44,7 +55,7 @@ func main() {
 			sm, err := core.Run(core.RunConfig{App: core.AppName(*appName), Mech: apps.SM,
 				Scale: sc, Machine: cfg, SkipValidate: true})
 			if err != nil {
-				log.Fatal(err)
+				return fail(err)
 			}
 			smText = fmt.Sprintf("%d", sm.Cycles)
 			ratioText = fmt.Sprintf("%.2f", float64(sm.Cycles)/float64(mp.Cycles))
@@ -53,7 +64,8 @@ func main() {
 			m.Name, note.Topology, smText, mp.Cycles, ratioText, note.Comment)
 	}
 	tw.Flush()
-	fmt.Println("\nShared-memory columns are shown only for machines that support it in")
-	fmt.Println("Table 1. Topologies are approximated on a 32-node grid with matched")
-	fmt.Println("bisection bandwidth and network latency (the paper's two parameters).")
+	fmt.Fprintln(stdout, "\nShared-memory columns are shown only for machines that support it in")
+	fmt.Fprintln(stdout, "Table 1. Topologies are approximated on a 32-node grid with matched")
+	fmt.Fprintln(stdout, "bisection bandwidth and network latency (the paper's two parameters).")
+	return 0
 }

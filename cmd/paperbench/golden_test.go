@@ -25,30 +25,45 @@ import (
 // justified in the change log.
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
 
-// asMainEnv makes the test binary run paperbench's own main, so the
-// golden test drives the real command (flags, runner, telemetry sinks)
-// rather than a copy of its figure sequence.
+// asMainEnv makes the test binary run paperbench's main, so one test
+// can check the real exit status and stderr of the command.
 const asMainEnv = "PAPERBENCH_TEST_AS_MAIN"
+
+// cacheDir is the -cache directory the golden runs marked CACHE share:
+// one per test binary, empty until all_tiny, which runs first, fills it.
+var cacheDir string
 
 func TestMain(m *testing.M) {
 	if os.Getenv(asMainEnv) != "" {
 		main()
-		os.Exit(0)
 	}
-	os.Exit(m.Run())
+	dir, err := os.MkdirTemp("", "paperbench-cache")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	cacheDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
 }
 
-// paperbench returns a command that runs this test binary as paperbench.
-func paperbench(args ...string) *exec.Cmd {
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), asMainEnv+"=1")
-	return cmd
+// paperbench runs paperbench in-process and returns its exit status,
+// stdout and stderr.
+func paperbench(args ...string) (code int, stdout, stderr []byte) {
+	var out, errOut bytes.Buffer
+	code = run(args, &out, &errOut)
+	return code, out.Bytes(), errOut.Bytes()
 }
 
 // goldenRuns are the pinned tiny-scale invocations. An "OUT" prefix in
-// args is replaced by a fresh output directory; collect turns one run
-// into named artifacts, compared byte for byte with
-// testdata/golden/<name>/.
+// args is replaced by a fresh output directory, and "CACHE" by cacheDir;
+// collect turns one run into named artifacts, compared byte for byte
+// with testdata/golden/<name>/. all_tiny simulates its plain runs from
+// scratch and stores them in cacheDir, and the two runs after it that
+// repeat most of them read them from disk. Every other run simulates
+// from scratch, so each execution path (plain, -predict, -critpath,
+// faults, noise, -timeline, -runlog) keeps a run that does.
 // Figure S1 (56 s at -j 2 on a 2-vCPU VM) is pinned by CI against
 // testdata/golden/s1_tiny instead, rewritten with
 // `go run ./cmd/paperbench -fig S1 -scale tiny -csv cmd/paperbench/testdata/golden/s1_tiny`.
@@ -60,15 +75,15 @@ var goldenRuns = []struct {
 	args    []string
 	collect func(t *testing.T, stdout, stderr []byte, out string) map[string][]byte
 }{
-	{"all_tiny", []string{"-all", "-scale", "tiny", "-csv", "OUT"}, figureArtifacts},
+	{"all_tiny", []string{"-all", "-scale", "tiny", "-cache", "CACHE", "-csv", "OUT"}, figureArtifacts},
 	// -predicterr 15 fails the run if the dependency-graph model leaves
 	// its committed error bound.
 	{"fig4_critpath_predict", []string{"-fig", "4", "-scale", "tiny", "-critpath", "-predict", "-predicterr", "15", "-csv", "OUT"}, figureArtifacts},
 	// The predicted Figures 8-10, the hybrid Figure 1/2 regions and the
 	// graph-vs-closed-form table.
-	{"all_tiny_predict", []string{"-all", "-scale", "tiny", "-predict", "-csv", "OUT"}, figureArtifacts},
+	{"all_tiny_predict", []string{"-all", "-scale", "tiny", "-predict", "-cache", "CACHE", "-csv", "OUT"}, figureArtifacts},
 	// The simulate-on-demand validation set of a pruned sweep.
-	{"fig10_prune_em3d", []string{"-fig", "10", "-scale", "tiny", "-app", "em3d", "-predict", "-prune", "-csv", "OUT"}, figureArtifacts},
+	{"fig10_prune_em3d", []string{"-fig", "10", "-scale", "tiny", "-app", "em3d", "-predict", "-prune", "-cache", "CACHE", "-csv", "OUT"}, figureArtifacts},
 	// Noise and delay runs pass through every app's compute and
 	// message phases.
 	{"s2_tiny", []string{"-fig", "S2", "-scale", "tiny", "-noiseseeds", "4", "-csv", "OUT"}, figureArtifacts},
@@ -116,20 +131,89 @@ func checkGoldenRun(t *testing.T, name string, args []string,
 		if rest, ok := strings.CutPrefix(a, "OUT"); ok {
 			args[i] = out + rest
 		}
+		if a == "CACHE" {
+			args[i] = cacheDir
+		}
 	}
-	cmd := paperbench(args...)
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("paperbench %s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
+	code, stdout, stderr := paperbench(args...)
+	if code != 0 {
+		t.Fatalf("paperbench %s: exit status %d\n%s", strings.Join(args, " "), code, stderr)
 	}
-	checkGolden(t, filepath.Join("testdata", "golden", name), collect(t, stdout.Bytes(), stderr.Bytes(), out))
+	checkGolden(t, filepath.Join("testdata", "golden", name), collect(t, stdout, stderr, out))
+}
+
+// TestList pins the -list text: every row of the artifact table, in
+// table order.
+func TestList(t *testing.T) {
+	checkGoldenRun(t, "list", []string{"-list"}, figureArtifacts)
+}
+
+// TestArtifactsAlone generates, one at a time, each row of the artifact
+// table that -all includes: alone, a row prints what -all prints for it
+// and writes the same CSVs.
+func TestArtifactsAlone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("regenerates every tiny-scale figure")
+	}
+	golden := readDir(t, filepath.Join("testdata", "golden", "all_tiny"))
+	for _, a := range artifacts {
+		if !a.all {
+			continue
+		}
+		t.Run(a.sel, func(t *testing.T) {
+			out := t.TempDir()
+			code, stdout, stderr := paperbench(append(strings.Fields(a.sel), "-scale", "tiny", "-cache", cacheDir, "-csv", out)...)
+			if code != 0 {
+				t.Fatalf("exit status %d\n%s", code, stderr)
+			}
+			if len(stdout) == 0 || !bytes.Contains(golden["stdout.txt"], stdout) {
+				t.Errorf("prints what -all does not:\n%s", stdout)
+			}
+			for name, data := range readDir(t, out) {
+				if !bytes.Equal(data, golden[name]) {
+					t.Errorf("%s differs from the one -all writes", name)
+				}
+			}
+		})
+	}
+}
+
+// TestExitStatus pins the exit status of every way a run ends early.
+func TestExitStatus(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-list"}, 0},
+		{[]string{"-h"}, 0},
+		{[]string{"-nosuchflag"}, 2},
+		{nil, 2},
+		{[]string{"-fig", "11"}, 2},
+		{[]string{"-table", "3"}, 2},
+		{[]string{"-fig", "4", "-noiseseeds", "0"}, 1},
+		{[]string{"-fig", "4", "-faults", "bogus"}, 1},
+		{[]string{"-fig", "4", "-nodes", "1000"}, 1},
+		{[]string{"-fig", "10", "-prune"}, 1},
+		{[]string{"-fig", "6", "-runlog", filepath.Join(file, "runlog")}, 1},
+		{[]string{"-fig", "3", "-csv", file}, 1}, // the figure fails to write its CSV
+	} {
+		if code, _, stderr := paperbench(c.args...); code != c.want {
+			t.Errorf("paperbench %s: exit status %d, want %d\n%s", strings.Join(c.args, " "), code, c.want, stderr)
+		}
+	}
 }
 
 // TestPredictErrExceeded: a -predicterr bound below the model's worst
-// validated error fails the run and says so.
+// validated error fails the run and says so. It runs the command itself,
+// to check the exit status main returns to the shell.
 func TestPredictErrExceeded(t *testing.T) {
-	out, err := paperbench("-fig", "4", "-scale", "tiny", "-app", "em3d", "-predict", "-predicterr", "1").CombinedOutput()
+	cmd := exec.Command(os.Args[0], "-fig", "4", "-scale", "tiny", "-app", "em3d", "-predict", "-predicterr", "1")
+	cmd.Env = append(os.Environ(), asMainEnv+"=1")
+	out, err := cmd.CombinedOutput()
 	var ee *exec.ExitError
 	if !errors.As(err, &ee) || ee.ExitCode() != 1 || !strings.Contains(string(out), "EXCEEDS the -predicterr bound") {
 		t.Errorf("-predicterr 1: %v, want exit status 1 and an EXCEEDS line; output:\n%s", err, out)
@@ -137,9 +221,18 @@ func TestPredictErrExceeded(t *testing.T) {
 }
 
 func TestUnknownScaleRejected(t *testing.T) {
-	out, err := paperbench("-fig", "4", "-scale", "tyni").CombinedOutput()
-	if err == nil || !strings.Contains(string(out), `unknown scale "tyni"`) {
-		t.Errorf("-scale tyni: err %v, output:\n%s", err, out)
+	code, stdout, stderr := paperbench("-fig", "4", "-scale", "tyni")
+	if code != 1 || len(stdout) > 0 || !strings.Contains(string(stderr), `unknown scale "tyni"`) {
+		t.Errorf("-scale tyni: exit status %d, stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	}
+}
+
+// TestUnknownAppRejected: an unknown -app fails before any simulation,
+// naming the applications there are.
+func TestUnknownAppRejected(t *testing.T) {
+	code, stdout, stderr := paperbench("-all", "-app", "nonesuch", "-scale", "tiny")
+	if code != 1 || len(stdout) > 0 || !strings.Contains(string(stderr), `unknown application "nonesuch" (want one of [em3d unstruc iccg moldyn])`) {
+		t.Errorf("-app nonesuch: exit status %d, stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
 }
 

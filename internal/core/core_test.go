@@ -202,11 +202,15 @@ func TestMissPenaltiesNearPaper(t *testing.T) {
 	}
 }
 
+// testRunner is the runner the sweep tests share, so a configuration two
+// tests need executes once.
+var testRunner = NewRunner(0)
+
 func TestBisectionSweepShape(t *testing.T) {
 	// Figure 8's essence at test scale: as bisection drops, SM degrades
 	// faster than MP.
 	mechs := []apps.Mechanism{apps.SM, apps.MPPoll}
-	pts, err := DefaultRunner.Sweep(EM3D, ScaleTiny, mechs,
+	pts, err := testRunner.Sweep(EM3D, ScaleTiny, mechs,
 		BisectionAxis(machine.DefaultConfig(), []float64{0, 12, 16}))
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +237,7 @@ func TestClockSweepRelativeLatency(t *testing.T) {
 	// range is 14-20 MHz; we widen it to 8 MHz for a clear signal at
 	// test scale.
 	mechs := []apps.Mechanism{apps.SM, apps.MPPoll}
-	pts, err := DefaultRunner.Sweep(EM3D, ScaleSweep, mechs,
+	pts, err := testRunner.Sweep(EM3D, ScaleSweep, mechs,
 		ClockAxis(machine.DefaultConfig(), []float64{20, 8}))
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +258,7 @@ func TestContextSwitchSweepChandraPoint(t *testing.T) {
 	// passing beats shared memory by roughly 2x (reconciling Chandra et
 	// al.); MP curves are flat (they are not varied).
 	mechs := []apps.Mechanism{apps.SM, apps.SMPrefetch, apps.MPPoll}
-	pts, err := DefaultRunner.Sweep(EM3D, ScaleTiny, mechs,
+	pts, err := testRunner.Sweep(EM3D, ScaleTiny, mechs,
 		IdealLatencyAxis(machine.DefaultConfig(), []int64{15, 100}))
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +292,7 @@ func TestContextSwitchSweepChandraPoint(t *testing.T) {
 func TestMsgLenSweepSmallSizesEmulateBetter(t *testing.T) {
 	// Figure 7: the emulation works across message sizes; runtimes vary
 	// with cross-traffic granularity but stay in a band.
-	pts, err := DefaultRunner.Sweep(EM3D, ScaleTiny, []apps.Mechanism{apps.SM},
+	pts, err := testRunner.Sweep(EM3D, ScaleTiny, []apps.Mechanism{apps.SM},
 		MsgLenAxis(machine.DefaultConfig(), 8, []int{16, 64, 256}))
 	if err != nil {
 		t.Fatal(err)
@@ -327,15 +331,15 @@ func TestSweepErrorPropagation(t *testing.T) {
 		{"ideal-latency", IdealLatencyAxis(cfg, []int64{15})},
 		{"msg-len", MsgLenAxis(cfg, 4, []int{64})},
 	} {
-		if _, err := DefaultRunner.Sweep("nonesuch", ScaleTiny, []apps.Mechanism{apps.SM}, c.ax); err == nil {
+		if _, err := testRunner.Sweep("nonesuch", ScaleTiny, []apps.Mechanism{apps.SM}, c.ax); err == nil {
 			t.Errorf("%s sweep with unknown app did not error", c.name)
 		}
 	}
-	if _, err := DefaultRunner.PredictedSweep("nonesuch", ScaleTiny, []apps.Mechanism{apps.SM},
+	if _, err := testRunner.PredictedSweep("nonesuch", ScaleTiny, []apps.Mechanism{apps.SM},
 		ClockAxis(cfg, []float64{20}), false); err == nil {
 		t.Error("predicted sweep with unknown app did not error")
 	}
-	if _, err := DefaultRunner.PredictedSweep(EM3D, ScaleTiny, []apps.Mechanism{apps.SM},
+	if _, err := testRunner.PredictedSweep(EM3D, ScaleTiny, []apps.Mechanism{apps.SM},
 		MsgLenAxis(cfg, 4, []int{64}), false); !errors.Is(err, errNoPrediction) {
 		t.Errorf("predicted msg-len sweep: err = %v, want %v", err, errNoPrediction)
 	}

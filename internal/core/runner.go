@@ -53,16 +53,6 @@ func NewRunner(workers int) *Runner {
 	return &Runner{workers: workers, cache: make(map[RunConfig]*runnerEntry)}
 }
 
-// DefaultRunner is the shared runner the figures and the repro facade
-// sweep on. Its cache persists across sweeps, so e.g. regenerating
-// Figure 8 after Figure 7 reuses any overlapping points.
-var DefaultRunner = NewRunner(0)
-
-// SetDefaultWorkers resets the default runner to n workers (n <= 0 means
-// GOMAXPROCS) with a fresh cache. It is not safe to call concurrently
-// with sweeps on the default runner.
-func SetDefaultWorkers(n int) { DefaultRunner = NewRunner(n) }
-
 // Workers reports the pool width.
 func (r *Runner) Workers() int { return r.workers }
 

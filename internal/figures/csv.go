@@ -16,14 +16,11 @@ import (
 // mechanism a point did not measure (a crashed run) emits an empty cell
 // rather than a zero, as WriteScalingCSV does.
 func WriteSweepCSV(w io.Writer, xlabel string, mechs []apps.Mechanism, pts []core.SweepPoint) error {
-	cw := csv.NewWriter(w)
 	header := []string{xlabel}
 	for _, m := range mechs {
 		header = append(header, m.String()+"_cycles")
 	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
+	records := [][]string{header}
 	for _, pt := range pts {
 		row := []string{strconv.FormatFloat(pt.X, 'f', 2, 64)}
 		for _, m := range mechs {
@@ -33,12 +30,9 @@ func WriteSweepCSV(w io.Writer, xlabel string, mechs []apps.Mechanism, pts []cor
 				row = append(row, "")
 			}
 		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
+		records = append(records, row)
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(records)
 }
 
 // WriteScalingCSV emits the Figure S1 node-scaling experiment as CSV:
@@ -47,7 +41,6 @@ func WriteSweepCSV(w io.Writer, xlabel string, mechs []apps.Mechanism, pts []cor
 // fixed tiny em3d graph on 512 nodes) emit empty cells rather than
 // zeros, so downstream plots drop the point instead of plotting it.
 func WriteScalingCSV(w io.Writer, mechs []apps.Mechanism, fixed, scaled []core.SweepPoint) error {
-	cw := csv.NewWriter(w)
 	header := []string{"mode", "nodes"}
 	for _, m := range mechs {
 		header = append(header, m.String()+"_cycles")
@@ -55,9 +48,7 @@ func WriteScalingCSV(w io.Writer, mechs []apps.Mechanism, fixed, scaled []core.S
 	for _, m := range mechs {
 		header = append(header, m.String()+"_speedup")
 	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
+	records := [][]string{header}
 	for _, mode := range []struct {
 		name string
 		pts  []core.SweepPoint
@@ -78,33 +69,27 @@ func WriteScalingCSV(w io.Writer, mechs []apps.Mechanism, fixed, scaled []core.S
 					row = append(row, "")
 				}
 			}
-			if err := cw.Write(row); err != nil {
-				return err
-			}
+			records = append(records, row)
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(records)
 }
 
 // WriteFig4CSV emits the per-app/mechanism breakdown table as CSV.
 func WriteFig4CSV(w io.Writer, rows []Fig4Row) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
+	records := [][]string{{
 		"app", "mechanism", "cycles",
 		"sync_cycles", "msg_overhead_cycles", "mem_ni_wait_cycles", "compute_cycles",
 		"volume_total", "volume_invalidates", "volume_requests", "volume_headers", "volume_data",
 		"remote_misses", "messages_sent", "interrupts", "polls",
-	}); err != nil {
-		return err
-	}
+	}}
 	for _, r := range rows {
 		bd := r.Res.Breakdown
 		v := r.Res.Volume
 		ev := r.Res.Events
 		// Breakdown times are picoseconds; emit as-is (consumers can
 		// divide by the clock period) plus the headline cycles.
-		row := []string{
+		records = append(records, []string{
 			string(r.App), r.Res.Mech.String(),
 			strconv.FormatInt(r.Res.Cycles, 10),
 			strconv.FormatInt(int64(bd.T[stats.BucketSync]), 10),
@@ -120,13 +105,9 @@ func WriteFig4CSV(w io.Writer, rows []Fig4Row) error {
 			strconv.FormatInt(ev.MessagesSent, 10),
 			strconv.FormatInt(ev.Interrupts, 10),
 			strconv.FormatInt(ev.Polls, 10),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
+		})
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(records)
 }
 
 // WriteCritPathCSV emits the critical-path attribution per figure point:
@@ -137,14 +118,11 @@ func WriteFig4CSV(w io.Writer, rows []Fig4Row) error {
 // skipped. net_latency_share is the headline sensitivity number: the
 // fraction of the critical path spent on uncongested message flight.
 func WriteCritPathCSV(w io.Writer, rows []Fig4Row) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
+	records := [][]string{{
 		"app", "mechanism", "crit_node", "total_cycles",
 		"compute", "mem_stall", "net_latency", "net_bandwidth", "sync",
 		"net_latency_share",
-	}); err != nil {
-		return err
-	}
+	}}
 	for _, r := range rows {
 		cp := r.Res.CritPath
 		if cp == nil {
@@ -154,7 +132,7 @@ func WriteCritPathCSV(w io.Writer, rows []Fig4Row) error {
 		if cp.TotalCycles > 0 {
 			share = float64(cp.NetLatency) / float64(cp.TotalCycles)
 		}
-		row := []string{
+		records = append(records, []string{
 			string(r.App), r.Res.Mech.String(),
 			strconv.Itoa(cp.Node),
 			strconv.FormatInt(cp.TotalCycles, 10),
@@ -164,26 +142,16 @@ func WriteCritPathCSV(w io.Writer, rows []Fig4Row) error {
 			strconv.FormatInt(cp.NetBandwidth, 10),
 			strconv.FormatInt(cp.Sync, 10),
 			strconv.FormatFloat(share, 'f', 4, 64),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
+		})
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(records)
 }
 
 // WriteMissPenaltiesCSV emits the Figure 3 microbenchmark results.
 func WriteMissPenaltiesCSV(w io.Writer, mp core.MissPenalties) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"operation", "measured_cycles", "paper_cycles"}); err != nil {
-		return err
-	}
+	records := [][]string{{"operation", "measured_cycles", "paper_cycles"}}
 	for _, r := range fig3Rows(mp) {
-		if err := cw.Write([]string{r.key, fmt.Sprintf("%.1f", r.measured), r.paperCSV}); err != nil {
-			return err
-		}
+		records = append(records, []string{r.key, fmt.Sprintf("%.1f", r.measured), r.paperCSV})
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(records)
 }

@@ -75,7 +75,7 @@ func TestSweepPrintersMarkMissingMechanism(t *testing.T) {
 }
 
 func TestWriteFig4CSVRoundTrips(t *testing.T) {
-	rows, err := Fig4Data(core.ScaleTiny, machine.DefaultConfig())
+	rows, err := Fig4Data(testRunner, core.ScaleTiny, machine.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@
 // cross-traffic message-length sensitivity, the Figure 8 bisection sweep,
 // the Figure 9 clock-scaling sweep, the Figure 10 context-switch latency
 // sweep, the Figure 1/2 region classifications derived from those sweeps,
-// and Tables 1 and 2. Each generator returns the underlying data so tests
-// and tools can assert on it.
+// and Tables 1 and 2. Each generator that simulates runs on the
+// *core.Runner its caller passes, and each returns the underlying data so
+// tests and tools can assert on it. cmd/paperbench holds the table of
+// artifacts that selects and orders them.
 package figures

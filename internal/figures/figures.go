@@ -18,22 +18,22 @@ type Fig4Row struct {
 }
 
 // Fig4Data runs all four applications under all five mechanisms on the
-// base machine. The 20 runs execute on core.DefaultRunner's worker pool;
-// row order matches the serial nesting (app-major, mechanism-minor).
-func Fig4Data(sc core.Scale, cfg machine.Config) ([]Fig4Row, error) {
+// base machine. The 20 runs execute on r's worker pool; row order
+// matches the serial nesting (app-major, mechanism-minor).
+func Fig4Data(r *core.Runner, sc core.Scale, cfg machine.Config) ([]Fig4Row, error) {
 	var jobs []core.RunConfig
 	for _, app := range core.AppNames {
 		for _, mech := range apps.Mechanisms {
 			jobs = append(jobs, core.RunConfig{App: app, Mech: mech, Scale: sc, Machine: cfg})
 		}
 	}
-	results, err := core.DefaultRunner.RunBatch(jobs)
+	results, err := r.RunBatch(jobs)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]Fig4Row, len(results))
-	for i, r := range results {
-		rows[i] = Fig4Row{App: jobs[i].App, Res: r}
+	for i, res := range results {
+		rows[i] = Fig4Row{App: jobs[i].App, Res: res}
 	}
 	return rows, nil
 }
@@ -226,26 +226,21 @@ var SweepFigures = []SweepFigure{
 }
 
 // Run computes and prints the figure for one application on ax, with
-// every mechanism. It simulates every point, or, with predicted, solves
-// them from one instrumented run per mechanism (with prune, simulating
-// only the points the model distrusts). It returns the figure's points,
-// measured or, predicted, the hybrid measured-where-validated curve,
-// plus the predicted sweep itself.
-func (f SweepFigure) Run(w io.Writer, app core.AppName, sc core.Scale, ax core.Axis, predicted, prune bool) ([]core.SweepPoint, *core.PredictedSweep, error) {
-	var (
-		pts []core.SweepPoint
-		ps  *core.PredictedSweep
-		err error
-	)
+// every mechanism, on r. It simulates every point, or, with predicted,
+// solves them from one instrumented run per mechanism (with prune,
+// simulating only the points the model distrusts). It returns the
+// figure's points, measured or, predicted, the hybrid
+// measured-where-validated curve, plus the predicted sweep itself.
+func (f SweepFigure) Run(w io.Writer, r *core.Runner, app core.AppName, sc core.Scale, ax core.Axis, predicted, prune bool) (pts []core.SweepPoint, ps *core.PredictedSweep, err error) {
 	if predicted {
-		if ps, err = core.DefaultRunner.PredictedSweep(app, sc, apps.Mechanisms, ax, prune); err != nil {
+		if ps, err = r.PredictedSweep(app, sc, apps.Mechanisms, ax, prune); err != nil {
 			return nil, nil, err
 		}
 		PrintPredictedSweep(w, fmt.Sprintf("Figure %d (%s, predicted): execution cycles vs %s", f.Num, app, f.Subject),
 			f.XLabel, apps.Mechanisms, ps)
 		pts = ps.HybridPoints()
 	} else {
-		if pts, err = core.DefaultRunner.Sweep(app, sc, apps.Mechanisms, ax); err != nil {
+		if pts, err = r.Sweep(app, sc, apps.Mechanisms, ax); err != nil {
 			return nil, nil, err
 		}
 		printSweep(w, fmt.Sprintf("Figure %d (%s): execution cycles vs %s", f.Num, app, f.Subject),
@@ -262,9 +257,9 @@ func (f SweepFigure) Run(w io.Writer, app core.AppName, sc core.Scale, ax core.A
 }
 
 // Fig7 runs and prints the cross-traffic message-length sensitivity.
-func Fig7(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, rate float64, sizes []int) ([]core.SweepPoint, error) {
+func Fig7(w io.Writer, r *core.Runner, app core.AppName, sc core.Scale, cfg machine.Config, rate float64, sizes []int) ([]core.SweepPoint, error) {
 	mechs := []apps.Mechanism{apps.SM}
-	pts, err := core.DefaultRunner.Sweep(app, sc, mechs, core.MsgLenAxis(cfg, rate, sizes))
+	pts, err := r.Sweep(app, sc, mechs, core.MsgLenAxis(cfg, rate, sizes))
 	if err != nil {
 		return nil, err
 	}
@@ -277,12 +272,8 @@ func Fig7(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, rate
 // prints the region of each interval per mechanism.
 func (f RegionFigure) Print(w io.Writer, pts []core.SweepPoint) {
 	fmt.Fprintf(w, "Figure %d (measured): %s\n", f.Num, f.Title)
-	printRegions(w, pts, f.Mechs)
-}
-
-func printRegions(w io.Writer, pts []core.SweepPoint, mechs []apps.Mechanism) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	for _, m := range mechs {
+	for _, m := range f.Mechs {
 		regions := core.ClassifyRegions(pts, m)
 		fmt.Fprintf(tw, "%s", m)
 		for _, r := range regions {

@@ -10,8 +10,12 @@ import (
 	"repro/internal/machine"
 )
 
+// testRunner is the runner the figure tests share, so a configuration
+// two tests need executes once.
+var testRunner = core.NewRunner(0)
+
 func TestFig4DataAndPrint(t *testing.T) {
-	rows, err := Fig4Data(core.ScaleTiny, machine.DefaultConfig())
+	rows, err := Fig4Data(testRunner, core.ScaleTiny, machine.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +43,7 @@ func TestFig4DataAndPrint(t *testing.T) {
 }
 
 func TestFig4VolumeShapes(t *testing.T) {
-	rows, err := Fig4Data(core.ScaleTiny, machine.DefaultConfig())
+	rows, err := Fig4Data(testRunner, core.ScaleTiny, machine.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +82,7 @@ func TestPrintFig3Bounds(t *testing.T) {
 func TestFig8EndToEnd(t *testing.T) {
 	var buf bytes.Buffer
 	fig8 := SweepFigures[0]
-	pts, ps, err := fig8.Run(&buf, core.EM3D, core.ScaleTiny,
+	pts, ps, err := fig8.Run(&buf, testRunner, core.EM3D, core.ScaleTiny,
 		core.BisectionAxis(machine.DefaultConfig(), []float64{0, 14}), false, false)
 	if err != nil {
 		t.Fatal(err)
@@ -104,10 +108,10 @@ func TestFig8EndToEnd(t *testing.T) {
 func TestFig9Fig10EndToEnd(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := machine.DefaultConfig()
-	if _, _, err := SweepFigures[1].Run(&buf, core.EM3D, core.ScaleTiny, core.ClockAxis(cfg, []float64{20, 14}), false, false); err != nil {
+	if _, _, err := SweepFigures[1].Run(&buf, testRunner, core.EM3D, core.ScaleTiny, core.ClockAxis(cfg, []float64{20, 14}), false, false); err != nil {
 		t.Fatal(err)
 	}
-	pts, _, err := SweepFigures[2].Run(&buf, core.EM3D, core.ScaleTiny, core.IdealLatencyAxis(cfg, []int64{15, 100}), false, false)
+	pts, _, err := SweepFigures[2].Run(&buf, testRunner, core.EM3D, core.ScaleTiny, core.IdealLatencyAxis(cfg, []int64{15, 100}), false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +126,7 @@ func TestFig9Fig10EndToEnd(t *testing.T) {
 
 func TestFig7EndToEnd(t *testing.T) {
 	var buf bytes.Buffer
-	pts, err := Fig7(&buf, core.EM3D, core.ScaleTiny, machine.DefaultConfig(), 8, []int{32, 128})
+	pts, err := Fig7(&buf, testRunner, core.EM3D, core.ScaleTiny, machine.DefaultConfig(), 8, []int{32, 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +159,7 @@ func TestFig1Fig2Classification(t *testing.T) {
 
 func TestPrintModelComparison(t *testing.T) {
 	var buf bytes.Buffer
-	worst, err := PrintModelComparison(&buf, core.EM3D, core.ScaleSweep,
+	worst, err := PrintModelComparison(&buf, testRunner, core.EM3D, core.ScaleSweep,
 		machine.DefaultConfig(), []int64{15, 100, 200})
 	if err != nil {
 		t.Fatal(err)
@@ -170,18 +174,16 @@ func TestPrintModelComparison(t *testing.T) {
 }
 
 // TestModelComparisonUsesRunner checks that the model comparison's runs
-// go through the default runner: a repeat executes nothing.
+// go through the runner it is given: a repeat executes nothing.
 func TestModelComparisonUsesRunner(t *testing.T) {
-	old := core.DefaultRunner
-	core.DefaultRunner = core.NewRunner(1)
-	defer func() { core.DefaultRunner = old }()
+	r := core.NewRunner(1)
 	lats := []int64{15, 50, 100, 200}
 	for i, want := range []uint64{6, 6} {
 		var buf bytes.Buffer
-		if _, err := PrintModelComparison(&buf, core.EM3D, core.ScaleTiny, machine.DefaultConfig(), lats); err != nil {
+		if _, err := PrintModelComparison(&buf, r, core.EM3D, core.ScaleTiny, machine.DefaultConfig(), lats); err != nil {
 			t.Fatal(err)
 		}
-		if _, executed := core.DefaultRunner.Stats(); executed != want {
+		if _, executed := r.Stats(); executed != want {
 			t.Errorf("call %d: %d runs executed in all, want %d", i+1, executed, want)
 		}
 	}

@@ -15,26 +15,16 @@ import (
 // baseline runs and prints model-vs-simulated shared-memory runtimes
 // across the latency sweep — the quantitative companion to the paper's
 // conceptual Figure 2. It returns the worst model/simulated ratio. Its
-// runs go through core.DefaultRunner, whose Sweep over
-// core.IdealLatencyAxis runs the latency points on the worker pool and
-// memoizes, caches, logs and counts them with the sweeps they repeat.
-func PrintModelComparison(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, lats []int64) (float64, error) {
-	smRun, err := core.DefaultRunner.Run(core.RunConfig{App: app, Mech: apps.SM, Scale: sc,
-		Machine: cfg, SkipValidate: true})
-	if err != nil {
-		return 0, err
-	}
-	mpRun, err := core.DefaultRunner.Run(core.RunConfig{App: app, Mech: apps.MPPoll, Scale: sc,
-		Machine: cfg, SkipValidate: true})
-	if err != nil {
-		return 0, err
-	}
-	appP, machP, err := model.Fit(smRun, mpRun, cfg)
+// runs go through r, whose Sweep over core.IdealLatencyAxis runs the
+// latency points on the worker pool and memoizes, caches, logs and
+// counts them with the sweeps they repeat.
+func PrintModelComparison(w io.Writer, r *core.Runner, app core.AppName, sc core.Scale, cfg machine.Config, lats []int64) (float64, error) {
+	appP, machP, err := fitModel(r, app, sc, cfg)
 	if err != nil {
 		return 0, err
 	}
 
-	pts, err := core.DefaultRunner.Sweep(app, sc, []apps.Mechanism{apps.SM}, core.IdealLatencyAxis(cfg, lats))
+	pts, err := r.Sweep(app, sc, []apps.Mechanism{apps.SM}, core.IdealLatencyAxis(cfg, lats))
 	if err != nil {
 		return 0, err
 	}
@@ -62,6 +52,20 @@ func PrintModelComparison(w io.Writer, app core.AppName, sc core.Scale, cfg mach
 	}
 	tw.Flush()
 	return worst, nil
+}
+
+// fitModel fits the Section 2 closed-form model from app's shared-memory
+// and MP-poll runs on the base machine, run on r.
+func fitModel(r *core.Runner, app core.AppName, sc core.Scale, cfg machine.Config) (model.AppParams, model.MachineParams, error) {
+	var runs [2]core.RunResult
+	for i, mech := range []apps.Mechanism{apps.SM, apps.MPPoll} {
+		res, err := r.Run(core.RunConfig{App: app, Mech: mech, Scale: sc, Machine: cfg, SkipValidate: true})
+		if err != nil {
+			return model.AppParams{}, model.MachineParams{}, err
+		}
+		runs[i] = res
+	}
+	return model.Fit(runs[0], runs[1], cfg)
 }
 
 // PrintLogP measures and prints the machine's LogP parameters — the

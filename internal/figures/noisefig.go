@@ -44,12 +44,12 @@ func DefaultNoiseSeeds(n int) []uint64 {
 //     reply; one-way message passing overlaps it);
 //   - delay propagation: a single injected delay on delayNode, and the
 //     per-node completion shift grouped by hop distance from it.
-func FigS2(w io.Writer, app core.AppName, sc core.Scale, base machine.Config, spec string, seeds []uint64, delayNode int) ([]core.NoiseDistribution, []core.PropagationResult, error) {
-	dists, err := core.DefaultRunner.NoiseSeedSweep(app, sc, apps.Mechanisms, base, spec, seeds)
+func FigS2(w io.Writer, r *core.Runner, app core.AppName, sc core.Scale, base machine.Config, spec string, seeds []uint64, delayNode int) ([]core.NoiseDistribution, []core.PropagationResult, error) {
+	dists, err := r.NoiseSeedSweep(app, sc, apps.Mechanisms, base, spec, seeds)
 	if err != nil {
 		return nil, nil, err
 	}
-	props, err := core.DefaultRunner.DelayPropagation(app, sc, apps.Mechanisms, base, delayNode)
+	props, err := r.DelayPropagation(app, sc, apps.Mechanisms, base, delayNode)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -94,19 +94,14 @@ func FigS2(w io.Writer, app core.AppName, sc core.Scale, base machine.Config, sp
 // "propagation" (key = base_cycles/at_cycles/delay_cycles/runtime_shift
 // or shift_hops_<h>).
 func WriteNoiseCSV(w io.Writer, dists []core.NoiseDistribution, props []core.PropagationResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"section", "mechanism", "key", "value"}); err != nil {
-		return err
-	}
-	row := func(section, mech, key, value string) error {
-		return cw.Write([]string{section, mech, key, value})
+	records := [][]string{{"section", "mechanism", "key", "value"}}
+	row := func(section, mech, key, value string) {
+		records = append(records, []string{section, mech, key, value})
 	}
 	for _, d := range dists {
 		mech := d.Mech.String()
 		for i, seed := range d.Seeds {
-			if err := row("seeds", mech, strconv.FormatUint(seed, 10), strconv.FormatInt(d.Cycles[i], 10)); err != nil {
-				return err
-			}
+			row("seeds", mech, strconv.FormatUint(seed, 10), strconv.FormatInt(d.Cycles[i], 10))
 		}
 		s := stats.Summarize(d.Cycles)
 		for _, kv := range []struct {
@@ -119,9 +114,7 @@ func WriteNoiseCSV(w io.Writer, dists []core.NoiseDistribution, props []core.Pro
 			{"min", strconv.FormatInt(s.Min, 10)},
 			{"max", strconv.FormatInt(s.Max, 10)},
 		} {
-			if err := row("summary", mech, kv.k, kv.v); err != nil {
-				return err
-			}
+			row("summary", mech, kv.k, kv.v)
 		}
 	}
 	for _, p := range props {
@@ -135,16 +128,11 @@ func WriteNoiseCSV(w io.Writer, dists []core.NoiseDistribution, props []core.Pro
 			{"delay_cycles", p.DelayCycles},
 			{"runtime_shift", p.RuntimeShift},
 		} {
-			if err := row("propagation", mech, kv.k, strconv.FormatInt(kv.v, 10)); err != nil {
-				return err
-			}
+			row("propagation", mech, kv.k, strconv.FormatInt(kv.v, 10))
 		}
 		for h, s := range p.ShiftByHops {
-			if err := row("propagation", mech, fmt.Sprintf("shift_hops_%d", h), strconv.FormatFloat(s, 'f', 1, 64)); err != nil {
-				return err
-			}
+			row("propagation", mech, fmt.Sprintf("shift_hops_%d", h), strconv.FormatFloat(s, 'f', 1, 64))
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(records)
 }

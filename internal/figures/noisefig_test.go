@@ -41,7 +41,7 @@ func TestDefaultNoiseSpecParses(t *testing.T) {
 // the hop profile.
 func TestFigS2EndToEnd(t *testing.T) {
 	var buf bytes.Buffer
-	dists, props, err := FigS2(&buf, core.EM3D, core.ScaleTiny, machine.DefaultConfig(),
+	dists, props, err := FigS2(&buf, testRunner, core.EM3D, core.ScaleTiny, machine.DefaultConfig(),
 		"hostnoise:node=*,dist=exp,mean=2us", DefaultNoiseSeeds(2), 0)
 	if err != nil {
 		t.Fatal(err)

@@ -68,20 +68,13 @@ var predictedColumns = []string{"mechanism", "predicted_cycles", "simulated_cycl
 // where pruning skipped it), error, and the model's confidence and
 // estimated bisection utilization.
 func WritePredictedCSV(w io.Writer, xlabel string, mechs []apps.Mechanism, ps *core.PredictedSweep) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(append([]string{xlabel}, predictedColumns...)); err != nil {
-		return err
-	}
-	if err := writePredictedRows(cw, nil, mechs, ps); err != nil {
-		return err
-	}
-	cw.Flush()
-	return cw.Error()
+	records := predictedRows([][]string{append([]string{xlabel}, predictedColumns...)}, nil, mechs, ps)
+	return csv.NewWriter(w).WriteAll(records)
 }
 
-// writePredictedRows writes ps's rows in WritePredictedCSV's layout,
-// each after the columns in prefix.
-func writePredictedRows(cw *csv.Writer, prefix []string, mechs []apps.Mechanism, ps *core.PredictedSweep) error {
+// predictedRows appends ps's rows in WritePredictedCSV's layout to
+// records, each after the columns in prefix.
+func predictedRows(records [][]string, prefix []string, mechs []apps.Mechanism, ps *core.PredictedSweep) [][]string {
 	for _, pt := range ps.Points {
 		for _, m := range mechs {
 			pred, ok := pt.Pred[m]
@@ -93,17 +86,14 @@ func writePredictedRows(cw *csv.Writer, prefix []string, mechs []apps.Mechanism,
 				simCol = strconv.FormatInt(sim.Cycles, 10)
 				errCol = strconv.FormatFloat(predict.ErrorPct(float64(pred.Cycles), float64(sim.Cycles)), 'f', 3, 64)
 			}
-			row := append(append([]string(nil), prefix...),
+			records = append(records, append(append([]string(nil), prefix...),
 				strconv.FormatFloat(pt.X, 'f', 2, 64), m.String(),
 				strconv.FormatInt(pred.Cycles, 10), simCol, errCol,
 				strconv.FormatFloat(pred.Confidence, 'f', 4, 64),
-				strconv.FormatFloat(pred.Rho, 'f', 4, 64))
-			if err := cw.Write(row); err != nil {
-				return err
-			}
+				strconv.FormatFloat(pred.Rho, 'f', 4, 64)))
 		}
 	}
-	return nil
+	return records
 }
 
 // PredictedFig4 is one application's slice of the -fig 4 -predict
@@ -135,22 +125,18 @@ var (
 // latency tolerances. It returns the per-app sweeps plus the aggregate
 // error statistics over every validated mechanism-point. prune
 // validates only the points the model distrusts.
-func PredFig4(w io.Writer, appsToRun []core.AppName, sc core.Scale, cfg machine.Config, prune bool) ([]PredictedFig4, predict.ErrorStats, error) {
-	var (
-		rows  []PredictedFig4
-		stats predict.ErrorStats
-	)
+func PredFig4(w io.Writer, r *core.Runner, appsToRun []core.AppName, sc core.Scale, cfg machine.Config, prune bool) (rows []PredictedFig4, stats predict.ErrorStats, err error) {
 	fmt.Fprintln(w, "Figure 4 (predicted): dependency-graph model vs simulation, per app and mechanism")
 	for _, app := range appsToRun {
 		mhzs := make([]float64, len(predFig4MhzFracs))
 		for i, f := range predFig4MhzFracs {
 			mhzs[i] = cfg.ClockMHz * f
 		}
-		clock, err := core.DefaultRunner.PredictedSweep(app, sc, apps.Mechanisms, core.ClockAxis(cfg, mhzs), prune)
+		clock, err := r.PredictedSweep(app, sc, apps.Mechanisms, core.ClockAxis(cfg, mhzs), prune)
 		if err != nil {
 			return nil, stats, err
 		}
-		bisect, err := core.DefaultRunner.PredictedSweep(app, sc, apps.Mechanisms, core.BisectionAxis(cfg, predFig4Rates), prune)
+		bisect, err := r.PredictedSweep(app, sc, apps.Mechanisms, core.BisectionAxis(cfg, predFig4Rates), prune)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -171,20 +157,12 @@ func PredFig4(w io.Writer, appsToRun []core.AppName, sc core.Scale, cfg machine.
 // WritePredictedFig4CSV emits the validation matrix as CSV, both axes
 // per app in one file.
 func WritePredictedFig4CSV(w io.Writer, rows []PredictedFig4) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(append([]string{"app", "axis", "x"}, predictedColumns...)); err != nil {
-		return err
-	}
+	records := [][]string{append([]string{"app", "axis", "x"}, predictedColumns...)}
 	for _, r := range rows {
-		if err := writePredictedRows(cw, []string{string(r.App), "clock"}, apps.Mechanisms, r.Clock); err != nil {
-			return err
-		}
-		if err := writePredictedRows(cw, []string{string(r.App), "bisection"}, apps.Mechanisms, r.Bisection); err != nil {
-			return err
-		}
+		records = predictedRows(records, []string{string(r.App), "clock"}, apps.Mechanisms, r.Clock)
+		records = predictedRows(records, []string{string(r.App), "bisection"}, apps.Mechanisms, r.Bisection)
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(records)
 }
 
 // WriteLatencyToleranceCSV emits the latency-tolerance metric per
@@ -192,10 +170,7 @@ func WritePredictedFig4CSV(w io.Writer, rows []PredictedFig4) error {
 // at which the model predicts runtime grows past the configured target.
 // Mechanisms that never reach it at any plausible latency emit "inf".
 func WriteLatencyToleranceCSV(w io.Writer, rows []PredictedFig4) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"app", "mechanism", "tolerance_one_way_cycles"}); err != nil {
-		return err
-	}
+	records := [][]string{{"app", "mechanism", "tolerance_one_way_cycles"}}
 	for _, r := range rows {
 		for _, m := range apps.Mechanisms {
 			tol, ok := r.Clock.Tolerance[m]
@@ -206,39 +181,25 @@ func WriteLatencyToleranceCSV(w io.Writer, rows []PredictedFig4) error {
 			if !math.IsInf(tol, 1) {
 				col = strconv.FormatFloat(tol, 'f', 1, 64)
 			}
-			if err := cw.Write([]string{string(r.App), m.String(), col}); err != nil {
-				return err
-			}
+			records = append(records, []string{string(r.App), m.String(), col})
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(records)
 }
 
 // PrintGraphVsClosedForm puts the two models side by side against
 // simulation on the Figure 10 latency axis for shared memory: the
 // fitted Section 2 closed form (which names the region) and the
 // dependency-graph replay (which should win on magnitude). Returns the
-// error statistics of each. Like PrintModelComparison, it runs on
-// core.DefaultRunner.
-func PrintGraphVsClosedForm(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, lats []int64) (graphErr, closedErr predict.ErrorStats, err error) {
+// error statistics of each. Like PrintModelComparison, it runs on r.
+func PrintGraphVsClosedForm(w io.Writer, r *core.Runner, app core.AppName, sc core.Scale, cfg machine.Config, lats []int64) (graphErr, closedErr predict.ErrorStats, err error) {
 	// Full validation: every point simulated.
-	ps, err := core.DefaultRunner.PredictedSweep(app, sc,
+	ps, err := r.PredictedSweep(app, sc,
 		[]apps.Mechanism{apps.SM}, core.IdealLatencyAxis(cfg, lats), false)
 	if err != nil {
 		return graphErr, closedErr, err
 	}
-	smRun, err := core.DefaultRunner.Run(core.RunConfig{App: app, Mech: apps.SM, Scale: sc,
-		Machine: cfg, SkipValidate: true})
-	if err != nil {
-		return graphErr, closedErr, err
-	}
-	mpRun, err := core.DefaultRunner.Run(core.RunConfig{App: app, Mech: apps.MPPoll, Scale: sc,
-		Machine: cfg, SkipValidate: true})
-	if err != nil {
-		return graphErr, closedErr, err
-	}
-	appP, machP, err := model.Fit(smRun, mpRun, cfg)
+	appP, machP, err := fitModel(r, app, sc, cfg)
 	if err != nil {
 		return graphErr, closedErr, err
 	}

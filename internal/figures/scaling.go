@@ -26,13 +26,13 @@ import (
 // flatten or invert expose the communication bottleneck). Node counts
 // whose workload cannot be partitioned that finely print "-" and are
 // skipped by the crossover scan.
-func FigS1(w io.Writer, app core.AppName, sc core.Scale, base machine.Config, nodeCounts []int) (fixed, scaled []core.SweepPoint, err error) {
+func FigS1(w io.Writer, r *core.Runner, app core.AppName, sc core.Scale, base machine.Config, nodeCounts []int) (fixed, scaled []core.SweepPoint, err error) {
 	sweep := func(scaleProblem bool) ([]core.SweepPoint, error) {
 		ax, err := core.NodeScalingAxis(base, nodeCounts, scaleProblem)
 		if err != nil {
 			return nil, err
 		}
-		return core.DefaultRunner.Sweep(app, sc, apps.Mechanisms, ax)
+		return r.Sweep(app, sc, apps.Mechanisms, ax)
 	}
 	if fixed, err = sweep(false); err != nil {
 		return nil, nil, err

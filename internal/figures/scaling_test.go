@@ -73,43 +73,13 @@ func TestWriteScalingCSVMissingCells(t *testing.T) {
 	}
 }
 
-// TestCatalogListsEveryFigure: the -list catalog names each of the ten
-// paper figures, the S1 scaling experiment, both tables, and the model
-// comparison, and PrintCatalog renders it.
-func TestCatalogListsEveryFigure(t *testing.T) {
-	want := []string{
-		"-fig 1", "-fig 2", "-fig 3", "-fig 4", "-fig 5", "-fig 6",
-		"-fig 7", "-fig 8", "-fig 9", "-fig 10", "-fig S1", "-fig S2",
-		"-table 1", "-table 2", "-model", "-predict",
-	}
-	cat := catalog()
-	if len(cat) != len(want) {
-		t.Fatalf("catalog has %d entries, want %d", len(cat), len(want))
-	}
-	for i, e := range cat {
-		if e.Flag != want[i] {
-			t.Errorf("catalog[%d].Flag = %q, want %q", i, e.Flag, want[i])
-		}
-		if e.Title == "" {
-			t.Errorf("catalog[%d] (%s) has an empty title", i, e.Flag)
-		}
-	}
-	var buf bytes.Buffer
-	PrintCatalog(&buf)
-	for _, f := range want {
-		if !strings.Contains(buf.String(), f) {
-			t.Errorf("PrintCatalog output missing %q", f)
-		}
-	}
-}
-
 // TestFigS1EndToEnd runs the scaling experiment small (two node counts
 // at tiny scale) and checks the report's shape: both scaling modes, a
 // speedup column anchored at 1.00, and identical 32-node baselines
 // between the modes.
 func TestFigS1EndToEnd(t *testing.T) {
 	var buf bytes.Buffer
-	fixed, scaled, err := FigS1(&buf, core.EM3D, core.ScaleTiny, machine.DefaultConfig(), []int{32, 64})
+	fixed, scaled, err := FigS1(&buf, testRunner, core.EM3D, core.ScaleTiny, machine.DefaultConfig(), []int{32, 64})
 	if err != nil {
 		t.Fatal(err)
 	}

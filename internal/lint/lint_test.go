@@ -197,9 +197,9 @@ func TestClosedScopeFixture(t *testing.T) {
 	}
 }
 
-// TestLoad loads the import-closed pair that make lint's self-lint
-// names, and checks that a pattern set missing an imported package is
-// refused.
+// TestLoad loads an import-closed pattern set narrower than ./..., the
+// analyzer and its CLI, and checks that a pattern set missing an
+// imported package is refused.
 func TestLoad(t *testing.T) {
 	pkgs, err := Load("../..", []string{"./internal/lint", "./cmd/simlint"})
 	if err != nil {

@@ -120,14 +120,26 @@ func Run(c Config) (Result, error) {
 // SweepPoint is one X position of a parametric experiment.
 type SweepPoint = core.SweepPoint
 
+// runner runs the sweep functions, and diskCache is the result cache
+// OpenResultCache attached to it, if any.
+var (
+	runner    = core.NewRunner(0)
+	diskCache *core.DiskCache
+)
+
 // SetParallelism sets the worker-pool width used by the sweep functions
-// (n <= 0 means all cores; 1 means serial) and drops the run cache.
+// (n <= 0 means all cores; 1 means serial) and drops the in-memory run
+// cache; a result cache OpenResultCache attached stays attached.
 // Sweeps fan individual simulations out over the pool and memoize them
-// by configuration; results are bit-identical to serial execution.
-func SetParallelism(n int) { core.SetDefaultWorkers(n) }
+// by configuration; results are bit-identical to serial execution. It
+// is not safe to call concurrently with a sweep.
+func SetParallelism(n int) {
+	runner = core.NewRunner(n)
+	runner.SetDiskCache(diskCache)
+}
 
 // Parallelism reports the current sweep worker-pool width.
-func Parallelism() int { return core.DefaultRunner.Workers() }
+func Parallelism() int { return runner.Workers() }
 
 // DefaultCrossRates is the cross-traffic schedule of the Figure 8
 // bisection sweep (bytes per processor cycle consumed by I/O traffic).
@@ -151,7 +163,7 @@ func BisectionSweep(app App, mechs []Mechanism, rates []float64) ([]SweepPoint, 
 	if rates == nil {
 		rates = DefaultCrossRates
 	}
-	return core.DefaultRunner.Sweep(app, core.ScaleSweep, mechs, core.BisectionAxis(DefaultMachine(), rates))
+	return runner.Sweep(app, core.ScaleSweep, mechs, core.BisectionAxis(DefaultMachine(), rates))
 }
 
 // ClockSweep reproduces the Figure 9 methodology: vary the processor
@@ -163,7 +175,7 @@ func ClockSweep(app App, mechs []Mechanism, mhzs []float64) ([]SweepPoint, error
 	if mhzs == nil {
 		mhzs = DefaultClockMHzs
 	}
-	return core.DefaultRunner.Sweep(app, core.ScaleSweep, mechs, core.ClockAxis(DefaultMachine(), mhzs))
+	return runner.Sweep(app, core.ScaleSweep, mechs, core.ClockAxis(DefaultMachine(), mhzs))
 }
 
 // LatencySweep reproduces the Figure 10 methodology: a uniform-latency,
@@ -176,7 +188,7 @@ func LatencySweep(app App, mechs []Mechanism, oneWayCycles []int64) ([]SweepPoin
 	if oneWayCycles == nil {
 		oneWayCycles = DefaultIdealLatencies
 	}
-	return core.DefaultRunner.Sweep(app, core.ScaleSweep, mechs, core.IdealLatencyAxis(DefaultMachine(), oneWayCycles))
+	return runner.Sweep(app, core.ScaleSweep, mechs, core.IdealLatencyAxis(DefaultMachine(), oneWayCycles))
 }
 
 // DefaultScalingNodes is the Figure S1 node-count schedule (32 to 512).
@@ -200,7 +212,7 @@ func ScalingSweep(app App, mechs []Mechanism, nodeCounts []int, scaleProblem boo
 	if err != nil {
 		return nil, err
 	}
-	return core.DefaultRunner.Sweep(app, core.ScaleSweep, mechs, ax)
+	return runner.Sweep(app, core.ScaleSweep, mechs, ax)
 }
 
 // OpenResultCache opens (creating if needed) an on-disk run-result cache
@@ -214,7 +226,8 @@ func OpenResultCache(dir string) error {
 	if err != nil {
 		return err
 	}
-	core.DefaultRunner.SetDiskCache(dc)
+	diskCache = dc
+	runner.SetDiskCache(dc)
 	return nil
 }
 

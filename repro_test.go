@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"os"
 	"reflect"
 	"testing"
 
@@ -141,6 +142,28 @@ func TestClockSweepFacade(t *testing.T) {
 	}
 	if pts[1].X >= pts[0].X {
 		t.Error("slower clock should lower relative network latency")
+	}
+}
+
+// TestSetParallelismKeepsResultCache: SetParallelism drops the
+// in-memory memo but keeps the result cache OpenResultCache attached.
+func TestSetParallelismKeepsResultCache(t *testing.T) {
+	old := runner
+	t.Cleanup(func() { runner, diskCache = old, nil })
+	dir := t.TempDir()
+	if err := OpenResultCache(dir); err != nil {
+		t.Fatal(err)
+	}
+	SetParallelism(1)
+	if _, err := LatencySweep(EM3D, []Mechanism{SM}, []int64{15}); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Parallelism() != 1 || len(entries) != 1 {
+		t.Errorf("after SetParallelism(1): %d workers, %d cache entries; want 1 and 1", Parallelism(), len(entries))
 	}
 }
 
