@@ -71,11 +71,12 @@ profile:
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core ./internal/sim ./internal/mesh ./internal/mem ./internal/am
 
-# Performance tracking: event-engine allocation profile, host cost and
+# Performance tracking: event-engine allocation profile, host cost of a
+# thread handoff and of a wake a spin absorbs, host cost and
 # allocations of one packet, of one coherence miss and of one null
 # active-message round trip, and serial vs parallel sweep throughput.
 bench:
-	$(GO) test -bench 'BenchmarkEngine|BenchmarkThreadHandoff' -benchmem -run xxx ./internal/sim/
+	$(GO) test -bench 'BenchmarkEngine|BenchmarkThreadHandoff|BenchmarkThreadSpin' -benchmem -run xxx ./internal/sim/
 	$(GO) test -bench BenchmarkSend -benchmem -run xxx ./internal/mesh/
 	$(GO) test -bench BenchmarkRemoteMiss -benchmem -run xxx ./internal/mem/
 	$(GO) test -bench BenchmarkNullMessage -benchmem -run xxx ./internal/am/

@@ -160,6 +160,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	inv.cfg = machine.DefaultConfig()
 	if *nodes != 0 {
+		if *nodes < 1 || *nodes&(*nodes-1) != 0 {
+			return fail(fmt.Errorf("-nodes %d is not a power of two", *nodes))
+		}
 		var err error
 		if inv.cfg, err = machine.ConfigForNodes(*nodes); err != nil {
 			return fail(err)

@@ -16,6 +16,12 @@ const (
 	rowOverheadCycles  = 8  // worklist pop, divide, bookkeeping per row
 	edgeSendOverhead   = 2  // index arithmetic per outgoing edge
 	bulkFlushThreshold = 16 // edges buffered per destination before DMA
+
+	// A pass over the pending rows' counters that finds no zero is
+	// followed by a backoff of scanBackoff cycles, doubling up to
+	// scanBackoffMax; a pass that finds one resets it.
+	scanBackoff    = 20
+	scanBackoffMax = 320
 )
 
 // App is one ICCG instance.
@@ -29,7 +35,8 @@ type App struct {
 	// colocation). For MP these live at the owner and are only touched
 	// locally (Poke/Peek); for SM they are the coherent rendezvous.
 	rowAddr []mem.Addr
-	myRows  []int // rows per proc
+	counter []mem.Addr // SM: rowAddr[i]+1, the word the owner polls
+	myRows  []int      // rows per proc
 	sources [][]int32
 
 	// MP state (Go-level, owner-local).
@@ -70,7 +77,12 @@ func (a *App) Setup(m *machine.Machine, mech apps.Mechanism) {
 		}
 	}
 
-	if mech.UsesMessages() {
+	if !mech.UsesMessages() {
+		a.counter = make([]mem.Addr, n)
+		for i, ra := range a.rowAddr {
+			a.counter[i] = ra + 1
+		}
+	} else {
 		a.need = make([]int32, n)
 		for i := range a.need {
 			a.need[i] = int32(len(a.sys.Preds[i]))
@@ -240,28 +252,13 @@ func (a *App) bodySM(p *machine.Proc) {
 			remaining = append(remaining, int32(i))
 		}
 	}
-	backoff := int64(20)
-	for len(remaining) > 0 {
-		progress := false
-		out := remaining[:0]
-		for _, row := range remaining {
-			// Counter poll: same line as the value.
-			if p.ReadSync(a.rowAddr[row]+1) != 0 {
-				out = append(out, row)
-				continue
-			}
-			progress = true
-			a.processRowSM(p, row, pf)
+	p.ScanZeros(remaining, a.counter, scanBackoff, scanBackoffMax)
+	for {
+		row, ok := p.NextZero()
+		if !ok {
+			break
 		}
-		remaining = out
-		if !progress {
-			p.SpinCycles(backoff)
-			if backoff < 320 {
-				backoff *= 2
-			}
-		} else {
-			backoff = 20
-		}
+		a.processRowSM(p, row, pf)
 	}
 	a.bar.Wait(p)
 }

@@ -14,6 +14,14 @@ import (
 	"testing"
 )
 
+// The fixture tests share one FileSet and one source importer, so the
+// standard library packages the fixtures import are type-checked from
+// source once per test binary rather than once per case.
+var (
+	fixtureFset = token.NewFileSet()
+	stdImporter = importer.ForCompiler(fixtureFset, "source", nil)
+)
+
 // TestFixtures runs each check over its testdata fixture package and
 // compares the diagnostics against the fixture's //want annotations:
 // a line expecting diagnostics carries `//want <check> [<check> ...]`.
@@ -66,9 +74,8 @@ func TestFixtures(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", tc.dir)
-			fset := token.NewFileSet()
-			files, wants := parseFixture(t, fset, dir, tc.ignoreWants)
-			diags, err := checkPackage(fset, tc.pkgPath, files, tc.checks)
+			files, wants := parseFixture(t, fixtureFset, dir, tc.ignoreWants)
+			diags, err := checkPackage(fixtureFset, stdImporter, tc.pkgPath, files, tc.checks)
 			if err != nil {
 				t.Fatalf("checkPackage: %v", err)
 			}
@@ -162,21 +169,17 @@ func TestClosedScopeFixture(t *testing.T) {
 		{dir: "closedscope_host", path: "repro/internal/hostfix"},
 		{dir: "closedscope_mesh", path: "repro/internal/mesh/fixture"},
 	}
-	fset := token.NewFileSet()
-	imp := &moduleImporter{
-		source:  importer.ForCompiler(fset, "source", nil),
-		checked: map[string]*types.Package{},
-	}
+	imp := &moduleImporter{source: stdImporter, checked: map[string]*types.Package{}}
 	var pkgs []*Package
 	wants := make(map[string][]string)
 	for _, s := range specs {
 		dir := filepath.Join("testdata", "src", s.dir)
-		files, w := parseFixture(t, fset, dir, false)
+		files, w := parseFixture(t, fixtureFset, dir, false)
 		for k, v := range w {
 			wants[k] = v
 		}
-		pkg := &Package{Path: s.path, Fset: fset, Files: files}
-		if err := typeCheck(fset, pkg, imp); err != nil {
+		pkg := &Package{Path: s.path, Fset: fixtureFset, Files: files}
+		if err := typeCheck(fixtureFset, pkg, imp); err != nil {
 			t.Fatalf("type-checking %s: %v", s.path, err)
 		}
 		imp.checked[s.path] = pkg.Pkg
@@ -269,12 +272,11 @@ func covered(m map[int]int) []int {
 	return out
 }
 `
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "stale.go", src, parser.ParseComments)
+	f, err := parser.ParseFile(fixtureFset, "stale.go", src, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := checkPackage(fset, "repro/internal/figures/fixture", []*ast.File{f}, []*Check{MapOrderCheck})
+	diags, err := checkPackage(fixtureFset, stdImporter, "repro/internal/figures/fixture", []*ast.File{f}, []*Check{MapOrderCheck})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +290,7 @@ func covered(m map[int]int) []int {
 
 	// The same stale allow is NOT reported when its check is deselected:
 	// a -checks run says nothing about the others.
-	none, err := checkPackage(fset, "repro/internal/figures/fixture", []*ast.File{f}, []*Check{WallclockCheck})
+	none, err := checkPackage(fixtureFset, stdImporter, "repro/internal/figures/fixture", []*ast.File{f}, []*Check{WallclockCheck})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,12 +318,11 @@ func a(m map[int]int) []int {
 //lint:allow vet/printf wrong namespace
 func b() {}
 `
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "allow.go", src, parser.ParseComments)
+	f, err := parser.ParseFile(fixtureFset, "allow.go", src, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := checkPackage(fset, "repro/internal/figures/fixture", []*ast.File{f}, []*Check{MapOrderCheck})
+	diags, err := checkPackage(fixtureFset, stdImporter, "repro/internal/figures/fixture", []*ast.File{f}, []*Check{MapOrderCheck})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -263,14 +263,10 @@ func typeCheck(fset *token.FileSet, pkg *Package, imp types.Importer) error {
 }
 
 // checkPackage type-checks the given files as a single package with the
-// given import path and runs the checks over it — the fixture-test entry
-// point (Load is the production path).
-func checkPackage(fset *token.FileSet, pkgPath string, files []*ast.File, checks []*Check) ([]Diagnostic, error) {
+// given import path, resolving its imports with imp, and runs the checks
+// over it — the fixture-test entry point (Load is the production path).
+func checkPackage(fset *token.FileSet, imp types.Importer, pkgPath string, files []*ast.File, checks []*Check) ([]Diagnostic, error) {
 	pkg := &Package{Path: pkgPath, Fset: fset, Files: files}
-	imp := &moduleImporter{
-		source:  importer.ForCompiler(fset, "source", nil),
-		checked: map[string]*types.Package{},
-	}
 	if err := typeCheck(fset, pkg, imp); err != nil {
 		return nil, err
 	}

@@ -43,8 +43,9 @@ type Proc struct {
 
 	th     *sim.Thread
 	mode   RecvMode
-	doneAt sim.Time // when this processor's body returned (load-imbalance metric)
-	wake   func()   // p.wakeNow, bound once: WaitAndHandle's arrival callback
+	doneAt sim.Time   // when this processor's body returned (load-imbalance metric)
+	wake   func()     // p.wakeNow, bound once: WaitAndHandle's arrival callback
+	spin   *spinState // the spins' state (spin.go), allocated at the first spin
 }
 
 // wakeNow resumes p's thread at the current time.

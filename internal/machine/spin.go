@@ -1,0 +1,237 @@
+package machine
+
+import (
+	"repro/internal/mem"
+	"repro/internal/sim"
+	"repro/internal/stats"
+)
+
+// The spins below are synchronization loops of ReadSync polls and
+// SpinCycles backoffs. A poll that is a plain cache hit costs the
+// processor HitCycles of compute and then reads the word; in a loop run
+// on the thread, each such poll and each backoff is a Sleep, that is two
+// coroutine switches. Here they run engine-side, as the steps of one
+// sim.Thread.Spin, doing at each wake what the thread would have done:
+// the same bucket charges, the same event at the same point of the same
+// dispatch. The thread resumes only when a poll ends the wait, reads a
+// zero, or is not a plain hit (mem.System.ReadHit), and then makes that
+// poll itself with ReadSync. So a spin leaves every event, bucket and
+// span of the loop it replaces unchanged.
+
+// spinState is a processor's spin state, with the steps bound once.
+type spinState struct {
+	flag     flagSpin
+	scan     zeroScan
+	flagStep func() (sim.Time, bool) // Proc.stepFlag
+	scanStep func() (sim.Time, bool) // Proc.stepScan
+}
+
+// spins returns p's spin state, allocating it at p's first spin, so a
+// processor that never spins carries none.
+func (p *Proc) spins() *spinState {
+	if p.spin == nil {
+		p.spin = &spinState{}
+		p.spin.flagStep, p.spin.scanStep = p.stepFlag, p.stepScan
+	}
+	return p.spin
+}
+
+// flagSpin is the state of the SpinWhileEqual in progress.
+type flagSpin struct {
+	addr    mem.Addr
+	val     float64
+	backoff int64
+	max     int64
+	polled  bool // the sleep in flight is a poll's hit, not a backoff
+	ended   bool // a poll read a value other than val
+}
+
+// SpinWhileEqual polls the word at a until it holds a value other than
+// v. It makes exactly the polls and backoffs of
+//
+//	for p.ReadSync(a) == v {
+//		p.SpinCycles(backoff)
+//		if backoff < maxBackoff {
+//			backoff *= 2
+//		}
+//	}
+//
+// but the polls that are plain hits, and the backoffs around them, do
+// not resume the thread.
+func (p *Proc) SpinWhileEqual(a mem.Addr, v float64, backoff, maxBackoff int64) {
+	sp := p.spins()
+	f := &sp.flag
+	*f = flagSpin{addr: a, val: v, backoff: backoff, max: maxBackoff}
+	d, hit := p.M.Mem.ReadHit(p.ID, a, &p.BD)
+	for {
+		if !hit {
+			// Not a plain hit: the thread makes this poll itself.
+			if p.ReadSync(a) != v {
+				return
+			}
+			d = p.chargeBackoff(&f.backoff, f.max)
+		}
+		f.polled = hit
+		p.th.Spin(d, sp.flagStep)
+		if f.ended {
+			return
+		}
+		// The poll after the last backoff is not a plain hit.
+		hit = false
+	}
+}
+
+// stepFlag is SpinWhileEqual's step, run at the end of each sleep.
+func (p *Proc) stepFlag() (sim.Time, bool) {
+	f := &p.spin.flag
+	if !f.polled {
+		// A backoff ended: poll.
+		d, hit := p.M.Mem.ReadHit(p.ID, f.addr, &p.BD)
+		f.polled = hit
+		return d, hit
+	}
+	// A poll's hit ended: its load reads the word now.
+	f.polled = false
+	if p.M.Store.Peek(f.addr) != f.val {
+		f.ended = true
+		return 0, false
+	}
+	return p.chargeBackoff(&f.backoff, f.max), true
+}
+
+// zeroScan is the state of the zero scan in progress (ScanZeros,
+// NextZero).
+type zeroScan struct {
+	ids      []int32    // this pass's ids; ids[:n] are kept for the next
+	word     []mem.Addr // word[id] is the word polled for id
+	i, n     int        // ids[i] is polled next; n ids are kept so far
+	progress bool       // this pass has read a zero
+	backoff  int64
+	min, max int64
+	polled   bool  // the sleep in flight is ids[i]'s poll hit
+	found    bool  // the spin ended at a zero: zero is its id
+	zero     int32 // the id whose word read zero
+}
+
+// ScanZeros starts a zero scan over ids, for NextZero to run. The scan
+// takes ids, which it reorders in place, and polls word[id] for each id.
+func (p *Proc) ScanZeros(ids []int32, word []mem.Addr, backoff, maxBackoff int64) {
+	p.spins().scan = zeroScan{ids: ids, word: word, backoff: backoff, min: backoff, max: maxBackoff}
+}
+
+// NextZero continues the zero scan until a poll reads zero and returns
+// that poll's id, which leaves the scan; it returns false once no id is
+// left. Over the calls until then it makes exactly the polls and
+// backoffs of the loop
+//
+//	for len(ids) > 0 {
+//		progress := false
+//		out := ids[:0]
+//		for _, id := range ids {
+//			if p.ReadSync(word[id]) != 0 {
+//				out = append(out, id)
+//				continue
+//			}
+//			progress = true
+//			// NextZero returns id here; the caller handles it.
+//		}
+//		ids = out
+//		if !progress {
+//			p.SpinCycles(backoff)
+//			if backoff < maxBackoff {
+//				backoff *= 2
+//			}
+//		} else {
+//			backoff = initial backoff
+//		}
+//	}
+//
+// but the polls that are plain hits and read nonzero, and the backoffs
+// between passes, do not resume the thread.
+func (p *Proc) NextZero() (int32, bool) {
+	s := &p.spin.scan
+	for {
+		d, sleep := p.scanNext()
+		if sleep {
+			p.th.Spin(d, p.spin.scanStep)
+			if s.found {
+				s.found = false
+				return s.zero, true
+			}
+			// Resumed at a poll that is not a plain hit: loop to make it.
+			continue
+		}
+		if len(s.ids) == 0 {
+			*s = zeroScan{} // hold nothing of the caller's
+			return 0, false
+		}
+		// ids[i]'s poll is not a plain hit: the thread makes it itself.
+		if s.take(p.ReadSync(s.word[s.ids[s.i]])) {
+			return s.zero, true
+		}
+	}
+}
+
+// stepScan is NextZero's step, run at the end of each sleep.
+func (p *Proc) stepScan() (sim.Time, bool) {
+	s := &p.spin.scan
+	if s.polled {
+		// ids[i]'s poll hit ended: its load reads the word now.
+		s.polled = false
+		if s.take(p.M.Store.Peek(s.word[s.ids[s.i]])) {
+			s.found = true
+			return 0, false
+		}
+	}
+	return p.scanNext()
+}
+
+// scanNext moves the scan to its next poll. At the end of a pass it
+// starts the next one, after a backoff if the pass read no zero; then it
+// probes ids[i]'s word. It returns the sleep to take, or false when the
+// scan is over or ids[i]'s poll is not a plain hit.
+func (p *Proc) scanNext() (sim.Time, bool) {
+	s := &p.spin.scan
+	if s.i == len(s.ids) {
+		s.ids, s.i, s.n = s.ids[:s.n], 0, 0
+		if len(s.ids) == 0 {
+			return 0, false
+		}
+		if !s.progress {
+			// The wake polls ids[0].
+			return p.chargeBackoff(&s.backoff, s.max), true
+		}
+		s.progress = false
+		s.backoff = s.min
+	}
+	d, hit := p.M.Mem.ReadHit(p.ID, s.word[s.ids[s.i]], &p.BD)
+	s.polled = hit
+	return d, hit
+}
+
+// take files the value v read by ids[i]'s poll and reports whether it
+// was zero, in which case the id leaves the scan as s.zero.
+func (s *zeroScan) take(v float64) bool {
+	id := s.ids[s.i]
+	s.i++
+	if v == 0 {
+		s.progress = true
+		s.zero = id
+		return true
+	}
+	s.ids[s.n] = id
+	s.n++
+	return false
+}
+
+// chargeBackoff charges a SpinCycles backoff of *backoff cycles to
+// synchronization, doubles *backoff while it is below max, and returns
+// the backoff's duration.
+func (p *Proc) chargeBackoff(backoff *int64, max int64) sim.Time {
+	d := p.M.Clk.Cycles(*backoff)
+	p.BD.Add(stats.BucketSync, d)
+	if *backoff < max {
+		*backoff *= 2
+	}
+	return d
+}

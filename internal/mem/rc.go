@@ -68,9 +68,7 @@ func (s *System) storeRelaxed(th *sim.Thread, node int, a Addr, v float64, bd *s
 		// Ownership already held: complete immediately.
 		s.store.Poke(a, v)
 		delete(rc.pending, a)
-		d := s.cyc(s.par.HitCycles)
-		bd.Add(stats.BucketCompute, d)
-		th.Sleep(d)
+		th.Sleep(s.chargeHit(bd))
 		return
 	}
 	if t := nm.pending[line]; t != nil {
@@ -129,9 +127,7 @@ func (s *System) applyRC(node int, a Addr) {
 // chargeStoreIssue charges the small processor-side cost of issuing a
 // buffered store.
 func (s *System) chargeStoreIssue(th *sim.Thread, bd *stats.Breakdown) {
-	d := s.cyc(s.par.HitCycles)
-	bd.Add(stats.BucketCompute, d)
-	th.Sleep(d)
+	th.Sleep(s.chargeHit(bd))
 }
 
 // wakeRC wakes all fence/full-buffer waiters to recheck their condition.

@@ -332,14 +332,43 @@ func (s *System) sendCoh(src, dst int, class mesh.Class, payloadBytes int, c *co
 func (s *System) Load(th *sim.Thread, node int, a Addr, bd *stats.Breakdown, bucket stats.TimeBucket) float64 {
 	if v, ok := s.rcForward(node, a); ok {
 		// Read-own-write forwarding from the write buffer.
-		d := s.cyc(s.par.HitCycles)
-		bd.Add(stats.BucketCompute, d)
-		th.Sleep(d)
+		th.Sleep(s.chargeHit(bd))
 		return v
 	}
 	s.access(th, node, a, false, action{}, bd, bucket)
 	return s.store.Peek(a)
 }
+
+// ReadHit probes a Load by node's processor without blocking. When the
+// Load would be a plain cache hit, it charges the hit's HitCycles to
+// bd's compute bucket, as Load does, and returns their duration: the
+// caller sleeps for it and then reads the word with Store.Peek, which is
+// what Load returns. Otherwise (a store forwarded from the RC write
+// buffer, an invalid line, a line only in the prefetch buffer) it
+// changes nothing and returns false, and the caller makes the Load.
+func (s *System) ReadHit(node int, a Addr, bd *stats.Breakdown) (sim.Time, bool) {
+	if _, ok := s.rcForward(node, a); ok {
+		return 0, false
+	}
+	if !s.nodes[node].readHit(LineOf(a, s.par.LineWords)) {
+		return 0, false
+	}
+	return s.chargeHit(bd), true
+}
+
+// chargeHit charges one cache hit, HitCycles, to bd's compute bucket and
+// returns its duration.
+func (s *System) chargeHit(bd *stats.Breakdown) sim.Time {
+	d := s.cyc(s.par.HitCycles)
+	bd.Add(stats.BucketCompute, d)
+	return d
+}
+
+// readHit is the read-hit rule: a read hits when the cache proper holds
+// the line, Shared or Modified, whether or not a transaction for it is
+// in flight (a buffered RC store's upgrade or a write prefetch need not
+// block a read of the copy already present).
+func (nm *nodeMem) readHit(line Addr) bool { return nm.cache.lookup(line) != lineInvalid }
 
 // StoreWord performs a store: blocking under sequential consistency,
 // buffered under release consistency.
@@ -406,19 +435,12 @@ func (s *System) access(th *sim.Thread, node int, a Addr, write bool, apply acti
 func (s *System) accessEx(th *sim.Thread, node int, a Addr, write, atomic bool, apply action, bd *stats.Breakdown, bucket stats.TimeBucket) {
 	line := LineOf(a, s.par.LineWords)
 	nm := s.nodes[node]
+	if !write && nm.readHit(line) {
+		th.Sleep(s.chargeHit(bd))
+		return
+	}
 	for {
 		if t := nm.pending[line]; t != nil {
-			if !write {
-				if st := nm.cache.lookup(line); st != lineInvalid {
-					// A readable copy is present; the in-flight upgrade
-					// (e.g. a buffered RC store or a write prefetch)
-					// need not block this read.
-					d := s.cyc(s.par.HitCycles)
-					bd.Add(stats.BucketCompute, d)
-					th.Sleep(d)
-					return
-				}
-			}
 			if !write || t.write {
 				// Join the in-flight transaction.
 				if t.prefetch {
@@ -437,11 +459,9 @@ func (s *System) accessEx(th *sim.Thread, node int, a Addr, write, atomic bool, 
 		}
 
 		st := nm.cache.lookup(line)
-		if st == lineModified || (st == lineShared && !write) {
-			// Hit.
-			d := s.cyc(s.par.HitCycles)
-			bd.Add(stats.BucketCompute, d)
-			th.Sleep(d)
+		if st == lineModified {
+			// Write hit (a read hit returned above).
+			th.Sleep(s.chargeHit(bd))
 			if apply.kind != actNone {
 				s.do(node, apply)
 			}

@@ -460,3 +460,70 @@ func TestSingleWriterVisibilityProperty(t *testing.T) {
 		)
 	}
 }
+
+// TestReadHitAgreesWithLoad checks the probe against the Load it stands
+// for: where ReadHit reports a hit it charged the hit's compute, and the
+// Load then takes exactly that time and charges exactly that; where it
+// reports none it charged nothing.
+func TestReadHitAgreesWithLoad(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		rc   bool
+		// prepare runs on node 0's thread before the probe.
+		prepare func(r *testRig, th *sim.Thread, a Addr, bd *stats.Breakdown)
+		hit     bool
+	}{
+		{"invalid", false, func(*testRig, *sim.Thread, Addr, *stats.Breakdown) {}, false},
+		{"shared", false, func(r *testRig, th *sim.Thread, a Addr, bd *stats.Breakdown) {
+			r.sys.Load(th, 0, a, bd, stats.BucketMemWait)
+		}, true},
+		{"modified", false, func(r *testRig, th *sim.Thread, a Addr, bd *stats.Breakdown) {
+			r.sys.StoreWord(th, 0, a, 2, bd, stats.BucketMemWait)
+		}, true},
+		{"read-in-flight", false, func(r *testRig, th *sim.Thread, a Addr, bd *stats.Breakdown) {
+			r.sys.Prefetch(0, a, false)
+		}, false},
+		{"prefetch-buffer-only", false, func(r *testRig, th *sim.Thread, a Addr, bd *stats.Breakdown) {
+			r.sys.Prefetch(0, a, false)
+			th.Sleep(r.clk.Cycles(200))
+		}, false},
+		{"shared-upgrade-in-flight", true, func(r *testRig, th *sim.Thread, a Addr, bd *stats.Breakdown) {
+			r.sys.Load(th, 0, a, bd, stats.BucketMemWait)
+			r.sys.StoreWord(th, 0, a+1, 2, bd, stats.BucketMemWait)
+		}, true},
+		{"rc-forwarded", true, func(r *testRig, th *sim.Thread, a Addr, bd *stats.Breakdown) {
+			r.sys.Load(th, 0, a, bd, stats.BucketMemWait)
+			r.sys.StoreWord(th, 0, a, 2, bd, stats.BucketMemWait)
+		}, false},
+	} {
+		r := newRig()
+		if c.rc {
+			r = newRCRig()
+		}
+		a := r.st.Alloc(7, 2)
+		r.st.Poke(a, 1)
+		r.run(func(th *sim.Thread) {
+			var bd, probe stats.Breakdown
+			c.prepare(r, th, a, &bd)
+			d, hit := r.sys.ReadHit(0, a, &probe)
+			if hit != c.hit {
+				t.Errorf("%s: ReadHit = %v, want %v", c.name, hit, c.hit)
+			}
+			if !hit {
+				if probe != (stats.Breakdown{}) {
+					t.Errorf("%s: a probe without a hit charged %v", c.name, probe)
+				}
+				return
+			}
+			if probe.T[stats.BucketCompute] != d || probe.Total() != d {
+				t.Errorf("%s: the probe charged %v, want %v of compute", c.name, probe, d)
+			}
+			var load stats.Breakdown
+			start := th.Now()
+			r.sys.Load(th, 0, a, &load, stats.BucketSync)
+			if th.Now()-start != d || load.T[stats.BucketCompute] != d || load.Total() != d {
+				t.Errorf("%s: the Load took %v and charged %v; the probe returned %v", c.name, th.Now()-start, load, d)
+			}
+		})
+	}
+}

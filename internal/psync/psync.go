@@ -57,6 +57,13 @@ type SMBarrier struct {
 
 const barrierArity = 4
 
+// A barrier waiter polls its generation flag with backoffs of
+// flagBackoff cycles, doubling up to flagBackoffMax.
+const (
+	flagBackoff    = 10
+	flagBackoffMax = 160
+)
+
 // NewSMBarrier allocates a combining-tree barrier for all processors.
 func NewSMBarrier(m *machine.Machine) *SMBarrier {
 	b := &SMBarrier{m: m, n: m.Cfg.Nodes()}
@@ -117,13 +124,7 @@ func (b *SMBarrier) Wait(p *machine.Proc) {
 	// in the write buffer, and only the load path forwards it.
 	myGen := p.ReadSync(b.gens[0])
 	b.arrive(p, p.ID/barrierArity)
-	backoff := int64(10)
-	for p.ReadSync(b.gens[0]) == myGen {
-		p.SpinCycles(backoff)
-		if backoff < 160 {
-			backoff *= 2
-		}
-	}
+	p.SpinWhileEqual(b.gens[0], myGen, flagBackoff, flagBackoffMax)
 	critBarrier(b.m, p, arriveAt)
 }
 
@@ -185,13 +186,7 @@ func (b *SMCentralBarrier) Wait(p *machine.Proc) {
 		critBarrier(b.m, p, arriveAt)
 		return
 	}
-	backoff := int64(10)
-	for p.ReadSync(b.gen) == myGen {
-		p.SpinCycles(backoff)
-		if backoff < 160 {
-			backoff *= 2
-		}
-	}
+	p.SpinWhileEqual(b.gen, myGen, flagBackoff, flagBackoffMax)
 	critBarrier(b.m, p, arriveAt)
 }
 

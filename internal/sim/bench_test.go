@@ -57,3 +57,19 @@ func BenchmarkThreadHandoff(b *testing.B) {
 	b.ResetTimer()
 	e.Run()
 }
+
+// BenchmarkThreadSpin measures one wake absorbed by Thread.Spin: the
+// event and the pause accounting of a Sleep's wake, without the two
+// coroutine switches of BenchmarkThreadHandoff.
+func BenchmarkThreadSpin(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	n := 0
+	step := func() (Time, bool) {
+		n++
+		return 1, n < b.N
+	}
+	e.Spawn("t", 0, func(th *Thread) { th.Spin(1, step) })
+	b.ResetTimer()
+	e.Run()
+}

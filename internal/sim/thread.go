@@ -55,9 +55,12 @@ type Thread struct {
 	// the body's closure reachable.
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
-	// wake is th.dispatch's method value, built once in Spawn so that
-	// scheduling a wake allocates nothing.
-	wake func()
+	// wake is th.dispatch's method value and spinWake th.spinDispatch's,
+	// built once in Spawn so that scheduling a wake allocates nothing.
+	wake     func()
+	spinWake func()
+	// step is the engine-side step of the Spin in progress; nil otherwise.
+	step func() (Time, bool)
 
 	wakePending bool
 
@@ -97,7 +100,7 @@ func (e *Engine) Spawn(name string, at Time, body func(*Thread)) *Thread {
 		}()
 		body(th)
 	})
-	th.wake = th.dispatch
+	th.wake, th.spinWake = th.dispatch, th.spinDispatch
 	th.wakePending = true
 	e.threads = append(e.threads, th)
 	e.At(at, th.wake)
@@ -142,6 +145,13 @@ func (th *Thread) Pause() {
 	armed := th.wakePending
 	th.yield(struct{}{})
 	th.state = ThreadRunning
+	th.resumed(armed)
+}
+
+// resumed accounts a pause that ends now: its time goes to runPs for a
+// self-armed sleep (armed) and to blockPs otherwise, the span observer
+// sees it, and the wait reason is cleared.
+func (th *Thread) resumed(armed bool) {
 	d := th.eng.now - th.blockedSince
 	if armed {
 		th.runPs += d
@@ -163,8 +173,9 @@ func (th *Thread) TimeBreakdown() (run, block Time) { return th.runPs, th.blockP
 
 // SetWaitReason labels the cause of the thread's next Pause for watchdog
 // diagnostics ("mem-miss", line number; "await-message", node; ...). The
-// label is cleared when the thread resumes. arg is an optional detail
-// rendered alongside the reason; pass 0 when meaningless.
+// label is cleared when the pause ends, by a resume or by a wake that a
+// Spin step absorbs. arg is an optional detail rendered alongside the
+// reason; pass 0 when meaningless.
 func (th *Thread) SetWaitReason(reason string, arg int64) {
 	th.waitReason, th.waitArg = reason, arg
 }
@@ -184,7 +195,10 @@ func (th *Thread) formatWaitReason() string {
 // called from any context that currently holds control (the engine or
 // another thread), including the thread's own body immediately before
 // Pause. Exactly one wake may be pending at a time.
-func (th *Thread) WakeAt(t Time) {
+func (th *Thread) WakeAt(t Time) { th.arm(t, th.wake) }
+
+// arm schedules the thread's one pending wake: fn at time t.
+func (th *Thread) arm(t Time, fn func()) {
 	if th.state == ThreadDone {
 		panic(fmt.Sprintf("sim: WakeAt on finished thread %q", th.name))
 	}
@@ -192,7 +206,7 @@ func (th *Thread) WakeAt(t Time) {
 		panic(fmt.Sprintf("sim: duplicate wake for thread %q", th.name))
 	}
 	th.wakePending = true
-	th.eng.At(t, th.wake)
+	th.eng.At(t, fn)
 }
 
 // WakeAfter schedules the thread to resume d picoseconds from now.
@@ -202,4 +216,47 @@ func (th *Thread) WakeAfter(d Time) { th.WakeAt(th.eng.Now() + d) }
 func (th *Thread) Sleep(d Time) {
 	th.WakeAfter(d)
 	th.Pause()
+}
+
+// Spin is a Sleep of d whose wakes run step in the engine's context
+// instead of resuming the body. A step that returns (d, true) sleeps
+// the thread again for d; one that returns false resumes the body
+// inside the same dispatch, and Spin returns. Every wake a step absorbs
+// is accounted exactly like the wake of a Sleep: the same event at the
+// same point of its dispatch, the same run time, one span-observer call
+// with the same arguments, and the wait reason cleared. Only the two
+// coroutine switches are saved. So a step that does what the body would
+// have done between its sleeps, with the same bucket charges and the
+// same events in the same order, leaves the simulation unchanged. A
+// step runs in the engine's context, so it must not pause, and it must
+// not wake its own thread. Bind it once (a method value the caller
+// keeps), so that a spin allocates nothing.
+func (th *Thread) Spin(d Time, step func() (Time, bool)) {
+	if th.state != ThreadRunning {
+		panic(fmt.Sprintf("sim: Spin on %s thread %q", th.state, th.name))
+	}
+	th.step = step
+	th.arm(th.eng.now+d, th.spinWake)
+	th.state = ThreadPaused
+	th.blockedSince = th.eng.now
+	th.yield(struct{}{})
+	// spinDispatch accounted the last wake before resuming the body.
+	th.state = ThreadRunning
+	th.step = nil
+}
+
+// spinDispatch is the event of a wake inside Spin. It accounts the
+// sleep that just ended, as Pause would, then runs the step: the step
+// either arms the next sleep, leaving the body parked, or ends the spin,
+// and the body resumes here.
+func (th *Thread) spinDispatch() {
+	th.wakePending = false
+	th.resumed(true)
+	if d, again := th.step(); again {
+		th.wakePending = true
+		th.eng.At(th.eng.now+d, th.spinWake)
+		th.blockedSince = th.eng.now
+		return
+	}
+	th.dispatch()
 }
