@@ -198,6 +198,7 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"-fig", "4", "-faults", "bogus"}, 1},
 		{[]string{"-fig", "4", "-nodes", "1000"}, 1},
 		{[]string{"-fig", "4", "-nodes", "3", "-scale", "tiny"}, 1}, // before any run
+		{[]string{"-fig", "3", "-nodes", "1"}, 1},                   // nothing to communicate
 		{[]string{"-fig", "10", "-prune"}, 1},
 		{[]string{"-fig", "6", "-runlog", filepath.Join(file, "runlog")}, 1},
 		{[]string{"-fig", "3", "-csv", file}, 1}, // the figure fails to write its CSV

@@ -93,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	table := fs.Int("table", 0, "table number to regenerate (1 or 2)")
 	fs.BoolVar(&inv.all, "all", false, "regenerate every paper figure and table (S1 runs machines up to 512 nodes and must be requested explicitly)")
 	list := fs.Bool("list", false, "list every artifact paperbench can produce, then exit")
-	nodes := fs.Int("nodes", 0, "machine size in nodes for all figures (power of two up to 512; 0 = the paper's 32-node 8x4 mesh)")
+	nodes := fs.Int("nodes", 0, "machine size in nodes for all figures (power of two from 2 to 512; 0 = the paper's 32-node 8x4 mesh)")
 	cacheDir := fs.String("cache", "", "persist run results in this directory and reuse them across processes")
 	appFlag := fs.String("app", "", "restrict sweep figures to one app (default: all four)")
 	scaleName := fs.String("scale", "", "workload scale override (tiny, sweep, default, full)")
@@ -160,8 +160,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	inv.cfg = machine.DefaultConfig()
 	if *nodes != 0 {
-		if *nodes < 1 || *nodes&(*nodes-1) != 0 {
-			return fail(fmt.Errorf("-nodes %d is not a power of two", *nodes))
+		if *nodes < 2 || *nodes&(*nodes-1) != 0 {
+			return fail(fmt.Errorf("-nodes %d is not a power of two from 2", *nodes))
 		}
 		var err error
 		if inv.cfg, err = machine.ConfigForNodes(*nodes); err != nil {

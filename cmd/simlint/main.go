@@ -33,12 +33,7 @@ func main() {
 		return
 	}
 
-	root, err := moduleRoot()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	pkgs, err := lint.Load(root, flag.Args())
+	pkgs, err := lint.Load(".", flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -82,23 +77,5 @@ func main() {
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "simlint: %d problem(s)\n", len(diags))
 		os.Exit(1)
-	}
-}
-
-// moduleRoot walks up from the working directory to the nearest go.mod.
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("simlint: no go.mod found above %s", dir)
-		}
-		dir = parent
 	}
 }

@@ -2,12 +2,15 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/machine"
+	"repro/internal/mesh"
 )
 
 func TestNewAppAllNamesAndScales(t *testing.T) {
@@ -379,5 +382,25 @@ func TestCrossoverExactTies(t *testing.T) {
 	lead := []SweepPoint{mk(0, 100, 100), mk(1, 90, 120), mk(2, 95, 130)}
 	if _, found := Crossover(lead, apps.SM, apps.MPPoll); found {
 		t.Error("tie-then-diverge reported a crossover")
+	}
+}
+
+// TestCrossTrafficLeavingNoBisectionRefused: on a 4x2 machine (native
+// bisection 9 B/cycle) a cross-traffic rate that leaves no emulated
+// bisection fails at once as a *RunError naming both rates, instead of
+// running toward the event limit.
+func TestCrossTrafficLeavingNoBisectionRefused(t *testing.T) {
+	cfg, err := machine.ConfigForNodes(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rate := range []float64{9, 12} {
+		cfg.CrossTraffic = mesh.CrossTraffic{MsgBytes: 64, BytesPerCycle: rate}
+		_, err := Run(RunConfig{App: EM3D, Mech: apps.SM, Scale: ScaleTiny, Machine: cfg})
+		var re *RunError
+		if !errors.As(err, &re) || !strings.Contains(re.Panic, "native 9.0 B/cycle") ||
+			!strings.Contains(re.Panic, fmt.Sprintf("%g B/cycle of cross-traffic", rate)) {
+			t.Errorf("%g B/cycle on 4x2: %v, want a *RunError naming both rates", rate, err)
+		}
 	}
 }

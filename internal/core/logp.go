@@ -37,6 +37,7 @@ func MeasureLogP(cfg machine.Config) LogP {
 // receive of a small message.
 func measureOverheads(cfg machine.Config) (oSend, oRecv float64) {
 	m := machine.New(cfg)
+	to := partner(cfg)
 	h := m.AM.Register(func(c *am.Ctx, args []int64, vals []float64) {})
 	const n = 32
 	var sendBusy, recvBusy sim.Time
@@ -45,11 +46,11 @@ func measureOverheads(cfg machine.Config) (oSend, oRecv float64) {
 		case 0:
 			for i := 0; i < n; i++ {
 				before := p.BD.T[stats.BucketMsgOverhead]
-				p.Send(1, h, []int64{int64(i)}, nil)
+				p.Send(to, h, []int64{int64(i)}, nil)
 				sendBusy += p.BD.T[stats.BucketMsgOverhead] - before
 				p.Compute(300) // spacing: measure isolated sends
 			}
-		case 1:
+		case to:
 			p.SetRecvMode(machine.RecvPoll)
 			for got := 0; got < n; {
 				got += p.WaitAndHandle()
@@ -61,10 +62,11 @@ func measureOverheads(cfg machine.Config) (oSend, oRecv float64) {
 	return clk.ToCyclesF(sendBusy) / n, clk.ToCyclesF(recvBusy) / n
 }
 
-// measureRTT measures a request-reply round trip between nodes four hops
-// apart.
+// measureRTT measures a request-reply round trip between node 0 and its
+// partner.
 func measureRTT(cfg machine.Config) float64 {
 	m := machine.New(cfg)
+	to := partner(cfg)
 	var pongH am.HandlerID
 	pingH := m.AM.Register(func(c *am.Ctx, args []int64, vals []float64) {
 		c.Reply(c.Src, pongH, nil, nil)
@@ -78,11 +80,11 @@ func measureRTT(cfg machine.Config) float64 {
 			p.SetRecvMode(machine.RecvPoll)
 			for i := 0; i < n; i++ {
 				start := p.Now()
-				p.Send(4, pingH, nil, nil)
+				p.Send(to, pingH, nil, nil)
 				p.WaitAndHandle()
 				total += p.Now() - start
 			}
-		case 4:
+		case to:
 			p.SetRecvMode(machine.RecvPoll)
 			for i := 0; i < n; i++ {
 				p.WaitAndHandle()
@@ -97,6 +99,7 @@ func measureRTT(cfg machine.Config) float64 {
 // or the link bandwidth, whichever is tighter).
 func measureGap(cfg machine.Config) float64 {
 	m := machine.New(cfg)
+	to := partner(cfg)
 	var lastArrival, firstArrival sim.Time
 	arrivals := 0
 	h := m.AM.Register(func(c *am.Ctx, args []int64, vals []float64) {
@@ -111,9 +114,9 @@ func measureGap(cfg machine.Config) float64 {
 		switch p.ID {
 		case 0:
 			for i := 0; i < n; i++ {
-				p.Send(1, h, nil, nil)
+				p.Send(to, h, nil, nil)
 			}
-		case 1:
+		case to:
 			p.SetRecvMode(machine.RecvPoll)
 			for arrivals < n {
 				p.WaitAndHandle()

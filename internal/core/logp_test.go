@@ -39,3 +39,23 @@ func TestLogPScalesWithMachine(t *testing.T) {
 		t.Errorf("overhead moved with network latency: %.1f vs %.1f", lp.O, base.O)
 	}
 }
+
+// TestMicrobenchmarksOnSmallMachines measures both Figure 3 tables on
+// machines whose first row has fewer than five nodes, where every
+// microbenchmark pairs node 0 with the last node of that row.
+func TestMicrobenchmarksOnSmallMachines(t *testing.T) {
+	for _, nodes := range []int{2, 4, 8} {
+		cfg, err := machine.ConfigForNodes(nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp := MeasureMissPenalties(cfg)
+		if mp.RemoteCleanRead <= mp.LocalRead || mp.NullAMCycles <= 0 {
+			t.Errorf("%d nodes: %+v", nodes, mp)
+		}
+		lp := MeasureLogP(cfg)
+		if lp.P != nodes || lp.O <= 0 || lp.G <= 0 {
+			t.Errorf("%d nodes: %+v", nodes, lp)
+		}
+	}
+}

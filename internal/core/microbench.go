@@ -25,20 +25,23 @@ type MissPenalties struct {
 	NetLatency24 float64 // paper: 15 (one-way 24B)
 }
 
+// partner is the node that every point-to-point microbenchmark pairs
+// with node 0 at (0,0): node 4 at (4,0), four hops east on the default
+// 8x4 mesh (the mesh's average distance), clamped to the first row on
+// narrower machines.
+func partner(cfg machine.Config) int { return min(4, cfg.Width-1) }
+
 // MeasureMissPenalties runs targeted microbenchmarks on fresh machines
-// with cfg and reports the achieved penalties. Remote cases use nodes
-// four hops apart (the mesh's average distance).
+// with cfg and reports the achieved penalties. Remote cases use node 0
+// and its partner.
 func MeasureMissPenalties(cfg machine.Config) MissPenalties {
 	var mp MissPenalties
 	m := machine.New(cfg)
-	// Requester 0 at (0,0); home 4 hops east (node 4 at (4,0) on the
-	// default 8x4 mesh, clamped to the row on narrower machines); third
-	// party one hop from the home — the row below when the machine has
-	// one, the neighboring column otherwise.
-	req, home, third := 0, 4, 4+cfg.Width
-	if home > cfg.Width-1 {
-		home = cfg.Width - 1
-	}
+	// Requester 0; home its partner; third party one hop from the home —
+	// the row below when the machine has one, the neighboring column
+	// otherwise.
+	req, home := 0, partner(cfg)
+	var third int
 	if cfg.Height > 1 {
 		third = home + cfg.Width
 	} else if home > 1 {
@@ -116,10 +119,11 @@ func MeasureMissPenalties(cfg machine.Config) MissPenalties {
 }
 
 // measureNullAM measures the end-to-end cost of a null active message
-// between nodes four hops apart: send-construct through handler dispatch,
+// from node 0 to its partner: send-construct through handler dispatch,
 // under interrupt reception (the paper's 102-cycle figure).
 func measureNullAM(cfg machine.Config) float64 {
 	m := machine.New(cfg)
+	to := partner(cfg)
 	var sendAt, handleAt sim.Time
 	h := m.AM.Register(func(c *am.Ctx, args []int64, vals []float64) {
 		handleAt = c.Now()
@@ -129,8 +133,8 @@ func measureNullAM(cfg machine.Config) float64 {
 		case 0:
 			p.Compute(100)
 			sendAt = p.Now()
-			p.Send(4, h, nil, nil)
-		case 4:
+			p.Send(to, h, nil, nil)
+		case to:
 			p.WaitAndHandle()
 		}
 	})

@@ -40,8 +40,8 @@ func runClosedScope(p *Pass) {
 }
 
 // checkSimImports reports each import of a loaded package outside the
-// sim scopes. Load refuses a pattern set that is not closed under module
-// imports, so an import that was not loaded is a standard-library one.
+// sim scopes. Load type-checks every module package the patterns import,
+// so an import that was not loaded is a standard-library one.
 func checkSimImports(p *Pass) {
 	loaded := make(map[string]bool, len(p.Loaded))
 	for _, pkg := range p.Loaded {

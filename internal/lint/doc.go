@@ -27,6 +27,9 @@
 // The reason is mandatory: a suppression documents why the flagged
 // construct is deterministic anyway (or host-facing by design).
 //
-// simlint is stdlib-only: packages are parsed with go/parser and
-// type-checked with go/types, resolving stdlib imports from source.
+// simlint needs only the standard library and the go command. Load runs
+// one go list call, so patterns resolve as they do for go build. It
+// parses the module packages go list names with go/parser and
+// type-checks them with go/types, dependencies first. Standard-library
+// imports come from the export data that go list reports.
 package lint

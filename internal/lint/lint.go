@@ -43,8 +43,8 @@ type Pass struct {
 	Pkg     *types.Package
 	Info    *types.Info
 	Files   []*ast.File
-	// Loaded is every package of the run, for checks that look past the
-	// package's own imports.
+	// Loaded is every package of the run, dependency-only ones included,
+	// for checks that look past the package's own imports.
 	Loaded []*Package
 
 	diags *[]Diagnostic
@@ -136,13 +136,16 @@ func inScope(pkgPath string, scopes []string) bool {
 	return false
 }
 
-// Run executes the checks over the packages and returns the surviving
-// diagnostics (suppressions applied, stale suppressions reported),
-// sorted by position.
+// Run executes the checks over the packages that are not DepOnly and
+// returns the surviving diagnostics (suppressions applied, stale
+// suppressions reported), sorted by position.
 func Run(pkgs []*Package, checks []*Check) []Diagnostic {
 	var raw []Diagnostic
 	sup := collectModuleSuppressions(pkgs, &raw)
 	for _, pkg := range pkgs {
+		if pkg.DepOnly {
+			continue
+		}
 		for _, c := range checks {
 			if c.Applies != nil && !c.Applies(pkg.Path) {
 				continue

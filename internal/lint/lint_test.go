@@ -3,24 +3,34 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// The fixture tests share one FileSet and one source importer, so the
-// standard library packages the fixtures import are type-checked from
-// source once per test binary rather than once per case.
+// The fixture tests share one FileSet and one importer, which reads the
+// export data go list reports for the standard packages the fixtures
+// import.
 var (
 	fixtureFset = token.NewFileSet()
-	stdImporter = importer.ForCompiler(fixtureFset, "source", nil)
+	stdImporter types.Importer
 )
+
+func TestMain(m *testing.M) {
+	listed, err := goList(".", []string{"fmt", "math/bits", "math/rand", "sort", "sync", "sync/atomic", "time"})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	stdImporter = exportImporter(fixtureFset, listed)
+	os.Exit(m.Run())
+}
 
 // TestFixtures runs each check over its testdata fixture package and
 // compares the diagnostics against the fixture's //want annotations:
@@ -169,7 +179,7 @@ func TestClosedScopeFixture(t *testing.T) {
 		{dir: "closedscope_host", path: "repro/internal/hostfix"},
 		{dir: "closedscope_mesh", path: "repro/internal/mesh/fixture"},
 	}
-	imp := &moduleImporter{source: stdImporter, checked: map[string]*types.Package{}}
+	imp := &moduleImporter{std: stdImporter, checked: map[string]*types.Package{}}
 	var pkgs []*Package
 	wants := make(map[string][]string)
 	for _, s := range specs {
@@ -200,9 +210,8 @@ func TestClosedScopeFixture(t *testing.T) {
 	}
 }
 
-// TestLoad loads an import-closed pattern set narrower than ./..., the
-// analyzer and its CLI, and checks that a pattern set missing an
-// imported package is refused.
+// TestLoad loads a pattern set narrower than ./..., the analyzer and its
+// CLI, in dependency order.
 func TestLoad(t *testing.T) {
 	pkgs, err := Load("../..", []string{"./internal/lint", "./cmd/simlint"})
 	if err != nil {
@@ -216,17 +225,77 @@ func TestLoad(t *testing.T) {
 				t.Errorf("%s: test file loaded", name)
 			}
 		}
-		if p.Pkg == nil || p.Info == nil {
-			t.Errorf("%s: not type-checked", p.Path)
+		if p.Pkg == nil || p.Info == nil || p.DepOnly {
+			t.Errorf("%s: not type-checked, or not linted", p.Path)
 		}
 	}
 	// cmd/simlint imports internal/lint, so it type-checks second.
 	if want := []string{"repro/internal/lint", "repro/cmd/simlint"}; !equalStrings(paths, want) {
 		t.Errorf("loaded %v, want %v", paths, want)
 	}
-	if _, err := Load("../..", []string{"./internal/core"}); err == nil ||
-		!strings.Contains(err.Error(), "outside the loaded pattern set") {
-		t.Errorf("Load(./internal/core) = %v, want an error naming an import outside the loaded pattern set", err)
+}
+
+// TestLoadDependencies: a pattern that matches one package lints that
+// package alone, and type-checks the module packages it imports first.
+func TestLoadDependencies(t *testing.T) {
+	pkgs, err := Load("../..", []string{"./internal/machine"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var linted, deps []string
+	for _, p := range pkgs {
+		if p.Pkg == nil {
+			t.Errorf("%s: not type-checked", p.Path)
+		}
+		if p.DepOnly {
+			deps = append(deps, p.Path)
+		} else {
+			linted = append(linted, p.Path)
+		}
+	}
+	if want := []string{"repro/internal/machine"}; !equalStrings(linted, want) {
+		t.Errorf("linted %v, want %v", linted, want)
+	}
+	if len(pkgs) == 0 || pkgs[len(pkgs)-1].Path != "repro/internal/machine" {
+		t.Errorf("internal/machine is not type-checked after its imports")
+	}
+	for _, want := range []string{"repro/internal/sim", "repro/internal/mem", "repro/internal/mesh"} {
+		if !slices.Contains(deps, want) {
+			t.Errorf("dependencies %v miss %s", deps, want)
+		}
+	}
+	if diags := Run(pkgs, Checks()); len(diags) != 0 {
+		t.Errorf("Run: %v", diags)
+	}
+}
+
+// TestLoadBuildConstraints: a file the compiler does not build is not
+// linted, even in a sim scope and calling time.Now.
+func TestLoadBuildConstraints(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod":                 "module fixmod\n\ngo 1.22\n",
+		"internal/sim/sim.go":    "package sim\n\nfunc Step(t int64) int64 { return t + 1 }\n",
+		"internal/sim/ignore.go": "//go:build ignore\n\npackage sim\n\nimport \"time\"\n\nfunc Wall() int64 { return time.Now().UnixNano() }\n",
+	}
+	for name, src := range files {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkgs, err := Load(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 || len(pkgs[0].Files) != 1 {
+		t.Fatalf("loaded %d packages, want fixmod/internal/sim with sim.go alone", len(pkgs))
+	}
+	if diags := Run(pkgs, Checks()); len(diags) != 0 {
+		t.Errorf("Run: %v", diags)
 	}
 }
 

@@ -1,240 +1,132 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"sort"
-	"strings"
 )
 
 // Package is one loaded, type-checked package.
 type Package struct {
 	Path  string // import path, e.g. repro/internal/sim
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-
-	imports []string // intra-module imports, for load ordering
+	// DepOnly marks a module package that the patterns import but do not
+	// match. It is type-checked and closedscope sees it, but no check
+	// runs on it and its allows are not audited.
+	DepOnly bool
 }
 
-// Load parses and type-checks the packages matched by patterns, rooted
-// at the module directory root. Patterns are "./..." (every package
-// under root), or "./dir" / "dir" for a single package directory.
-// Test files and testdata, vendor, and hidden directories are skipped.
+// listedPackage is one package of go list's JSON stream.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	Standard   bool
+	DepOnly    bool
+}
+
+// Load parses and type-checks the packages matched by patterns, which
+// the go command resolves in dir as it does for go build: no patterns
+// means "./...", build constraints apply, and test files are left out.
 //
-// Loading is stdlib-only: module-internal imports resolve against the
-// packages being loaded (so patterns that include a package's
-// dependencies type-check them once), and everything else — the
-// standard library — is type-checked from source via go/importer.
-func Load(root string, patterns []string) ([]*Package, error) {
-	root, err := filepath.Abs(root)
-	if err != nil {
-		return nil, err
-	}
-	modPath, err := modulePath(root)
-	if err != nil {
-		return nil, err
-	}
-	dirs, err := expandPatterns(root, patterns)
-	if err != nil {
-		return nil, err
-	}
-
-	fset := token.NewFileSet()
-	byPath := make(map[string]*Package, len(dirs))
-	var pkgs []*Package
-	for _, dir := range dirs {
-		pkg, err := parseDir(fset, root, modPath, dir)
-		if err != nil {
-			return nil, err
-		}
-		if pkg == nil {
-			continue // no buildable Go files
-		}
-		pkgs = append(pkgs, pkg)
-		byPath[pkg.Path] = pkg
-	}
-
-	ordered, err := loadOrder(pkgs, byPath)
-	if err != nil {
-		return nil, err
-	}
-
-	checked := make(map[string]*types.Package, len(ordered))
-	imp := &moduleImporter{
-		source:  importer.ForCompiler(fset, "source", nil),
-		checked: checked,
-	}
-	for _, pkg := range ordered {
-		if err := typeCheck(fset, pkg, imp); err != nil {
-			return nil, err
-		}
-		checked[pkg.Path] = pkg.Pkg
-	}
-	return ordered, nil
-}
-
-// modulePath reads the module path from root/go.mod.
-func modulePath(root string) (string, error) {
-	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return "", fmt.Errorf("lint: %s is not a module root: %w", root, err)
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-			return strings.TrimSpace(rest), nil
-		}
-	}
-	return "", fmt.Errorf("lint: no module line in %s/go.mod", root)
-}
-
-// expandPatterns resolves the command-line patterns to package dirs.
-func expandPatterns(root string, patterns []string) ([]string, error) {
+// One go list call names the matched packages and everything they
+// import, dependencies first. Module packages are type-checked from
+// source in that order, so each has exactly one types.Package and
+// closedscope's cross-package checks stay sound; standard-library
+// imports are read from the export data go list reports.
+func Load(dir string, patterns []string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	seen := make(map[string]bool)
-	var dirs []string
-	add := func(dir string) {
-		if !seen[dir] {
-			seen[dir] = true
-			dirs = append(dirs, dir)
-		}
+	listed, err := goList(dir, patterns)
+	if err != nil {
+		return nil, err
 	}
-	for _, pat := range patterns {
-		recursive := false
-		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			recursive = true
-			pat = rest
-			if pat == "." || pat == "" {
-				pat = "."
-			}
-		}
-		dir := filepath.Join(root, filepath.FromSlash(strings.TrimPrefix(pat, "./")))
-		if !recursive {
-			add(dir)
+	fset := token.NewFileSet()
+	imp := &moduleImporter{std: exportImporter(fset, listed), checked: make(map[string]*types.Package)}
+	var pkgs []*Package
+	for _, lp := range listed {
+		if lp.Standard || len(lp.GoFiles) == 0 {
 			continue
 		}
-		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		pkg := &Package{Path: lp.ImportPath, Fset: fset, DepOnly: lp.DepOnly}
+		for _, name := range lp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			if !d.IsDir() {
-				return nil
-			}
-			name := d.Name()
-			if path != dir && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-				name == "testdata" || name == "vendor") {
-				return filepath.SkipDir
-			}
-			add(path)
-			return nil
-		})
-		if err != nil {
+			pkg.Files = append(pkg.Files, f)
+		}
+		if err := typeCheck(fset, pkg, imp); err != nil {
 			return nil, err
 		}
+		imp.checked[pkg.Path] = pkg.Pkg
+		pkgs = append(pkgs, pkg)
 	}
-	sort.Strings(dirs)
-	return dirs, nil
+	return pkgs, nil
 }
 
-// parseDir parses the non-test files of one package directory; returns
-// nil if it holds none.
-func parseDir(fset *token.FileSet, root, modPath, dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
+// goList runs go list -deps -export in dir and decodes the packages it
+// prints, each after its dependencies.
+func goList(dir string, patterns []string) ([]listedPackage, error) {
+	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,Standard,DepOnly"}, patterns...)
+	cmd := exec.Command("go", args...)
+	cmd.Dir = dir
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	imports := make(map[string]bool)
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") ||
-			strings.HasSuffix(name, "_test.go") {
-			continue
+		var ee *exec.ExitError
+		if errors.As(err, &ee) {
+			err = errors.New(string(bytes.TrimSpace(ee.Stderr)))
 		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
+		return nil, fmt.Errorf("lint: go list: %w", err)
+	}
+	var listed []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var lp listedPackage
+		if err := dec.Decode(&lp); err == io.EOF {
+			return listed, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("lint: go list output: %w", err)
 		}
-		files = append(files, f)
-		for _, imp := range f.Imports {
-			path := strings.Trim(imp.Path.Value, `"`)
-			if path == modPath || strings.HasPrefix(path, modPath+"/") {
-				imports[path] = true
-			}
-		}
+		listed = append(listed, lp)
 	}
-	if len(files) == 0 {
-		return nil, nil
-	}
-	rel, err := filepath.Rel(root, dir)
-	if err != nil {
-		return nil, err
-	}
-	path := modPath
-	if rel != "." {
-		path = modPath + "/" + filepath.ToSlash(rel)
-	}
-	pkg := &Package{Path: path, Dir: dir, Fset: fset, Files: files}
-	for imp := range imports {
-		pkg.imports = append(pkg.imports, imp)
-	}
-	sort.Strings(pkg.imports)
-	return pkg, nil
 }
 
-// loadOrder topologically sorts pkgs by their intra-module imports so
-// each package type-checks after its dependencies.
-func loadOrder(pkgs []*Package, byPath map[string]*Package) ([]*Package, error) {
-	const (
-		visiting = 1
-		done     = 2
-	)
-	state := make(map[string]int, len(pkgs))
-	var ordered []*Package
-	var visit func(p *Package, chain []string) error
-	visit = func(p *Package, chain []string) error {
-		switch state[p.Path] {
-		case done:
-			return nil
-		case visiting:
-			return fmt.Errorf("lint: import cycle: %s", strings.Join(append(chain, p.Path), " -> "))
-		}
-		state[p.Path] = visiting
-		for _, imp := range p.imports {
-			dep, ok := byPath[imp]
-			if !ok {
-				return fmt.Errorf("lint: %s imports %s, which is outside the loaded pattern set (lint the whole module: simlint ./...)", p.Path, imp)
-			}
-			if err := visit(dep, append(chain, p.Path)); err != nil {
-				return err
-			}
-		}
-		state[p.Path] = done
-		ordered = append(ordered, p)
-		return nil
-	}
-	for _, p := range pkgs {
-		if err := visit(p, nil); err != nil {
-			return nil, err
+// exportImporter imports the listed standard-library packages from their
+// export data.
+func exportImporter(fset *token.FileSet, listed []listedPackage) types.Importer {
+	export := make(map[string]string)
+	for _, lp := range listed {
+		if lp.Standard {
+			export[lp.ImportPath] = lp.Export
 		}
 	}
-	return ordered, nil
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if file := export[path]; file != "" {
+			return os.Open(file)
+		}
+		return nil, fmt.Errorf("lint: no export data for %s", path)
+	})
 }
 
-// moduleImporter resolves module-internal imports from the packages
-// loaded so far and everything else from stdlib source.
+// moduleImporter resolves module imports to the packages type-checked so
+// far and everything else from standard-library export data.
 type moduleImporter struct {
-	source  types.Importer
+	std     types.Importer
 	checked map[string]*types.Package
 }
 
@@ -242,7 +134,7 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	if pkg, ok := m.checked[path]; ok {
 		return pkg, nil
 	}
-	return m.source.Import(path)
+	return m.std.Import(path)
 }
 
 // typeCheck populates pkg.Pkg and pkg.Info.

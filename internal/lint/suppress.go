@@ -79,13 +79,15 @@ func (s *suppressions) auditStale(checks []*Check, out *[]Diagnostic) {
 }
 
 // collectModuleSuppressions parses every //lint:allow comment across the
-// loaded packages. Malformed suppressions (unknown form, missing reason)
-// are reported into raw under the pseudo-check "allow" so they cannot
-// silently fail to suppress.
+// linted packages, which DepOnly ones are not. Malformed suppressions
+// (unknown form, missing reason) are reported into raw under the
+// pseudo-check "allow" so they cannot silently fail to suppress.
 func collectModuleSuppressions(pkgs []*Package, raw *[]Diagnostic) *suppressions {
 	s := &suppressions{byLine: make(map[string]map[int][]*suppression)}
 	for _, pkg := range pkgs {
-		collectSuppressions(pkg.Fset, pkg.Path, pkg.Files, s, raw)
+		if !pkg.DepOnly {
+			collectSuppressions(pkg.Fset, pkg.Path, pkg.Files, s, raw)
+		}
 	}
 	return s
 }

@@ -504,10 +504,16 @@ type CrossTraffic struct {
 // direction, each sending MsgBytes-sized packets across the full width of
 // the mesh at an even share of the aggregate rate. Generators run until
 // StopCrossTraffic. Offsets are staggered deterministically to avoid
-// phase-locking artifacts.
+// phase-locking artifacts. A rate that leaves no emulated bisection is
+// refused: the generators inject open-loop, so the links' reservation
+// horizon would outrun simulated time until the event limit ended the
+// run.
 func (n *Network) StartCrossTraffic(ct CrossTraffic, clk sim.Clock) {
 	if n.Torus {
 		panic("mesh: cross-traffic bisection emulation requires a mesh (the paper's topology)")
+	}
+	if native := n.BisectionBytesPerCycle(clk); ct.BytesPerCycle >= native {
+		panic(fmt.Sprintf("mesh: %g B/cycle of cross-traffic leaves no bisection (native %.1f B/cycle)", ct.BytesPerCycle, native))
 	}
 	if ct.BytesPerCycle <= 0 || ct.MsgBytes <= 0 {
 		return
