@@ -1,9 +1,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"text/tabwriter"
 
@@ -16,28 +17,38 @@ import (
 	"repro/internal/stats"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("alewife-sim: ")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	appName := flag.String("app", "em3d", "application: em3d, unstruc, iccg, moldyn")
-	mechName := flag.String("mech", "sm", "mechanism: sm, sm+pf, mp-int, mp-poll, bulk")
-	scaleName := flag.String("scale", "default", "workload scale: tiny, sweep, default, full")
-	clock := flag.Float64("clock", 20, "processor clock in MHz (the network is asynchronous)")
-	cross := flag.Float64("cross", 0, "cross-traffic rate in bytes/cycle (bisection emulation)")
-	xmsg := flag.Int("xmsg", 64, "cross-traffic message size in bytes")
-	idealLat := flag.Int64("ideal-lat", 0, "if nonzero, uniform one-way latency in cycles (ideal network)")
-	validate := flag.Bool("validate", true, "check the result against the sequential reference")
-	traceN := flag.Int("trace", 0, "dump the last N protocol/message events after the run")
-	flag.Parse()
+// run simulates one configuration, prints its measurements and returns
+// the exit status: 1 for a bad flag value or a failed run, 2 for an
+// unknown flag.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("alewife-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	appName := fs.String("app", "em3d", "application: em3d, unstruc, iccg, moldyn")
+	mechName := fs.String("mech", "sm", "mechanism: sm, sm+pf, mp-int, mp-poll, bulk")
+	scaleName := fs.String("scale", "default", "workload scale: tiny, sweep, default, full")
+	clock := fs.Float64("clock", 20, "processor clock in MHz (the network is asynchronous)")
+	cross := fs.Float64("cross", 0, "cross-traffic rate in bytes/cycle (bisection emulation)")
+	xmsg := fs.Int("xmsg", 64, "cross-traffic message size in bytes")
+	idealLat := fs.Int64("ideal-lat", 0, "if nonzero, uniform one-way latency in cycles (ideal network)")
+	validate := fs.Bool("validate", true, "check the result against the sequential reference")
+	traceN := fs.Int("trace", 0, "dump the last N protocol/message events after the run")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int { fmt.Fprintf(stderr, "alewife-sim: %v\n", err); return 1 }
 
 	mech, err := parseMech(*mechName)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	sc, err := core.ParseScale(*scaleName)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 
 	cfg := machine.DefaultConfig()
@@ -53,17 +64,17 @@ func main() {
 		Machine: cfg, SkipValidate: !*validate,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 
-	fmt.Printf("%s / %s on %d-node machine @ %.0f MHz (scale %s)\n",
+	fmt.Fprintf(stdout, "%s / %s on %d-node machine @ %.0f MHz (scale %s)\n",
 		res.App, res.Mech, cfg.Nodes(), cfg.ClockMHz, sc)
-	fmt.Printf("runtime: %d processor cycles (%v)\n", res.Cycles, res.Time)
-	fmt.Printf("bisection: native %.1f bytes/cycle, emulated %.1f\n",
+	fmt.Fprintf(stdout, "runtime: %d processor cycles (%v)\n", res.Cycles, res.Time)
+	fmt.Fprintf(stdout, "bisection: native %.1f bytes/cycle, emulated %.1f\n",
 		res.Bisection, res.EmulatedBisection)
 
 	clk := sim.NewClock(cfg.ClockMHz)
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "\ntime breakdown\tcycles (sum over processors)\tshare")
 	bd := res.Breakdown
 	for b := stats.BucketSync; b <= stats.BucketCompute; b++ {
@@ -91,13 +102,14 @@ func main() {
 	fmt.Fprintf(tw, "barrier arrivals\t%d\t\n", ev.BarrierArrivals)
 	tw.Flush()
 	if res.Trace != nil {
-		fmt.Printf("\nlast %d trace events (of %d recorded):\n",
+		fmt.Fprintf(stdout, "\nlast %d trace events (of %d recorded):\n",
 			len(res.Trace.Items()), res.Trace.Total())
-		obs.DumpEvents(os.Stdout, clk, res.Trace)
+		obs.DumpEvents(stdout, clk, res.Trace)
 	}
 	if *validate {
-		fmt.Println("\nresult validated against sequential reference")
+		fmt.Fprintln(stdout, "\nresult validated against sequential reference")
 	}
+	return 0
 }
 
 func parseMech(s string) (apps.Mechanism, error) {

@@ -113,8 +113,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs.StringVar(&inv.noise, "noise", figures.DefaultNoiseSpec, "stochastic noise spec for the Figure S2 "+
 		"runtime-distribution panel (hostnoise/netnoise clauses; see internal/fault)")
 	fs.IntVar(&inv.noiseSeeds, "noiseseeds", 8, "number of noise seeds (1..N) for the Figure S2 runtime distribution")
-	timelineDir := fs.String("timeline", "", "write a Perfetto trace-event JSON timeline and a metrics "+
-		"snapshot per executed run into this directory (enables metrics collection; byte-identical across reruns)")
+	timelineDir := fs.String("timeline", "", "write a Perfetto trace-event JSON timeline per executed run "+
+		"into this directory (byte-identical across reruns)")
 	critpath := fs.Bool("critpath", false, "profile the critical path: attribute every cycle of the "+
 		"last-finishing processor to compute / memory stall / network latency / network bandwidth / "+
 		"synchronization (prints a table with -fig 4, adds a critpath_fig4.csv with -csv, the "+
@@ -232,7 +232,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				return fail(err)
 			}
 			tele.TimelineDir = *timelineDir
-			inv.cfg.Metrics = true
 			inv.cfg.SpanCap = timelineSpanCap
 		}
 		if *runlog != "" {
@@ -401,7 +400,7 @@ func (inv *invocation) fig5() error {
 
 func (inv *invocation) fig6() error {
 	fmt.Fprintln(inv.out, "Figure 6: cross-traffic topology — I/O nodes on both edge columns of the")
-	fmt.Fprintln(inv.out, "8x4 mesh stream messages across the bisection in both directions; see")
+	fmt.Fprintf(inv.out, "%dx%d mesh stream messages across the bisection in both directions; see\n", inv.cfg.Width, inv.cfg.Height)
 	fmt.Fprintln(inv.out, "internal/mesh (StartCrossTraffic) and its tests for the geometry.")
 	inv.sep()
 	return nil

@@ -167,39 +167,6 @@ type System struct {
 	// fault, when non-nil, injects endpoint drain stalls (the NI refuses
 	// deliveries during a stall window, exercising the mesh retry path).
 	fault DrainStaller
-
-	// Per-node instruments, allocated by SetMetrics; nil when metrics
-	// are disabled. Purely passive.
-	mSend     []*obs.Counter   // messages injected per source node
-	mRecv     []*obs.Counter   // messages dispatched per receiving node
-	mInDepth  []*obs.Histogram // NI input-queue depth at each arrival
-	mOutBack  []*obs.Histogram // injection backlog (cycles) at each send
-	mWaitFull []*obs.Counter   // deliveries refused on a full input queue
-}
-
-// SetMetrics registers the message layer's instruments on reg and begins
-// recording: per-node send/receive occupancy counters, the NI input
-// queue depth distribution (observed at every arrival), the send-side
-// injection backlog distribution in processor cycles (observed at every
-// inject), and full-queue delivery refusals. nil is ignored.
-func (s *System) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	n := len(s.nis)
-	s.mSend = make([]*obs.Counter, n)
-	s.mRecv = make([]*obs.Counter, n)
-	s.mInDepth = make([]*obs.Histogram, n)
-	s.mOutBack = make([]*obs.Histogram, n)
-	s.mWaitFull = make([]*obs.Counter, n)
-	for i := 0; i < n; i++ {
-		l := obs.NodeLabel(i)
-		s.mSend[i] = reg.Counter("am_send_total", l)
-		s.mRecv[i] = reg.Counter("am_recv_total", l)
-		s.mInDepth[i] = reg.Histogram("am_ni_in_depth", l)
-		s.mOutBack[i] = reg.Histogram("am_out_backlog_cycles", l)
-		s.mWaitFull[i] = reg.Counter("am_ni_full_refusals_total", l)
-	}
 }
 
 // DrainStaller injects endpoint drain stalls deterministically. It is
@@ -294,14 +261,6 @@ func (s *System) stallIfBacklogged(th *sim.Thread, node int, bd *stats.Breakdown
 // inject places the message on the wire (or loops it back locally).
 func (s *System) inject(src, dst int, h HandlerID, args []int64, vals []float64, bulk bool, extraHdr int) {
 	s.ev.MessagesSent++
-	if s.mSend != nil {
-		s.mSend[src].Inc()
-		back := s.outFree[src] - s.eng.Now()
-		if back < 0 {
-			back = 0
-		}
-		s.mOutBack[src].Observe(s.clk.ToCycles(back))
-	}
 	if s.tr != nil {
 		k := obs.KMsgSend
 		if bulk {
@@ -391,16 +350,10 @@ func (e endpoint) TryDeliver(now sim.Time, p *mesh.Packet) (bool, sim.Time) {
 		ni := e.s.nis[e.node]
 		if e.s.fault != nil {
 			if u := e.s.fault.DrainStalledUntil(e.node, now); u > now {
-				if e.s.mWaitFull != nil {
-					e.s.mWaitFull[e.node].Inc()
-				}
 				return false, u
 			}
 		}
 		if len(ni.q) >= e.s.par.InQueueCap {
-			if e.s.mWaitFull != nil {
-				e.s.mWaitFull[e.node].Inc()
-			}
 			return false, now + e.s.clk.Cycles(e.s.par.RetryCycles)
 		}
 		if p.Deliver != nil {
@@ -423,9 +376,6 @@ func (m *msg) arrive() {
 	ni.q = append(ni.q, m)
 	ni.lastSrc, ni.lastSent, ni.lastBytes = m.src, m.sent, m.bytes
 	ni.arrivals++
-	if s.mInDepth != nil {
-		s.mInDepth[node].Observe(int64(len(ni.q)))
-	}
 	if f := ni.notify; f != nil {
 		ni.notify = nil
 		f()
@@ -501,9 +451,6 @@ func (s *System) drain(th *sim.Thread, node int, bd *stats.Breakdown, perMsg int
 		ni.q = ni.q[:k]
 		n++
 		s.ev.MessagesRecv++
-		if s.mRecv != nil {
-			s.mRecv[node].Inc()
-		}
 		if s.tr != nil {
 			s.tr.Add(obs.Event{At: s.eng.Now(), Node: node, Kind: obs.KMsgRecv, A: int64(m.src)})
 		}

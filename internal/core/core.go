@@ -202,8 +202,6 @@ type RunResult struct {
 	Mech apps.Mechanism
 	// Trace holds the machine's event trace when Machine.TraceCap was set.
 	Trace *obs.Ring[obs.Event]
-	// Obs holds the run's metrics registry when Machine.Metrics was set.
-	Obs *obs.Registry
 	// Spans holds the thread-state timeline when Machine.SpanCap was set.
 	Spans *obs.Ring[obs.Span]
 	// Crit holds the critical-path recorder (edge stream) when
@@ -256,7 +254,7 @@ func Run(rc RunConfig) (res RunResult, err error) {
 			return RunResult{}, fmt.Errorf("core: %s/%s: %w", rc.App, rc.Mech, err)
 		}
 	}
-	return RunResult{Result: mres, App: rc.App, Mech: rc.Mech, Trace: m.Trace, Obs: m.Obs, Spans: m.Spans, Crit: m.Crit}, nil
+	return RunResult{Result: mres, App: rc.App, Mech: rc.Mech, Trace: m.Trace, Spans: m.Spans, Crit: m.Crit}, nil
 }
 
 // MustRun is Run, panicking on error (for benchmarks and examples).

@@ -11,7 +11,7 @@ import (
 )
 
 // TestCritPathNetworkShare runs EM3D tiny with every observability sink
-// enabled — metrics, trace ring, span ring, critical-path profiler — and
+// enabled — trace ring, span ring, critical-path profiler — and
 // checks the attribution invariant (the five categories sum to the
 // critical path's length) and the Figure S2 finding as a share gap:
 // shared memory's critical path carries substantial network round-trip
@@ -23,7 +23,6 @@ func TestCritPathNetworkShare(t *testing.T) {
 	netShare := map[apps.Mechanism]float64{}
 	for _, mech := range []apps.Mechanism{apps.SM, apps.MPPoll} {
 		cfg := machine.DefaultConfig()
-		cfg.Metrics = true
 		cfg.TraceCap = 512
 		cfg.SpanCap = 512
 		cfg.CritPath = true

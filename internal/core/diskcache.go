@@ -24,9 +24,9 @@ const diskCacheSchema = 8 // 8: Result.Noise became Result.Faults, with the faul
 // treated as misses and re-simulated.
 //
 // The Runner stores only successful runs, and only of configurations
-// that record no observations: a run with TraceCap, SpanCap, Metrics or
-// CritPath set executes for its trace, span, metrics or causal-edge
-// rings, which the record cannot hold, so such a configuration is
+// that record no observations: a run with TraceCap, SpanCap or CritPath
+// set executes for its trace, span or causal-edge rings, which the
+// record cannot hold, so such a configuration is
 // neither loaded from nor stored to disk and executes once per process.
 //
 // Concurrent use — including by unrelated processes sharing the

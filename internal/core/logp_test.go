@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/machine"
@@ -41,21 +42,53 @@ func TestLogPScalesWithMachine(t *testing.T) {
 }
 
 // TestMicrobenchmarksOnSmallMachines measures both Figure 3 tables on
-// machines whose first row has fewer than five nodes, where every
-// microbenchmark pairs node 0 with the last node of that row.
+// machines below 32 nodes, whose first row may have fewer than five
+// nodes, where every microbenchmark pairs node 0 with the last node of
+// that row. A row the machine has nodes for costs what its protocol
+// path costs: a LimitLESS row takes the software trap (over 300
+// cycles), not a plain remote miss. A row it has no nodes for (a
+// 3-party row without a third node, a LimitLESS row without six nodes
+// beside the requester, the home and the third party) is not measured.
 func TestMicrobenchmarksOnSmallMachines(t *testing.T) {
-	for _, nodes := range []int{2, 4, 8} {
-		cfg, err := machine.ConfigForNodes(nodes)
+	for _, tc := range []struct {
+		nodes                 int
+		threeParty, limitless bool
+	}{
+		{2, false, false},
+		{4, true, false},
+		{8, true, false},
+		{16, true, true},
+	} {
+		cfg, err := machine.ConfigForNodes(tc.nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mp := MeasureMissPenalties(cfg)
 		if mp.RemoteCleanRead <= mp.LocalRead || mp.NullAMCycles <= 0 {
-			t.Errorf("%d nodes: %+v", nodes, mp)
+			t.Errorf("%d nodes: %+v", tc.nodes, mp)
+		}
+		for _, row := range []struct {
+			name   string
+			v      float64
+			hosted bool
+			floor  float64
+		}{
+			{"remote dirty read", mp.RemoteDirtyRead, tc.threeParty, mp.RemoteCleanRead},
+			{"remote write, 1 inval", mp.RemoteInvalWrite, tc.threeParty, mp.RemoteCleanWrite},
+			{"remote dirty write", mp.RemoteDirtyWrite, tc.threeParty, mp.RemoteCleanWrite},
+			{"LimitLESS read", mp.LimitLESSRead, tc.limitless, 300},
+			{"LimitLESS write", mp.LimitLESSWrite, tc.limitless, 300},
+		} {
+			switch {
+			case !row.hosted && !math.IsNaN(row.v):
+				t.Errorf("%d nodes: %s = %.1f cycles, want not measured", tc.nodes, row.name, row.v)
+			case row.hosted && !(row.v > row.floor):
+				t.Errorf("%d nodes: %s = %.1f cycles, want over %.1f", tc.nodes, row.name, row.v, row.floor)
+			}
 		}
 		lp := MeasureLogP(cfg)
-		if lp.P != nodes || lp.O <= 0 || lp.G <= 0 {
-			t.Errorf("%d nodes: %+v", nodes, lp)
+		if lp.P != tc.nodes || lp.O <= 0 || lp.G <= 0 {
+			t.Errorf("%d nodes: %+v", tc.nodes, lp)
 		}
 	}
 }

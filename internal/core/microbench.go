@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"slices"
+
 	"repro/internal/am"
 	"repro/internal/machine"
 	"repro/internal/mem"
@@ -8,7 +11,9 @@ import (
 )
 
 // MissPenalties holds measured shared-memory access penalties in
-// processor cycles, mirroring the cost table of the paper's Figure 3.
+// processor cycles, mirroring the cost table of the paper's Figure 3. A
+// penalty whose roles the machine has no nodes for is NaN: not
+// measured.
 type MissPenalties struct {
 	LocalRead       float64 // paper: 11
 	RemoteCleanRead float64 // paper: 38-42
@@ -31,24 +36,61 @@ type MissPenalties struct {
 // narrower machines.
 func partner(cfg machine.Config) int { return min(4, cfg.Width-1) }
 
-// MeasureMissPenalties runs targeted microbenchmarks on fresh machines
-// with cfg and reports the achieved penalties. Remote cases use node 0
-// and its partner.
-func MeasureMissPenalties(cfg machine.Config) MissPenalties {
-	var mp MissPenalties
-	m := machine.New(cfg)
-	// Requester 0; home its partner; third party one hop from the home —
-	// the row below when the machine has one, the neighboring column
-	// otherwise.
-	req, home := 0, partner(cfg)
-	var third int
-	if cfg.Height > 1 {
-		third = home + cfg.Width
-	} else if home > 1 {
-		third = home - 1
-	} else {
-		third = home + 1 // degenerate 1- or 2-node machines measure local-ish costs
+// missRoles are the nodes the Figure 3 microbenchmarks run on, picked
+// from the geometry: the requester (node 0), the lines' home (its
+// partner), a third party one hop from the home that dirties and shares
+// lines, and the sharers that overflow the home's hardware directory
+// pointers on the LimitLESS lines. A role the machine has no node for
+// is -1 (third) or nil (sharers).
+type missRoles struct {
+	req, home, third int
+	sharers          []int
+}
+
+func pickMissRoles(cfg machine.Config) missRoles {
+	n := cfg.Nodes()
+	r := missRoles{req: 0, home: partner(cfg), third: -1}
+	if r.home == r.req {
+		return r
 	}
+	// The row below the home when the machine has one, the neighbouring
+	// column otherwise.
+	switch {
+	case cfg.Height > 1:
+		r.third = r.home + cfg.Width
+	case r.home > 1:
+		r.third = r.home - 1
+	case r.home+1 < n:
+		r.third = r.home + 1
+	}
+	// One sharer more than the hardware pointers, the first nodes from
+	// the middle of the machine on (16-21 on the 8x4 mesh) that play no
+	// other role.
+	for i := 0; i < n && len(r.sharers) <= cfg.Mem.HWPointers; i++ {
+		if id := (n/2 + i) % n; id != r.req && id != r.home && id != r.third {
+			r.sharers = append(r.sharers, id)
+		}
+	}
+	if len(r.sharers) <= cfg.Mem.HWPointers {
+		r.sharers = nil
+	}
+	return r
+}
+
+// MeasureMissPenalties runs targeted microbenchmarks on fresh machines
+// with cfg and reports the achieved penalties. Rows whose roles the
+// machine cannot host (see missRoles) are NaN.
+func MeasureMissPenalties(cfg machine.Config) MissPenalties {
+	nan := math.NaN()
+	mp := MissPenalties{
+		RemoteCleanRead: nan, RemoteDirtyRead: nan, LimitLESSRead: nan,
+		RemoteCleanWrite: nan, RemoteInvalWrite: nan, RemoteDirtyWrite: nan, LimitLESSWrite: nan,
+		NullAMCycles: nan,
+	}
+	m := machine.New(cfg)
+	roles := pickMissRoles(cfg)
+	req, home, third := roles.req, roles.home, roles.third
+	remote, threeParty, limitless := home != req, third >= 0, roles.sharers != nil
 	mkAddrs := func(n int) []mem.Addr {
 		out := make([]mem.Addr, n)
 		for i := range out {
@@ -89,9 +131,7 @@ func MeasureMissPenalties(cfg machine.Config) MissPenalties {
 			for _, a := range invalW {
 				p.Read(a)
 			}
-		case p.ID >= 16 && p.ID < 22:
-			// Six sharers overflow the 5-pointer directory on the
-			// LimitLESS lines.
+		case slices.Contains(roles.sharers, p.ID):
 			p.Compute(8000)
 			for _, a := range llR {
 				p.Read(a)
@@ -103,18 +143,29 @@ func MeasureMissPenalties(cfg machine.Config) MissPenalties {
 			p.Compute(4000) // let the third party finish state setup
 			mp.LocalRead = avg(p, localAddrs[:16], func(a mem.Addr) { p.Read(a) })
 			mp.LocalWrite = avg(p, localAddrs[16:], func(a mem.Addr) { p.Write(a, 1) })
+			if !remote {
+				return
+			}
 			mp.RemoteCleanRead = avg(p, cleanR, func(a mem.Addr) { p.Read(a) })
-			mp.RemoteDirtyRead = avg(p, dirtyR, func(a mem.Addr) { p.Read(a) })
+			if threeParty {
+				mp.RemoteDirtyRead = avg(p, dirtyR, func(a mem.Addr) { p.Read(a) })
+			}
 			mp.RemoteCleanWrite = avg(p, cleanW, func(a mem.Addr) { p.Write(a, 1) })
-			mp.RemoteInvalWrite = avg(p, invalW, func(a mem.Addr) { p.Write(a, 1) })
-			mp.RemoteDirtyWrite = avg(p, dirtyW, func(a mem.Addr) { p.Write(a, 1) })
-			p.Compute(40000) // LimitLESS sharers are in place by now
-			mp.LimitLESSRead = avg(p, llR, func(a mem.Addr) { p.Read(a) })
-			mp.LimitLESSWrite = avg(p, llW, func(a mem.Addr) { p.Write(a, 1) })
+			if threeParty {
+				mp.RemoteInvalWrite = avg(p, invalW, func(a mem.Addr) { p.Write(a, 1) })
+				mp.RemoteDirtyWrite = avg(p, dirtyW, func(a mem.Addr) { p.Write(a, 1) })
+			}
+			if limitless {
+				p.Compute(40000) // LimitLESS sharers are in place by now
+				mp.LimitLESSRead = avg(p, llR, func(a mem.Addr) { p.Read(a) })
+				mp.LimitLESSWrite = avg(p, llW, func(a mem.Addr) { p.Write(a, 1) })
+			}
 		}
 	})
 	mp.NetLatency24 = NetLatencyCycles(cfg)
-	mp.NullAMCycles = measureNullAM(cfg)
+	if remote {
+		mp.NullAMCycles = measureNullAM(cfg)
+	}
 	return mp
 }
 

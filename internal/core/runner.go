@@ -76,7 +76,7 @@ func (r *Runner) SetDiskCache(dc *DiskCache) { r.disk.Store(dc) }
 
 // SetTelemetry attaches (or, with nil, detaches) an observability sink:
 // every subsequent Run — cache hit or miss — is logged to it, and
-// executed runs write their timeline/metrics/trace artifacts. Safe to
+// executed runs write their timeline and trace artifacts. Safe to
 // call concurrently with sweeps; in-flight runs may record to either
 // sink around the switch.
 func (r *Runner) SetTelemetry(t *Telemetry) { r.tele.Store(t) }
@@ -143,7 +143,7 @@ func (r *Runner) Run(rc RunConfig) (RunResult, error) {
 	r.cache[key] = e
 	r.mu.Unlock()
 	dc := r.disk.Load()
-	if m := key.Machine; m.TraceCap > 0 || m.SpanCap > 0 || m.Metrics || m.CritPath {
+	if m := key.Machine; m.TraceCap > 0 || m.SpanCap > 0 || m.CritPath {
 		dc = nil // the run is for its observation rings, which the disk cannot hold
 	}
 	if dc != nil {

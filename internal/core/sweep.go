@@ -22,7 +22,8 @@ const CrossMsgBytes = 64
 // The paper's grids, one per sweep figure.
 var (
 	// DefaultCrossRates is the Figure 8 cross-traffic schedule, in bytes
-	// per processor cycle consumed by I/O traffic.
+	// per processor cycle consumed by I/O traffic on the paper's 32-node
+	// machine (ScaleCrossRates carries it to other machines).
 	DefaultCrossRates = []float64{0, 4, 8, 12, 14, 16}
 	// DefaultClockMHzs is the Figure 9 clock schedule: the paper's
 	// hardware range, 20 down to 14 MHz.
@@ -121,6 +122,23 @@ func BisectionAxis(base machine.Config, crossRates []float64) Axis {
 		l.points[i] = predict.Point{LatScale: lat, BWScale: 1, ExtraRho: u}
 	}
 	return Axis{X: xs, sm: l, mp: l}
+}
+
+// ScaleCrossRates carries rates, cross-traffic in bytes per cycle chosen
+// for the paper's 32-node machine, over to base: each is multiplied by
+// base's bisection link count over that of the 8x4 mesh with base's
+// other parameters. The factor is exactly 1 on 32 nodes, and a scaled
+// grid consumes the same share of the cut on every machine, so none of
+// its rates exceeds a smaller machine's bisection.
+func ScaleCrossRates(base machine.Config, rates []float64) []float64 {
+	ref, def := base.Mesh(), machine.DefaultConfig()
+	ref.Width, ref.Height = def.Width, def.Height
+	k := float64(base.Mesh().BisectionLinks()) / float64(ref.BisectionLinks())
+	out := make([]float64, len(rates))
+	for i, r := range rates {
+		out[i] = r * k
+	}
+	return out
 }
 
 // xHopFrac is the expected fraction of a uniform-traffic route's hops

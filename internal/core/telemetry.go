@@ -16,8 +16,8 @@ import (
 )
 
 // Telemetry is the runner's host-side observability sink: a JSONL run
-// log, a throttled progress heartbeat, per-run Perfetto timelines and
-// metrics snapshots, and text trace dumps. All fields are optional;
+// log, a throttled progress heartbeat, per-run Perfetto timelines, and
+// text trace dumps. All fields are optional;
 // leave one nil/empty to disable that sink. Attach with
 // Runner.SetTelemetry before starting sweeps.
 //
@@ -25,8 +25,8 @@ import (
 // packages — it observes the host wall clock (run durations, heartbeat
 // throttling), which simlint's wallclock check bans inside the
 // simulation. Nothing here feeds back into simulated state; the
-// simulation-side data it serializes (timelines, metrics snapshots, the
-// run record's configuration and result) is a deterministic function of
+// simulation-side data it serializes (timelines, trace dumps, the run
+// record's configuration and result) is a deterministic function of
 // the RunConfig, so those bytes are identical across runs. Only the run
 // log's host fields (memo, wall_ms) are not.
 type Telemetry struct {
@@ -35,9 +35,9 @@ type Telemetry struct {
 	RunLog io.Writer
 	// Heartbeat receives throttled one-line progress reports.
 	Heartbeat io.Writer
-	// TimelineDir, when nonempty, receives <run>.json Perfetto timelines
-	// and <run>.metrics.txt registry snapshots for every executed run
-	// that recorded them (see machine.Config.Metrics/SpanCap/TraceCap).
+	// TimelineDir, when nonempty, receives a <run>.json Perfetto
+	// timeline for every executed run that recorded spans, events or
+	// causal edges (see machine.Config.SpanCap/TraceCap/CritPath).
 	TimelineDir string
 	// TraceOut receives a text dump of every executed run's protocol
 	// events (see machine.Config.TraceCap), delimited by header lines.
@@ -70,12 +70,9 @@ type RunRecord struct {
 	// Outcome is "ok", "stall" (a watchdog diagnostic), "crash" (any
 	// other failed run), or "invalid" (no workload could be built for
 	// the configuration, so nothing was simulated).
-	Outcome string `json:"outcome"`
-	Error   string `json:"error,omitempty"` // failure detail
-	// P99HopWaitPs is the machine-wide p99 mesh hop wait, from the
-	// metrics registry (omitted when metrics did not run).
-	P99HopWaitPs int64           `json:"p99_hop_wait_ps,omitempty"`
-	Result       *machine.Result `json:"result,omitempty"` // nil unless outcome is "ok"
+	Outcome string          `json:"outcome"`
+	Error   string          `json:"error,omitempty"`  // failure detail
+	Result  *machine.Result `json:"result,omitempty"` // nil unless outcome is "ok"
 
 	// Host fields, set only in the run log.
 	Memo   string  `json:"memo,omitempty"`    // "hit" or "miss"
@@ -108,11 +105,6 @@ func newRecord(rc RunConfig, res RunResult, err error) RunRecord {
 		return rec
 	}
 	rec.Result = &res.Result
-	if res.Obs != nil {
-		if h := res.Obs.FindHistogram("mesh_hop_wait_ps", ""); h != nil {
-			rec.P99HopWaitPs = h.P99()
-		}
-	}
 	return rec
 }
 
@@ -170,8 +162,8 @@ func (t *Telemetry) observe(rc RunConfig, res RunResult, err error, wall time.Du
 	}
 }
 
-// writeArtifacts emits the per-run timeline, metrics snapshot, and trace
-// dump for an executed (non-memoized) successful run. Single-flight
+// writeArtifacts emits the per-run timeline and trace dump for an
+// executed (non-memoized) successful run. Single-flight
 // execution guarantees each configuration writes its files exactly once;
 // the contents are a deterministic function of the RunConfig.
 func (t *Telemetry) writeArtifacts(rc RunConfig, res RunResult) {
@@ -192,11 +184,6 @@ func (t *Telemetry) writeArtifacts(rc RunConfig, res RunResult) {
 		}
 		t.toFile(filepath.Join(t.TimelineDir, name+".json"), func(w io.Writer) error {
 			return obs.WriteTimeline(w, clk, spans, events, edges)
-		})
-	}
-	if t.TimelineDir != "" && res.Obs != nil {
-		t.toFile(filepath.Join(t.TimelineDir, name+".metrics.txt"), func(w io.Writer) error {
-			return res.Obs.WriteText(w)
 		})
 	}
 	if t.TraceOut != nil && res.Trace != nil {

@@ -13,11 +13,10 @@ import (
 	"repro/internal/machine"
 )
 
-// telemetryConfig is one cheap, instrumentation-heavy run: metrics,
-// spans, and protocol trace all enabled.
+// telemetryConfig is one cheap, instrumentation-heavy run: spans and
+// protocol trace both enabled.
 func telemetryConfig() core.RunConfig {
 	cfg := machine.DefaultConfig()
-	cfg.Metrics = true
 	cfg.SpanCap = 2048
 	cfg.TraceCap = 1024
 	return core.RunConfig{App: core.EM3D, Mech: apps.MPPoll, Scale: core.ScaleTiny,
@@ -25,8 +24,8 @@ func telemetryConfig() core.RunConfig {
 }
 
 // TestTelemetryArtifactsByteIdentical runs the same configuration twice
-// on fresh runners writing into fresh directories and requires the
-// Perfetto timeline and the metrics snapshot to be byte-identical — the
+// on fresh runners writing into fresh directories and requires each to
+// hold one Perfetto timeline, byte-identical between the two — the
 // observability layer's determinism guarantee. Run under -race via
 // `make check` (the runner pool makes the telemetry sinks concurrent).
 func TestTelemetryArtifactsByteIdentical(t *testing.T) {
@@ -42,8 +41,8 @@ func TestTelemetryArtifactsByteIdentical(t *testing.T) {
 	run(dir1)
 	run(dir2)
 	names, err := filepath.Glob(filepath.Join(dir1, "*"))
-	if err != nil || len(names) != 2 {
-		t.Fatalf("expected a timeline and a metrics file in %s, got %v (err %v)", dir1, names, err)
+	if err != nil || len(names) != 1 || filepath.Ext(names[0]) != ".json" {
+		t.Fatalf("expected one timeline .json in %s, got %v (err %v)", dir1, names, err)
 	}
 	for _, n := range names {
 		a, err := os.ReadFile(n)
@@ -138,14 +137,13 @@ func TestRunLogRecordsStallOutcome(t *testing.T) {
 }
 
 // TestInstrumentationIsPassive requires the paper-facing measurements of
-// an instrumented run to equal an uninstrumented run's exactly: metrics,
-// spans, tracing and the critical-path profiler observe the simulation
+// an instrumented run to equal an uninstrumented run's exactly: spans,
+// tracing and the critical-path profiler observe the simulation
 // without perturbing it, so enabling them can never change figure data.
 // The root package's TestInstrumentationIsPassiveEveryPair repeats this
 // for every app and mechanism.
 func TestInstrumentationIsPassive(t *testing.T) {
 	bare := telemetryConfig()
-	bare.Machine.Metrics = false
 	bare.Machine.SpanCap = 0
 	bare.Machine.TraceCap = 0
 	plain, err := core.Run(bare)
@@ -159,8 +157,8 @@ func TestInstrumentationIsPassive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if instr.Obs == nil || instr.Spans == nil || instr.Trace == nil || instr.Crit == nil || instr.CritPath == nil {
-		t.Fatal("instrumented run did not record metrics/spans/trace/critical path")
+	if instr.Spans == nil || instr.Trace == nil || instr.Crit == nil || instr.CritPath == nil {
+		t.Fatal("instrumented run did not record spans/trace/critical path")
 	}
 	got := instr.Result
 	got.CritPath = nil

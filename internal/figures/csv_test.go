@@ -3,6 +3,7 @@ package figures
 import (
 	"bytes"
 	"encoding/csv"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -103,17 +104,45 @@ func TestWriteFig4CSVRoundTrips(t *testing.T) {
 	}
 }
 
+// TestWriteMissPenaltiesCSV writes Figure 3 on the 32-node machine,
+// where every row is measured, and on 8 nodes, where the LimitLESS
+// rows have too few nodes for their sharers and print "-" in the table
+// and an empty CSV cell.
 func TestWriteMissPenaltiesCSV(t *testing.T) {
-	mp := core.MeasureMissPenalties(machine.DefaultConfig())
-	var buf bytes.Buffer
-	if err := WriteMissPenaltiesCSV(&buf, mp); err != nil {
-		t.Fatal(err)
-	}
-	records, err := csv.NewReader(&buf).ReadAll()
+	small, err := machine.ConfigForNodes(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(records) != 12 {
-		t.Errorf("got %d rows, want 12", len(records))
+	for _, c := range []struct {
+		cfg   machine.Config
+		empty []string // rows with no measured value
+	}{
+		{machine.DefaultConfig(), nil},
+		{small, []string{"limitless_read", "limitless_write"}},
+	} {
+		var buf, table bytes.Buffer
+		mp := PrintFig3(&table, c.cfg)
+		if err := WriteMissPenaltiesCSV(&buf, mp); err != nil {
+			t.Fatal(err)
+		}
+		records, err := csv.NewReader(&buf).ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(records) != 12 {
+			t.Errorf("%d nodes: got %d rows, want 12", c.cfg.Nodes(), len(records))
+		}
+		var empty []string
+		for _, rec := range records[1:] {
+			if rec[1] == "" {
+				empty = append(empty, rec[0])
+			}
+		}
+		if !reflect.DeepEqual(empty, c.empty) {
+			t.Errorf("%d nodes: rows without a value %v, want %v", c.cfg.Nodes(), empty, c.empty)
+		}
+		if got, want := strings.Count(table.String(), "  -  "), len(c.empty); got != want {
+			t.Errorf("%d nodes: %d unmeasured rows in the table, want %d:\n%s", c.cfg.Nodes(), got, want, table.String())
+		}
 	}
 }

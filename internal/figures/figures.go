@@ -3,6 +3,7 @@ package figures
 import (
 	"fmt"
 	"io"
+	"math"
 	"text/tabwriter"
 
 	"repro/internal/apps"
@@ -115,10 +116,10 @@ func PrintFig5(w io.Writer, rows []Fig4Row) {
 
 // fig3Row is one operation of Figure 3's cost table.
 type fig3Row struct {
-	label, key string // printed name and CSV key
-	measured   float64
-	paper      string // the paper's cost as printed, a range where it gives one
-	paperCSV   string // the paper's cost as one CSV number
+	label, key string  // printed name and CSV key
+	measured   float64 // NaN when the machine cannot host the operation
+	paper      string  // the paper's cost as printed, a range where it gives one
+	paperCSV   string  // the paper's cost as one CSV number
 }
 
 // fig3Rows lists Figure 3's operations with their measured costs.
@@ -138,14 +139,24 @@ func fig3Rows(mp core.MissPenalties) []fig3Row {
 	}
 }
 
-// PrintFig3 renders the measured miss penalties against the paper's.
+// measuredText renders a measured cost to one decimal, or missing when it
+// was not measured (NaN).
+func measuredText(v float64, missing string) string {
+	if math.IsNaN(v) {
+		return missing
+	}
+	return fmt.Sprintf("%.1f", v)
+}
+
+// PrintFig3 renders the measured miss penalties against the paper's. An
+// operation the machine has no nodes for prints "-".
 func PrintFig3(w io.Writer, cfg machine.Config) core.MissPenalties {
 	mp := core.MeasureMissPenalties(cfg)
 	fmt.Fprintln(w, "Figure 3 (cost table): shared-memory penalties, measured vs paper")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "operation\tmeasured (cycles)\tpaper (cycles)")
 	for _, r := range fig3Rows(mp) {
-		fmt.Fprintf(tw, "%s\t%.1f\t%s\n", r.label, r.measured, r.paper)
+		fmt.Fprintf(tw, "%s\t%s\t%s\n", r.label, measuredText(r.measured, "-"), r.paper)
 	}
 	tw.Flush()
 	return mp
@@ -208,7 +219,9 @@ type RegionFigure struct {
 var SweepFigures = []SweepFigure{
 	{
 		Num: 8, Subject: "bisection bandwidth", XLabel: "bytes/cycle", CSVLabel: "bisection_bytes_per_cycle",
-		Axis:      func(base machine.Config) core.Axis { return core.BisectionAxis(base, core.DefaultCrossRates) },
+		Axis: func(base machine.Config) core.Axis {
+			return core.BisectionAxis(base, core.ScaleCrossRates(base, core.DefaultCrossRates))
+		},
 		Crossover: true,
 		Regions: &RegionFigure{Num: 1, Title: "performance regions as bisection bandwidth decreases",
 			Mechs: []apps.Mechanism{apps.SM, apps.MPPoll}},
@@ -257,13 +270,16 @@ func (f SweepFigure) Run(w io.Writer, r *core.Runner, app core.AppName, sc core.
 }
 
 // Fig7 runs and prints the cross-traffic message-length sensitivity.
+// rate is the cross-traffic consumed on the paper's 32-node machine,
+// scaled to cfg's bisection (core.ScaleCrossRates).
 func Fig7(w io.Writer, r *core.Runner, app core.AppName, sc core.Scale, cfg machine.Config, rate float64, sizes []int) ([]core.SweepPoint, error) {
 	mechs := []apps.Mechanism{apps.SM}
+	rate = core.ScaleCrossRates(cfg, []float64{rate})[0]
 	pts, err := r.Sweep(app, sc, mechs, core.MsgLenAxis(cfg, rate, sizes))
 	if err != nil {
 		return nil, err
 	}
-	printSweep(w, fmt.Sprintf("Figure 7 (%s): sensitivity to cross-traffic message length (%.0f bytes/cycle consumed)", app, rate),
+	printSweep(w, fmt.Sprintf("Figure 7 (%s): sensitivity to cross-traffic message length (%g bytes/cycle consumed)", app, rate),
 		"msg bytes", mechs, pts)
 	return pts, nil
 }

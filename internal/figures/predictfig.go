@@ -110,7 +110,8 @@ type PredictedFig4 struct {
 // predFig4MhzFracs and predFig4Rates pin the validation matrix's grids:
 // the base clock plus two slower clocks (raising relative network
 // latency and cost), and three cross-traffic rates from an idle cut up
-// to moderate load (u = 1/3). Heavier rates sit past the queueing
+// to moderate load (u = 1/3), set for the 32-node machine and scaled to
+// the base machine's bisection. Heavier rates sit past the queueing
 // model's honest range — their confidence drops below the pruning
 // floor, so the -predict Figure 8 sweep validates them by simulation
 // instead of holding them to the committed error bound.
@@ -136,7 +137,7 @@ func PredFig4(w io.Writer, r *core.Runner, appsToRun []core.AppName, sc core.Sca
 		if err != nil {
 			return nil, stats, err
 		}
-		bisect, err := r.PredictedSweep(app, sc, apps.Mechanisms, core.BisectionAxis(cfg, predFig4Rates), prune)
+		bisect, err := r.PredictedSweep(app, sc, apps.Mechanisms, core.BisectionAxis(cfg, core.ScaleCrossRates(cfg, predFig4Rates)), prune)
 		if err != nil {
 			return nil, stats, err
 		}

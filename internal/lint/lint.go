@@ -113,10 +113,10 @@ var simScopes = []string{
 	"internal/workload",
 	"internal/fault",
 	"internal/psync",
-	// obs collects metrics and spans inside the simulation; its data must
-	// be a pure function of the run, so it is held to the same standard.
-	// (The host-side telemetry sinks — run log, heartbeat — live in
-	// internal/core, deliberately outside this list.)
+	// obs collects events, spans and causal edges inside the simulation;
+	// its data must be a pure function of the run, so it is held to the
+	// same standard. (The host-side telemetry sinks — run log, heartbeat
+	// — live in internal/core, deliberately outside this list.)
 	"internal/obs",
 	// stats holds the cycle breakdowns and traffic volumes that every
 	// layer adds to.

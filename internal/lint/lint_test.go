@@ -49,7 +49,7 @@ func TestFixtures(t *testing.T) {
 	}{
 		{name: "wallclock", dir: "wallclock", pkgPath: "repro/internal/machine/fixture", checks: []*Check{WallclockCheck}},
 		{name: "wallclock-out-of-scope", dir: "wallclock", pkgPath: "repro/internal/figures/fixture", checks: []*Check{WallclockCheck}, ignoreWants: true},
-		// The metrics/span collectors run inside the simulation: obs is a
+		// The span and edge collectors run inside the simulation: obs is a
 		// sim scope and the wallclock check fires there.
 		{name: "wallclock-obs", dir: "wallclock", pkgPath: "repro/internal/obs/fixture", checks: []*Check{WallclockCheck}},
 		// The runlog/heartbeat telemetry sinks measure host wall time by

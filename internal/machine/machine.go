@@ -50,12 +50,6 @@ type Config struct {
 	// message events into Machine.Trace for post-run inspection.
 	TraceCap int
 
-	// Metrics enables the deterministic observability registry
-	// (Machine.Obs): per-link mesh utilization, NI occupancy, miss
-	// latency histograms, and per-thread cycle breakdowns. Purely
-	// passive — enabling it never changes simulated timing.
-	Metrics bool
-
 	// SpanCap, if nonzero, records the last SpanCap thread-state spans
 	// (run vs blocked intervals per processor thread) into Machine.Spans
 	// for timeline export.
@@ -191,9 +185,6 @@ type Machine struct {
 	// Trace holds the last Cfg.TraceCap events when tracing is enabled.
 	Trace *obs.Ring[obs.Event]
 
-	// Obs is the metrics registry when Cfg.Metrics is set; nil otherwise.
-	Obs *obs.Registry
-
 	// Spans holds the last Cfg.SpanCap thread-state spans when span
 	// recording is enabled; nil otherwise.
 	Spans *obs.Ring[obs.Span]
@@ -247,12 +238,6 @@ func New(cfg Config) *Machine {
 		m.Trace = obs.NewRing[obs.Event](cfg.TraceCap)
 		msys.SetTrace(m.Trace)
 		asys.SetTrace(m.Trace)
-	}
-	if cfg.Metrics {
-		m.Obs = obs.NewRegistry()
-		net.SetMetrics(m.Obs)
-		msys.SetMetrics(m.Obs)
-		asys.SetMetrics(m.Obs)
 	}
 	if cfg.SpanCap > 0 {
 		spans := obs.NewRing[obs.Span](cfg.SpanCap)
@@ -391,20 +376,6 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 	//lint:allow simlint/intmath result-reporting field (Figure 8 x-axis); computed after the run ends
 	res.EmulatedBisection = res.Bisection - m.Cfg.CrossTraffic.BytesPerCycle
 	res.Links = m.Net.TopLinks(m.finish, 3)
-	if m.Obs != nil {
-		// Engine-level thread-state breakdown (the paper's "where do the
-		// cycles go" split at its coarsest): run is charged execution,
-		// block is waiting for fills/messages/locks, tail idle is load
-		// imbalance — time between this processor finishing and the
-		// machine finishing.
-		for _, p := range m.Procs {
-			run, block := p.th.TimeBreakdown()
-			l := obs.NodeLabel(p.ID)
-			m.Obs.Gauge("sim_thread_run_cycles", l).Set(m.Clk.ToCycles(run))
-			m.Obs.Gauge("sim_thread_block_cycles", l).Set(m.Clk.ToCycles(block))
-			m.Obs.Gauge("sim_thread_tail_idle_cycles", l).Set(m.Clk.ToCycles(m.finish - p.doneAt))
-		}
-	}
 	return res
 }
 

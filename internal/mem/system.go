@@ -38,15 +38,6 @@ type System struct {
 	// tr, when non-nil, receives protocol trace events.
 	tr *obs.Ring[obs.Event]
 
-	// Instruments, allocated by SetMetrics; nil when metrics are
-	// disabled. Purely passive.
-	mMissRd   *obs.Histogram // demand read miss latency, cycles
-	mMissWr   *obs.Histogram // demand write/upgrade miss latency, cycles
-	mMissPf   *obs.Histogram // prefetch fill latency, cycles
-	mDirBusy  []*obs.Gauge   // high-water concurrently busy directory entries per home
-	mTxnOut   []*obs.Gauge   // high-water outstanding miss transactions per node
-	mTxnTotal *obs.Counter   // miss transactions started
-
 	// crit, when non-nil, receives the critical-path decomposition of
 	// miss waits and the miss/txn causal edges.
 	crit *obs.CritRecorder
@@ -55,29 +46,6 @@ type System struct {
 	txnFree freeList[txn]
 	legFree freeList[leg]
 	wbFree  freeList[writeBack]
-}
-
-// SetMetrics registers the memory system's instruments on reg and begins
-// recording: miss-latency histograms in processor cycles split by
-// operation (demand read, demand write/upgrade, prefetch fill), the
-// per-home high-water count of concurrently busy directory entries, the
-// per-node high-water count of outstanding miss transactions, and a
-// transaction counter. nil is ignored.
-func (s *System) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	s.mMissRd = reg.Histogram("mem_miss_latency_cycles", "op=read")
-	s.mMissWr = reg.Histogram("mem_miss_latency_cycles", "op=write")
-	s.mMissPf = reg.Histogram("mem_miss_latency_cycles", "op=prefetch")
-	s.mTxnTotal = reg.Counter("mem_txn_total", "")
-	s.mDirBusy = make([]*obs.Gauge, len(s.nodes))
-	s.mTxnOut = make([]*obs.Gauge, len(s.nodes))
-	for i := range s.nodes {
-		l := obs.NodeLabel(i)
-		s.mDirBusy[i] = reg.Gauge("mem_dir_busy_hw", l)
-		s.mTxnOut[i] = reg.Gauge("mem_txn_outstanding_hw", l)
-	}
 }
 
 // SetTrace attaches an event trace buffer (nil disables tracing).
@@ -94,7 +62,6 @@ type nodeMem struct {
 	ctlFree sim.Time
 	pending map[Addr]*txn
 	rcSt    *rcState // write buffer, allocated on first RC store
-	busyDir int      // directory entries currently in service (metrics)
 }
 
 // txn is an outstanding miss transaction at the requesting node. Records
@@ -112,7 +79,7 @@ type txn struct {
 	atomic   bool     // RMW/Update: requires exclusivity even under ProtocolUpdate
 	granted  bool     // home has issued the reply (it is en route)
 	gen      uint64   // dirEntry.modGen of a Modified grant (0 for shared grants)
-	start    sim.Time // issue time, for the miss-latency histogram
+	start    sim.Time // issue time, for the critical-path edges
 
 	// Home-side state, set once the request reaches home.
 	e     *dirEntry // the line's directory entry
@@ -586,10 +553,6 @@ func (s *System) startTxn(node int, line Addr, write, prefetch bool) *txn {
 	t.line, t.home, t.node = line, s.lineHome(line), node
 	t.write, t.prefetch, t.start = write, prefetch, s.eng.Now()
 	s.nodes[node].pending[line] = t
-	if s.mTxnTotal != nil {
-		s.mTxnTotal.Inc()
-		s.mTxnOut[node].SetMax(int64(len(s.nodes[node].pending)))
-	}
 	if node == t.home {
 		// Local request: no network issue cost; straight to the controller.
 		s.atCtl(t.home, t.step.dispatch)
@@ -621,11 +584,6 @@ func (t *txn) dispatch() {
 		return
 	}
 	e.busy = true
-	if s.mDirBusy != nil {
-		nm := s.nodes[t.home]
-		nm.busyDir++
-		s.mDirBusy[t.home].SetMax(int64(nm.busyDir))
-	}
 	t.process()
 }
 
@@ -949,9 +907,6 @@ func (s *System) release(home int, e *dirEntry) {
 		return
 	}
 	e.busy = false
-	if s.mDirBusy != nil {
-		s.nodes[home].busyDir--
-	}
 }
 
 // complete finishes the transaction at the requester: it installs the
@@ -972,17 +927,6 @@ func (t *txn) complete() {
 		s.installLine(node, line, t.st, t.gen)
 	}
 	delete(nm.pending, line)
-	if s.mMissRd != nil {
-		lat := s.clk.ToCycles(s.eng.Now() - t.start)
-		switch {
-		case t.prefetch:
-			s.mMissPf.Observe(lat)
-		case t.write:
-			s.mMissWr.Observe(lat)
-		default:
-			s.mMissRd.Observe(lat)
-		}
-	}
 	if s.tr != nil {
 		s.tr.Add(obs.Event{At: s.eng.Now(), Node: node, Kind: obs.KMissEnd, A: int64(line)})
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -179,7 +178,7 @@ const (
 	dirSouth // -y
 )
 
-// dirNames renders link directions for diagnostics and metric labels.
+// dirNames renders link directions for diagnostics and link labels.
 var dirNames = [4]string{"east", "west", "north", "south"}
 
 // dirStep is the coordinate move of one hop in each direction.
@@ -288,13 +287,6 @@ type Network struct {
 	// fault, when non-nil, perturbs link reservations and deliveries
 	// (seeded fault and noise injection; see internal/fault).
 	fault FaultInjector
-
-	// Per-link instruments, allocated by SetMetrics; nil when metrics
-	// are disabled (one nil check on the reservation path). Indexed like
-	// busyUntil.
-	mBusy  [4][]*obs.Counter // serialization time per link, ps
-	mWait  [4][]*obs.Gauge   // high-water head wait (queueing delay), ps
-	mQueue *obs.Histogram    // head wait distribution across all hops, ps
 }
 
 // FaultInjector perturbs network behaviour deterministically. It is
@@ -316,28 +308,8 @@ type FaultInjector interface {
 func (n *Network) SetFaultInjector(fi FaultInjector) { n.fault = fi }
 
 // linkName renders the canonical label of directed link (d, idx). Zero
-// padding keeps lexicographic metric order equal to numeric link order.
+// padding keeps lexicographic order equal to numeric link order.
 func linkName(d, idx int) string { return fmt.Sprintf("%s%03d", dirNames[d], idx) }
-
-// SetMetrics registers the mesh's instruments on reg and begins
-// recording: per-link serialization time (utilization numerator),
-// per-link high-water head wait (queueing backlog), and the head-wait
-// distribution across all hops. Purely passive — enabling metrics never
-// perturbs packet timing. Call before traffic flows; nil is ignored.
-func (n *Network) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	for d := range n.busyUntil {
-		n.mBusy[d] = make([]*obs.Counter, len(n.busyUntil[d]))
-		n.mWait[d] = make([]*obs.Gauge, len(n.busyUntil[d]))
-		for i := range n.busyUntil[d] {
-			n.mBusy[d][i] = reg.Counter("mesh_link_busy_ps", "link="+linkName(d, i))
-			n.mWait[d][i] = reg.Gauge("mesh_link_wait_hw_ps", "link="+linkName(d, i))
-		}
-	}
-	n.mQueue = reg.Histogram("mesh_hop_wait_ps", "")
-}
 
 // New creates a mesh network. All endpoints default to AcceptAll.
 func New(eng *sim.Engine, cfg Config) *Network {
@@ -437,12 +409,6 @@ func (n *Network) reserve(d, idx int, head, size sim.Time) sim.Time {
 	}
 	n.busyUntil[d][idx] = start + size
 	n.linkBytes[d][idx] += int64(size / n.PsPerByte)
-	if n.mBusy[d] != nil {
-		n.mBusy[d][idx].Add(int64(size))
-		wait := int64(start - head)
-		n.mWait[d][idx].SetMax(wait)
-		n.mQueue.Observe(wait)
-	}
 	return start + n.HopLatency
 }
 

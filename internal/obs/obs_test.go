@@ -10,89 +10,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestHistogramPowerOfTwoBuckets(t *testing.T) {
-	var h obs.Histogram
-	cases := []struct {
-		v      int64
-		bucket int
-	}{
-		{-5, 0}, {0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {7, 3}, {8, 4}, {1 << 40, 41},
-	}
-	for _, c := range cases {
-		before := h.Bucket(c.bucket)
-		h.Observe(c.v)
-		if h.Bucket(c.bucket) != before+1 {
-			t.Errorf("Observe(%d) did not land in bucket %d", c.v, c.bucket)
-		}
-	}
-	if h.Count() != int64(len(cases)) {
-		t.Errorf("count = %d, want %d", h.Count(), len(cases))
-	}
-	if h.Max() != 1<<40 {
-		t.Errorf("max = %d, want %d", h.Max(), int64(1)<<40)
-	}
-}
-
-func TestRegistryIdempotentLookup(t *testing.T) {
-	r := obs.NewRegistry()
-	a := r.Counter("x_total", obs.NodeLabel(3))
-	b := r.Counter("x_total", obs.NodeLabel(3))
-	if a != b {
-		t.Error("re-registering the same (name, label) returned a different counter")
-	}
-	a.Inc()
-	if b.Value() != 1 {
-		t.Error("aliased counters diverged")
-	}
-	if r.Len() != 1 {
-		t.Errorf("Len = %d, want 1", r.Len())
-	}
-}
-
-func TestRegistryTypeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("re-registering a counter as a gauge did not panic")
-		}
-	}()
-	r := obs.NewRegistry()
-	r.Counter("x", "")
-	r.Gauge("x", "")
-}
-
-func TestWriteTextSortedAndFormatted(t *testing.T) {
-	r := obs.NewRegistry()
-	// Register deliberately out of name/label order; the snapshot must
-	// sort regardless of registration order.
-	r.Gauge("z_depth", "").Set(7)
-	r.Counter("a_total", obs.NodeLabel(10)).Add(2)
-	r.Counter("a_total", obs.NodeLabel(2)).Add(1)
-	h := r.Histogram("m_lat", "")
-	h.Observe(3)
-	h.Observe(100)
-
-	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := "a_total{node=002} 1\n" +
-		"a_total{node=010} 2\n" +
-		"m_lat hist count=2 sum=103 max=100 b2=1 b7=1\n" +
-		"z_depth 7\n"
-	if buf.String() != want {
-		t.Errorf("snapshot mismatch:\ngot:\n%swant:\n%s", buf.String(), want)
-	}
-}
-
-func TestNodeLabelZeroPadsForSortOrder(t *testing.T) {
-	if got := obs.NodeLabel(5); got != "node=005" {
-		t.Errorf("NodeLabel(5) = %q", got)
-	}
-	if obs.NodeLabel(9) > obs.NodeLabel(10) {
-		t.Error("lexicographic label order disagrees with numeric node order")
-	}
-}
-
 func TestSpanBufferWraps(t *testing.T) {
 	b := obs.NewRing[obs.Span](3)
 	for i := 0; i < 5; i++ {
@@ -201,54 +118,5 @@ func TestWriteTimelineByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("two renders of the same input differ")
-	}
-}
-
-func TestHistogramPercentiles(t *testing.T) {
-	var h obs.Histogram
-	if h.P50() != 0 || h.P99() != 0 {
-		t.Error("empty histogram percentile not 0")
-	}
-	// 100 samples of 10 and one of 1000: p50 falls in 10's bucket
-	// (bit length 4, upper bound 15), p99 likewise, max is exact.
-	for i := 0; i < 100; i++ {
-		h.Observe(10)
-	}
-	h.Observe(1000)
-	if got := h.P50(); got != 15 {
-		t.Errorf("P50 = %d, want 15 (upper bound of 10's power-of-two bucket)", got)
-	}
-	if got := h.P99(); got != 15 {
-		t.Errorf("P99 = %d, want 15", got)
-	}
-	if got := h.Percentile(1.0); got != 1000 {
-		t.Errorf("Percentile(1.0) = %d, want the exact max 1000", got)
-	}
-	// All-zero samples stay in bucket 0.
-	var z obs.Histogram
-	z.Observe(0)
-	z.Observe(0)
-	if z.P99() != 0 {
-		t.Errorf("all-zero P99 = %d, want 0", z.P99())
-	}
-}
-
-func TestFindHistogramDoesNotRegister(t *testing.T) {
-	r := obs.NewRegistry()
-	if r.FindHistogram("mesh_hop_wait_ps", "") != nil {
-		t.Error("FindHistogram invented an instrument")
-	}
-	if r.Len() != 0 {
-		t.Errorf("FindHistogram registered: len = %d", r.Len())
-	}
-	h := r.Histogram("mesh_hop_wait_ps", "")
-	h.Observe(7)
-	got := r.FindHistogram("mesh_hop_wait_ps", "")
-	if got != h {
-		t.Error("FindHistogram did not return the registered instrument")
-	}
-	r.Counter("messages", "")
-	if r.FindHistogram("messages", "") != nil {
-		t.Error("FindHistogram returned a counter as a histogram")
 	}
 }

@@ -12,8 +12,8 @@
 // side instead of resuming the body: the step returns the next sleep, or
 // asks for the body to resume inside the same dispatch. Each wake a step
 // absorbs is accounted exactly like the wake of a Sleep (the same event
-// at the same point of its dispatch, the same run time, one span-observer
-// call with the same arguments, the wait reason cleared), so a step that
+// at the same point of its dispatch, one span-observer call with the same
+// arguments, the wait reason cleared), so a step that
 // does what the body would have done between its sleeps changes nothing
 // but the host cost: no coroutine switch per wake.
 package sim

@@ -70,14 +70,6 @@ type Thread struct {
 	waitReason   string
 	waitArg      int64
 	blockedSince Time
-
-	// Pause-time accounting for the observability layer: runPs is time
-	// spent in self-armed pauses (Sleep — the thread consuming charged
-	// execution time), blockPs is time spent parked waiting for an
-	// external wake (miss fills, message arrivals, lock releases).
-	// Accumulated unconditionally; two integer adds per pause.
-	runPs   Time
-	blockPs Time
 }
 
 // Spawn creates a thread named name whose body starts at absolute time at.
@@ -148,28 +140,15 @@ func (th *Thread) Pause() {
 	th.resumed(armed)
 }
 
-// resumed accounts a pause that ends now: its time goes to runPs for a
-// self-armed sleep (armed) and to blockPs otherwise, the span observer
-// sees it, and the wait reason is cleared.
+// resumed accounts a pause that ends now: the span observer sees it,
+// blocked unless it was a self-armed sleep (armed), and the wait reason
+// is cleared.
 func (th *Thread) resumed(armed bool) {
-	d := th.eng.now - th.blockedSince
-	if armed {
-		th.runPs += d
-	} else {
-		th.blockPs += d
-	}
 	if obs := th.eng.spanObs; obs != nil {
 		obs(th, th.blockedSince, th.eng.now, !armed, th.waitReason, th.waitArg)
 	}
 	th.waitReason, th.waitArg = "", 0
 }
-
-// TimeBreakdown reports where the thread's simulated time went across
-// its pauses so far: run is time in self-armed sleeps (charged
-// execution), block is time parked waiting for an external wake. The
-// paper's finer compute/sync/communicate split lives in stats.Breakdown;
-// this is the engine-level ground truth beneath it.
-func (th *Thread) TimeBreakdown() (run, block Time) { return th.runPs, th.blockPs }
 
 // SetWaitReason labels the cause of the thread's next Pause for watchdog
 // diagnostics ("mem-miss", line number; "await-message", node; ...). The
@@ -223,14 +202,14 @@ func (th *Thread) Sleep(d Time) {
 // the thread again for d; one that returns false resumes the body
 // inside the same dispatch, and Spin returns. Every wake a step absorbs
 // is accounted exactly like the wake of a Sleep: the same event at the
-// same point of its dispatch, the same run time, one span-observer call
-// with the same arguments, and the wait reason cleared. Only the two
-// coroutine switches are saved. So a step that does what the body would
-// have done between its sleeps, with the same bucket charges and the
-// same events in the same order, leaves the simulation unchanged. A
-// step runs in the engine's context, so it must not pause, and it must
-// not wake its own thread. Bind it once (a method value the caller
-// keeps), so that a spin allocates nothing.
+// same point of its dispatch, one span-observer call with the same
+// arguments, and the wait reason cleared. Only the two coroutine
+// switches are saved. So a step that does what the body would have
+// done between its sleeps, with the same bucket charges and the same
+// events in the same order, leaves the simulation unchanged. A step
+// runs in the engine's context, so it must not pause, and it must not
+// wake its own thread. Bind it once (a method value the caller keeps),
+// so that a spin allocates nothing.
 func (th *Thread) Spin(d Time, step func() (Time, bool)) {
 	if th.state != ThreadRunning {
 		panic(fmt.Sprintf("sim: Spin on %s thread %q", th.state, th.name))

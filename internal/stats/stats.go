@@ -225,11 +225,9 @@ type Summary struct {
 	Max  int64
 }
 
-// NearestRank returns the 0-based index of the nearest-rank p-quantile
+// nearestRank returns the 0-based index of the nearest-rank p-quantile
 // in a sorted sample of n elements: ceil(p*n)-1, clamped to [0, n).
-// Shared by Summarize and the obs histogram percentile accessors so both
-// report the same quantile convention.
-func NearestRank(n int, p float64) int {
+func nearestRank(n int, p float64) int {
 	i := int(math.Ceil(p*float64(n))) - 1
 	if i < 0 {
 		i = 0
@@ -255,8 +253,8 @@ func Summarize(xs []int64) Summary {
 	return Summary{
 		N:    len(s),
 		Mean: sum / float64(len(s)),
-		P50:  s[NearestRank(len(s), 0.50)],
-		P99:  s[NearestRank(len(s), 0.99)],
+		P50:  s[nearestRank(len(s), 0.50)],
+		P99:  s[nearestRank(len(s), 0.99)],
 		Min:  s[0],
 		Max:  s[len(s)-1],
 	}

@@ -217,7 +217,7 @@ func ScalingSweep(app App, mechs []Mechanism, nodeCounts []int, scaleProblem boo
 
 // OpenResultCache opens (creating if needed) an on-disk run-result cache
 // and attaches it to the sweep runner: completed simulations that record
-// no observation rings (trace, spans, metrics, critical path) are
+// no observation rings (trace, spans, critical path) are
 // persisted and reused across processes. Entries are validated against
 // the configuration fingerprint and a schema version; stale or corrupt
 // entries are ignored and re-simulated.

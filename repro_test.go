@@ -68,12 +68,11 @@ func TestBreakdownCoversEveryCycle(t *testing.T) {
 }
 
 // TestInstrumentationIsPassiveEveryPair: for every app and mechanism,
-// a run with metrics, spans, trace and the critical-path profiler (at
+// a run with spans, trace and the critical-path profiler (at
 // the predicted sweeps' edge cap) measures exactly what a bare run
 // does, apart from the critical-path summary it adds.
 func TestInstrumentationIsPassiveEveryPair(t *testing.T) {
 	instr := DefaultMachine()
-	instr.Metrics = true
 	instr.SpanCap = 2048
 	instr.TraceCap = 1024
 	instr.CritPath = true
