@@ -2,8 +2,8 @@
 # `make check` is the gate every PR must pass; it also checks gofmt, vets and runs the
 # tests of the separate cmd/bench module (workload digests, metric plumbing) and
 # every Go benchmark of the root, internal/core, internal/sim, internal/mesh,
-# internal/mem and internal/am once (benchsmoke), so a benchmark that fails at
-# run time fails the gate.
+# internal/mem, internal/am and internal/predict once (benchsmoke), so a
+# benchmark that fails at run time fails the gate.
 # `make profile` captures host CPU/heap profiles of a tiny figure
 # regeneration (see the bench target for simulated-time performance
 # tracking).
@@ -50,14 +50,17 @@ race:
 	$(GO) test -race -timeout 25m ./internal/core/... ./internal/sim/...
 
 # Short fixed-budget fuzzing: random op programs against the coherence
-# protocol's directory/cache invariant checker, and random strings
-# against the fault/noise spec grammar (Parse must never panic, and
-# accepted specs must round-trip through their canonical form).
+# protocol's directory/cache invariant checker, random strings against
+# the fault/noise spec grammar (Parse must never panic, and accepted
+# specs must round-trip through their canonical form), and random
+# (time, scale) pairs against the predictor's rounding (it must equal
+# math.Round wherever the product fits an int64).
 # Deterministic seeds run in `make test`; this explores beyond them.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzProtocolOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzParseSpec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/predict -run '^$$' -fuzz FuzzScaleTime -fuzztime $(FUZZTIME)
 
 # Host-side profiling of a figure regeneration: where the simulator
 # itself spends CPU and heap. Inspect with `go tool pprof /tmp/paperbench.cpu`.
@@ -70,18 +73,23 @@ profile:
 # One iteration of every benchmark: the per-figure and ablation
 # benchmarks at the root, the sweep benchmarks of internal/core, the
 # engine benchmarks of internal/sim, the packet benchmark of
-# internal/mesh, the coherence-miss benchmark of internal/mem and the
-# null-message benchmark of internal/am (about 30 s on 2 cores).
+# internal/mesh, the coherence-miss benchmark of internal/mem, the
+# null-message benchmark of internal/am and the model build, solve and
+# tolerance-search benchmarks of internal/predict (about 30 s on 2
+# cores).
 benchsmoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core ./internal/sim ./internal/mesh ./internal/mem ./internal/am
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core ./internal/sim ./internal/mesh ./internal/mem ./internal/am ./internal/predict
 
 # Performance tracking: event-engine allocation profile, host cost of a
 # thread handoff and of a wake a spin absorbs, host cost and
 # allocations of one packet, of one coherence miss and of one null
-# active-message round trip, and serial vs parallel sweep throughput.
+# active-message round trip, of one model build, one solve and one
+# latency-tolerance search over a synthetic 30k-event model, and
+# serial vs parallel sweep throughput.
 bench:
 	$(GO) test -bench 'BenchmarkEngine|BenchmarkThreadHandoff|BenchmarkThreadSpin' -benchmem -run xxx ./internal/sim/
 	$(GO) test -bench BenchmarkSend -benchmem -run xxx ./internal/mesh/
 	$(GO) test -bench BenchmarkRemoteMiss -benchmem -run xxx ./internal/mem/
 	$(GO) test -bench BenchmarkNullMessage -benchmem -run xxx ./internal/am/
+	$(GO) test -bench 'BenchmarkBuild|BenchmarkSolve|BenchmarkLatencyTolerance' -benchmem -run xxx ./internal/predict/
 	$(GO) test -bench 'BenchmarkClockSweep|BenchmarkContextSwitchSweepMemoized' -benchtime 3x -run xxx ./internal/core/

@@ -9,8 +9,9 @@ import (
 
 // DefaultPredictEdgeCap is the edge-ring capacity predicted
 // sweeps instrument their base runs with. Large enough to retain every
-// causal edge of the reduced-scale workloads (coverage 1.0), small
-// enough that one retained run is a few megabytes.
+// causal edge of the reduced-scale workloads (coverage 1.0). The ring
+// allocates as edges arrive, so a retained run costs what it recorded,
+// at most 7.3 MB at this cap.
 const DefaultPredictEdgeCap = 1 << 17
 
 // The predicted sweep's tuning, fixed for every caller.

@@ -223,7 +223,7 @@ func (p *Proc) critMsgWait(start, end sim.Time) {
 	}
 	p.M.Crit.MsgWait(p.ID, lat, transit-lat)
 	p.M.Crit.Edge(obs.CritEdge{
-		Kind: "msg", Src: src, Dst: p.ID,
+		Kind: obs.EdgeMsg, Src: src, Dst: p.ID,
 		Start: sent, End: end, Lat: lat, BW: transit - lat,
 	})
 }

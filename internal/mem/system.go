@@ -869,7 +869,7 @@ func (s *System) grantState(t *txn, st lineState, extra sim.Time) {
 	if s.crit != nil {
 		// Directory txn begin→grant edge, recorded at the home (the grant
 		// side); the requester-side view is the later miss→fill edge.
-		s.crit.Edge(obs.CritEdge{Kind: "txn", Src: t.node, Dst: t.home, Start: t.start, End: s.eng.Now()})
+		s.crit.Edge(obs.CritEdge{Kind: obs.EdgeTxn, Src: t.node, Dst: t.home, Start: t.start, End: s.eng.Now()})
 	}
 	if t.node == t.home {
 		// Local fill: no reply message; LocalMissCycles covers the DRAM
@@ -985,7 +985,7 @@ func (s *System) critComplete(t *txn, now sim.Time) {
 		s.crit.MissWait(node, lat, bw)
 	}
 	lat, bw := split(now - t.start)
-	s.crit.Edge(obs.CritEdge{Kind: "miss", Src: home, Dst: node, Start: t.start, End: now, Lat: lat, BW: bw})
+	s.crit.Edge(obs.CritEdge{Kind: obs.EdgeMiss, Src: home, Dst: node, Start: t.start, End: now, Lat: lat, BW: bw})
 }
 
 // writeback returns a dirty evicted line to its home. gen is the

@@ -2,20 +2,52 @@ package obs
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
+// EdgeKind classifies causal edges. The kinds are declared in the
+// alphabetical order of their names, so ranking edges by kind ranks
+// them by name.
+type EdgeKind uint8
+
+// Causal edge kinds.
+const (
+	EdgeBarrier EdgeKind = iota // barrier arrival observed at its release
+	EdgeMiss                    // miss observed at its fill
+	EdgeMsg                     // message send observed at its receive
+	EdgeTxn                     // directory transaction observed at its grant
+)
+
+// String names the kind as the run log and the timeline's critpath
+// lane print it.
+func (k EdgeKind) String() string {
+	switch k {
+	case EdgeBarrier:
+		return "barrier"
+	case EdgeMiss:
+		return "miss"
+	case EdgeMsg:
+		return "msg"
+	case EdgeTxn:
+		return "txn"
+	}
+	return fmt.Sprintf("EdgeKind(%d)", int(k))
+}
+
 // CritEdge is one causal edge between thread spans: a message send
 // observed at its receive, a miss observed at its fill, a directory
 // transaction observed at its grant, a barrier arrival observed at its
 // release. Lat and BW carry the recorder's decomposition of the edge
 // interval into network latency and bandwidth/occupancy; the remainder
-// is protocol or synchronization time.
+// is protocol or synchronization time. It holds no pointer, so neither
+// the edge ring nor the copies Edges returns give the garbage collector
+// anything to scan.
 type CritEdge struct {
-	Kind     string   // "msg", "miss", "txn", "barrier"
+	Kind     EdgeKind
 	Src, Dst int      // cause and effect nodes
 	Start    sim.Time // cause timestamp (send, txn begin, barrier arrival)
 	End      sim.Time // effect timestamp (receive, fill, grant, release)
@@ -152,7 +184,7 @@ func (r *CritRecorder) Summarize(clk sim.Clock, node int, bd stats.Breakdown, to
 
 	for _, e := range r.topEdges(topN) {
 		s.TopEdges = append(s.TopEdges, CritEdgeSummary{
-			Kind:        e.Kind,
+			Kind:        e.Kind.String(),
 			Src:         e.Src,
 			Dst:         e.Dst,
 			StartCycles: clk.ToCycles(e.Start),
@@ -169,8 +201,7 @@ func (r *CritRecorder) Summarize(clk sim.Clock, node int, bd stats.Breakdown, to
 // strictly higher, so ties keep recording order.
 func (r *CritRecorder) topEdges(n int) []CritEdge {
 	var top []CritEdge
-	older, newer := r.ring.parts()
-	for _, part := range [2][]CritEdge{older, newer} {
+	for _, part := range r.ring.parts() {
 		for i := range part {
 			e := &part[i]
 			at := len(top)

@@ -7,11 +7,15 @@
 // reads are typed fields of machine.Result, not kept here.
 //
 // All three recordings keep their last entries in one bounded type,
-// Ring. Protocol events (cache misses, invalidations, messages, barriers,
-// locks) can be dumped as text with DumpEvents: they exist for debugging
-// protocol behaviour (a directory FIFO starvation is obvious in a dump)
-// and for teaching — tracing one cache line through a run shows the
-// paper's four-messages-per-value pattern directly.
+// Ring, which allocates its capacity in fixed chunks as entries arrive:
+// a ring costs what its run recorded, up to its capacity. Causal edges
+// are classified by EdgeKind and hold no pointer, so the edge ring and
+// the copies CritRecorder.Edges returns give the garbage collector
+// nothing to scan. Protocol events (cache misses, invalidations,
+// messages, barriers, locks) can be dumped as text with DumpEvents: they
+// exist for debugging protocol behaviour (a directory FIFO starvation is
+// obvious in a dump) and for teaching — tracing one cache line through a
+// run shows the paper's four-messages-per-value pattern directly.
 //
 // Determinism contract. Everything in this package observes only
 // simulated time (sim.Time) and values handed to it by the (strictly

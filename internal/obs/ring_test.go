@@ -9,8 +9,14 @@ import (
 )
 
 func TestRing(t *testing.T) {
+	// The ring allocates 4096 entries at a time. The larger cases fill
+	// across chunk boundaries, end on a partial last chunk, and wrap
+	// around after several chunks.
+	const chunk = 4096
 	for _, c := range []struct{ cap, adds int }{
 		{1, 0}, {1, 1}, {1, 3}, {4, 3}, {4, 4}, {4, 5}, {3, 10},
+		{chunk, chunk + 1}, {chunk + 1, chunk + 1}, {2 * chunk, 2*chunk + 3},
+		{3*chunk + 5, 2*chunk + 7}, {3*chunk + 5, 3*chunk + 5}, {3*chunk + 5, 7*chunk + 11},
 	} {
 		r := obs.NewRing[int](c.cap)
 		for i := 0; i < c.adds; i++ {

@@ -92,7 +92,7 @@ func WriteTimeline(w io.Writer, clk sim.Clock, spans []Span, events []Event, edg
 	for _, e := range edges {
 		ts := clk.ToCycles(e.Start)
 		dur := clk.ToCycles(e.End) - ts
-		emit(`{"name":` + strconv.Quote(e.Kind) +
+		emit(`{"name":` + strconv.Quote(e.Kind.String()) +
 			`,"ph":"X","pid":2,"tid":` + strconv.Itoa(e.Dst) +
 			`,"ts":` + strconv.FormatInt(ts, 10) +
 			`,"dur":` + strconv.FormatInt(dur, 10) +

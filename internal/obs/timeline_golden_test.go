@@ -24,8 +24,8 @@ func TestWriteTimelineGolden(t *testing.T) {
 	clk := sim.NewClock(20) // 50000 ps per cycle
 	spans, events := timelineInput()
 	edges := []obs.CritEdge{
-		{Kind: "msg", Src: 1, Dst: 0, Start: 50000, End: 150000, Lat: 50000, BW: 50000},
-		{Kind: "barrier", Src: 0, Dst: 0, Start: 150000, End: 200000},
+		{Kind: obs.EdgeMsg, Src: 1, Dst: 0, Start: 50000, End: 150000, Lat: 50000, BW: 50000},
+		{Kind: obs.EdgeBarrier, Src: 0, Dst: 0, Start: 150000, End: 200000},
 	}
 	var buf bytes.Buffer
 	if err := obs.WriteTimeline(&buf, clk, spans, events, edges); err != nil {

@@ -19,6 +19,20 @@
 // solve is integer picosecond arithmetic with one rounding per scaled
 // edge, which makes it bit-deterministic and exact at the base point.
 //
+// Build compiles the DAG for that pass. After sorting the events into
+// base-time order it folds into each one every term that does not
+// depend on the point: the rigid gap since the chain's previous effect
+// less the part of the wait the base run exposed (for a barrier marker
+// or a completion, just the gap), and the wait's departure relative to
+// its source chain's base position at that event. Solve then keeps one
+// predicted position per chain and does, per event, two scaled
+// roundings and a few integer adds and maxes, with no branch on the
+// data.
+// Its rounding (scaleTime) truncates once and compares the exact
+// remainder with ±0.5, which equals math.Round for every product that
+// fits an int64 (FuzzScaleTime); TestSolveMatchesRecurrence holds the
+// compiled solve to the uncompiled recurrence on random DAGs.
+//
 // The model's honesty bound is congestion: waits rescale linearly, so
 // points that drive the bisection deep into contention (the run's own
 // traffic against a shrinking cut, or cross-traffic streams the edge

@@ -1,8 +1,10 @@
 package predict
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -22,10 +24,10 @@ func twoNodeInput() Input {
 		Nodes: 2,
 		Clk:   clk,
 		Edges: []obs.CritEdge{
-			{Kind: "txn", Src: 0, Dst: 1, Start: c(1), End: c(2)},
-			{Kind: "miss", Src: 1, Dst: 0, Start: c(10), End: c(20), Lat: c(4), BW: c(2)},
-			{Kind: "msg", Src: 0, Dst: 1, Start: c(12), End: c(25), Lat: c(5), BW: c(1)},
-			{Kind: "barrier", Src: 1, Dst: 1, Start: c(25), End: c(28)},
+			{Kind: obs.EdgeTxn, Src: 0, Dst: 1, Start: c(1), End: c(2)},
+			{Kind: obs.EdgeMiss, Src: 1, Dst: 0, Start: c(10), End: c(20), Lat: c(4), BW: c(2)},
+			{Kind: obs.EdgeMsg, Src: 0, Dst: 1, Start: c(12), End: c(25), Lat: c(5), BW: c(1)},
+			{Kind: obs.EdgeBarrier, Src: 1, Dst: 1, Start: c(25), End: c(28)},
 		},
 		EdgesTotal: 4,
 		DoneCycles: []int64{30, 32},
@@ -95,7 +97,7 @@ func TestSolveSlackAbsorbs(t *testing.T) {
 		Clk:   clk,
 		Edges: []obs.CritEdge{
 			// Node 0's miss: 2 cycles of latency inside a 10-cycle stall.
-			{Kind: "miss", Src: 0, Dst: 0, Start: c(10), End: c(20), Lat: c(2)},
+			{Kind: obs.EdgeMiss, Src: 0, Dst: 0, Start: c(10), End: c(20), Lat: c(2)},
 		},
 		EdgesTotal: 1,
 		DoneCycles: []int64{30, 50},
@@ -116,20 +118,34 @@ func TestSolveSlackAbsorbs(t *testing.T) {
 	}
 }
 
-// TestBuildRejectsBadEdges: node indexes outside the machine and
-// negative spans are construction errors, not solver surprises.
+// TestBuildRejectsBadEdges: node indexes outside the machine, negative
+// spans and negative latency or bandwidth parts are construction
+// errors, not solver surprises.
 func TestBuildRejectsBadEdges(t *testing.T) {
 	clk := testClock()
 	base := Input{Nodes: 1, Clk: clk, DoneCycles: []int64{10}}
 	bad := base
-	bad.Edges = []obs.CritEdge{{Kind: "miss", Src: 0, Dst: 3, Start: 0, End: 1}}
+	bad.Edges = []obs.CritEdge{{Kind: obs.EdgeMiss, Src: 0, Dst: 3, Start: 0, End: 1}}
 	if _, err := Build(bad); err == nil {
 		t.Error("edge to node 3 of a 1-node machine built without error")
 	}
 	bad = base
-	bad.Edges = []obs.CritEdge{{Kind: "miss", Src: 0, Dst: 0, Start: 5, End: 2}}
+	bad.Edges = []obs.CritEdge{{Kind: obs.EdgeMiss, Src: 0, Dst: 0, Start: 5, End: 2}}
 	if _, err := Build(bad); err == nil {
 		t.Error("backward edge built without error")
+	}
+	// A negative part would push the fixed part past the edge span, and
+	// the solve would then shrink as LatScale grows.
+	for _, e := range []obs.CritEdge{
+		{Kind: obs.EdgeMiss, Src: 0, Dst: 0, Start: 0, End: 5, Lat: -1},
+		{Kind: obs.EdgeMsg, Src: 0, Dst: 0, Start: 0, End: 5, Lat: 2, BW: -3},
+	} {
+		bad = base
+		bad.Edges = []obs.CritEdge{e}
+		_, err := Build(bad)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%+v", e)) {
+			t.Errorf("edge %+v: Build error %v, want one naming the edge", e, err)
+		}
 	}
 	bad = base
 	bad.DoneCycles = nil
@@ -149,7 +165,7 @@ func TestBuildClampsDecomposition(t *testing.T) {
 		Nodes: 1,
 		Clk:   clk,
 		Edges: []obs.CritEdge{
-			{Kind: "miss", Src: 0, Dst: 0, Start: c(1), End: c(3), Lat: c(5), BW: c(5)},
+			{Kind: obs.EdgeMiss, Src: 0, Dst: 0, Start: c(1), End: c(3), Lat: c(5), BW: c(5)},
 		},
 		EdgesTotal: 1,
 		DoneCycles: []int64{10},

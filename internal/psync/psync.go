@@ -29,7 +29,7 @@ func traceEvent(m *machine.Machine, p *machine.Proc, kind obs.EventKind, a, b in
 // the dependency for the timeline lane and top-edge summary.
 func critBarrier(m *machine.Machine, p *machine.Proc, start sim.Time) {
 	if m.Crit != nil {
-		m.Crit.Edge(obs.CritEdge{Kind: "barrier", Src: p.ID, Dst: p.ID, Start: start, End: p.Now()})
+		m.Crit.Edge(obs.CritEdge{Kind: obs.EdgeBarrier, Src: p.ID, Dst: p.ID, Start: start, End: p.Now()})
 	}
 }
 
