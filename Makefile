@@ -26,10 +26,11 @@ fmt:
 build:
 	$(GO) build ./...
 
-# Determinism and simulation-safety analysis (internal/lint), seven
-# per-package checks: wallclock, unseededrand, maporder, rawconc,
-# fingerprint, closedscope and intmath. Zero diagnostics — including
-# stale //lint:allow comments — is the bar. See DESIGN.md §10.
+# Determinism and simulation-safety analysis (internal/lint), five
+# per-package checks: unseededrand, maporder, rawconc, closedscope and
+# intmath. Zero diagnostics — including stale //lint:allow comments — is
+# the bar, and internal/lint's TestModulesClean holds go test ./... to it
+# too. See DESIGN.md §10.
 # Patterns resolve as for go build, so ./... includes the analyzer and
 # its CLI but stops at cmd/bench/go.mod: the second call lints the
 # benchmark module, with the root module's packages type-checked as its

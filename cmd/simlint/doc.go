@@ -3,7 +3,7 @@
 // `make check` and CI:
 //
 //	simlint ./...            # lint every package in the module
-//	simlint -checks maporder,wallclock ./internal/apps/...
+//	simlint -checks maporder,rawconc ./internal/apps/...
 //	simlint -list            # describe the suite
 //
 // Patterns resolve in the working directory as they do for every go

@@ -140,11 +140,14 @@ type ni struct {
 	notify func() // one-shot arm: fires on message arrival
 	// Last arrival, for the critical-path recorder: a receiver woken by
 	// its armed notify can ask what message woke it (see LastArrival).
-	lastSrc   int
-	lastSent  sim.Time
-	lastBytes int
-	arrivals  int64
+	lastSrc  int
+	lastSent sim.Time
+	arrivals int64
 }
+
+// loopbackCycles is the NI loopback's delay: a message a node sends to
+// itself arrives this many cycles later, without entering the mesh.
+const loopbackCycles = 2
 
 // System is the machine-wide active message layer.
 type System struct {
@@ -290,7 +293,7 @@ func (s *System) inject(src, dst int, h HandlerID, args []int64, vals []float64,
 
 	if src == dst {
 		// Loopback through the NI without entering the mesh.
-		s.eng.After(s.clk.Cycles(2), m.loopback)
+		s.eng.After(s.clk.Cycles(loopbackCycles), m.loopback)
 		return
 	}
 	p := &m.pkt
@@ -374,7 +377,7 @@ func (m *msg) arrive() {
 	s, node := m.s, m.dst
 	ni := s.nis[node]
 	ni.q = append(ni.q, m)
-	ni.lastSrc, ni.lastSent, ni.lastBytes = m.src, m.sent, m.bytes
+	ni.lastSrc, ni.lastSent = m.src, m.sent
 	ni.arrivals++
 	if f := ni.notify; f != nil {
 		ni.notify = nil
@@ -383,13 +386,19 @@ func (m *msg) arrive() {
 }
 
 // LastArrival describes the most recent message arrival at node: its
-// source, injection timestamp, and wire size. ok is false before the
-// first arrival. A receiver woken by its Notify callback uses this to
-// attribute the wake — the notify fires synchronously at arrival, so at
-// wake time the waking message is the last arrival.
-func (s *System) LastArrival(node int) (src int, sent sim.Time, bytes int, ok bool) {
+// source, injection timestamp, and uncongested flight time (the NI
+// loopback's delay, or a header's latency over its mesh route). ok is
+// false before the first arrival. A receiver woken by its Notify
+// callback uses this to attribute the wake — the notify fires
+// synchronously at arrival, so at wake time the waking message is the
+// last arrival.
+func (s *System) LastArrival(node int) (src int, sent, flight sim.Time, ok bool) {
 	ni := s.nis[node]
-	return ni.lastSrc, ni.lastSent, ni.lastBytes, ni.arrivals > 0
+	flight = s.clk.Cycles(loopbackCycles)
+	if ni.lastSrc != node {
+		flight = s.net.Latency(s.net.Hops(ni.lastSrc, node), 0)
+	}
+	return ni.lastSrc, ni.lastSent, flight, ni.arrivals > 0
 }
 
 // HasPending reports whether node has undelivered messages queued.

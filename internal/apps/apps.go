@@ -80,8 +80,6 @@ func (m Mechanism) RecvMode() machine.RecvMode {
 // simulated memory and registers handlers), machine.Run(app.Body), then
 // Validate against the sequential reference.
 type App interface {
-	// Name identifies the application ("em3d", "unstruc", ...).
-	Name() string
 	// Setup binds the app to a machine and mechanism. Called once,
 	// before Machine.Run.
 	Setup(m *machine.Machine, mech Mechanism)

@@ -48,9 +48,6 @@ func New(p workload.EM3DParams) *App {
 	return &App{par: p, g: workload.NewEM3D(p)}
 }
 
-// Name implements apps.App.
-func (a *App) Name() string { return "em3d" }
-
 // Graph exposes the generated workload (for tests and reporting).
 func (a *App) Graph() *workload.EM3DGraph { return a.g }
 

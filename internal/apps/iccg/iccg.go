@@ -54,9 +54,6 @@ func New(p workload.ICCGParams) *App {
 	return &App{par: p, sys: workload.NewICCG(p)}
 }
 
-// Name implements apps.App.
-func (a *App) Name() string { return "iccg" }
-
 // Setup implements apps.App.
 func (a *App) Setup(m *machine.Machine, mech apps.Mechanism) {
 	a.m, a.mech = m, mech

@@ -70,9 +70,6 @@ func New(p workload.MoldynParams) *App {
 	return &App{par: p, box: workload.NewMoldyn(p)}
 }
 
-// Name implements apps.App.
-func (a *App) Name() string { return "moldyn" }
-
 // Setup implements apps.App.
 func (a *App) Setup(m *machine.Machine, mech apps.Mechanism) {
 	a.m, a.mech = m, mech

@@ -48,9 +48,6 @@ func New(p workload.UnstrucParams) *App {
 	return &App{par: p, mesh: workload.NewUnstruc(p)}
 }
 
-// Name implements apps.App.
-func (a *App) Name() string { return "unstruc" }
-
 // Setup implements apps.App.
 func (a *App) Setup(m *machine.Machine, mech apps.Mechanism) {
 	a.m, a.mech = m, mech

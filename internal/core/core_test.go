@@ -20,8 +20,8 @@ func TestNewAppAllNamesAndScales(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewAppSized(%s, %s): %v", name, sc, err)
 			}
-			if a.Name() != string(name) {
-				t.Errorf("app name %q != %q", a.Name(), name)
+			if pkg := reflect.TypeOf(a).Elem().PkgPath(); pkg != "repro/internal/apps/"+string(name) {
+				t.Errorf("NewAppSized(%s, %s) built an app from package %s", name, sc, pkg)
 			}
 		}
 	}

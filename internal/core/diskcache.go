@@ -15,7 +15,7 @@ const diskCacheSchema = 8 // 8: Result.Noise became Result.Faults, with the faul
 // DiskCache persists completed run results across processes, extending
 // the Runner's in-memory single-flight memoization. Entries are keyed
 // by the canonical RunConfig fingerprint (the same normalization the
-// in-memory cache uses, validated by simlint's fingerprint check). An
+// in-memory cache uses, validated by fingerprint_test.go). An
 // entry is the run's RunRecord — the same record the run log writes,
 // without its host fields — plus a schema version and the full
 // canonical fingerprint text; a load only hits when schema, key hash,

@@ -23,12 +23,11 @@ func fingerprintBase() RunConfig {
 	return rc
 }
 
-// TestFingerprintCoversAllFields is the runtime twin of the static
-// simlint/fingerprint check: it perturbs every leaf field of RunConfig
+// TestFingerprintCoversAllFields perturbs every leaf field of RunConfig
 // (recursively, via reflection) and asserts the memo key changes. A
-// newly added config field that fingerprint normalizes away
+// newly added config field that fingerprint drops or normalizes away
 // unconditionally — silently aliasing distinct runs in the cache —
-// fails here even if the analyzer cannot prove it.
+// fails here.
 func TestFingerprintCoversAllFields(t *testing.T) {
 	base := fingerprintBase()
 	key := fingerprint(base)
@@ -102,8 +101,7 @@ func TestFingerprintNoise(t *testing.T) {
 // TestRunConfigValueSemantics asserts every field reachable from
 // RunConfig is a pure value type: no pointers, slices, maps, channels,
 // funcs, or interfaces. Struct equality on the memo key is only
-// semantic equality under this property (the static check proves the
-// same; this catches kinds it might not see through).
+// semantic equality under this property.
 func TestRunConfigValueSemantics(t *testing.T) {
 	var walk func(path string, ty reflect.Type)
 	walk = func(path string, ty reflect.Type) {

@@ -23,8 +23,8 @@ import (
 //
 // Host/sim split: this file is deliberately outside the simulator-facing
 // packages — it observes the host wall clock (run durations, heartbeat
-// throttling), which simlint's wallclock check bans inside the
-// simulation. Nothing here feeds back into simulated state; the
+// throttling), whose time import simlint's closedscope check bans
+// inside the simulation. Nothing here feeds back into simulated state; the
 // simulation-side data it serializes (timelines, trace dumps, the run
 // record's configuration and result) is a deterministic function of
 // the RunConfig, so those bytes are identical across runs. Only the run

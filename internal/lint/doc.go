@@ -5,18 +5,18 @@
 // rest on strict determinism conventions; simlint enforces them
 // mechanically so they cannot rot under reviewer fatigue.
 //
-// The suite has seven checks, each run on one package at a time (see
+// The suite has five checks, each run on one package at a time (see
 // the per-check files for details):
 //
-//	wallclock    — no host time observation in simulator-facing packages
 //	unseededrand — no global/unseeded math/rand in simulator-facing packages
 //	maporder     — no order-sensitive work inside map iteration
-//	rawconc      — no host concurrency in simulator-facing packages
-//	fingerprint  — RunConfig memo keys cover every field, by value
+//	rawconc      — no goroutines, channels or select in simulator-facing packages
 //	closedscope  — the simulator-facing packages form a closed world:
-//	               they import no other module package, and no type
-//	               outside them implements one of their interfaces, so
-//	               the checks above see all code a simulation runs
+//	               they import only each other and an allow-list of
+//	               pure standard packages (no time, sync, os or runtime),
+//	               and no type outside them implements one of their
+//	               interfaces, so the checks see all code a simulation
+//	               runs and it can observe nothing of the host
 //	intmath      — no floating-point arithmetic in machine-model packages
 //
 // A diagnostic is suppressed by a comment on the flagged line or the

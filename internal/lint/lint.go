@@ -62,11 +62,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Checks returns the full suite in stable order.
 func Checks() []*Check {
 	return []*Check{
-		WallclockCheck,
 		UnseededRandCheck,
 		MapOrderCheck,
 		RawConcCheck,
-		FingerprintCheck,
 		ClosedScopeCheck,
 		IntMathCheck,
 	}
@@ -101,8 +99,9 @@ func Select(names string) ([]*Check, error) {
 // simScopes are the simulator-facing packages where only simulated
 // cycles and explicitly seeded randomness may be observed, and no host
 // concurrency used: everything a run's result can depend on must be
-// derived from the RunConfig. closedscope keeps the list closed under
-// module imports.
+// derived from the RunConfig. closedscope keeps the list closed: its
+// packages import only each other and the pure standard packages of
+// simStdlib.
 var simScopes = []string{
 	"internal/sim",
 	"internal/machine",
@@ -134,6 +133,17 @@ func inScope(pkgPath string, scopes []string) bool {
 		}
 	}
 	return false
+}
+
+// isPkgSelector reports whether sel is a qualified identifier pkg.X
+// where pkg is an import of the package with the given path.
+func isPkgSelector(p *Pass, sel *ast.SelectorExpr, path string) bool {
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	pn, ok := p.Info.Uses[id].(*types.PkgName)
+	return ok && pn.Imported().Path() == path
 }
 
 // Run executes the checks over the packages that are not DepOnly and

@@ -23,7 +23,7 @@ var (
 )
 
 func TestMain(m *testing.M) {
-	listed, err := goList(".", []string{"fmt", "math/bits", "math/rand", "sort", "sync", "sync/atomic", "time"})
+	listed, err := goList(".", []string{"fmt", "math/bits", "math/rand", "os", "sort", "sync", "sync/atomic", "time"})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -47,35 +47,33 @@ func TestFixtures(t *testing.T) {
 		// check must not apply: every annotation must stay silent.
 		ignoreWants bool
 	}{
-		{name: "wallclock", dir: "wallclock", pkgPath: "repro/internal/machine/fixture", checks: []*Check{WallclockCheck}},
-		{name: "wallclock-out-of-scope", dir: "wallclock", pkgPath: "repro/internal/figures/fixture", checks: []*Check{WallclockCheck}, ignoreWants: true},
+		// The host clock is fenced at the time import, in every sim scope
+		// and in no host package.
+		{name: "wallclock", dir: "wallclock", pkgPath: "repro/internal/machine/fixture", checks: []*Check{ClosedScopeCheck}},
+		{name: "wallclock-out-of-scope", dir: "wallclock", pkgPath: "repro/internal/figures/fixture", checks: []*Check{ClosedScopeCheck}, ignoreWants: true},
 		// The span and edge collectors run inside the simulation: obs is a
-		// sim scope and the wallclock check fires there.
-		{name: "wallclock-obs", dir: "wallclock", pkgPath: "repro/internal/obs/fixture", checks: []*Check{WallclockCheck}},
+		// sim scope.
+		{name: "wallclock-obs", dir: "wallclock", pkgPath: "repro/internal/obs/fixture", checks: []*Check{ClosedScopeCheck}},
 		// The runlog/heartbeat telemetry sinks measure host wall time by
 		// design; they live in internal/core, which must stay out of scope.
-		{name: "wallclock-runlog-host-side", dir: "wallclock", pkgPath: "repro/internal/core/fixture", checks: []*Check{WallclockCheck}, ignoreWants: true},
+		{name: "wallclock-runlog-host-side", dir: "wallclock", pkgPath: "repro/internal/core/fixture", checks: []*Check{ClosedScopeCheck}, ignoreWants: true},
 		// Every layer adds to the stats breakdowns from inside a run.
-		{name: "wallclock-stats", dir: "wallclock", pkgPath: "repro/internal/stats/fixture", checks: []*Check{WallclockCheck}},
-		{name: "unseededrand", dir: "unseededrand", pkgPath: "repro/internal/workload/fixture", checks: []*Check{UnseededRandCheck}},
+		{name: "wallclock-stats", dir: "wallclock", pkgPath: "repro/internal/stats/fixture", checks: []*Check{ClosedScopeCheck}},
+		// internal/workload is the one sim scope that may import math/rand.
+		{name: "unseededrand", dir: "unseededrand", pkgPath: "repro/internal/workload/fixture", checks: []*Check{UnseededRandCheck, ClosedScopeCheck}},
 		{name: "unseededrand-out-of-scope", dir: "unseededrand", pkgPath: "repro/cmd/fixture", checks: []*Check{UnseededRandCheck}, ignoreWants: true},
 		{name: "maporder", dir: "maporder", pkgPath: "repro/internal/figures/fixture", checks: []*Check{MapOrderCheck}},
-		{name: "rawconc", dir: "rawconc", pkgPath: "repro/internal/apps/fixture", checks: []*Check{RawConcCheck}},
-		{name: "rawconc-psync", dir: "rawconc", pkgPath: "repro/internal/psync", checks: []*Check{RawConcCheck}},
+		{name: "rawconc", dir: "rawconc", pkgPath: "repro/internal/apps/fixture", checks: []*Check{RawConcCheck, ClosedScopeCheck}},
+		{name: "rawconc-psync", dir: "rawconc", pkgPath: "repro/internal/psync", checks: []*Check{RawConcCheck, ClosedScopeCheck}},
 		// The engine switches threads as coroutines and needs no host
 		// concurrency either.
-		{name: "rawconc-sim", dir: "rawconc", pkgPath: "repro/internal/sim", checks: []*Check{RawConcCheck}},
+		{name: "rawconc-sim", dir: "rawconc", pkgPath: "repro/internal/sim", checks: []*Check{RawConcCheck, ClosedScopeCheck}},
 		// The parallel sweep runner is host-facing by design.
-		{name: "rawconc-out-of-scope", dir: "rawconc", pkgPath: "repro/internal/core", checks: []*Check{RawConcCheck}, ignoreWants: true},
+		{name: "rawconc-out-of-scope", dir: "rawconc", pkgPath: "repro/internal/core", checks: []*Check{RawConcCheck, ClosedScopeCheck}, ignoreWants: true},
 		// A worker barrier built on sync/atomic values (method calls that
 		// never name the package at the call site) and park channels.
-		{name: "rawconc-atomic-app", dir: "rawconc_atomic", pkgPath: "repro/internal/apps/fixture", checks: []*Check{RawConcCheck}},
-		{name: "rawconc-atomic-sim", dir: "rawconc_atomic", pkgPath: "repro/internal/sim", checks: []*Check{RawConcCheck}},
-		{name: "fingerprint-good", dir: "fingerprint_good", pkgPath: "repro/internal/core", checks: []*Check{FingerprintCheck}},
-		{name: "fingerprint-missing-field", dir: "fingerprint_missing_field", pkgPath: "repro/internal/core", checks: []*Check{FingerprintCheck}},
-		{name: "fingerprint-reference-fields", dir: "fingerprint_reference", pkgPath: "repro/internal/core", checks: []*Check{FingerprintCheck}},
-		{name: "fingerprint-absent", dir: "fingerprint_absent", pkgPath: "repro/internal/core", checks: []*Check{FingerprintCheck}},
-		{name: "fingerprint-absent-elsewhere", dir: "fingerprint_absent", pkgPath: "repro/internal/model", checks: []*Check{FingerprintCheck}, ignoreWants: true},
+		{name: "rawconc-atomic-app", dir: "rawconc_atomic", pkgPath: "repro/internal/apps/fixture", checks: []*Check{RawConcCheck, ClosedScopeCheck}},
+		{name: "rawconc-atomic-sim", dir: "rawconc_atomic", pkgPath: "repro/internal/sim", checks: []*Check{RawConcCheck, ClosedScopeCheck}},
 		{name: "intmath", dir: "intmath", pkgPath: "repro/internal/sim/fixture", checks: []*Check{IntMathCheck}},
 		// Float math is fine outside the machine model: apps compute on
 		// simulated data and figures post-process results.
@@ -170,9 +168,9 @@ func equalStrings(a, b []string) bool {
 
 // TestClosedScopeFixture runs closedscope over three fixture packages
 // type-checked together: an engine-like sim package, a host package that
-// imports only it, and a mesh-like sim package that imports both. Both
-// rules are only observable with more than one package, which is why
-// this does not fit the TestFixtures harness.
+// imports only it, and a mesh-like sim package that imports both. Rule 2,
+// and rule 1 on a module import, are only observable with more than one
+// package, which is why this does not fit the TestFixtures harness.
 func TestClosedScopeFixture(t *testing.T) {
 	specs := []struct{ dir, path string }{
 		{dir: "closedscope_sim", path: "repro/internal/sim/fixture"},
@@ -270,7 +268,7 @@ func TestLoadDependencies(t *testing.T) {
 }
 
 // TestLoadBuildConstraints: a file the compiler does not build is not
-// linted, even in a sim scope and calling time.Now.
+// linted, even in a sim scope and importing time.
 func TestLoadBuildConstraints(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
@@ -296,6 +294,21 @@ func TestLoadBuildConstraints(t *testing.T) {
 	}
 	if diags := Run(pkgs, Checks()); len(diags) != 0 {
 		t.Errorf("Run: %v", diags)
+	}
+}
+
+// TestModulesClean lints both modules as make lint does, so that go test
+// fails on any finding: the root module, and cmd/bench with the root
+// module's packages as its dependencies.
+func TestModulesClean(t *testing.T) {
+	for _, dir := range []string{"../..", "../../cmd/bench"} {
+		pkgs, err := Load(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range Run(pkgs, Checks()) {
+			t.Error(d)
+		}
 	}
 }
 
@@ -359,12 +372,12 @@ func covered(m map[int]int) []int {
 
 	// The same stale allow is NOT reported when its check is deselected:
 	// a -checks run says nothing about the others.
-	none, err := checkPackage(fixtureFset, stdImporter, "repro/internal/figures/fixture", []*ast.File{f}, []*Check{WallclockCheck})
+	none, err := checkPackage(fixtureFset, stdImporter, "repro/internal/figures/fixture", []*ast.File{f}, []*Check{IntMathCheck})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(none) != 0 {
-		t.Errorf("stale maporder allow reported under -checks wallclock:\n%v", none)
+		t.Errorf("stale maporder allow reported under -checks intmath:\n%v", none)
 	}
 }
 
@@ -420,8 +433,8 @@ func TestSelect(t *testing.T) {
 	if err != nil || len(all) != len(Checks()) {
 		t.Fatalf("Select(\"\") = %d checks, err %v", len(all), err)
 	}
-	two, err := Select("maporder, simlint/wallclock")
-	if err != nil || len(two) != 2 || two[0].Name != "maporder" || two[1].Name != "wallclock" {
+	two, err := Select("maporder, simlint/rawconc")
+	if err != nil || len(two) != 2 || two[0].Name != "maporder" || two[1].Name != "rawconc" {
 		t.Fatalf("Select subset = %v, err %v", two, err)
 	}
 	if _, err := Select("nosuch"); err == nil {

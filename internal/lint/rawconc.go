@@ -6,18 +6,18 @@ import (
 	"go/types"
 )
 
-// RawConcCheck forbids host concurrency primitives in simulator-facing
-// code: `go` statements, channel types and operations, select, and the
-// sync / sync-atomic packages. Simulated code runs on sim.Thread
-// cooperative threads scheduled by the event engine, which switches
-// between them as coroutines; all synchronization must go through psync
-// (barriers, locks) or the machine's messaging surface so that host
-// goroutine scheduling can never leak into simulated results. A raw
-// goroutine or a lock would race the deterministic engine and break
-// run-to-run reproducibility.
+// RawConcCheck forbids host concurrency in simulator-facing code: `go`
+// statements, channel types and operations, and select. Simulated code
+// runs on sim.Thread cooperative threads scheduled by the event engine,
+// which switches between them as coroutines; all synchronization must
+// go through psync (barriers, locks) or the machine's messaging surface
+// so that host goroutine scheduling can never leak into simulated
+// results. A raw goroutine would race the deterministic engine and
+// break run-to-run reproducibility. The sync and sync/atomic packages
+// are fenced by closedscope, which lets no sim scope import them.
 var RawConcCheck = &Check{
 	Name:  "rawconc",
-	Doc:   "forbid go statements, channels, select, and sync primitives in simulator-facing code (use sim.Thread/psync)",
+	Doc:   "forbid go statements, channels and select in simulator-facing code (use sim.Thread/psync)",
 	Scope: "sim packages",
 	Applies: func(pkgPath string) bool {
 		return inScope(pkgPath, simScopes)
@@ -48,43 +48,8 @@ func runRawConc(p *Pass) {
 						p.Reportf(n.Pos(), "range over a channel"+remedy)
 					}
 				}
-			case *ast.SelectorExpr:
-				if isPkgSelector(p, n, "sync") || isPkgSelector(p, n, "sync/atomic") {
-					p.Reportf(n.Pos(), "sync primitive %s.%s"+remedy, pkgName(p, n), n.Sel.Name)
-					return true
-				}
-				// Method calls on sync/atomic-typed values (mu.Lock,
-				// counter.Add) don't name the package at the call site, so
-				// catch them through the receiver's declared type — else a
-				// primitive obtained indirectly slips through.
-				if sel, ok := p.Info.Selections[n]; ok && sel.Kind() == types.MethodVal {
-					if named := namedRecv(sel.Recv()); named != nil {
-						if pkg := named.Obj().Pkg(); pkg != nil &&
-							(pkg.Path() == "sync" || pkg.Path() == "sync/atomic") {
-							p.Reportf(n.Pos(), "sync primitive method %s.%s"+remedy, named.Obj().Name(), n.Sel.Name)
-						}
-					}
-				}
 			}
 			return true
 		})
 	}
-}
-
-// pkgName returns the selector's package qualifier text.
-func pkgName(p *Pass, sel *ast.SelectorExpr) string {
-	if id := firstIdent(sel.X); id != nil {
-		return id.Name
-	}
-	return "sync"
-}
-
-// namedRecv unwraps a method receiver type to its named type, looking
-// through a pointer.
-func namedRecv(t types.Type) *types.Named {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, _ := t.(*types.Named)
-	return n
 }

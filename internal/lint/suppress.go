@@ -51,7 +51,7 @@ func (s *suppressions) allows(d Diagnostic) bool {
 
 // auditStale reports every well-formed suppression that suppressed
 // nothing during this run, restricted to the selected checks and to
-// packages the named check concerns — a wallclock allow in a host
+// packages the named check concerns — a rawconc allow in a host
 // package never had anything to suppress by construction, and a run
 // with -checks maporder says nothing about the others.
 func (s *suppressions) auditStale(checks []*Check, out *[]Diagnostic) {

@@ -1,10 +1,12 @@
 // Package meshfix stands in for internal/mesh: a sim package that
-// imports the engine and the standard library, which is fine, and a host
-// helper, which is not.
+// imports the engine and a pure standard package, which is fine, and a
+// host helper, the host environment and math/rand, which are not.
 package meshfix
 
 import (
 	"fmt"
+	"math/rand" //want closedscope
+	"os"        //want closedscope
 
 	"repro/internal/hostfix" //want closedscope
 	simfix "repro/internal/sim/fixture"
@@ -24,3 +26,10 @@ func (noFaults) PacketDelay(src, dst int) simfix.Time { return 0 }
 func Latency(hops int) string {
 	return fmt.Sprint(hostfix.Scale(simfix.Time(hops)))
 }
+
+// Verbose reads the host environment.
+func Verbose() bool { return os.Getenv("MESH_VERBOSE") != "" }
+
+// Jitter draws from a seeded generator, but only internal/workload may
+// import math/rand.
+func Jitter(seed int64) simfix.Time { return simfix.Time(rand.New(rand.NewSource(seed)).Intn(8)) }

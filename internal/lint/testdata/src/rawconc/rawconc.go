@@ -1,11 +1,13 @@
 package fixture
 
 import (
-	"sync"
-	"sync/atomic"
+	"sync"        //want closedscope
+	"sync/atomic" //want closedscope
 )
 
-var mu sync.Mutex //want rawconc
+// Locks and atomics are fenced at their imports: no sim scope may
+// import sync or sync/atomic, so rawconc need not find their uses.
+var mu sync.Mutex
 
 var counter int64
 
@@ -13,7 +15,7 @@ func bad(ch chan int) { //want rawconc
 	go func() {}() //want rawconc
 	ch <- 1 //want rawconc
 	<-ch //want rawconc
-	atomic.AddInt64(&counter, 1) //want rawconc
+	atomic.AddInt64(&counter, 1)
 	for range ch { //want rawconc
 	}
 	select { //want rawconc

@@ -2,25 +2,26 @@
 // sync/atomic counters driven through their methods (epoch.Add never
 // names the package at the call site), and buffered park channels. In
 // any sim scope, the engine included, it would let host interleaving
-// leak into results, so rawconc must fire on every such line.
+// leak into results: closedscope fires on the sync/atomic import, and
+// rawconc on every goroutine, channel and select.
 package fixture
 
-import "sync/atomic"
+import "sync/atomic" //want closedscope
 
 type windowBarrier struct {
-	epoch     atomic.Uint64   //want rawconc
-	remaining atomic.Int64    //want rawconc
+	epoch     atomic.Uint64
+	remaining atomic.Int64
 	wake      []chan struct{} //want rawconc
 }
 
 func (b *windowBarrier) open(workers int) {
-	b.remaining.Store(int64(workers)) //want rawconc
-	b.epoch.Add(1)                    //want rawconc
+	b.remaining.Store(int64(workers))
+	b.epoch.Add(1)
 	for w := 0; w < workers; w++ {
 		w := w
 		go func() { //want rawconc
 			b.runShare(w)
-			if b.remaining.Add(-1) == 0 { //want rawconc
+			if b.remaining.Add(-1) == 0 {
 				b.wake[workers] <- struct{}{} //want rawconc
 			}
 		}()

@@ -10,7 +10,9 @@ import (
 // randomness that does not flow from an explicit seed in the RunConfig
 // makes two runs of the same configuration diverge and poisons the
 // memoization cache. The accepted idiom is a local generator seeded
-// from configuration: rand.New(rand.NewSource(seed)).
+// from configuration: rand.New(rand.NewSource(seed)). closedscope lets
+// only internal/workload import math/rand, and no sim scope import
+// math/rand/v2.
 var UnseededRandCheck = &Check{
 	Name:  "unseededrand",
 	Doc:   "forbid global math/rand functions and unseeded rand.New in simulator-facing packages",
@@ -21,28 +23,22 @@ var UnseededRandCheck = &Check{
 	Run: runUnseededRand,
 }
 
-// randGlobals are the math/rand (and math/rand/v2) package-level
-// functions that draw from implicit generator state.
+// randGlobals are the math/rand package-level functions that draw from
+// the implicit global generator.
 var randGlobals = map[string]bool{
-	"Int": true, "Intn": true, "IntN": true,
-	"Int31": true, "Int31n": true, "Int32": true, "Int32N": true,
-	"Int63": true, "Int63n": true, "Int64": true, "Int64N": true,
-	"Uint32": true, "Uint32N": true, "Uint64": true, "Uint64N": true,
-	"UintN": true, "Uint": true,
+	"Int": true, "Intn": true,
+	"Int31": true, "Int31n": true, "Int63": true, "Int63n": true,
+	"Uint32": true, "Uint64": true,
 	"Float32": true, "Float64": true,
 	"NormFloat64": true, "ExpFloat64": true,
 	"Perm": true, "Shuffle": true, "Read": true, "Seed": true,
-	"N": true,
 }
 
 func runUnseededRand(p *Pass) {
-	randPkg := func(sel *ast.SelectorExpr) bool {
-		return isPkgSelector(p, sel, "math/rand") || isPkgSelector(p, sel, "math/rand/v2")
-	}
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || !randPkg(sel) {
+			if !ok || !isPkgSelector(p, sel, "math/rand") {
 				return true
 			}
 			name := sel.Sel.Name
@@ -81,8 +77,8 @@ func enclosingCall(f *ast.File, sel *ast.SelectorExpr) *ast.CallExpr {
 	return found
 }
 
-// isSeededSource reports whether expr is rand.NewSource(...) or
-// rand.NewPCG(...) — an explicitly seeded source constructor.
+// isSeededSource reports whether expr is rand.NewSource(...), an
+// explicitly seeded source.
 func isSeededSource(p *Pass, expr ast.Expr) bool {
 	call, ok := expr.(*ast.CallExpr)
 	if !ok {
@@ -92,9 +88,5 @@ func isSeededSource(p *Pass, expr ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	if !isPkgSelector(p, sel, "math/rand") && !isPkgSelector(p, sel, "math/rand/v2") {
-		return false
-	}
-	return sel.Sel.Name == "NewSource" || sel.Sel.Name == "NewPCG" ||
-		sel.Sel.Name == "NewChaCha8"
+	return isPkgSelector(p, sel, "math/rand") && sel.Sel.Name == "NewSource"
 }

@@ -197,7 +197,7 @@ func (p *Proc) WaitAndHandle() int {
 // flight time (network latency) and the serialization/queueing remainder
 // (network bandwidth).
 func (p *Proc) critMsgWait(start, end sim.Time) {
-	src, sent, _, ok := p.M.AM.LastArrival(p.ID)
+	src, sent, flight, ok := p.M.AM.LastArrival(p.ID)
 	if !ok {
 		return
 	}
@@ -211,16 +211,7 @@ func (p *Proc) critMsgWait(start, end sim.Time) {
 	if transit < 0 {
 		transit = 0
 	}
-	var latRaw sim.Time
-	if src == p.ID {
-		latRaw = p.M.Clk.Cycles(2) // NI loopback (see am inject)
-	} else {
-		latRaw = p.M.Net.Latency(p.M.Net.Hops(src, p.ID), 0)
-	}
-	lat := latRaw
-	if lat > transit {
-		lat = transit
-	}
+	lat := min(flight, transit)
 	p.M.Crit.MsgWait(p.ID, lat, transit-lat)
 	p.M.Crit.Edge(obs.CritEdge{
 		Kind: obs.EdgeMsg, Src: src, Dst: p.ID,

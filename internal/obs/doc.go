@@ -25,5 +25,5 @@
 // timelines, and instrumentation never feeds back into simulated timing:
 // an instrumented run's figure data is byte-identical to an
 // uninstrumented run's. The package is enforced as simulator-facing by
-// simlint (wallclock/unseededrand/maporder/rawconc/closedscope).
+// simlint (unseededrand/maporder/rawconc/closedscope).
 package obs

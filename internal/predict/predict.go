@@ -264,10 +264,6 @@ func compile(in Input, events []event) []step {
 	return steps
 }
 
-// Events reports the solved DAG's event count: miss and msg edges,
-// barrier markers and one terminal per processor.
-func (m *Model) Events() int { return len(m.steps) }
-
 // scaleTime rounds t·f to the nearest picosecond, halves away from
 // zero, bit for bit as math.Round does for every product that fits an
 // int64. Per-edge rounding (rather than accumulating floats) keeps

@@ -3,6 +3,7 @@ package repro
 import (
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -60,6 +61,75 @@ func TestBreakdownCoversEveryCycle(t *testing.T) {
 					if got := clk.ToCycles(bd.Total()); got != res.DoneCycles[i] {
 						t.Errorf("%s/%s (noise %q): proc %d buckets sum to %d cycles, done at %d",
 							app, mech, cfg.NoiseSpec, i, got, res.DoneCycles[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestClockScalingMetamorphic pins the premise of Figure 9: a run's
+// cycle count depends on the network only through its latency and
+// bandwidth measured in cycles. Halving the clock while doubling
+// HopLatency and PsPerByte keeps both unchanged in cycles, so every app
+// and mechanism must take the same cycles, dispatch the same events and
+// move the same bytes, while its wall time and every breakdown bucket
+// exactly double. Cross-traffic is given in bytes per cycle and needs no
+// change; fault and noise durations are wall-clock, so the slow machine
+// gets each doubled.
+//
+// Left out: jitter, whose next % (Max+1) draw picks picoseconds that do
+// not scale with the clock (20 of 20 pairs differ), and exp and
+// heavytail noise, whose draws differ by picosecond rounding (1 of 20
+// pairs each).
+func TestClockScalingMetamorphic(t *testing.T) {
+	slowDown := func(cfg MachineConfig) MachineConfig {
+		cfg.ClockMHz /= 2
+		cfg.HopLatency *= 2
+		cfg.PsPerByte *= 2
+		return cfg
+	}
+	cross := DefaultMachine()
+	cross.CrossTraffic.MsgBytes, cross.CrossTraffic.BytesPerCycle = core.CrossMsgBytes, 8
+	faulted := DefaultMachine()
+	faulted.FaultSpec = "outage:node=*,start=10us,dur=2us,every=50us;stall:node=5,start=5us,dur=3us,every=40us"
+	faulted.NoiseSpec = "hostnoise:node=*,dist=const,mean=2us;delay:node=5,at=20us,dur=10us"
+	slowFaulted := slowDown(faulted)
+	slowFaulted.FaultSpec = "outage:node=*,start=20us,dur=4us,every=100us;stall:node=5,start=10us,dur=6us,every=80us"
+	slowFaulted.NoiseSpec = "hostnoise:node=*,dist=const,mean=4us;delay:node=5,at=40us,dur=20us"
+	variants := []struct {
+		name       string
+		fast, slow MachineConfig
+	}{
+		{"plain", DefaultMachine(), slowDown(DefaultMachine())},
+		{"cross", cross, slowDown(cross)},
+		{"faults+noise", faulted, slowFaulted},
+	}
+	for _, v := range variants {
+		for _, app := range Apps {
+			for _, mech := range Mechanisms {
+				fast, err := Run(Config{App: app, Mechanism: mech, Machine: v.fast})
+				if err != nil {
+					t.Fatalf("%s %s/%s: %v", v.name, app, mech, err)
+				}
+				slow, err := Run(Config{App: app, Mechanism: mech, Machine: v.slow})
+				if err != nil {
+					t.Fatalf("%s %s/%s at half clock: %v", v.name, app, mech, err)
+				}
+				if fast.Cycles != slow.Cycles || !slices.Equal(fast.DoneCycles, slow.DoneCycles) ||
+					fast.Events != slow.Events || fast.Volume != slow.Volume {
+					t.Errorf("%s %s/%s: half clock changes the run: %d vs %d cycles, events %+v vs %+v, volume %+v vs %+v",
+						v.name, app, mech, fast.Cycles, slow.Cycles, fast.Events, slow.Events, fast.Volume, slow.Volume)
+					continue
+				}
+				if slow.Time != 2*fast.Time {
+					t.Errorf("%s %s/%s: wall time %v at half clock, want 2 x %v", v.name, app, mech, slow.Time, fast.Time)
+				}
+				for i, bd := range fast.PerProc {
+					for b, d := range bd.T {
+						if got := slow.PerProc[i].T[b]; got != 2*d {
+							t.Errorf("%s %s/%s: proc %d bucket %d is %v at half clock, want 2 x %v", v.name, app, mech, i, b, got, d)
+						}
 					}
 				}
 			}
