@@ -70,7 +70,9 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"-mech", "bogus"}, 1},
 		{[]string{"-scale", "huge"}, 1},
 		{[]string{"-app", "nope", "-scale", "tiny"}, 1},
-		{[]string{"-scale", "tiny", "-cross", "100"}, 1}, // more cross-traffic than the bisection carries
+		{[]string{"-scale", "tiny", "-cross", "100"}, 1},             // more cross-traffic than the bisection carries
+		{[]string{"-scale", "tiny", "-cross", "4", "-xmsg", "0"}, 1}, // messages too small for a header
+		{[]string{"-scale", "tiny", "-ideal-lat", "-5"}, 1},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(c.args, &stdout, &stderr); code != c.want {

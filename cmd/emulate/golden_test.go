@@ -54,3 +54,27 @@ func TestEmulateGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestExitStatus pins the exit statuses: 0 for -h, 1 for a bad flag
+// value, 2 for an unknown flag. A bad value fails before the table's
+// title is printed.
+func TestExitStatus(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-h"}, 0},
+		{[]string{"-nosuchflag"}, 2},
+		{[]string{"-scale", "huge"}, 1},
+		{[]string{"-app", "nope", "-scale", "tiny"}, 1},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(c.args, &stdout, &stderr)
+		if code != c.want {
+			t.Errorf("emulate %s: exit status %d, want %d\n%s", strings.Join(c.args, " "), code, c.want, stderr.Bytes())
+		}
+		if code != 0 && stdout.Len() > 0 {
+			t.Errorf("emulate %s: exit status %d after writing stdout:\n%s", strings.Join(c.args, " "), code, stdout.Bytes())
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"text/tabwriter"
 
 	"repro/internal/apps"
@@ -33,6 +34,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sc, err := core.ParseScale(*scaleName)
 	if err != nil {
 		return fail(err)
+	}
+	if !slices.Contains(core.AppNames, core.AppName(*appName)) {
+		return fail(fmt.Errorf("unknown application %q (want one of %v)", *appName, core.AppNames))
 	}
 
 	fmt.Fprintf(stdout, "%s on emulated Table 1 machines (32 nodes each; runtimes in processor cycles)\n\n", *appName)

@@ -196,6 +196,7 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"-fig", "11"}, 2},
 		{[]string{"-table", "3"}, 2},
 		{[]string{"-fig", "4", "-noiseseeds", "0"}, 1},
+		{[]string{"-fig", "4", "-scale", "tiny", "-app", "em3d", "-dumptrace", "-5"}, 1}, // before any run
 		{[]string{"-fig", "4", "-faults", "bogus"}, 1},
 		{[]string{"-fig", "4", "-nodes", "1000"}, 1},
 		{[]string{"-fig", "4", "-nodes", "3", "-scale", "tiny"}, 1}, // before any run

@@ -139,6 +139,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if inv.noiseSeeds < 1 {
 		return fail(errors.New("-noiseseeds must be at least 1"))
 	}
+	if *dumpTrace < 0 {
+		return fail(errors.New("-dumptrace must not be negative"))
+	}
 	inv.scale = func(def core.Scale) core.Scale { return def }
 	if *scaleName != "" {
 		sc, err := core.ParseScale(*scaleName)

@@ -45,8 +45,8 @@ func (c *Ctx) Now() sim.Time { return c.th.Now() }
 // It never blocks (handlers cannot wait for queue space); the construct
 // cost is charged as message overhead.
 func (c *Ctx) Reply(dst int, h HandlerID, args []int64, vals []float64) {
-	c.Overhead(c.sys.par.SendConstructCycles + c.sys.par.SendPerWordCycles*niWords(args, vals))
-	c.sys.inject(c.Node, dst, h, args, vals, false, 0)
+	c.Overhead(sendConstructCycles + sendPerWordCycles*niWords(args, vals))
+	c.sys.inject(c.Node, dst, h, args, vals, false)
 }
 
 // niWords counts 32-bit NI register transfers: one per argument, two per
@@ -61,56 +61,34 @@ func niWords(args []int64, vals []float64) int64 {
 // messages. A handler that needs a value afterwards copies it out.
 type Handler func(c *Ctx, args []int64, vals []float64)
 
-// Params configures the message system. Costs are processor cycles.
-type Params struct {
-	SendConstructCycles   int64 // fixed construct+launch cost per message
-	SendPerWordCycles     int64 // per argument/value word written to the NI
-	InterruptEntryCycles  int64 // interrupt entry+exit per message batch head
-	InterruptPerMsgCycles int64 // per-message dispatch under interrupts
-	PollCycles            int64 // cost of one poll check
-	PollPerMsgCycles      int64 // per-message dispatch under polling
-	RecvPerWordCycles     int64 // per payload word moved out of the NI (fine-grained only; DMA exempt)
-	BulkSetupCycles       int64 // DMA descriptor setup per transfer
-	BulkRecvCycles        int64 // receive-side DMA initiation per transfer
+// Message-layer costs, in processor cycles. They are calibrated so a
+// null active message costs ~102 cycles end to end with interrupts (the
+// paper's figure), and no experiment varies them.
+const (
+	sendConstructCycles   = 22 // fixed construct+launch cost per message
+	sendPerWordCycles     = 2  // per argument/value word written to the NI
+	interruptEntryCycles  = 45 // interrupt entry+exit per message batch head
+	interruptPerMsgCycles = 10 // per-message dispatch under interrupts
+	pollCycles            = 6  // cost of one poll check
+	pollPerMsgCycles      = 16 // per-message dispatch under polling
+	recvPerWordCycles     = 3  // per payload word moved out of the NI (fine-grained only; DMA exempt)
+	bulkSetupCycles       = 30 // DMA descriptor setup per transfer
+	bulkRecvCycles        = 20 // receive-side DMA initiation per transfer
+)
 
-	HdrBytes       int // network header per message
-	ArgBytes       int // per int64 argument on the wire (Alewife args are 32-bit)
-	ValBytes       int // per float64 value on the wire
-	DescBytes      int // per DMA (address,length) descriptor
-	DMAAlign       int // payload alignment for DMA (double word)
-	MaxInlineWords int // max args+vals in a fine-grained message (NI registers)
+// Wire sizes, in bytes, and NI queue limits. Every message also carries
+// mesh.HeaderBytes.
+const (
+	argBytes       = 4  // per int64 argument on the wire (Alewife args are 32-bit)
+	valBytes       = 8  // per float64 value on the wire
+	descBytes      = 8  // per DMA (address,length) descriptor
+	dmaAlign       = 8  // payload alignment for DMA (double word)
+	maxInlineWords = 14 // max args+vals in a fine-grained message (NI registers)
 
-	InQueueCap    int   // NI input queue capacity in messages
-	RetryCycles   int64 // network retry interval when the input queue is full
-	OutQueueLimit int64 // max cycles of injection backlog before the sender stalls
-}
-
-// DefaultParams returns parameters calibrated so a null active message
-// costs ~102 cycles end-to-end with interrupts (the paper's figure).
-func DefaultParams() Params {
-	return Params{
-		SendConstructCycles:   22,
-		SendPerWordCycles:     2,
-		InterruptEntryCycles:  45,
-		InterruptPerMsgCycles: 10,
-		PollCycles:            6,
-		PollPerMsgCycles:      16,
-		RecvPerWordCycles:     3,
-		BulkSetupCycles:       30,
-		BulkRecvCycles:        20,
-
-		HdrBytes:       8,
-		ArgBytes:       4,
-		ValBytes:       8,
-		DescBytes:      8,
-		DMAAlign:       8,
-		MaxInlineWords: 14,
-
-		InQueueCap:    16,
-		RetryCycles:   20,
-		OutQueueLimit: 256,
-	}
-}
+	inQueueCap    = 16  // NI input queue capacity in messages
+	retryCycles   = 20  // network retry interval when the input queue is full
+	outQueueLimit = 256 // max cycles of injection backlog before the sender stalls
+)
 
 // msg is one active message, from injection until its handler returns.
 // Records are pooled per System: inject takes one and drain returns it
@@ -154,7 +132,6 @@ type System struct {
 	eng      *sim.Engine
 	net      *mesh.Network
 	clk      sim.Clock
-	par      Params
 	handlers []Handler
 	nis      []*ni
 	free     []*msg // pooled message records
@@ -190,8 +167,8 @@ func (s *System) SetFaultInjector(fi DrainStaller) { s.fault = fi }
 func (s *System) SetTrace(tr *obs.Ring[obs.Event]) { s.tr = tr }
 
 // NewSystem creates the message layer for every node of net.
-func NewSystem(eng *sim.Engine, net *mesh.Network, clk sim.Clock, par Params) *System {
-	s := &System{eng: eng, net: net, clk: clk, par: par}
+func NewSystem(eng *sim.Engine, net *mesh.Network, clk sim.Clock) *System {
+	s := &System{eng: eng, net: net, clk: clk}
 	s.nis = make([]*ni, net.Nodes())
 	for i := range s.nis {
 		s.nis[i] = &ni{ctx: Ctx{sys: s, Node: i}}
@@ -199,9 +176,6 @@ func NewSystem(eng *sim.Engine, net *mesh.Network, clk sim.Clock, par Params) *S
 	s.outFree = make([]sim.Time, net.Nodes())
 	return s
 }
-
-// Params returns the message-layer parameters.
-func (s *System) Params() Params { return s.par }
 
 // Events returns accumulated message counters.
 func (s *System) Events() stats.Events { return s.ev }
@@ -214,25 +188,20 @@ func (s *System) Register(h Handler) HandlerID {
 	return HandlerID(len(s.handlers) - 1)
 }
 
-// wireBytes computes the payload size of a fine-grained message.
-func (s *System) wireBytes(args []int64, vals []float64) int {
-	return s.par.ArgBytes*len(args) + s.par.ValBytes*len(vals)
-}
-
 // Send launches a fine-grained active message from node's processor
 // thread th. The construct cost is charged as message overhead; if the
 // injection backlog exceeds the output-queue limit the thread stalls
 // (charged as memory+NI wait, per the paper's breakdown definition).
 func (s *System) Send(th *sim.Thread, node, dst int, h HandlerID, args []int64, vals []float64, bd *stats.Breakdown) {
-	if len(args)+2*len(vals) > s.par.MaxInlineWords {
+	if len(args)+2*len(vals) > maxInlineWords {
 		panic(fmt.Sprintf("am: %d args + %d vals exceed NI capacity of %d words",
-			len(args), len(vals), s.par.MaxInlineWords))
+			len(args), len(vals), maxInlineWords))
 	}
-	cost := s.clk.Cycles(s.par.SendConstructCycles + s.par.SendPerWordCycles*niWords(args, vals))
+	cost := s.clk.Cycles(sendConstructCycles + sendPerWordCycles*niWords(args, vals))
 	bd.Add(stats.BucketMsgOverhead, cost)
 	th.Sleep(cost)
 	s.stallIfBacklogged(th, node, bd)
-	s.inject(node, dst, h, args, vals, false, 0)
+	s.inject(node, dst, h, args, vals, false)
 }
 
 // SendBulk launches a DMA bulk transfer: args are handler arguments, data
@@ -241,17 +210,17 @@ func (s *System) Send(th *sim.Thread, node, dst int, h HandlerID, args []int64, 
 // payload is padded to DMA alignment; ICCG's many small transfers lose
 // their header savings to exactly this padding, as in Figure 5.
 func (s *System) SendBulk(th *sim.Thread, node, dst int, h HandlerID, args []int64, data []float64, bd *stats.Breakdown) {
-	cost := s.clk.Cycles(s.par.BulkSetupCycles + s.par.SendPerWordCycles*int64(len(args)))
+	cost := s.clk.Cycles(bulkSetupCycles + sendPerWordCycles*int64(len(args)))
 	bd.Add(stats.BucketMsgOverhead, cost)
 	th.Sleep(cost)
 	s.stallIfBacklogged(th, node, bd)
-	s.inject(node, dst, h, args, data, true, s.par.DescBytes)
+	s.inject(node, dst, h, args, data, true)
 }
 
 // stallIfBacklogged blocks th until the node's injection backlog drops
 // below the output-queue limit.
 func (s *System) stallIfBacklogged(th *sim.Thread, node int, bd *stats.Breakdown) {
-	limit := s.clk.Cycles(s.par.OutQueueLimit)
+	limit := s.clk.Cycles(outQueueLimit)
 	now := th.Now()
 	if s.outFree[node] > now+limit {
 		s.ev.NIQueueFullStall++
@@ -261,8 +230,9 @@ func (s *System) stallIfBacklogged(th *sim.Thread, node int, bd *stats.Breakdown
 	}
 }
 
-// inject places the message on the wire (or loops it back locally).
-func (s *System) inject(src, dst int, h HandlerID, args []int64, vals []float64, bulk bool, extraHdr int) {
+// inject places the message on the wire (or loops it back locally). A
+// bulk message's header also carries its DMA descriptor.
+func (s *System) inject(src, dst int, h HandlerID, args []int64, vals []float64, bulk bool) {
 	s.ev.MessagesSent++
 	if s.tr != nil {
 		k := obs.KMsgSend
@@ -270,11 +240,11 @@ func (s *System) inject(src, dst int, h HandlerID, args []int64, vals []float64,
 			k = obs.KBulk
 		}
 		s.tr.Add(obs.Event{At: s.eng.Now(), Node: src, Kind: k,
-			A: int64(dst), B: int64(s.par.ValBytes * len(vals))})
+			A: int64(dst), B: int64(valBytes * len(vals))})
 	}
 	if bulk {
 		s.ev.BulkTransfers++
-		s.ev.BulkBytes += int64(s.par.ValBytes * len(vals))
+		s.ev.BulkBytes += int64(valBytes * len(vals))
 	}
 	// Copy payloads: applications commonly reuse gather buffers.
 	m := s.newMsg()
@@ -282,13 +252,14 @@ func (s *System) inject(src, dst int, h HandlerID, args []int64, vals []float64,
 	m.args = append(m.args[:0], args...)
 	m.vals = append(m.vals[:0], vals...)
 
-	payload := s.wireBytes(args, vals)
-	if bulk && s.par.DMAAlign > 1 {
-		if r := payload % s.par.DMAAlign; r != 0 {
-			payload += s.par.DMAAlign - r // alignment padding on the wire
+	payload := argBytes*len(args) + valBytes*len(vals)
+	hdr := mesh.HeaderBytes
+	if bulk {
+		if r := payload % dmaAlign; r != 0 {
+			payload += dmaAlign - r // alignment padding on the wire
 		}
+		hdr += descBytes
 	}
-	hdr := s.par.HdrBytes + extraHdr
 	m.bytes = hdr + payload
 
 	if src == dst {
@@ -356,8 +327,8 @@ func (e endpoint) TryDeliver(now sim.Time, p *mesh.Packet) (bool, sim.Time) {
 				return false, u
 			}
 		}
-		if len(ni.q) >= e.s.par.InQueueCap {
-			return false, now + e.s.clk.Cycles(e.s.par.RetryCycles)
+		if len(ni.q) >= inQueueCap {
+			return false, now + e.s.clk.Cycles(retryCycles)
 		}
 		if p.Deliver != nil {
 			p.Deliver(now, p)
@@ -425,8 +396,8 @@ func (s *System) notifyArmed(node int) bool { return s.nis[node].notify != nil }
 // per-message overhead. It returns the number of messages handled.
 func (s *System) Poll(th *sim.Thread, node int, bd *stats.Breakdown) int {
 	s.ev.Polls++
-	s.charge(th, bd, s.par.PollCycles)
-	n := s.drain(th, node, bd, s.par.PollPerMsgCycles)
+	s.charge(th, bd, pollCycles)
+	n := s.drain(th, node, bd, pollPerMsgCycles)
 	if n > 0 {
 		s.ev.PollHits++
 	}
@@ -442,8 +413,8 @@ func (s *System) DrainInterrupts(th *sim.Thread, node int, bd *stats.Breakdown) 
 		return 0
 	}
 	s.ev.Interrupts++
-	s.charge(th, bd, s.par.InterruptEntryCycles)
-	return s.drain(th, node, bd, s.par.InterruptPerMsgCycles)
+	s.charge(th, bd, interruptEntryCycles)
+	return s.drain(th, node, bd, interruptPerMsgCycles)
 }
 
 // drain dispatches queued messages until the queue is empty, charging
@@ -465,9 +436,9 @@ func (s *System) drain(th *sim.Thread, node int, bd *stats.Breakdown, perMsg int
 		}
 		cost := perMsg
 		if m.bulk {
-			cost += s.par.BulkRecvCycles // DMA moves the payload; no per-word cost
+			cost += bulkRecvCycles // DMA moves the payload; no per-word cost
 		} else {
-			cost += s.par.RecvPerWordCycles * niWords(m.args, m.vals)
+			cost += recvPerWordCycles * niWords(m.args, m.vals)
 		}
 		s.charge(th, bd, cost)
 		ctx := &ni.ctx

@@ -19,7 +19,7 @@ func newRig() *rig {
 	eng := sim.NewEngine()
 	net := mesh.New(eng, mesh.Config{Width: 8, Height: 4, HopLatency: 40000, PsPerByte: 22223})
 	clk := sim.NewClock(20)
-	sys := NewSystem(eng, net, clk, DefaultParams())
+	sys := NewSystem(eng, net, clk)
 	for i := 0; i < net.Nodes(); i++ {
 		net.Attach(i, sys.Endpoint(i))
 	}

@@ -10,6 +10,12 @@
 // per-word processor cost but the applications pay explicit gather/scatter
 // copying (~60 cycles per 16-byte line, charged via GatherScatterCycles).
 //
+// These costs, the wire sizes of arguments, values and DMA descriptors,
+// and the NI queue limits are unexported constants in am.go. No
+// experiment varies them, so they are not part of machine.Config, the
+// memo key every run is hashed by. Every message carries the network's
+// mesh.HeaderBytes header.
+//
 // Host memory. A message lives in a record pooled per System, from
 // injection until its handler returns: the record keeps its payload
 // buffers' capacity, carries its own mesh packet, and binds its arrival

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -686,35 +685,4 @@ func (in *Injector) DrainStalledUntil(node int, t sim.Time) sim.Time {
 		return until
 	}
 	return 0
-}
-
-// Schedule tabulates, for documentation and debugging, the first openings
-// of every window (up to max entries), in time order.
-func (c Config) Schedule(max int) []string {
-	type opening struct {
-		at   sim.Time
-		desc string
-	}
-	var all []opening
-	add := func(kind string, w Window) {
-		all = append(all, opening{w.Start, fmt.Sprintf("%s node=%s [%v, %v)", kind, fmtNode(w.Node), w.Start, w.Start+w.Dur)})
-	}
-	for _, w := range c.Outages {
-		add("outage", w)
-	}
-	for _, w := range c.Stalls {
-		add("stall", w)
-	}
-	for _, d := range c.Delays {
-		all = append(all, opening{d.At, fmt.Sprintf("delay node=%s at=%v dur=%v", fmtNode(d.Node), d.At, d.Dur)})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].at < all[j].at })
-	if len(all) > max {
-		all = all[:max]
-	}
-	out := make([]string, len(all))
-	for i, o := range all {
-		out[i] = o.desc
-	}
-	return out
 }

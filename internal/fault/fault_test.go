@@ -272,17 +272,3 @@ func TestNewSeedsDrawIndependently(t *testing.T) {
 		t.Errorf("stats %+v, want jitter %+v and noise %+v", got, want, net.Stats())
 	}
 }
-
-func TestSchedule(t *testing.T) {
-	cfg, err := Parse("outage:node=1,start=5us,dur=1us;stall:node=2,start=1us,dur=1us;outage:node=3,start=9us,dur=1us")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := cfg.Schedule(2)
-	if len(sched) != 2 {
-		t.Fatalf("Schedule(2) returned %d entries: %v", len(sched), sched)
-	}
-	if !strings.Contains(sched[0], "stall node=2") || !strings.Contains(sched[1], "outage node=1") {
-		t.Errorf("schedule not time-ordered: %v", sched)
-	}
-}

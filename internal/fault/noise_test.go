@@ -238,19 +238,3 @@ func TestNoiseNodeFilter(t *testing.T) {
 		t.Errorf("dst-matching packet delayed %v, want 10ns", got)
 	}
 }
-
-// TestScheduleIncludesDelays: one-shot delays appear in the
-// human-readable schedule preview alongside windows.
-func TestScheduleIncludesDelays(t *testing.T) {
-	cfg, err := Parse("delay:node=4,at=2us,dur=1us;outage:node=1,start=5us,dur=1us")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := cfg.Schedule(4)
-	if len(sched) != 2 {
-		t.Fatalf("Schedule(4) returned %d entries: %v", len(sched), sched)
-	}
-	if !strings.Contains(sched[0], "delay node=4") {
-		t.Errorf("delay missing or out of order in schedule: %v", sched)
-	}
-}

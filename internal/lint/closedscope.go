@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/ast"
 	"go/types"
 	"slices"
 	"strconv"
@@ -11,10 +12,10 @@ import (
 // checks see every module function it can run. It enforces two rules:
 //
 //  1. A sim-scope package imports only sim-scope packages and the
-//     standard packages of simStdlib. A helper outside the scopes is
-//     never checked, and every other standard package (time, sync, os,
-//     runtime, ...) reads or depends on the host, so sim code may not
-//     import one.
+//     standard packages of simStdlib, and uses none of fmt's
+//     fmtStdStreams. A helper outside the scopes is never checked, and
+//     every other standard package (time, sync, os, runtime, ...) reads
+//     or depends on the host, so sim code may not import one.
 //  2. A package-level type declared outside the sim scopes implements no
 //     non-empty interface declared in a sim-scope package. Sim code
 //     calling through such an interface would run the host type's
@@ -36,9 +37,14 @@ var ClosedScopeCheck = &Check{
 // simStdlib is the standard library a sim scope may import: exactly the
 // packages the sim scopes use, for computation, formatting and
 // in-memory readers and writers. None reads the host clock, environment
-// or scheduler, or blocks on another goroutine; fmt's Print and Scan
-// functions do reach the process's standard streams.
+// or scheduler, or blocks on another goroutine. Only fmt reaches the
+// process's standard streams, through fmtStdStreams, which are reported
+// at each use.
 var simStdlib = []string{"bufio", "cmp", "fmt", "io", "iter", "math", "math/bits", "slices", "sort", "strconv", "strings"}
+
+// fmtStdStreams are fmt's functions that write os.Stdout or read
+// os.Stdin. Sim code formats into the writers and strings it is given.
+var fmtStdStreams = []string{"Print", "Printf", "Println", "Scan", "Scanf", "Scanln"}
 
 // randScopes may also import math/rand; unseededrand checks that every
 // draw comes from a generator seeded by the run configuration.
@@ -47,6 +53,7 @@ var randScopes = []string{"internal/workload"}
 func runClosedScope(p *Pass) {
 	if inScope(p.PkgPath, simScopes) {
 		checkSimImports(p)
+		checkStdStreams(p)
 	} else {
 		checkHostTypes(p)
 	}
@@ -64,6 +71,18 @@ func checkSimImports(p *Pass) {
 			}
 			p.Reportf(imp.Pos(), "sim package imports %s, which is neither a sim scope nor an allowed standard package; a simulation may reach only code the checks read, and no host clock, environment or scheduler", path)
 		}
+	}
+}
+
+// checkStdStreams reports each use of fmtStdStreams, called or not.
+func checkStdStreams(p *Pass) {
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && isPkgSelector(p, sel, "fmt") && slices.Contains(fmtStdStreams, sel.Sel.Name) {
+				p.Reportf(sel.Pos(), "sim package uses fmt.%s, which reaches the process's standard streams; a simulation writes only to the writers it is given and reads no host input", sel.Sel.Name)
+			}
+			return true
+		})
 	}
 }
 

@@ -14,9 +14,11 @@
 //	closedscope  — the simulator-facing packages form a closed world:
 //	               they import only each other and an allow-list of
 //	               pure standard packages (no time, sync, os or runtime),
-//	               and no type outside them implements one of their
-//	               interfaces, so the checks see all code a simulation
-//	               runs and it can observe nothing of the host
+//	               use none of fmt's Print and Scan functions on the
+//	               standard streams, and no type outside them
+//	               implements one of their interfaces, so the checks
+//	               see all code a simulation runs and it can observe
+//	               nothing of the host
 //	intmath      — no floating-point arithmetic in machine-model packages
 //
 // A diagnostic is suppressed by a comment on the flagged line or the

@@ -1,6 +1,8 @@
 // Package meshfix stands in for internal/mesh: a sim package that
 // imports the engine and a pure standard package, which is fine, and a
-// host helper, the host environment and math/rand, which are not.
+// host helper, the host environment and math/rand, which are not; and
+// that formats into strings, which is fine, but also prints to stdout
+// and reads stdin, which is not.
 package meshfix
 
 import (
@@ -33,3 +35,15 @@ func Verbose() bool { return os.Getenv("MESH_VERBOSE") != "" }
 // Jitter draws from a seeded generator, but only internal/workload may
 // import math/rand.
 func Jitter(seed int64) simfix.Time { return simfix.Time(rand.New(rand.NewSource(seed)).Intn(8)) }
+
+// Dump prints to the process's stdout.
+func Dump(t simfix.Time) { fmt.Println(t) } //want closedscope
+
+// Hops reads the process's stdin.
+func Hops() (n int) {
+	fmt.Scan(&n) //want closedscope
+	return n
+}
+
+// scanf is fmt's stdin reader as a value, never called.
+var scanf = fmt.Scanf //want closedscope

@@ -25,11 +25,6 @@ type Config struct {
 	AdaptiveXY bool     // minimal adaptive (XY/YX) routing ablation
 
 	Mem mem.Params
-	AM  am.Params
-
-	// PrefetchIssueCycles is the processor cost of executing one prefetch
-	// instruction (useful or useless).
-	PrefetchIssueCycles int64
 
 	// InterruptCheckCycles bounds interrupt latency during long computes:
 	// a computing processor notices pending message interrupts at least
@@ -44,6 +39,8 @@ type Config struct {
 	// IdealNetOneWayCycles, if nonzero, switches shared memory to the
 	// Figure 10 emulation: every coherence message takes exactly this
 	// many processor cycles one-way, uniformly, with infinite bandwidth.
+	// New refuses a negative value, as it does a negative TraceCap or
+	// SpanCap, and a negative CritEdgeCap with CritPath.
 	IdealNetOneWayCycles int64
 
 	// TraceCap, if nonzero, records the last TraceCap protocol and
@@ -109,8 +106,6 @@ func DefaultConfig() Config {
 		HopLatency:           40 * sim.Nanosecond,    // 0.8 cycles at 20 MHz
 		PsPerByte:            22223 * sim.Picosecond, // 2.25 bytes/cycle/link
 		Mem:                  mem.DefaultParams(),
-		AM:                   am.DefaultParams(),
-		PrefetchIssueCycles:  3,
 		InterruptCheckCycles: 100,
 	}
 }
@@ -141,7 +136,7 @@ func Geometry(nodes int) (width, height int, err error) {
 
 // ConfigForNodes returns the calibrated Alewife configuration scaled to
 // an arbitrary node count: per-node parameters (clock, link bandwidth,
-// hop latency, memory and AM costs) are unchanged — so per-node link
+// hop latency, memory costs) are unchanged — so per-node link
 // bandwidth is constant while bisection bandwidth per node shrinks and
 // average hop count grows with the machine, which is exactly the
 // scale-out regime the Figure S1 experiment probes. ConfigForNodes(32)
@@ -215,12 +210,15 @@ func New(cfg Config) *Machine {
 		panic(fmt.Sprintf("machine: %dx%d = %d nodes exceeds the %d-node directory capacity",
 			cfg.Width, cfg.Height, cfg.Nodes(), MaxNodes))
 	}
+	nonNegative("IdealNetOneWayCycles", cfg.IdealNetOneWayCycles)
+	nonNegative("TraceCap", int64(cfg.TraceCap))
+	nonNegative("SpanCap", int64(cfg.SpanCap))
 	eng := sim.NewEngine()
 	clk := sim.NewClock(cfg.ClockMHz)
 	net := mesh.New(eng, cfg.Mesh())
 	store := mem.NewStore(cfg.Nodes())
 	msys := mem.NewSystem(eng, net, clk, cfg.Mem, store)
-	asys := am.NewSystem(eng, net, clk, cfg.AM)
+	asys := am.NewSystem(eng, net, clk)
 	m := &Machine{
 		Cfg: cfg, Eng: eng, Clk: clk, Net: net,
 		Store: store, Mem: msys, AM: asys,
@@ -250,8 +248,9 @@ func New(cfg Config) *Machine {
 		})
 	}
 	if cfg.CritPath {
+		nonNegative("CritEdgeCap", int64(cfg.CritEdgeCap))
 		cap := cfg.CritEdgeCap
-		if cap <= 0 {
+		if cap == 0 {
 			cap = obs.DefaultCritEdgeCap
 		}
 		m.Crit = obs.NewCritRecorder(cfg.Nodes(), cap)
@@ -267,6 +266,14 @@ func New(cfg Config) *Machine {
 		asys.SetFaultInjector(in)
 	}
 	return m
+}
+
+// nonNegative refuses a negative option, naming its field, where the
+// machine would otherwise read it as zero, that is off or the default.
+func nonNegative(field string, v int64) {
+	if v < 0 {
+		panic(fmt.Sprintf("machine: negative %s %d", field, v))
+	}
 }
 
 // Alloc reserves words of shared memory homed at node.

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/am"
@@ -42,6 +44,37 @@ func TestRunTwicePanics(t *testing.T) {
 		}
 	}()
 	m.Run(func(p *Proc) {})
+}
+
+// TestNewRefusesNegativeOptions: a negative ideal-network latency or
+// ring capacity is refused, naming the field, instead of silently
+// running the real network or recording nothing.
+func TestNewRefusesNegativeOptions(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"IdealNetOneWayCycles", func(c *Config) { c.IdealNetOneWayCycles = -5 }},
+		{"TraceCap", func(c *Config) { c.TraceCap = -1 }},
+		{"SpanCap", func(c *Config) { c.SpanCap = -1 }},
+		{"CritEdgeCap", func(c *Config) { c.CritPath, c.CritEdgeCap = true, -1 }},
+	} {
+		cfg := DefaultConfig()
+		c.set(&cfg)
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), c.field) {
+					t.Errorf("New with a negative %s: panic %v, want one naming the field", c.field, r)
+				}
+			}()
+			New(cfg)
+		}()
+	}
+	// Without the critical-path profiler the edge cap is inert, and the
+	// memo key drops it, so a negative one must not fail the run.
+	cfg := DefaultConfig()
+	cfg.CritEdgeCap = -1
+	New(cfg)
 }
 
 func TestSharedMemoryThroughProcs(t *testing.T) {

@@ -127,10 +127,14 @@ func (p *Proc) Fence() {
 	p.M.Mem.Fence(p.th, p.ID, &p.BD, stats.BucketMemWait)
 }
 
+// prefetchIssueCycles is the processor cost of executing one prefetch
+// instruction (useful or useless).
+const prefetchIssueCycles = 3
+
 // Prefetch issues a non-binding read (write=false) or write-ownership
-// (write=true) prefetch. It costs PrefetchIssueCycles and never blocks.
+// (write=true) prefetch. It costs prefetchIssueCycles and never blocks.
 func (p *Proc) Prefetch(a mem.Addr, write bool) {
-	d := p.M.Clk.Cycles(p.M.Cfg.PrefetchIssueCycles)
+	d := p.M.Clk.Cycles(prefetchIssueCycles)
 	p.BD.Add(stats.BucketMemWait, d)
 	p.th.Sleep(d)
 	p.M.Mem.Prefetch(p.ID, a, write)

@@ -56,8 +56,8 @@ func TestPrefetchChargesIssueCost(t *testing.T) {
 		p.Prefetch(a, false)
 		issue = p.NowCycles() - start
 	})
-	if issue != m.Cfg.PrefetchIssueCycles {
-		t.Errorf("prefetch issue = %d cycles, want %d", issue, m.Cfg.PrefetchIssueCycles)
+	if issue != prefetchIssueCycles {
+		t.Errorf("prefetch issue = %d cycles, want %d", issue, prefetchIssueCycles)
 	}
 }
 

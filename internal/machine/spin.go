@@ -8,7 +8,7 @@ import (
 
 // The spins below are synchronization loops of ReadSync polls and
 // SpinCycles backoffs. A poll that is a plain cache hit costs the
-// processor HitCycles of compute and then reads the word; in a loop run
+// processor a cache hit's compute and then reads the word; in a loop run
 // on the thread, each such poll and each backoff is a Sleep, that is two
 // coroutine switches. Here they run engine-side, as the steps of one
 // sim.Thread.Spin, doing at each wake what the thread would have done:

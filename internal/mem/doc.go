@@ -11,6 +11,15 @@
 // (the CMMU is clocked with the processor); network transit is wall-clock
 // time, which is what makes the paper's clock-scaling experiment work.
 //
+// Params holds what some experiment or test varies: the miss, request,
+// controller, DRAM and fill costs that the Table 1 emulation sets, the
+// line, cache and prefetch-buffer sizes, the directory's hardware
+// pointers, and the consistency and protocol variants. The costs no
+// experiment varies (a cache hit, a prefetch-buffer move, the LimitLESS
+// trap and its per-sharer term) and the RC write-buffer depth are
+// unexported constants in params.go. A data packet carries LineWords×8
+// bytes behind the network's mesh.HeaderBytes header.
+//
 // Host memory grows with what a run touches, not with the modelled
 // machine. Cache frames live in 64-line pages, each allocated on the
 // first fill into it; a frame in a missing page reads as invalid.

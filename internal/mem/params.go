@@ -1,36 +1,42 @@
 package mem
 
-// Params configures the memory system. All cycle counts are processor
-// cycles.
+// The memory system's fixed costs, in processor cycles, and its write
+// buffer. The costs are calibrated to the paper's Figure 3 table; no
+// experiment varies any of them.
+const (
+	hitCycles          = 1 // charged (as compute) on a cache hit
+	prefetchMoveCycles = 3 // moving a line from prefetch buffer to cache
+
+	limitLESSCycles = 380 // software-extension penalty beyond HWPointers
+	// limitLESSPerSharerCycles is the additional software cost per
+	// sharer invalidated during an overflowed write (the paper's
+	// 707-cycle software write vs its 425-cycle software read).
+	limitLESSPerSharerCycles = 40
+
+	writeBufferDepth = 8 // outstanding buffered stores under RC
+)
+
+// Params configures the memory system: the costs the Table 1 emulation
+// varies, the line, cache and prefetch-buffer sizes, the directory's
+// hardware pointers, and the consistency and protocol variants. All
+// cycle counts are processor cycles.
 type Params struct {
 	LineWords       int // words (8 bytes each) per cache line
 	CacheLines      int // direct-mapped lines per node
 	PrefetchEntries int // prefetch buffer entries per node
 
-	HitCycles          int64 // charged (as compute) on a cache hit
-	LocalMissCycles    int64 // local DRAM fill, no directory conflict
-	ReqCycles          int64 // requestor-side issue of a remote request
-	HomeOccCycles      int64 // home controller latency per protocol op
-	CtlServiceCycles   int64 // controller initiation interval (pipelined)
-	DRAMCycles         int64 // DRAM access at the home
-	FillCycles         int64 // requestor-side cache fill on reply
-	PrefetchMoveCycles int64 // moving a line from prefetch buffer to cache
+	LocalMissCycles  int64 // local DRAM fill, no directory conflict
+	ReqCycles        int64 // requestor-side issue of a remote request
+	HomeOccCycles    int64 // home controller latency per protocol op
+	CtlServiceCycles int64 // controller initiation interval (pipelined)
+	DRAMCycles       int64 // DRAM access at the home
+	FillCycles       int64 // requestor-side cache fill on reply
 
-	HWPointers      int   // directory pointers tracked in hardware
-	LimitLESSCycles int64 // software-extension penalty beyond HWPointers
-	// LimitLESSPerSharerCycles is the additional software cost per
-	// sharer invalidated during an overflowed write (the paper's
-	// 707-cycle software write vs its 425-cycle software read).
-	LimitLESSPerSharerCycles int64
-
-	HdrBytes  int // protocol message header size
-	LineBytes int // cache line transfer payload size
+	HWPointers int // directory pointers tracked in hardware
 
 	// Consistency selects SC (Alewife, the default) or RC (write-buffered
 	// release consistency, the Section 2 latency-tolerance extension).
 	Consistency Consistency
-	// WriteBufferDepth bounds outstanding buffered stores under RC.
-	WriteBufferDepth int
 
 	// Protocol selects invalidation (Alewife/LimitLESS, the default) or a
 	// write-through update protocol for plain stores to shared lines.
@@ -69,23 +75,15 @@ func DefaultParams() Params {
 		CacheLines:      4096, // 64KB / 16B
 		PrefetchEntries: 16,
 
-		HitCycles:          1,
-		LocalMissCycles:    11,
-		ReqCycles:          4,
-		HomeOccCycles:      7,
-		CtlServiceCycles:   3,
-		DRAMCycles:         6,
-		FillCycles:         3,
-		PrefetchMoveCycles: 3,
+		LocalMissCycles:  11,
+		ReqCycles:        4,
+		HomeOccCycles:    7,
+		CtlServiceCycles: 3,
+		DRAMCycles:       6,
+		FillCycles:       3,
 
-		HWPointers:               5,
-		LimitLESSCycles:          380,
-		LimitLESSPerSharerCycles: 40,
+		HWPointers: 5,
 
-		HdrBytes:  8,
-		LineBytes: 16,
-
-		Consistency:      SC,
-		WriteBufferDepth: 8,
+		Consistency: SC,
 	}
 }

@@ -89,7 +89,7 @@ func (s *System) storeRelaxed(th *sim.Thread, node int, a Addr, v float64, bd *s
 			// Prefetched ownership: the store completes locally.
 			s.store.Poke(a, v)
 			delete(rc.pending, a)
-			d := s.cyc(s.par.PrefetchMoveCycles)
+			d := s.cyc(prefetchMoveCycles)
 			bd.Add(stats.BucketCompute, d)
 			th.Sleep(d)
 			return
@@ -98,7 +98,7 @@ func (s *System) storeRelaxed(th *sim.Thread, node int, a Addr, v float64, bd *s
 	}
 
 	// Full buffer applies back-pressure.
-	for rc.outstanding >= s.par.WriteBufferDepth {
+	for rc.outstanding >= writeBufferDepth {
 		rc.waiters = append(rc.waiters, waiter{th: th, bd: bd, bucket: bucket, start: th.Now()})
 		th.SetWaitReason("rc-buffer-full", int64(rc.outstanding))
 		th.Pause()

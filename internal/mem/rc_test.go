@@ -83,7 +83,7 @@ func TestRCFenceDrains(t *testing.T) {
 
 func TestRCWriteBufferBackpressure(t *testing.T) {
 	r := newRCRig()
-	n := r.sys.Params().WriteBufferDepth + 4
+	n := writeBufferDepth + 4
 	addrs := make([]Addr, n)
 	for i := range addrs {
 		addrs[i] = r.st.Alloc((i*3+1)%32, 2)

@@ -240,9 +240,6 @@ func (s *System) SetIdealNetwork(oneWay sim.Time) {
 	s.idealOneWay = oneWay
 }
 
-// Params returns the memory parameters.
-func (s *System) Params() Params { return s.par }
-
 // ReleasePools drops the pooled protocol records, so a machine kept for
 // its results after its run pins none of them. Later misses build fresh
 // records.
@@ -285,7 +282,7 @@ func (s *System) sendCoh(src, dst int, class mesh.Class, payloadBytes int, c *co
 		c.arrive = arrive
 		p := &c.pkt
 		p.Src, p.Dst, p.Class = src, dst, class
-		p.HdrBytes, p.PayloadBytes = s.par.HdrBytes, payloadBytes
+		p.HdrBytes, p.PayloadBytes = mesh.HeaderBytes, payloadBytes
 		s.net.Send(p)
 	}
 }
@@ -307,7 +304,7 @@ func (s *System) Load(th *sim.Thread, node int, a Addr, bd *stats.Breakdown, buc
 }
 
 // ReadHit probes a Load by node's processor without blocking. When the
-// Load would be a plain cache hit, it charges the hit's HitCycles to
+// Load would be a plain cache hit, it charges the hit's hitCycles to
 // bd's compute bucket, as Load does, and returns their duration: the
 // caller sleeps for it and then reads the word with Store.Peek, which is
 // what Load returns. Otherwise (a store forwarded from the RC write
@@ -323,10 +320,10 @@ func (s *System) ReadHit(node int, a Addr, bd *stats.Breakdown) (sim.Time, bool)
 	return s.chargeHit(bd), true
 }
 
-// chargeHit charges one cache hit, HitCycles, to bd's compute bucket and
+// chargeHit charges one cache hit, hitCycles, to bd's compute bucket and
 // returns its duration.
 func (s *System) chargeHit(bd *stats.Breakdown) sim.Time {
-	d := s.cyc(s.par.HitCycles)
+	d := s.cyc(hitCycles)
 	bd.Add(stats.BucketCompute, d)
 	return d
 }
@@ -442,7 +439,7 @@ func (s *System) accessEx(th *sim.Thread, node int, a Addr, write, atomic bool, 
 				_, pgen := nm.cache.pfTake(i)
 				s.installLine(node, line, pst, pgen)
 				s.ev.PrefetchUseful++
-				d := s.cyc(s.par.PrefetchMoveCycles)
+				d := s.cyc(prefetchMoveCycles)
 				bd.Add(bucket, d)
 				th.Sleep(d)
 				if apply.kind != actNone {
@@ -633,7 +630,7 @@ func (t *txn) process() {
 		extra := sim.Time(0)
 		if e.sharers.count() >= s.par.HWPointers {
 			s.ev.LimitLESSTraps++
-			extra = s.cyc(s.par.LimitLESSCycles)
+			extra = s.cyc(limitLESSCycles)
 		}
 		e.state = dirShared
 		e.sharers.add(req)
@@ -661,7 +658,7 @@ func (t *txn) process() {
 		s.ev.LimitLESSTraps++
 		// Software walks the overflow directory and invalidates each
 		// sharer: a fixed trap cost plus a per-sharer term.
-		t.extra = s.cyc(s.par.LimitLESSCycles + s.par.LimitLESSPerSharerCycles*int64(shs.count()))
+		t.extra = s.cyc(limitLESSCycles + limitLESSPerSharerCycles*int64(shs.count()))
 	}
 	t.acks = shs.count()
 	shs.forEach(func(sh int) {
@@ -807,7 +804,7 @@ func (t *txn) fetchNow() {
 	} else {
 		nm.cache.downgrade(t.line)
 	}
-	s.sendCoh(t.owner, t.home, mesh.ClassCohData, s.par.LineBytes, &t.msg, t.step.returnHome)
+	s.sendCoh(t.owner, t.home, mesh.ClassCohData, s.par.LineWords*8, &t.msg, t.step.returnHome)
 }
 
 // returnHome passes the owner's returned line to the home controller.
@@ -888,7 +885,7 @@ func (s *System) grantState(t *txn, st lineState, extra sim.Time) {
 
 // sendReply sends the data reply once the home's DRAM access is done.
 func (t *txn) sendReply() {
-	t.s.sendCoh(t.home, t.node, mesh.ClassCohData, t.s.par.LineBytes, &t.msg, t.step.reachRequester)
+	t.s.sendCoh(t.home, t.node, mesh.ClassCohData, t.s.par.LineWords*8, &t.msg, t.step.reachRequester)
 }
 
 // reachRequester starts the requester's cache fill on the reply's arrival.
@@ -999,7 +996,7 @@ func (s *System) writeback(node int, line Addr, gen uint64) {
 		w.step.reachHome, w.step.apply = w.reachHome, w.apply
 	}
 	w.node, w.home, w.line, w.gen = node, s.lineHome(line), line, gen
-	s.sendCoh(node, w.home, mesh.ClassCohData, s.par.LineBytes, &w.msg, w.step.reachHome)
+	s.sendCoh(node, w.home, mesh.ClassCohData, s.par.LineWords*8, &w.msg, w.step.reachHome)
 }
 
 // reachHome passes the arrived write-back to the home controller.

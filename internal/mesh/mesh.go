@@ -51,6 +51,10 @@ func (c Class) String() string {
 	return fmt.Sprintf("Class(%d)", int(c))
 }
 
+// HeaderBytes is the network header of every message: coherence
+// packets, active messages and cross-traffic alike.
+const HeaderBytes = 8
+
 // Packet is one network message. HdrBytes+PayloadBytes is the wire size.
 type Packet struct {
 	Src, Dst     int
@@ -458,7 +462,8 @@ func (n *Network) CrossTrafficStats() (packets, bytes int64) { return n.xPackets
 // nodes on both edges of the mesh stream fixed-size messages across the
 // bisection in both directions (Figure 6).
 type CrossTraffic struct {
-	// MsgBytes is the cross-traffic message size (the paper settles on 64).
+	// MsgBytes is the cross-traffic message size, header included (the
+	// paper settles on 64).
 	MsgBytes int
 	// BytesPerCycle is the aggregate injection rate across the bisection,
 	// in bytes per processor cycle (this is what is subtracted from the
@@ -473,7 +478,8 @@ type CrossTraffic struct {
 // phase-locking artifacts. A rate that leaves no emulated bisection is
 // refused: the generators inject open-loop, so the links' reservation
 // horizon would outrun simulated time until the event limit ended the
-// run.
+// run. So is a positive rate of messages smaller than HeaderBytes, which
+// could carry no header.
 func (n *Network) StartCrossTraffic(ct CrossTraffic, clk sim.Clock) {
 	if n.Torus {
 		panic("mesh: cross-traffic bisection emulation requires a mesh (the paper's topology)")
@@ -481,8 +487,11 @@ func (n *Network) StartCrossTraffic(ct CrossTraffic, clk sim.Clock) {
 	if native := n.BisectionBytesPerCycle(clk); ct.BytesPerCycle >= native {
 		panic(fmt.Sprintf("mesh: %g B/cycle of cross-traffic leaves no bisection (native %.1f B/cycle)", ct.BytesPerCycle, native))
 	}
-	if ct.BytesPerCycle <= 0 || ct.MsgBytes <= 0 {
+	if ct.BytesPerCycle <= 0 {
 		return
+	}
+	if ct.MsgBytes < HeaderBytes {
+		panic(fmt.Sprintf("mesh: CrossTraffic.MsgBytes %d is smaller than the %d-byte header", ct.MsgBytes, HeaderBytes))
 	}
 	n.stopX = false
 	gens := 2 * n.Height
@@ -510,7 +519,7 @@ func (n *Network) StartCrossTraffic(ct CrossTraffic, clk sim.Clock) {
 // scheduleXGen starts one generator. Cross-traffic schedules no
 // delivery, so the generator resends one packet every period.
 func (n *Network) scheduleXGen(src, dst, size int, period, offset sim.Time) {
-	p := &Packet{Src: src, Dst: dst, Class: ClassXTraffic, HdrBytes: 8, PayloadBytes: size - 8}
+	p := &Packet{Src: src, Dst: dst, Class: ClassXTraffic, HdrBytes: HeaderBytes, PayloadBytes: size - HeaderBytes}
 	var tick func()
 	tick = func() {
 		if n.stopX {

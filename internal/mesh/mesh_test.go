@@ -1,6 +1,8 @@
 package mesh
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -321,6 +323,36 @@ func TestCrossTrafficDegradesAppLatency(t *testing.T) {
 	loaded := measure(16)
 	if loaded <= free {
 		t.Errorf("latency under load %v <= unloaded %v", loaded, free)
+	}
+}
+
+// TestCrossTrafficRefusesShortMessages: a positive rate of messages too
+// small for a header is refused, naming the field, instead of injecting
+// nothing (0 bytes) or packets of negative payload (1 to 7 bytes) while
+// the machine reports the bisection as reduced. A header-only message and
+// a zero rate are accepted.
+func TestCrossTrafficRefusesShortMessages(t *testing.T) {
+	for _, c := range []struct {
+		ct      CrossTraffic
+		refused bool
+	}{
+		{CrossTraffic{MsgBytes: 0, BytesPerCycle: 4}, true},
+		{CrossTraffic{MsgBytes: HeaderBytes - 1, BytesPerCycle: 4}, true},
+		{CrossTraffic{MsgBytes: HeaderBytes, BytesPerCycle: 4}, false},
+		{CrossTraffic{}, false},
+	} {
+		var msg string
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			New(sim.NewEngine(), alewifeCfg()).StartCrossTraffic(c.ct, sim.NewClock(20))
+		}()
+		if refused := msg != ""; refused != c.refused || refused && !strings.Contains(msg, "MsgBytes") {
+			t.Errorf("StartCrossTraffic(%+v): panic %q, want refused=%v naming MsgBytes", c.ct, msg, c.refused)
+		}
 	}
 }
 
