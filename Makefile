@@ -2,8 +2,8 @@
 # `make check` is the gate every PR must pass; it also checks gofmt, vets and runs the
 # tests of the separate cmd/bench module (workload digests, metric plumbing) and
 # every Go benchmark of the root, internal/core, internal/sim, internal/mesh,
-# internal/mem, internal/am and internal/predict once (benchsmoke), so a
-# benchmark that fails at run time fails the gate.
+# internal/mem, internal/am, internal/machine and internal/predict once
+# (benchsmoke), so a benchmark that fails at run time fails the gate.
 # `make profile` captures host CPU/heap profiles of a tiny figure
 # regeneration (see the bench target for simulated-time performance
 # tracking).
@@ -75,22 +75,24 @@ profile:
 # benchmarks at the root, the sweep benchmarks of internal/core, the
 # engine benchmarks of internal/sim, the packet benchmark of
 # internal/mesh, the coherence-miss benchmark of internal/mem, the
-# null-message benchmark of internal/am and the model build, solve and
-# tolerance-search benchmarks of internal/predict (about 30 s on 2
-# cores).
+# null-message benchmark of internal/am, the op-run benchmark of
+# internal/machine and the model build, solve and tolerance-search
+# benchmarks of internal/predict (about 30 s on 2 cores).
 benchsmoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core ./internal/sim ./internal/mesh ./internal/mem ./internal/am ./internal/predict
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core ./internal/sim ./internal/mesh ./internal/mem ./internal/am ./internal/machine ./internal/predict
 
 # Performance tracking: event-engine allocation profile, host cost of a
 # thread handoff and of a wake a spin absorbs, host cost and
 # allocations of one packet, of one coherence miss and of one null
-# active-message round trip, of one model build, one solve and one
-# latency-tolerance search over a synthetic 30k-event model, and
-# serial vs parallel sweep throughput.
+# active-message round trip, of 16 plain-hit reads and 16 computes as
+# one op run and as calls on the thread, of one model build, one solve
+# and one latency-tolerance search over a synthetic 30k-event model,
+# and serial vs parallel sweep throughput.
 bench:
 	$(GO) test -bench 'BenchmarkEngine|BenchmarkThreadHandoff|BenchmarkThreadSpin' -benchmem -run xxx ./internal/sim/
 	$(GO) test -bench BenchmarkSend -benchmem -run xxx ./internal/mesh/
 	$(GO) test -bench BenchmarkRemoteMiss -benchmem -run xxx ./internal/mem/
 	$(GO) test -bench BenchmarkNullMessage -benchmem -run xxx ./internal/am/
+	$(GO) test -bench BenchmarkDo -benchmem -run xxx ./internal/machine/
 	$(GO) test -bench 'BenchmarkBuild|BenchmarkSolve|BenchmarkLatencyTolerance' -benchmem -run xxx ./internal/predict/
 	$(GO) test -bench 'BenchmarkClockSweep|BenchmarkContextSwitchSweepMemoized' -benchtime 3x -run xxx ./internal/core/

@@ -73,6 +73,8 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"-scale", "tiny", "-cross", "100"}, 1},             // more cross-traffic than the bisection carries
 		{[]string{"-scale", "tiny", "-cross", "4", "-xmsg", "0"}, 1}, // messages too small for a header
 		{[]string{"-scale", "tiny", "-ideal-lat", "-5"}, 1},
+		{[]string{"-scale", "tiny", "-cross", "-4"}, 1}, // a negative rate would run no traffic
+		{[]string{"-scale", "tiny", "-cross", "NaN"}, 1},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(c.args, &stdout, &stderr); code != c.want {

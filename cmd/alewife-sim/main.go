@@ -55,7 +55,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.ClockMHz = *clock
 	cfg.IdealNetOneWayCycles = *idealLat
 	cfg.TraceCap = *traceN
-	if *cross > 0 {
+	if *cross != 0 {
 		cfg.CrossTraffic = mesh.CrossTraffic{MsgBytes: *xmsg, BytesPerCycle: *cross}
 	}
 

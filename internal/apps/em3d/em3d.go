@@ -216,7 +216,8 @@ func (a *App) commStep(p *machine.Proc, ph int) {
 	})
 }
 
-// computePhase updates this processor's nodes of the phase's side.
+// computePhase updates this processor's nodes of the phase's side. Each
+// node's reads, prefetches and edge computes are one op run.
 func (a *App) computePhase(p *machine.Proc, ph int) {
 	lo, hi := apps.BlockRange(a.par.Nodes, a.par.Procs, p.ID)
 	coef := a.coef(ph)
@@ -224,25 +225,30 @@ func (a *App) computePhase(p *machine.Proc, ph int) {
 	for i := lo; i < hi; i++ {
 		own := a.valAddr[ph][i]
 		row := a.resolved[ph][i]
+		o := p.Ops()
 		if pf {
 			// Write-prefetch the node being updated (overlap the
 			// ownership acquisition with the edge computations).
-			p.Prefetch(own, true)
+			o.Prefetch(own, true)
 			if len(row) > 0 {
-				p.Prefetch(row[0], false)
+				o.Prefetch(row[0], false)
 			}
 			if len(row) > 1 {
-				p.Prefetch(row[1], false)
+				o.Prefetch(row[1], false)
 			}
 		}
-		acc := p.Read(own)
+		o.Read(own)
 		for d := range row {
 			if pf && d+2 < len(row) {
-				p.Prefetch(row[d+2], false)
+				o.Prefetch(row[d+2], false)
 			}
-			v := p.Read(row[d])
+			o.Read(row[d])
+			o.Compute(2*apps.CyclesPerFlop + edgeOverheadCycles)
+		}
+		vals := p.Do(o)
+		acc := vals[0]
+		for d, v := range vals[1:] {
 			acc -= coef[i][d] * v
-			p.Compute(2*apps.CyclesPerFlop + edgeOverheadCycles)
 		}
 		p.Write(own, acc)
 	}

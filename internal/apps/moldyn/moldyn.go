@@ -253,33 +253,35 @@ func (a *App) shipPositions(p *machine.Proc) {
 	})
 }
 
-func (a *App) readPos(p *machine.Proc, mol int32) workload.Point3 {
-	base := a.posRead[p.ID][mol]
-	return workload.Point3{
-		X: p.Read(base),
-		Y: p.Read(base + 1),
-		Z: p.Read(base + 2),
-	}
-}
-
+// forcePhase computes this processor's pair forces into private
+// accumulators. Each pair's prefetches, position reads (the real
+// location for SM, a local ghost for MP) and compute are one op run.
 func (a *App) forcePhase(p *machine.Proc, priv map[int32]*[3]float64) {
 	pf := a.mech.UsesPrefetch()
 	mine := a.myPairs[p.ID]
+	read := a.posRead[p.ID]
 	for idx, e := range mine {
 		pr := a.pairs[e]
 		i, j := pr[0], pr[1]
+		o := p.Ops()
 		if pf && idx+2 < len(mine) {
 			nxt := a.pairs[mine[idx+2]]
 			// Read-prefetch upcoming remote coordinates (the paper
 			// prefetches remote coordinates one iteration ahead; two
 			// pairs ahead is the in-loop equivalent).
-			p.Prefetch(a.posRead[p.ID][nxt[0]], false)
-			p.Prefetch(a.posRead[p.ID][nxt[1]], false)
+			o.Prefetch(read[nxt[0]], false)
+			o.Prefetch(read[nxt[1]], false)
 		}
-		pi := a.readPos(p, i)
-		pj := a.readPos(p, j)
+		for _, mol := range pr {
+			for k := mem.Addr(0); k < 3; k++ {
+				o.Read(read[mol] + k)
+			}
+		}
+		o.Compute(workload.MoldynFlopsPerInteraction*apps.CyclesPerFlop + pairOverheadCycles)
+		s := p.Do(o)
+		pi := workload.Point3{X: s[0], Y: s[1], Z: s[2]}
+		pj := workload.Point3{X: s[3], Y: s[4], Z: s[5]}
 		f := workload.PairForce(pi, pj, a.par.Cutoff)
-		p.Compute(workload.MoldynFlopsPerInteraction*apps.CyclesPerFlop + pairOverheadCycles)
 		ai, aj := privAt(priv, i), privAt(priv, j)
 		ai[0] += f.X
 		ai[1] += f.Y

@@ -197,35 +197,32 @@ func (a *App) shipState(p *machine.Proc) {
 	})
 }
 
-// readState loads a node's 3-component state through the cache (real
-// location for SM, local ghost for MP).
-func (a *App) readState(p *machine.Proc, node int32) [3]float64 {
-	base := a.stateRead[p.ID][node]
-	var s [3]float64
-	for k := 0; k < 3; k++ {
-		s[k] = p.Read(base + mem.Addr(k))
-	}
-	return s
-}
-
 // edgePhase computes all of this processor's edges into private
-// accumulators.
+// accumulators. Each edge's and each face's prefetches, state reads
+// (the real location for SM, a local ghost for MP) and compute are one
+// op run.
 func (a *App) edgePhase(p *machine.Proc, priv map[int32]*[3]float64) {
 	pf := a.mech.UsesPrefetch()
 	edges := a.myEdges[p.ID]
+	read := a.stateRead[p.ID]
 	for idx, e := range edges {
 		ed := a.mesh.Edges[e]
 		u, v := ed[0], ed[1]
+		o := p.Ops()
 		if pf && idx+2 < len(edges) {
 			// Read-prefetch the state of the edge two computations ahead.
 			nxt := a.mesh.Edges[edges[idx+2]]
-			p.Prefetch(a.stateRead[p.ID][nxt[0]], false)
-			p.Prefetch(a.stateRead[p.ID][nxt[1]], false)
+			o.Prefetch(read[nxt[0]], false)
+			o.Prefetch(read[nxt[1]], false)
 		}
-		su := a.readState(p, u)
-		sv := a.readState(p, v)
-		c := workload.EdgeContrib(su, sv)
-		p.Compute(workload.UnstrucFlopsPerEdge*apps.CyclesPerFlop + edgeOverheadCycles)
+		for _, node := range ed {
+			for k := mem.Addr(0); k < 3; k++ {
+				o.Read(read[node] + k)
+			}
+		}
+		o.Compute(workload.UnstrucFlopsPerEdge*apps.CyclesPerFlop + edgeOverheadCycles)
+		s := p.Do(o)
+		c := workload.EdgeContrib([3]float64(s[0:3]), [3]float64(s[3:6]))
 		au := privAt(priv, u)
 		av := privAt(priv, v)
 		for k := 0; k < 3; k++ {
@@ -238,12 +235,15 @@ func (a *App) edgePhase(p *machine.Proc, priv map[int32]*[3]float64) {
 	// alternating sign.
 	for fi, f := range a.myFaces[p.ID] {
 		fc := a.mesh.Faces[f]
-		s0 := a.readState(p, fc[0])
-		s1 := a.readState(p, fc[1])
-		s2 := a.readState(p, fc[2])
-		s3 := a.readState(p, fc[3])
-		c := workload.FaceContrib(s0, s1, s2, s3)
-		p.Compute(workload.UnstrucFlopsPerFace*apps.CyclesPerFlop + edgeOverheadCycles)
+		o := p.Ops()
+		for _, node := range fc {
+			for k := mem.Addr(0); k < 3; k++ {
+				o.Read(read[node] + k)
+			}
+		}
+		o.Compute(workload.UnstrucFlopsPerFace*apps.CyclesPerFlop + edgeOverheadCycles)
+		s := p.Do(o)
+		c := workload.FaceContrib([3]float64(s[0:3]), [3]float64(s[3:6]), [3]float64(s[6:9]), [3]float64(s[9:12]))
 		signs := [4]float64{1, -1, 1, -1}
 		for vi, v := range fc {
 			acc := privAt(priv, v)

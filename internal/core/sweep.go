@@ -81,7 +81,8 @@ func (ax *Axis) run(app AppName, sc Scale, mech apps.Mechanism, i int) RunConfig
 // BisectionAxis is the Figure 8 methodology: I/O cross-traffic of
 // CrossMsgBytes messages consumes crossRates[i] bytes/cycle of the
 // bisection, and X is the emulated bisection (native minus
-// cross-traffic) in bytes per processor cycle.
+// cross-traffic) in bytes per processor cycle. Every nonzero rate goes
+// to the machine as it is, so a negative or NaN one fails its runs.
 //
 // Predicted, a cross-traffic stream consuming u = rate/native of the
 // cut reserves every X link it crosses for its message's serialization
@@ -103,7 +104,7 @@ func BisectionAxis(base machine.Config, crossRates []float64) Axis {
 		cfgs: make([]machine.Config, len(crossRates)), points: make([]predict.Point, len(crossRates))}
 	for i, rate := range crossRates {
 		cfg := base
-		if rate > 0 {
+		if rate != 0 {
 			cfg.CrossTraffic = mesh.CrossTraffic{MsgBytes: CrossMsgBytes, BytesPerCycle: rate}
 		}
 		l.cfgs[i] = cfg

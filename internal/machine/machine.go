@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/am"
 	"repro/internal/fault"
@@ -28,12 +29,12 @@ type Config struct {
 
 	// InterruptCheckCycles bounds interrupt latency during long computes:
 	// a computing processor notices pending message interrupts at least
-	// this often.
+	// this often. New refuses a value below 1.
 	InterruptCheckCycles int64
 
 	// CrossTraffic, if non-zero, emulates reduced bisection bandwidth
 	// (Figure 8): BytesPerCycle of I/O traffic is streamed across the
-	// bisection for the whole run.
+	// bisection for the whole run. New refuses a negative or NaN rate.
 	CrossTraffic mesh.CrossTraffic
 
 	// IdealNetOneWayCycles, if nonzero, switches shared memory to the
@@ -213,6 +214,16 @@ func New(cfg Config) *Machine {
 	nonNegative("IdealNetOneWayCycles", cfg.IdealNetOneWayCycles)
 	nonNegative("TraceCap", int64(cfg.TraceCap))
 	nonNegative("SpanCap", int64(cfg.SpanCap))
+	if cfg.InterruptCheckCycles < 1 {
+		// A computing processor would check for interrupts every 0
+		// cycles, forever, or schedule its chunks in the past.
+		panic(fmt.Sprintf("machine: InterruptCheckCycles %d below 1", cfg.InterruptCheckCycles))
+	}
+	if r := cfg.CrossTraffic.BytesPerCycle; r < 0 || math.IsNaN(r) {
+		// Run starts no traffic for such a rate, yet the result would
+		// report it subtracted from the bisection.
+		panic(fmt.Sprintf("machine: CrossTraffic.BytesPerCycle %v is negative or NaN", r))
+	}
 	eng := sim.NewEngine()
 	clk := sim.NewClock(cfg.ClockMHz)
 	net := mesh.New(eng, cfg.Mesh())
@@ -340,9 +351,13 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 	}
 	m.runEngine()
 	// The run is over: drop the protocol and message records pooled for
-	// it, so a machine kept for its results holds none of them.
+	// it, and the processors' op lists, so a machine kept for its
+	// results holds none of them.
 	m.Mem.ReleasePools()
 	m.AM.ReleasePools()
+	for _, p := range m.Procs {
+		p.ops = nil
+	}
 	if m.doneN != n {
 		d := m.Eng.Diagnose(sim.StallDeadlock)
 		d.Notes = append(d.Notes, fmt.Sprintf("only %d/%d processors finished", m.doneN, n))

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -48,7 +49,10 @@ func TestRunTwicePanics(t *testing.T) {
 
 // TestNewRefusesNegativeOptions: a negative ideal-network latency or
 // ring capacity is refused, naming the field, instead of silently
-// running the real network or recording nothing.
+// running the real network or recording nothing; so are an interrupt
+// check interval below one cycle, which would hang or schedule in the
+// past, and a negative or NaN cross-traffic rate, which would run no
+// traffic yet report a wider bisection.
 func TestNewRefusesNegativeOptions(t *testing.T) {
 	for _, c := range []struct {
 		field string
@@ -58,13 +62,17 @@ func TestNewRefusesNegativeOptions(t *testing.T) {
 		{"TraceCap", func(c *Config) { c.TraceCap = -1 }},
 		{"SpanCap", func(c *Config) { c.SpanCap = -1 }},
 		{"CritEdgeCap", func(c *Config) { c.CritPath, c.CritEdgeCap = true, -1 }},
+		{"InterruptCheckCycles", func(c *Config) { c.InterruptCheckCycles = 0 }},
+		{"InterruptCheckCycles", func(c *Config) { c.InterruptCheckCycles = -5 }},
+		{"CrossTraffic.BytesPerCycle", func(c *Config) { c.CrossTraffic = mesh.CrossTraffic{MsgBytes: 64, BytesPerCycle: -4} }},
+		{"CrossTraffic.BytesPerCycle", func(c *Config) { c.CrossTraffic = mesh.CrossTraffic{MsgBytes: 64, BytesPerCycle: math.NaN()} }},
 	} {
 		cfg := DefaultConfig()
 		c.set(&cfg)
 		func() {
 			defer func() {
 				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), c.field) {
-					t.Errorf("New with a negative %s: panic %v, want one naming the field", c.field, r)
+					t.Errorf("New with a bad %s: panic %v, want one naming the field", c.field, r)
 				}
 			}()
 			New(cfg)

@@ -46,6 +46,7 @@ type Proc struct {
 	doneAt sim.Time   // when this processor's body returned (load-imbalance metric)
 	wake   func()     // p.wakeNow, bound once: WaitAndHandle's arrival callback
 	spin   *spinState // the spins' state (spin.go), allocated at the first spin
+	ops    *Ops       // the op list and run state (ops.go), allocated at first use
 }
 
 // wakeNow resumes p's thread at the current time.
@@ -68,35 +69,67 @@ func (p *Proc) RecvMode() RecvMode { return p.mode }
 // the computation, exactly the asynchrony that perturbs processor
 // progress in the paper's ICCG results.
 func (p *Proc) Compute(cycles int64) {
+	checkCompute(cycles)
+	if d := p.dilation(); d > 0 {
+		p.th.Sleep(d)
+	}
+	p.computeChunks(cycles)
+}
+
+// checkCompute refuses a negative compute.
+func checkCompute(cycles int64) {
 	if cycles < 0 {
 		panic(fmt.Sprintf("machine: negative compute %d", cycles))
 	}
-	if p.M.Faults != nil {
-		// Host noise dilates the compute phase at its boundary; one-shot
-		// injected delays also fire here (the processor is the target, so
-		// its compute path is where the stall lands).
-		if d := p.M.Faults.ComputeDilation(p.ID, p.th.Now()); d > 0 {
-			p.BD.Add(stats.BucketCompute, d)
-			p.th.Sleep(d)
-		}
+}
+
+// dilation charges the host noise that dilates a compute phase starting
+// now, and returns it for the caller to sleep. Host noise dilates the
+// compute phase at its boundary; one-shot injected delays also fire here
+// (the processor is the target, so its compute path is where the stall
+// lands).
+func (p *Proc) dilation() sim.Time {
+	if p.M.Faults == nil {
+		return 0
 	}
-	chunk := p.M.Cfg.InterruptCheckCycles
+	d := p.M.Faults.ComputeDilation(p.ID, p.th.Now())
+	if d > 0 {
+		p.BD.Add(stats.BucketCompute, d)
+	}
+	return d
+}
+
+// computeChunks is Compute after its dilation: the cycles in chunks of
+// at most InterruptCheckCycles under interrupt reception, with pending
+// messages handled before each chunk and after the last.
+func (p *Proc) computeChunks(cycles int64) {
 	for cycles > 0 {
 		if p.mode == RecvInterrupt {
 			p.M.AM.DrainInterrupts(p.th, p.ID, &p.BD)
 		}
-		c := cycles
-		if p.mode == RecvInterrupt && c > chunk {
-			c = chunk
-		}
-		d := p.M.Clk.Cycles(c)
-		p.BD.Add(stats.BucketCompute, d)
-		p.th.Sleep(d)
+		c := p.chunk(cycles)
+		p.th.Sleep(p.chargeCompute(c))
 		cycles -= c
 	}
 	if p.mode == RecvInterrupt {
 		p.M.AM.DrainInterrupts(p.th, p.ID, &p.BD)
 	}
+}
+
+// chunk returns how many of cycles the next chunk of a compute takes.
+func (p *Proc) chunk(cycles int64) int64 {
+	if p.mode == RecvInterrupt {
+		return min(cycles, p.M.Cfg.InterruptCheckCycles)
+	}
+	return cycles
+}
+
+// chargeCompute charges cycles of computation and returns their
+// duration.
+func (p *Proc) chargeCompute(cycles int64) sim.Time {
+	d := p.M.Clk.Cycles(cycles)
+	p.BD.Add(stats.BucketCompute, d)
+	return d
 }
 
 // Read performs a sequentially-consistent shared-memory load.
@@ -134,10 +167,16 @@ const prefetchIssueCycles = 3
 // Prefetch issues a non-binding read (write=false) or write-ownership
 // (write=true) prefetch. It costs prefetchIssueCycles and never blocks.
 func (p *Proc) Prefetch(a mem.Addr, write bool) {
+	p.th.Sleep(p.chargeIssue())
+	p.M.Mem.Prefetch(p.ID, a, write)
+}
+
+// chargeIssue charges a prefetch's issue cost to memory wait and returns
+// its duration.
+func (p *Proc) chargeIssue() sim.Time {
 	d := p.M.Clk.Cycles(prefetchIssueCycles)
 	p.BD.Add(stats.BucketMemWait, d)
-	p.th.Sleep(d)
-	p.M.Mem.Prefetch(p.ID, a, write)
+	return d
 }
 
 // Peek reads shared memory without timing (initialization/validation).

@@ -4,6 +4,7 @@ import (
 	"os"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -188,6 +189,16 @@ func TestBisectionSweepFacade(t *testing.T) {
 	}
 	if smSlow <= mpSlow {
 		t.Errorf("SM slowed by %d cycles, MP by %d; SM should lose more", smSlow, mpSlow)
+	}
+}
+
+// TestBisectionSweepRefusesNegativeRate: a negative cross-traffic rate
+// fails the sweep, naming the field, instead of running no traffic at a
+// bisection it reports as wider than the machine's.
+func TestBisectionSweepRefusesNegativeRate(t *testing.T) {
+	_, err := BisectionSweep(EM3D, []Mechanism{SM}, []float64{-4})
+	if err == nil || !strings.Contains(err.Error(), "CrossTraffic.BytesPerCycle") {
+		t.Errorf("BisectionSweep at -4 bytes/cycle: error %v, want one naming CrossTraffic.BytesPerCycle", err)
 	}
 }
 
