@@ -53,15 +53,18 @@ race:
 # Short fixed-budget fuzzing: random op programs against the coherence
 # protocol's directory/cache invariant checker, random strings against
 # the fault/noise spec grammar (Parse must never panic, and accepted
-# specs must round-trip through their canonical form), and random
-# (time, scale) pairs against the predictor's rounding (it must equal
-# math.Round wherever the product fits an int64).
+# specs must round-trip through their canonical form), random (time,
+# scale) pairs against the predictor's rounding (it must equal
+# math.Round wherever the product fits an int64), and random event
+# programs against a reference queue (the engine's timing wheel and
+# heap must dispatch in the order of a stable sort by time).
 # Deterministic seeds run in `make test`; this explores beyond them.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/mem -run '^$$' -fuzz FuzzProtocolOps -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzParseSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/predict -run '^$$' -fuzz FuzzScaleTime -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZTIME)
 
 # Host-side profiling of a figure regeneration: where the simulator
 # itself spends CPU and heap. Inspect with `go tool pprof /tmp/paperbench.cpu`.
@@ -81,8 +84,9 @@ profile:
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/core ./internal/sim ./internal/mesh ./internal/mem ./internal/am ./internal/machine ./internal/predict
 
-# Performance tracking: event-engine allocation profile, host cost of a
-# thread handoff and of a wake a spin absorbs, host cost and
+# Performance tracking: event-engine dispatch cost and allocation
+# profile (one chain, 1024 chains in the heap behind the wheel, and
+# machine-like chains at three clocks), host cost of a thread handoff and of a wake a spin absorbs, host cost and
 # allocations of one packet, of one coherence miss and of one null
 # active-message round trip, of 16 plain-hit reads and 16 computes as
 # one op run and as calls on the thread, of one model build, one solve

@@ -35,8 +35,9 @@ var MapOrderCheck = &Check{
 }
 
 // scheduleNames are method names that schedule simulator events or
-// inject messages; calling them in map order perturbs the event heap's
-// tie-breaking and with it every downstream measurement.
+// inject messages; calling them in map order perturbs the sequence
+// numbers that break the event queue's same-time ties, and with them
+// every downstream measurement.
 var scheduleNames = map[string]bool{
 	"Schedule": true, "Spawn": true, "SpawnAt": true, "SpawnNow": true,
 	"Send": true, "SendBulk": true, "Post": true,

@@ -1,11 +1,14 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkEngineEventThroughput measures raw event dispatch rate — the
-// simulator's fundamental speed limit. With the value-slab heap this is
-// allocation-free at steady state (the seed's pointer heap paid one
-// allocation per scheduled event).
+// simulator's fundamental speed limit. Every event appends to a wheel
+// slot, and dispatch is allocation-free at steady state (the seed's
+// pointer heap paid one allocation per scheduled event).
 func BenchmarkEngineEventThroughput(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
@@ -22,9 +25,10 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkEngineDeepQueue measures dispatch with many events pending —
-// the realistic regime (every processor, controller and router holds
-// scheduled work), where heap sift depth and cache behavior dominate.
+// BenchmarkEngineDeepQueue measures dispatch with 1024 events pending,
+// 1 to 97 ps apart. They all fall into one or two wheel slots, and most
+// are earlier than their slot's tail, so this measures the heap behind
+// the wheel, where sift depth and cache behavior dominate.
 func BenchmarkEngineDeepQueue(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
@@ -42,6 +46,48 @@ func BenchmarkEngineDeepQueue(b *testing.B) {
 	}
 	b.ResetTimer()
 	e.Run()
+}
+
+// BenchmarkEngineMachineQueue measures dispatch under the traffic a
+// simulated machine gives the queue: 32 or 512 chains, one per
+// processor, each waking one clock cycle after its last. One wake in 8
+// comes 1 ps early, so the chains drift off the cycle grid and a share
+// of wakes lands earlier than its slot's tail; one in 64 sleeps 20 us,
+// past the wheel's horizon. The cycles are 20 MHz (the Alewife clock)
+// and the ends of the cmd/emulate clock range, 300 MHz and 2 MHz.
+func BenchmarkEngineMachineQueue(b *testing.B) {
+	for _, chains := range []int{32, 512} {
+		for _, clk := range []struct {
+			name  string
+			cycle Time
+		}{{"20MHz", 50000}, {"300MHz", 3333}, {"2MHz", 500000}} {
+			b.Run(fmt.Sprintf("chains=%d/%s", chains, clk.name), func(b *testing.B) {
+				b.ReportAllocs()
+				e := NewEngine()
+				n := 0
+				var tick func()
+				tick = func() {
+					n++
+					if n >= b.N {
+						return
+					}
+					d := clk.cycle
+					switch {
+					case n%64 == 0:
+						d += 20 * Microsecond
+					case n%8 == 0:
+						d--
+					}
+					e.After(d, tick)
+				}
+				for i := 0; i < chains; i++ {
+					e.At(0, tick)
+				}
+				b.ResetTimer()
+				e.Run()
+			})
+		}
+	}
 }
 
 // BenchmarkThreadHandoff measures the cooperative-scheduling round trip

@@ -86,12 +86,17 @@ func (e *Engine) Diagnose(kind StallKind) *StallError {
 		Now:        e.now,
 		Deadline:   e.deadline,
 		Dispatched: e.dispatched,
-		Pending:    len(e.events),
 	}
-	times := make([]Time, 0, len(e.events))
-	for i := range e.events {
-		times = append(times, e.events[i].at)
+	var times []Time
+	for i := range e.heap {
+		times = append(times, e.heap[i].at)
 	}
+	for i := range e.slots {
+		for n := e.slots[i].head; n != 0; n = e.nodes[n].next {
+			times = append(times, e.nodes[n].at)
+		}
+	}
+	d.Pending = len(times)
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 	if len(times) > maxDiagEvents {
 		times = times[:maxDiagEvents]
@@ -123,10 +128,10 @@ func (e *Engine) Diagnose(kind StallKind) *StallError {
 // past the deadline. Zero (the default) disables the deadline.
 func (e *Engine) SetDeadline(t Time) { e.deadline = t }
 
-// pastDeadline reports whether dispatching the next event would violate
-// the armed deadline.
-func (e *Engine) pastDeadline() bool {
-	if e.deadline <= 0 || len(e.events) == 0 || e.events[0].at <= e.deadline {
+// pastDeadline reports whether dispatching the next event, due at t,
+// would violate the armed deadline.
+func (e *Engine) pastDeadline(t Time) bool {
+	if e.deadline <= 0 || t <= e.deadline {
 		return false
 	}
 	for _, th := range e.threads {
