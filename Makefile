@@ -1,5 +1,5 @@
 # Tier-1 verification plus the race-certified concurrency surface.
-# `make check` is the gate every PR must pass; it also checks gofmt, vets and runs the
+# `make check` is the gate every PR must pass; it also vets and runs the
 # tests of the separate cmd/bench module (workload digests, metric plumbing) and
 # every Go benchmark of the root, internal/core, internal/sim, internal/mesh,
 # internal/mem, internal/am, internal/machine and internal/predict once
@@ -10,18 +10,12 @@
 
 GO ?= go
 
-.PHONY: check fmt build test race bench benchsmoke fuzz lint profile
+.PHONY: check build test race bench benchsmoke fuzz lint profile
 
-check: fmt build race test lint benchsmoke
+check: build race test lint benchsmoke
 	$(GO) vet ./...
 	$(GO) -C cmd/bench vet .
 	$(GO) -C cmd/bench test .
-
-# Formatting gate: gofmt -l must list no .go file. The lint fixtures
-# under testdata/ are exempt: they carry hand-aligned //want comments.
-fmt:
-	@out=$$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' -exec gofmt -l {} +); \
-	if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -39,6 +33,8 @@ lint:
 	$(GO) run ./cmd/simlint ./...
 	$(GO) -C cmd/bench run repro/cmd/simlint ./...
 
+# The formatting gate is a test of the root package (TestGofmt): no .go
+# file of either module outside testdata/ may differ from gofmt's output.
 test:
 	$(GO) test ./...
 

@@ -78,8 +78,7 @@ func BenchmarkFig4Summary(b *testing.B) {
 				var sm, mp int64
 				for _, mech := range Mechanisms {
 					r := core.MustRun(core.RunConfig{App: app, Mech: mech,
-						Scale: core.ScaleSweep, Machine: machine.DefaultConfig(),
-						SkipValidate: true})
+						Scale: core.ScaleSweep, Machine: machine.DefaultConfig()})
 					switch mech {
 					case SM:
 						sm = r.Cycles
@@ -103,9 +102,9 @@ func BenchmarkFig5Volume(b *testing.B) {
 			var ratio float64
 			for i := 0; i < b.N; i++ {
 				sm := core.MustRun(core.RunConfig{App: app, Mech: SM,
-					Scale: core.ScaleSweep, Machine: machine.DefaultConfig(), SkipValidate: true})
+					Scale: core.ScaleSweep, Machine: machine.DefaultConfig()})
 				mp := core.MustRun(core.RunConfig{App: app, Mech: MPPoll,
-					Scale: core.ScaleSweep, Machine: machine.DefaultConfig(), SkipValidate: true})
+					Scale: core.ScaleSweep, Machine: machine.DefaultConfig()})
 				ratio = float64(sm.Volume.Total()) / float64(mp.Volume.Total())
 			}
 			b.ReportMetric(ratio, "SM/MP-volume")
@@ -225,11 +224,11 @@ func BenchmarkAblationFullMapDirectory(b *testing.B) {
 	var saved float64
 	for i := 0; i < b.N; i++ {
 		base := core.MustRun(core.RunConfig{App: core.EM3D, Mech: SM,
-			Scale: core.ScaleSweep, Machine: machine.DefaultConfig(), SkipValidate: true})
+			Scale: core.ScaleSweep, Machine: machine.DefaultConfig()})
 		cfg := machine.DefaultConfig()
 		cfg.Mem.HWPointers = 64 // full map: never traps
 		full := core.MustRun(core.RunConfig{App: core.EM3D, Mech: SM,
-			Scale: core.ScaleSweep, Machine: cfg, SkipValidate: true})
+			Scale: core.ScaleSweep, Machine: cfg})
 		saved = float64(base.Cycles-full.Cycles) / float64(base.Cycles)
 	}
 	b.ReportMetric(100*saved, "limitless-cost-%")
@@ -275,9 +274,9 @@ func BenchmarkAblationInterruptInterval(b *testing.B) {
 		slow := machine.DefaultConfig()
 		slow.InterruptCheckCycles = 800
 		rf := core.MustRun(core.RunConfig{App: core.ICCG, Mech: MPInterrupt,
-			Scale: core.ScaleTiny, Machine: fast, SkipValidate: true})
+			Scale: core.ScaleTiny, Machine: fast})
 		rs := core.MustRun(core.RunConfig{App: core.ICCG, Mech: MPInterrupt,
-			Scale: core.ScaleTiny, Machine: slow, SkipValidate: true})
+			Scale: core.ScaleTiny, Machine: slow})
 		slowdown = float64(rs.Cycles) / float64(rf.Cycles)
 	}
 	b.ReportMetric(slowdown, "800cyc/50cyc-ratio")
@@ -303,7 +302,7 @@ func BenchmarkAblationCrossMsgSize(b *testing.B) {
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		core.MustRun(core.RunConfig{App: core.EM3D, Mech: SM,
-			Scale: core.ScaleTiny, Machine: machine.DefaultConfig(), SkipValidate: true})
+			Scale: core.ScaleTiny, Machine: machine.DefaultConfig()})
 	}
 }
 
@@ -321,7 +320,7 @@ func BenchmarkAblationRelaxedConsistency(b *testing.B) {
 			cfg.Mem.Consistency = c
 			cfg.IdealNetOneWayCycles = 100
 			return core.MustRun(core.RunConfig{App: core.EM3D, Mech: SM,
-				Scale: core.ScaleSweep, Machine: cfg, SkipValidate: true}).Cycles
+				Scale: core.ScaleSweep, Machine: cfg}).Cycles
 		}
 		sc := mk(mem.SC)
 		rc := mk(mem.RC)
@@ -348,9 +347,9 @@ func BenchmarkEmulatedMachines(b *testing.B) {
 					b.Fatal(err)
 				}
 				sm := core.MustRun(core.RunConfig{App: core.EM3D, Mech: SM,
-					Scale: core.ScaleTiny, Machine: cfg, SkipValidate: true})
+					Scale: core.ScaleTiny, Machine: cfg})
 				mp := core.MustRun(core.RunConfig{App: core.EM3D, Mech: MPPoll,
-					Scale: core.ScaleTiny, Machine: cfg, SkipValidate: true})
+					Scale: core.ScaleTiny, Machine: cfg})
 				ratio = float64(sm.Cycles) / float64(mp.Cycles)
 			}
 			b.ReportMetric(ratio, "SM/MP-ratio")
@@ -367,11 +366,11 @@ func BenchmarkAblationUpdateProtocol(b *testing.B) {
 	var volRatio, runRatio float64
 	for i := 0; i < b.N; i++ {
 		inval := core.MustRun(core.RunConfig{App: core.EM3D, Mech: SM,
-			Scale: core.ScaleSweep, Machine: machine.DefaultConfig(), SkipValidate: true})
+			Scale: core.ScaleSweep, Machine: machine.DefaultConfig()})
 		cfg := machine.DefaultConfig()
 		cfg.Mem.Protocol = mem.ProtocolUpdate
 		upd := core.MustRun(core.RunConfig{App: core.EM3D, Mech: SM,
-			Scale: core.ScaleSweep, Machine: cfg, SkipValidate: true})
+			Scale: core.ScaleSweep, Machine: cfg})
 		volRatio = float64(upd.Volume.Total()) / float64(inval.Volume.Total())
 		runRatio = float64(upd.Cycles) / float64(inval.Cycles)
 	}
@@ -390,7 +389,7 @@ func BenchmarkAblationAdaptiveRouting(b *testing.B) {
 			cfg.AdaptiveXY = adaptive
 			cfg.CrossTraffic = mesh.CrossTraffic{MsgBytes: core.CrossMsgBytes, BytesPerCycle: 14}
 			return core.MustRun(core.RunConfig{App: core.EM3D, Mech: SM,
-				Scale: core.ScaleSweep, Machine: cfg, SkipValidate: true}).Cycles
+				Scale: core.ScaleSweep, Machine: cfg}).Cycles
 		}
 		det := mk(false)
 		ada := mk(true)

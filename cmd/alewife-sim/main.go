@@ -32,7 +32,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cross := fs.Float64("cross", 0, "cross-traffic rate in bytes/cycle (bisection emulation)")
 	xmsg := fs.Int("xmsg", 64, "cross-traffic message size in bytes")
 	idealLat := fs.Int64("ideal-lat", 0, "if nonzero, uniform one-way latency in cycles (ideal network)")
-	validate := fs.Bool("validate", true, "check the result against the sequential reference")
 	traceN := fs.Int("trace", 0, "dump the last N protocol/message events after the run")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -59,10 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.CrossTraffic = mesh.CrossTraffic{MsgBytes: *xmsg, BytesPerCycle: *cross}
 	}
 
-	res, err := core.Run(core.RunConfig{
-		App: core.AppName(*appName), Mech: mech, Scale: sc,
-		Machine: cfg, SkipValidate: !*validate,
-	})
+	res, err := core.Run(core.RunConfig{App: core.AppName(*appName), Mech: mech, Scale: sc, Machine: cfg})
 	if err != nil {
 		return fail(err)
 	}
@@ -106,9 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			len(res.Trace.Items()), res.Trace.Total())
 		obs.DumpEvents(stdout, clk, res.Trace)
 	}
-	if *validate {
-		fmt.Fprintln(stdout, "\nresult validated against sequential reference")
-	}
+	fmt.Fprintln(stdout, "\nresult validated against sequential reference")
 	return 0
 }
 

@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		mp, err := core.Run(core.RunConfig{App: core.AppName(*appName), Mech: apps.MPPoll,
-			Scale: sc, Machine: cfg, SkipValidate: true})
+			Scale: sc, Machine: cfg})
 		if err != nil {
 			return fail(err)
 		}
@@ -57,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ratioText := "-"
 		if note.SharedMemory {
 			sm, err := core.Run(core.RunConfig{App: core.AppName(*appName), Mech: apps.SM,
-				Scale: sc, Machine: cfg, SkipValidate: true})
+				Scale: sc, Machine: cfg})
 			if err != nil {
 				return fail(err)
 			}

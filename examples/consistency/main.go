@@ -24,7 +24,7 @@ func main() {
 		}
 		res, err := repro.Run(repro.Config{
 			App: repro.EM3D, Mechanism: repro.SM,
-			Scale: repro.ScaleSweep, Machine: cfg, SkipValidate: true,
+			Scale: repro.ScaleSweep, Machine: cfg,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -190,9 +190,6 @@ type RunConfig struct {
 	// work). False keeps the scale's fixed problem size (strong
 	// scaling). At 32 nodes the two modes are identical.
 	ScaleProblem bool
-	// SkipValidate skips the numerical check (sweeps re-run the same
-	// validated workload many times; validation is O(workload)).
-	SkipValidate bool
 }
 
 // RunResult is the outcome of one run.
@@ -209,37 +206,43 @@ type RunResult struct {
 	Crit *obs.CritRecorder
 }
 
-// RunError is a crashed run recovered into a value: the simulation
+// RunError is a failed run recovered into a value: the simulation
 // panicked (watchdog stall, protocol invariant violation, or an
-// application bug) instead of completing. When the panic was a watchdog
+// application bug) instead of completing, or it completed with a result
+// that its sequential reference rejects. When the panic was a watchdog
 // diagnostic, Stall carries it in structured form.
 type RunError struct {
-	App   AppName
-	Mech  apps.Mechanism
-	Panic string          // rendered panic value
-	Stall *sim.StallError // structured watchdog diagnostic, when available
+	App    AppName
+	Mech   apps.Mechanism
+	Reason string          // rendered panic value, or the failed validation
+	Stall  *sim.StallError // structured watchdog diagnostic, when available
 }
 
 func (e *RunError) Error() string {
-	return fmt.Sprintf("core: %s/%s run failed: %s", e.App, e.Mech, e.Panic)
+	return fmt.Sprintf("core: %s/%s run failed: %s", e.App, e.Mech, e.Reason)
 }
 
 // Run builds a fresh machine, runs the app under the mechanism, validates
 // the numerical result against the sequential reference, and returns the
-// measurements. A panicking simulation is recovered into a *RunError
-// rather than crashing the process; the crashed machine's paused thread
-// coroutines are abandoned, never resumed (they hold no locks and touch no
-// shared state, so abandonment is safe, but each keeps a parked host stack,
-// so a pathological sweep of thousands of crashing points would accumulate
-// them).
-func Run(rc RunConfig) (res RunResult, err error) {
+// measurements. A panicking simulation and a failed validation are both
+// a *RunError rather than a crashed process or a wrong measurement; the
+// crashed machine's paused thread coroutines are abandoned, never resumed
+// (they hold no locks and touch no shared state, so abandonment is safe,
+// but each keeps a parked host stack, so a pathological sweep of
+// thousands of crashing points would accumulate them).
+func Run(rc RunConfig) (RunResult, error) {
 	a, err := NewAppSized(rc.App, rc.Scale, rc.Machine.Nodes(), rc.ScaleProblem)
 	if err != nil {
 		return RunResult{}, err
 	}
+	return runApp(rc, a)
+}
+
+// runApp is Run for a, the workload NewAppSized built for rc.
+func runApp(rc RunConfig, a apps.App) (res RunResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			re := &RunError{App: rc.App, Mech: rc.Mech, Panic: fmt.Sprint(r)}
+			re := &RunError{App: rc.App, Mech: rc.Mech, Reason: fmt.Sprint(r)}
 			if se, ok := r.(*sim.StallError); ok {
 				re.Stall = se
 			}
@@ -249,10 +252,8 @@ func Run(rc RunConfig) (res RunResult, err error) {
 	m := machine.New(rc.Machine)
 	a.Setup(m, rc.Mech)
 	mres := m.Run(a.Body)
-	if !rc.SkipValidate {
-		if err := a.Validate(); err != nil {
-			return RunResult{}, fmt.Errorf("core: %s/%s: %w", rc.App, rc.Mech, err)
-		}
+	if err := a.Validate(); err != nil {
+		return RunResult{}, &RunError{App: rc.App, Mech: rc.Mech, Reason: err.Error()}
 	}
 	return RunResult{Result: mres, App: rc.App, Mech: rc.Mech, Trace: m.Trace, Spans: m.Spans, Crit: m.Crit}, nil
 }

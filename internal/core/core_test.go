@@ -398,8 +398,8 @@ func TestCrossTrafficLeavingNoBisectionRefused(t *testing.T) {
 		cfg.CrossTraffic = mesh.CrossTraffic{MsgBytes: 64, BytesPerCycle: rate}
 		_, err := Run(RunConfig{App: EM3D, Mech: apps.SM, Scale: ScaleTiny, Machine: cfg})
 		var re *RunError
-		if !errors.As(err, &re) || !strings.Contains(re.Panic, "native 9.0 B/cycle") ||
-			!strings.Contains(re.Panic, fmt.Sprintf("%g B/cycle of cross-traffic", rate)) {
+		if !errors.As(err, &re) || !strings.Contains(re.Reason, "native 9.0 B/cycle") ||
+			!strings.Contains(re.Reason, fmt.Sprintf("%g B/cycle of cross-traffic", rate)) {
 			t.Errorf("%g B/cycle on 4x2: %v, want a *RunError naming both rates", rate, err)
 		}
 	}

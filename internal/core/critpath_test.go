@@ -58,7 +58,7 @@ func stallBlame(t *testing.T) *sim.StallError {
 	cfg.DeadlineCycles = 2_000_000
 	_, err := core.Run(core.RunConfig{
 		App: core.EM3D, Mech: apps.MPPoll, Scale: core.ScaleTiny,
-		Machine: cfg, SkipValidate: true,
+		Machine: cfg,
 	})
 	if err == nil {
 		t.Fatal("outage run completed; expected a deadline stall")

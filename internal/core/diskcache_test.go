@@ -13,7 +13,7 @@ import (
 
 func cachedRC() RunConfig {
 	return RunConfig{App: ICCG, Mech: apps.MPPoll, Scale: ScaleTiny,
-		Machine: machine.DefaultConfig(), SkipValidate: true}
+		Machine: machine.DefaultConfig()}
 }
 
 // TestDiskCacheRoundTrip is the cross-process contract: a second runner
@@ -159,7 +159,7 @@ func TestDiskCacheSkipsFailedRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := RunConfig{App: EM3D, Mech: apps.SM, Scale: ScaleTiny, Machine: cfg, SkipValidate: true}
+	rc := RunConfig{App: EM3D, Mech: apps.SM, Scale: ScaleTiny, Machine: cfg}
 	r := NewRunner(1)
 	dc, err := OpenDiskCache(dir)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -20,7 +21,7 @@ func poisoned() machine.Config {
 
 func TestRunRecoversCrashIntoRunError(t *testing.T) {
 	_, err := Run(RunConfig{App: EM3D, Mech: apps.SM, Scale: ScaleTiny,
-		Machine: poisoned(), SkipValidate: true})
+		Machine: poisoned()})
 	if err == nil {
 		t.Fatal("poisoned run succeeded")
 	}
@@ -39,6 +40,41 @@ func TestRunRecoversCrashIntoRunError(t *testing.T) {
 	}
 	if !strings.Contains(re.Error(), "em3d") {
 		t.Errorf("RunError text %q lacks the app name", re.Error())
+	}
+}
+
+// rejectedApp is a workload that completes at once and whose sequential
+// reference rejects the result.
+type rejectedApp struct{}
+
+const rejection = "x[3] = 1.5, reference 2"
+
+func (rejectedApp) Setup(*machine.Machine, apps.Mechanism) {}
+func (rejectedApp) Body(*machine.Proc)                     {}
+func (rejectedApp) Validate() error                        { return errors.New(rejection) }
+
+// TestFailedValidationIsRunError: a run that completes with a wrong
+// answer fails like a crashed one: as a *RunError, the type
+// Runner.Failures lists, naming the app, the mechanism and the check's
+// message, and with a failed outcome in its run record.
+func TestFailedValidationIsRunError(t *testing.T) {
+	rc := RunConfig{App: ICCG, Mech: apps.MPPoll, Scale: ScaleTiny, Machine: machine.DefaultConfig()}
+	_, err := runApp(rc, rejectedApp{})
+	re, ok := err.(*RunError)
+	if !ok {
+		t.Fatalf("error type %T (%v), want *RunError", err, err)
+	}
+	if re.App != ICCG || re.Mech != apps.MPPoll || re.Stall != nil {
+		t.Errorf("RunError %+v, want iccg/MP-poll with no stall", re)
+	}
+	for _, want := range []string{"iccg", apps.MPPoll.String(), rejection} {
+		if !strings.Contains(re.Error(), want) {
+			t.Errorf("RunError text %q lacks %q", re.Error(), want)
+		}
+	}
+	rec := newRecord(rc, RunResult{}, err)
+	if rec.Outcome != "crash" || rec.Result != nil || rec.Error != re.Error() {
+		t.Errorf("record outcome %q, error %q, result %v; want a crash carrying the RunError", rec.Outcome, rec.Error, rec.Result)
 	}
 }
 
@@ -95,7 +131,7 @@ func TestWhollyFailedSweepErrors(t *testing.T) {
 func TestRunBatchAllNeverAborts(t *testing.T) {
 	r := NewRunner(0)
 	good := RunConfig{App: EM3D, Mech: apps.SM, Scale: ScaleTiny,
-		Machine: machine.DefaultConfig(), SkipValidate: true}
+		Machine: machine.DefaultConfig()}
 	bad := good
 	bad.Machine = poisoned()
 	results, errs := r.RunBatchAll([]RunConfig{bad, good, bad, good})
@@ -160,7 +196,7 @@ func TestEM3DValidatesUnderSeededFaults(t *testing.T) {
 func TestFaultSeedsAreDistinctCacheKeys(t *testing.T) {
 	r := NewRunner(1)
 	rc := RunConfig{App: EM3D, Mech: apps.SM, Scale: ScaleTiny,
-		Machine: machine.DefaultConfig(), SkipValidate: true}
+		Machine: machine.DefaultConfig()}
 	rc.Machine.FaultSpec = "jitter:max=200ns,prob=0.5"
 	rc.Machine.FaultSeed = 1
 	if _, err := r.Run(rc); err != nil {

@@ -38,7 +38,7 @@ func (r *Runner) NoiseSeedSweep(app AppName, sc Scale, mechs []apps.Mechanism, b
 			cfg := base
 			cfg.NoiseSpec = spec
 			cfg.NoiseSeed = seed
-			jobs = append(jobs, RunConfig{App: app, Mech: mech, Scale: sc, Machine: cfg, SkipValidate: true})
+			jobs = append(jobs, RunConfig{App: app, Mech: mech, Scale: sc, Machine: cfg})
 		}
 	}
 	results, errs := r.RunBatchAll(jobs)
@@ -95,7 +95,7 @@ func (r *Runner) DelayPropagation(app AppName, sc Scale, mechs []apps.Mechanism,
 	}
 	baseJobs := make([]RunConfig, len(mechs))
 	for i, mech := range mechs {
-		baseJobs[i] = RunConfig{App: app, Mech: mech, Scale: sc, Machine: base, SkipValidate: true}
+		baseJobs[i] = RunConfig{App: app, Mech: mech, Scale: sc, Machine: base}
 	}
 	baseRes, baseErrs := r.RunBatchAll(baseJobs)
 	if err := allFailed(baseErrs); err != nil {
@@ -127,7 +127,7 @@ func (r *Runner) DelayPropagation(app AppName, sc Scale, mechs []apps.Mechanism,
 		}}}.String()
 		cfg := base
 		cfg.NoiseSpec = spec
-		jobs = append(jobs, RunConfig{App: app, Mech: mechs[i], Scale: sc, Machine: cfg, SkipValidate: true})
+		jobs = append(jobs, RunConfig{App: app, Mech: mechs[i], Scale: sc, Machine: cfg})
 	}
 	pertRes, pertErrs := r.RunBatchAll(jobs)
 	if err := allFailed(pertErrs); err != nil {

@@ -105,7 +105,7 @@ func (r *Runner) PredictedSweep(app AppName, sc Scale, mechs []apps.Mechanism, a
 		icfg := l.base
 		icfg.CritPath = true
 		icfg.CritEdgeCap = DefaultPredictEdgeCap
-		res, err := r.Run(RunConfig{App: app, Mech: mech, Scale: sc, Machine: icfg, SkipValidate: true})
+		res, err := r.Run(RunConfig{App: app, Mech: mech, Scale: sc, Machine: icfg})
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

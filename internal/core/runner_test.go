@@ -56,7 +56,7 @@ func TestParallelSweepsMatchSerial(t *testing.T) {
 func TestRunnerMemoization(t *testing.T) {
 	r := NewRunner(0)
 	rc := RunConfig{App: ICCG, Mech: apps.MPPoll, Scale: ScaleTiny,
-		Machine: machine.DefaultConfig(), SkipValidate: true}
+		Machine: machine.DefaultConfig()}
 	batch := []RunConfig{rc, rc, rc, rc}
 	results, err := r.RunBatch(batch)
 	if err != nil {
@@ -85,7 +85,7 @@ func TestRunnerMemoization(t *testing.T) {
 func TestFingerprintNormalizesInertKnobs(t *testing.T) {
 	r := NewRunner(1)
 	rc := RunConfig{App: EM3D, Mech: apps.SM, Scale: ScaleTiny,
-		Machine: machine.DefaultConfig(), SkipValidate: true}
+		Machine: machine.DefaultConfig()}
 	if _, err := r.Run(rc); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestContextSwitchSweepHoistsReferences(t *testing.T) {
 func TestRunnerErrorPropagation(t *testing.T) {
 	r := NewRunner(0)
 	good := RunConfig{App: EM3D, Mech: apps.SM, Scale: ScaleTiny,
-		Machine: machine.DefaultConfig(), SkipValidate: true}
+		Machine: machine.DefaultConfig()}
 	badA, badB := good, good
 	badA.App, badB.App = "nonesuch-a", "nonesuch-b"
 	_, err := r.RunBatch([]RunConfig{good, badA, good, badB})

@@ -40,7 +40,7 @@ func TestNodeScalingSweepDeterministic(t *testing.T) {
 // the second mode from cache.
 func TestScalingModesCoincideAtBase(t *testing.T) {
 	cfg := machine.DefaultConfig()
-	rc := RunConfig{App: ICCG, Mech: apps.MPPoll, Scale: ScaleTiny, Machine: cfg, SkipValidate: true}
+	rc := RunConfig{App: ICCG, Mech: apps.MPPoll, Scale: ScaleTiny, Machine: cfg}
 	weak := rc
 	weak.ScaleProblem = true
 	if fingerprint(rc) != fingerprint(weak) {

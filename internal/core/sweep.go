@@ -75,7 +75,7 @@ func (ax *Axis) lane(mech apps.Mechanism) *lane {
 // PredictedSweep's validation alike.
 func (ax *Axis) run(app AppName, sc Scale, mech apps.Mechanism, i int) RunConfig {
 	return RunConfig{App: app, Mech: mech, Scale: sc, Machine: ax.lane(mech).cfgs[i],
-		ScaleProblem: ax.scaleProblem, SkipValidate: true}
+		ScaleProblem: ax.scaleProblem}
 }
 
 // BisectionAxis is the Figure 8 methodology: I/O cross-traffic of

@@ -20,7 +20,7 @@ func telemetryConfig() core.RunConfig {
 	cfg.SpanCap = 2048
 	cfg.TraceCap = 1024
 	return core.RunConfig{App: core.EM3D, Mech: apps.MPPoll, Scale: core.ScaleTiny,
-		Machine: cfg, SkipValidate: true}
+		Machine: cfg}
 }
 
 // TestTelemetryArtifactsByteIdentical runs the same configuration twice

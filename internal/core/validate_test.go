@@ -52,7 +52,7 @@ func TestRelaxedConsistencyHidesWriteLatency(t *testing.T) {
 		cfg.Mem.Consistency = c
 		cfg.IdealNetOneWayCycles = lat
 		return MustRun(RunConfig{App: EM3D, Mech: apps.SM, Scale: ScaleSweep,
-			Machine: cfg, SkipValidate: true}).Cycles
+			Machine: cfg}).Cycles
 	}
 	scSlow := float64(run(mem.SC, 100)) / float64(run(mem.SC, 15))
 	rcSlow := float64(run(mem.RC, 100)) / float64(run(mem.RC, 15))

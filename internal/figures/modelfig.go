@@ -59,7 +59,7 @@ func PrintModelComparison(w io.Writer, r *core.Runner, app core.AppName, sc core
 func fitModel(r *core.Runner, app core.AppName, sc core.Scale, cfg machine.Config) (model.AppParams, model.MachineParams, error) {
 	var runs [2]core.RunResult
 	for i, mech := range []apps.Mechanism{apps.SM, apps.MPPoll} {
-		res, err := r.Run(core.RunConfig{App: app, Mech: mech, Scale: sc, Machine: cfg, SkipValidate: true})
+		res, err := r.Run(core.RunConfig{App: app, Mech: mech, Scale: sc, Machine: cfg})
 		if err != nil {
 			return model.AppParams{}, model.MachineParams{}, err
 		}

@@ -9,7 +9,9 @@
 // the per-check files for details):
 //
 //	unseededrand — no global/unseeded math/rand in simulator-facing packages
-//	maporder     — no order-sensitive work inside map iteration
+//	maporder     — no order-sensitive work inside map iteration:
+//	               appends, float accumulation, output, or calls of
+//	               functions and methods declared in sim packages
 //	rawconc      — no goroutines, channels or select in simulator-facing packages
 //	closedscope  — the simulator-facing packages form a closed world:
 //	               they import only each other and an allow-list of

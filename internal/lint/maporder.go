@@ -9,8 +9,8 @@ import (
 
 // MapOrderCheck flags `for range` over a map whose body does
 // order-sensitive work: appending to slices, accumulating
-// floating-point values, scheduling simulator events or messages, or
-// writing output. Go randomizes map iteration order per process, so any
+// floating-point values, calling into the simulation, or writing
+// output. Go randomizes map iteration order per process, so any
 // of these makes two runs of the same configuration diverge — the exact
 // failure mode the parallel sweep runner's bit-identical guarantee and
 // the memoization cache cannot tolerate.
@@ -29,18 +29,9 @@ import (
 // are not flagged.
 var MapOrderCheck = &Check{
 	Name:  "maporder",
-	Doc:   "flag order-sensitive work (appends, float accumulation, event scheduling, output) inside map iteration",
+	Doc:   "flag order-sensitive work (appends, float accumulation, calls into sim packages, output) inside map iteration",
 	Scope: "every package",
 	Run:   runMapOrder,
-}
-
-// scheduleNames are method names that schedule simulator events or
-// inject messages; calling them in map order perturbs the sequence
-// numbers that break the event queue's same-time ties, and with them
-// every downstream measurement.
-var scheduleNames = map[string]bool{
-	"Schedule": true, "Spawn": true, "SpawnAt": true, "SpawnNow": true,
-	"Send": true, "SendBulk": true, "Post": true,
 }
 
 // outputNames are method names that emit output; emitting in map order
@@ -201,18 +192,22 @@ func findHazards(p *Pass, body *ast.BlockStmt, safe map[*ast.RangeStmt]bool) []h
 				add(n.Pos(), "appends to a slice")
 				return true
 			}
+			if fn := callee(p, n); fn != nil && fn.Pkg() != nil && inScope(fn.Pkg().Path(), simScopes) {
+				// Sim code may schedule events, send messages or draw
+				// seeded randomness: called in map order, it perturbs the
+				// sequence numbers that break the event queue's same-time
+				// ties, and with them every downstream measurement.
+				add(n.Pos(), "calls into the simulation")
+				return true
+			}
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
 				name := sel.Sel.Name
 				// Qualified identifiers (pkg.Func) only count for fmt
-				// output; method calls count for scheduling and output.
+				// output; method calls count for output by name.
 				if _, isPkg := p.Info.Uses[firstIdent(sel.X)].(*types.PkgName); isPkg {
 					if isPkgSelector(p, sel, "fmt") && (strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint")) {
 						add(n.Pos(), "writes output")
 					}
-					return true
-				}
-				if scheduleNames[name] {
-					add(n.Pos(), "schedules events or sends messages")
 				} else if outputNames[name] {
 					add(n.Pos(), "writes output")
 				}
@@ -221,6 +216,27 @@ func findHazards(p *Pass, body *ast.BlockStmt, safe map[*ast.RangeStmt]bool) []h
 		return true
 	})
 	return out
+}
+
+// callee returns the function or method that call names, or nil for a
+// call through a func value, a conversion or a builtin.
+func callee(p *Pass, call *ast.CallExpr) *types.Func {
+	fun := call.Fun
+	switch f := fun.(type) {
+	case *ast.IndexExpr: // an instantiation f[T]
+		fun = f.X
+	case *ast.IndexListExpr:
+		fun = f.X
+	}
+	var id *ast.Ident
+	switch f := fun.(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	}
+	fn, _ := p.Info.Uses[id].(*types.Func)
+	return fn
 }
 
 // firstIdent returns expr as *ast.Ident, or nil.

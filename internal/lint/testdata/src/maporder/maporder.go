@@ -7,20 +7,40 @@ import (
 
 type engine struct{}
 
-func (engine) Send(k int)     {}
-func (engine) Schedule(k int) {}
+func (engine) Send(k int)               {}
+func (engine) After(d int64, fn func()) {}
 
-func hazards(m map[int]float64, e engine) []int {
+type thread struct{}
+
+func (thread) WakeAt(t int64) {}
+
+func post[T any](v T)             {}
+func postPair[K, V any](k K, v V) {}
+
+func hazards(m map[int]float64, e engine, th thread) []int {
 	var keys []int
 	var total float64
 	for k, v := range m {
 		keys = append(keys, k) //want maporder
 		total += v //want maporder
 		e.Send(k) //want maporder
+		e.After(int64(k), nil) //want maporder
+		th.WakeAt(int64(k)) //want maporder
+		post[int](k) //want maporder
+		postPair[int, float64](k, v) //want maporder
 		fmt.Println(k) //want maporder
 	}
 	_ = total
 	return keys
+}
+
+// funcValue calls into the simulation through a func value, which the
+// check does not follow (DESIGN.md §10).
+func funcValue(m map[int]float64, e engine) {
+	after := e.After
+	for k := range m {
+		after(int64(k), nil)
+	}
 }
 
 func safeCollect(m map[int]float64) []int {

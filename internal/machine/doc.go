@@ -8,8 +8,8 @@
 // sleep or a wait. Two kinds of loop run engine-side instead, as the
 // steps of one sim.Thread.Spin with the same charges and events as on
 // the thread: the spin-waits (SpinWhileEqual, ScanZeros and NextZero in
-// spin.go), which resume the thread only for a poll that ends the wait
-// or is not a plain hit, and op runs (Ops and Do in ops.go), straight-line
+// spin.go, one poll scan over one word or many), which resume the thread
+// only for a poll that ends the wait or is not a plain hit, and op runs (Ops and Do in ops.go), straight-line
 // reads, prefetches and computes, which resume it only for a read that
 // is not a plain hit, a compute interrupted by a pending message, and
 // the run's end.

@@ -18,32 +18,45 @@ import (
 // poll itself with ReadSync. So a spin leaves every event, bucket and
 // span of the loop it replaces unchanged.
 
-// spinState is a processor's spin state, with the steps bound once.
+// spinState is a processor's spin state: one scan for the flag spin of
+// SpinWhileEqual and one for the zero scan of ScanZeros and NextZero, so
+// that a flag spin never clobbers a zero scan in progress, each with its
+// step bound once.
 type spinState struct {
-	flag     flagSpin
-	scan     zeroScan
-	flagStep func() (sim.Time, bool) // Proc.stepFlag
-	scanStep func() (sim.Time, bool) // Proc.stepScan
+	flag, scan         pollScan
+	flagStep, scanStep func() (sim.Time, bool)
+	flagID             [1]int32    // the flag spin's one id
+	flagWord           [1]mem.Addr // and the word it polls
 }
 
 // spins returns p's spin state, allocating it at p's first spin, so a
 // processor that never spins carries none.
 func (p *Proc) spins() *spinState {
 	if p.spin == nil {
-		p.spin = &spinState{}
-		p.spin.flagStep, p.spin.scanStep = p.stepFlag, p.stepScan
+		sp := &spinState{}
+		sp.flagStep = func() (sim.Time, bool) { return p.step(&sp.flag) }
+		sp.scanStep = func() (sim.Time, bool) { return p.step(&sp.scan) }
+		p.spin = sp
 	}
 	return p.spin
 }
 
-// flagSpin is the state of the SpinWhileEqual in progress.
-type flagSpin struct {
-	addr    mem.Addr
-	val     float64
-	backoff int64
-	max     int64
-	polled  bool // the sleep in flight is a poll's hit, not a backoff
-	ended   bool // a poll read a value other than val
+// pollScan is the state of a scan in progress: passes over ids that
+// poll word[id] for each id until the poll ends id's wait, which it does
+// when the word equals val if eq is set (iccg's counters), and when it
+// differs from val otherwise (barrier flags).
+type pollScan struct {
+	ids      []int32    // this pass's ids; ids[:n] are kept for the next
+	word     []mem.Addr // word[id] is the word polled for id
+	val      float64
+	eq       bool
+	i, n     int  // ids[i] is polled next; n ids are kept so far
+	progress bool // this pass has ended a wait
+	backoff  int64
+	min, max int64
+	polled   bool  // the sleep in flight is ids[i]'s poll hit
+	found    bool  // the spin ended a wait: done is its id
+	done     int32 // the id whose wait ended
 }
 
 // SpinWhileEqual polls the word at a until it holds a value other than
@@ -57,66 +70,18 @@ type flagSpin struct {
 //	}
 //
 // but the polls that are plain hits, and the backoffs around them, do
-// not resume the thread.
+// not resume the thread: it is a scan of the one word.
 func (p *Proc) SpinWhileEqual(a mem.Addr, v float64, backoff, maxBackoff int64) {
 	sp := p.spins()
-	f := &sp.flag
-	*f = flagSpin{addr: a, val: v, backoff: backoff, max: maxBackoff}
-	d, hit := p.M.Mem.ReadHit(p.ID, a, &p.BD)
-	for {
-		if !hit {
-			// Not a plain hit: the thread makes this poll itself.
-			if p.ReadSync(a) != v {
-				return
-			}
-			d = p.chargeBackoff(&f.backoff, f.max)
-		}
-		f.polled = hit
-		p.th.Spin(d, sp.flagStep)
-		if f.ended {
-			return
-		}
-		// The poll after the last backoff is not a plain hit.
-		hit = false
-	}
-}
-
-// stepFlag is SpinWhileEqual's step, run at the end of each sleep.
-func (p *Proc) stepFlag() (sim.Time, bool) {
-	f := &p.spin.flag
-	if !f.polled {
-		// A backoff ended: poll.
-		d, hit := p.M.Mem.ReadHit(p.ID, f.addr, &p.BD)
-		f.polled = hit
-		return d, hit
-	}
-	// A poll's hit ended: its load reads the word now.
-	f.polled = false
-	if p.M.Store.Peek(f.addr) != f.val {
-		f.ended = true
-		return 0, false
-	}
-	return p.chargeBackoff(&f.backoff, f.max), true
-}
-
-// zeroScan is the state of the zero scan in progress (ScanZeros,
-// NextZero).
-type zeroScan struct {
-	ids      []int32    // this pass's ids; ids[:n] are kept for the next
-	word     []mem.Addr // word[id] is the word polled for id
-	i, n     int        // ids[i] is polled next; n ids are kept so far
-	progress bool       // this pass has read a zero
-	backoff  int64
-	min, max int64
-	polled   bool  // the sleep in flight is ids[i]'s poll hit
-	found    bool  // the spin ended at a zero: zero is its id
-	zero     int32 // the id whose word read zero
+	sp.flagWord[0] = a
+	sp.flag = pollScan{ids: sp.flagID[:], word: sp.flagWord[:], val: v, backoff: backoff, min: backoff, max: maxBackoff}
+	p.next(&sp.flag, sp.flagStep)
 }
 
 // ScanZeros starts a zero scan over ids, for NextZero to run. The scan
 // takes ids, which it reorders in place, and polls word[id] for each id.
 func (p *Proc) ScanZeros(ids []int32, word []mem.Addr, backoff, maxBackoff int64) {
-	p.spins().scan = zeroScan{ids: ids, word: word, backoff: backoff, min: backoff, max: maxBackoff}
+	p.spins().scan = pollScan{ids: ids, word: word, eq: true, backoff: backoff, min: backoff, max: maxBackoff}
 }
 
 // NextZero continues the zero scan until a poll reads zero and returns
@@ -149,32 +114,37 @@ func (p *Proc) ScanZeros(ids []int32, word []mem.Addr, backoff, maxBackoff int64
 // but the polls that are plain hits and read nonzero, and the backoffs
 // between passes, do not resume the thread.
 func (p *Proc) NextZero() (int32, bool) {
-	s := &p.spin.scan
+	return p.next(&p.spin.scan, p.spin.scanStep)
+}
+
+// next continues scan s, whose bound step is step, until a poll ends an
+// id's wait and returns that id, which leaves the scan; it returns false
+// once no id is left.
+func (p *Proc) next(s *pollScan, step func() (sim.Time, bool)) (int32, bool) {
 	for {
-		d, sleep := p.scanNext()
+		d, sleep := p.scanNext(s)
 		if sleep {
-			p.th.Spin(d, p.spin.scanStep)
+			p.th.Spin(d, step)
 			if s.found {
 				s.found = false
-				return s.zero, true
+				return s.done, true
 			}
 			// Resumed at a poll that is not a plain hit: loop to make it.
 			continue
 		}
 		if len(s.ids) == 0 {
-			*s = zeroScan{} // hold nothing of the caller's
+			*s = pollScan{} // hold nothing of the caller's
 			return 0, false
 		}
 		// ids[i]'s poll is not a plain hit: the thread makes it itself.
 		if s.take(p.ReadSync(s.word[s.ids[s.i]])) {
-			return s.zero, true
+			return s.done, true
 		}
 	}
 }
 
-// stepScan is NextZero's step, run at the end of each sleep.
-func (p *Proc) stepScan() (sim.Time, bool) {
-	s := &p.spin.scan
+// step is a scan's step, run at the end of each sleep.
+func (p *Proc) step(s *pollScan) (sim.Time, bool) {
 	if s.polled {
 		// ids[i]'s poll hit ended: its load reads the word now.
 		s.polled = false
@@ -183,15 +153,14 @@ func (p *Proc) stepScan() (sim.Time, bool) {
 			return 0, false
 		}
 	}
-	return p.scanNext()
+	return p.scanNext(s)
 }
 
-// scanNext moves the scan to its next poll. At the end of a pass it
-// starts the next one, after a backoff if the pass read no zero; then it
+// scanNext moves scan s to its next poll. At the end of a pass it starts
+// the next one, after a backoff if the pass ended no wait; then it
 // probes ids[i]'s word. It returns the sleep to take, or false when the
 // scan is over or ids[i]'s poll is not a plain hit.
-func (p *Proc) scanNext() (sim.Time, bool) {
-	s := &p.spin.scan
+func (p *Proc) scanNext(s *pollScan) (sim.Time, bool) {
 	if s.i == len(s.ids) {
 		s.ids, s.i, s.n = s.ids[:s.n], 0, 0
 		if len(s.ids) == 0 {
@@ -210,13 +179,13 @@ func (p *Proc) scanNext() (sim.Time, bool) {
 }
 
 // take files the value v read by ids[i]'s poll and reports whether it
-// was zero, in which case the id leaves the scan as s.zero.
-func (s *zeroScan) take(v float64) bool {
+// ended the id's wait, in which case the id leaves the scan as s.done.
+func (s *pollScan) take(v float64) bool {
 	id := s.ids[s.i]
 	s.i++
-	if v == 0 {
+	if (v == s.val) == s.eq {
 		s.progress = true
-		s.zero = id
+		s.done = id
 		return true
 	}
 	s.ids[s.n] = id

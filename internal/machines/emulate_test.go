@@ -94,9 +94,9 @@ func TestEmulatedLatencyOrderingMatchesConclusion(t *testing.T) {
 			t.Fatal(err)
 		}
 		sm := core.MustRun(core.RunConfig{App: core.EM3D, Mech: apps.SM,
-			Scale: core.ScaleTiny, Machine: cfg, SkipValidate: true})
+			Scale: core.ScaleTiny, Machine: cfg})
 		mp := core.MustRun(core.RunConfig{App: core.EM3D, Mech: apps.MPPoll,
-			Scale: core.ScaleTiny, Machine: cfg, SkipValidate: true})
+			Scale: core.ScaleTiny, Machine: cfg})
 		return float64(sm.Cycles) / float64(mp.Cycles)
 	}
 	alewife := ratio("MIT Alewife")

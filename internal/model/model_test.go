@@ -121,9 +121,9 @@ func TestFitFromSimulatorAndAgree(t *testing.T) {
 	// simulator at the baseline and at a stressed point.
 	cfg := machine.DefaultConfig()
 	smRun := core.MustRun(core.RunConfig{App: core.EM3D, Mech: apps.SM,
-		Scale: core.ScaleSweep, Machine: cfg, SkipValidate: true})
+		Scale: core.ScaleSweep, Machine: cfg})
 	mpRun := core.MustRun(core.RunConfig{App: core.EM3D, Mech: apps.MPPoll,
-		Scale: core.ScaleSweep, Machine: cfg, SkipValidate: true})
+		Scale: core.ScaleSweep, Machine: cfg})
 	app, m, err := Fit(smRun, mpRun, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestFitFromSimulatorAndAgree(t *testing.T) {
 	cfg100 := cfg
 	cfg100.IdealNetOneWayCycles = 100
 	sm100 := core.MustRun(core.RunConfig{App: core.EM3D, Mech: apps.SM,
-		Scale: core.ScaleSweep, Machine: cfg100, SkipValidate: true})
+		Scale: core.ScaleSweep, Machine: cfg100})
 	measuredGrowth := float64(sm100.Cycles) / float64(smRun.Cycles)
 	m2 := m
 	m2.OneWayLatency = 100
@@ -157,7 +157,7 @@ func TestFitFromSimulatorAndAgree(t *testing.T) {
 func TestFitRejectsWrongMechanisms(t *testing.T) {
 	cfg := machine.DefaultConfig()
 	r := core.MustRun(core.RunConfig{App: core.EM3D, Mech: apps.SM,
-		Scale: core.ScaleTiny, Machine: cfg, SkipValidate: true})
+		Scale: core.ScaleTiny, Machine: cfg})
 	if _, _, err := Fit(r, r, cfg); err == nil {
 		t.Error("Fit accepted two SM runs")
 	}

@@ -284,9 +284,6 @@ func LockAt(m *machine.Machine, addr mem.Addr) *SpinLock {
 	return &SpinLock{m: m, addr: addr}
 }
 
-// Addr returns the lock word's address.
-func (l *SpinLock) Addr() mem.Addr { return l.addr }
-
 // Acquire spins until the lock is held by p.
 func (l *SpinLock) Acquire(p *machine.Proc) {
 	backoff := int64(20)

@@ -209,9 +209,9 @@ func (th *Thread) Sleep(d Time) {
 // events in the same order, leaves the simulation unchanged. A step
 // runs in the engine's context, so it must not pause, and it must not
 // wake its own thread. Bind it once (a method value the caller keeps),
-// so that a spin allocates nothing. It has three users, all in package
-// machine: the flag spin of Proc.SpinWhileEqual, the zero scan of
-// Proc.NextZero, and the op runs of Proc.Do.
+// so that a spin allocates nothing. It has two users, both in package
+// machine: the poll scans of Proc.SpinWhileEqual and Proc.NextZero, and
+// the op runs of Proc.Do.
 func (th *Thread) Spin(d Time, step func() (Time, bool)) {
 	if th.state != ThreadRunning {
 		panic(fmt.Sprintf("sim: Spin on %s thread %q", th.state, th.name))

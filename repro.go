@@ -90,9 +90,6 @@ type Config struct {
 	Mechanism Mechanism
 	Scale     Scale         // zero value is ScaleTiny
 	Machine   MachineConfig // zero value replaced by DefaultMachine()
-	// SkipValidate skips the numerical check against the sequential
-	// reference (useful inside large sweeps).
-	SkipValidate bool
 }
 
 // Result is one run's measurements.
@@ -111,10 +108,7 @@ func Run(c Config) (Result, error) {
 	if c.Machine.Nodes() == 0 {
 		c.Machine = DefaultMachine()
 	}
-	return core.Run(core.RunConfig{
-		App: c.App, Mech: c.Mechanism, Scale: c.Scale,
-		Machine: c.Machine, SkipValidate: c.SkipValidate,
-	})
+	return core.Run(core.RunConfig{App: c.App, Mech: c.Mechanism, Scale: c.Scale, Machine: c.Machine})
 }
 
 // SweepPoint is one X position of a parametric experiment.

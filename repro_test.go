@@ -54,7 +54,7 @@ func TestBreakdownCoversEveryCycle(t *testing.T) {
 		clk := sim.NewClock(cfg.ClockMHz)
 		for _, app := range Apps {
 			for _, mech := range Mechanisms {
-				res, err := Run(Config{App: app, Mechanism: mech, Machine: cfg, SkipValidate: true})
+				res, err := Run(Config{App: app, Mechanism: mech, Machine: cfg})
 				if err != nil {
 					t.Fatalf("%s/%s (noise %q): %v", app, mech, cfg.NoiseSpec, err)
 				}
@@ -150,11 +150,11 @@ func TestInstrumentationIsPassiveEveryPair(t *testing.T) {
 	instr.CritEdgeCap = core.DefaultPredictEdgeCap
 	for _, app := range Apps {
 		for _, mech := range Mechanisms {
-			bare, err := Run(Config{App: app, Mechanism: mech, SkipValidate: true})
+			bare, err := Run(Config{App: app, Mechanism: mech})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", app, mech, err)
 			}
-			res, err := Run(Config{App: app, Mechanism: mech, Machine: instr, SkipValidate: true})
+			res, err := Run(Config{App: app, Mechanism: mech, Machine: instr})
 			if err != nil {
 				t.Fatalf("%s/%s instrumented: %v", app, mech, err)
 			}
